@@ -210,9 +210,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.m < 1:
+        print(f"error: sweep needs m >= 1 (it sweeps m = 1..m), got m={args.m}",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         config = RunConfig(
-            big_m=args.M, m=max(args.m, 1), tol=args.tol,
+            big_m=args.M, m=args.m, tol=args.tol,
             output_format=args.format, seed=args.seed,
             solver=_solver_options_from_env(),
         )
@@ -279,14 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_system: bool = True):
-        if with_system:
-            p.add_argument(
-                "--system", required=True,
-                help=f"system JSON file, or one of {', '.join(BUNDLED_SYSTEMS)}",
-            )
+    def common(p: argparse.ArgumentParser, m_floor: int = 0):
+        p.add_argument(
+            "--system", required=True,
+            help=f"system JSON file, or one of {', '.join(BUNDLED_SYSTEMS)}",
+        )
         p.add_argument("--M", type=int, default=1, help="moment order (>= 1)")
-        p.add_argument("--m", type=int, default=1, help="weight depth (>= 0)")
+        p.add_argument("--m", type=int, default=1, help=f"weight depth (>= {m_floor})")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="bisection tolerance")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -302,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="hierarchy sweep over M=1..M, m=1..m with monotonicity audit"
     )
-    common(p_sweep)
+    common(p_sweep, m_floor=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the inequality property suites")

@@ -17,10 +17,17 @@ together with positivity of the individual Q and R variables.  A delay-range
 variant replaces the single-delay derivative block by its Schur-complement
 form, affine in tau, checked at both interval endpoints.
 
-All blocks are affine in the decision variables, so each constraint is
-extracted once into a constant part plus one coefficient matrix per scalar
+All blocks are linear in the decision variables and depend on the delay
+only through a few powers of tau: tau**-1 (the projection term of the
+derivative block), tau**0 and tau**1, plus tau**2 and tau**3 when A_d2 != 0.
+Each constraint is therefore compiled once per (system, M, m) into one
+coefficient stack per power of tau, with one coefficient matrix per scalar
 decision variable (symmetric matrices are vectorized with sqrt(2) scaling on
 off-diagonal entries so flat inner products match trace inner products).
+Assembling the LMIs at a probe delay is then the sum of tau**k times those
+stacks.  The block functions below (``positivity_block``,
+``derivative_block``, ``range_derivative_block``) state each condition
+directly at one delay; the compiled stacks reproduce them.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,22 +65,29 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class DelaySystem:
-    """Constant-coefficient delay system matrices."""
+    """Constant-coefficient delay system matrices.
+
+    The matrices are private read-only copies, so the LMI coefficients
+    compiled from them can be memoized on the instance (``_compiled``, one
+    entry per HierarchyParams) for as long as the instance lives.
+    """
 
     a: np.ndarray
     a_d1: np.ndarray
     a_d2: np.ndarray
     name: str = "system"
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        d1 = np.atleast_2d(np.asarray(self.a_d1, dtype=float))
-        d2 = np.atleast_2d(np.asarray(self.a_d2, dtype=float))
+        a = np.atleast_2d(np.array(self.a, dtype=float))
+        d1 = np.atleast_2d(np.array(self.a_d1, dtype=float))
+        d2 = np.atleast_2d(np.array(self.a_d2, dtype=float))
         for label, m in (("A", a), ("A_d1", d1), ("A_d2", d2)):
             if m.shape != a.shape or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{label} must be square and match A's shape")
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"{label} contains non-finite entries")
+            m.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_d1", d1)
         object.__setattr__(self, "a_d2", d2)
@@ -151,11 +165,6 @@ class VariableLayout:
         self.params = params
         self.p_size = n_x * (params.big_m + 1)
         self.sizes = [self.p_size] + [n_x] * (params.m1 + 1) + [n_x] * params.m2
-        self.groups = (
-            ["P"]
-            + [f"Q{j}" for j in range(params.m1 + 1)]
-            + [f"R{j}" for j in range(1, params.m2 + 1)]
-        )
         self.offsets = []
         off = 0
         for s in self.sizes:
@@ -198,21 +207,17 @@ class VariableLayout:
                     pos += 1
         return dv
 
-    def basis_elements(self):
-        """Yield (flat index, group name, DecisionVariables with one svec
-        coordinate set to 1)."""
-        idx = 0
-        for mat_index, (group, size) in enumerate(zip(self.groups, self.sizes)):
-            for i in range(size):
-                for j in range(i, size):
-                    dv = self.zero_vars()
-                    mat = self._mats(dv)[mat_index]
-                    if i == j:
-                        mat[i, i] = 1.0
-                    else:
-                        mat[i, j] = mat[j, i] = 1.0 / _SQRT2
-                    yield idx, group, dv
-                    idx += 1
+
+def _svec_basis(size: int) -> np.ndarray:
+    """The symmetric matrices of the svec coordinates of one size x size
+    variable, stacked in ``VariableLayout.pack`` order."""
+    rows, cols = np.triu_indices(size)
+    idx = np.arange(len(rows))
+    weight = np.where(rows == cols, 1.0, 1.0 / _SQRT2)
+    out = np.zeros((len(rows), size, size))
+    out[idx, rows, cols] = weight
+    out[idx, cols, rows] = weight
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +333,17 @@ def _dissipation_energy(
     params: HierarchyParams,
     tau: float,
     rs: Sequence[np.ndarray],
-    tau_power: int = 1,
 ) -> np.ndarray:
     row = _state_row(sys, tau, params.big_m)
     rsum = sum(np.asarray(r, dtype=float) for r in rs)
-    return tau**tau_power * row.T @ rsum @ row
+    return tau * row.T @ rsum @ row
 
 
 def _derivative_projection(
-    n: int,
-    params: HierarchyParams,
-    tau: float,
-    rs: Sequence[np.ndarray],
-    over_tau: bool = True,
+    n: int, params: HierarchyParams, rs: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Projection lower bound of the derivative terms (subtracted)."""
+    """Projection lower bound of the derivative terms (subtracted; the
+    single-delay block divides it by tau)."""
     big_m = params.big_m
     size = n * (big_m + 2)
     out = np.zeros((size, size))
@@ -352,7 +353,7 @@ def _derivative_projection(
             continue
         z = _z_array(j - 1, nu, big_m)
         out += j * _weighted_congruence(z, j - 1, np.asarray(rs[j - 1], dtype=float))
-    return out / tau if over_tau else out
+    return out
 
 
 def derivative_block(
@@ -362,18 +363,13 @@ def derivative_block(
     p: np.ndarray,
     qs: Sequence[np.ndarray],
     rs: Sequence[np.ndarray],
-    projection_over_tau: bool = True,
 ) -> np.ndarray:
-    """Full derivative condition; must be negative definite.
-
-    ``projection_over_tau`` keeps the 1/tau factor on the projection term
-    that the derivation produces (switchable for experimentation only).
-    """
+    """Full derivative condition; must be negative definite."""
     return (
         _energy_rate(sys, params, tau, p)
         + _history_rate(sys.n_x, params, qs)
         + _dissipation_energy(sys, params, tau, rs)
-        - _derivative_projection(sys.n_x, params, tau, rs, over_tau=projection_over_tau)
+        - _derivative_projection(sys.n_x, params, rs) / tau
     )
 
 
@@ -397,7 +393,7 @@ def range_derivative_block(
     core = (
         _energy_rate(sys, params, tau, p)
         + _history_rate(n, params, qs)
-        - _derivative_projection(n, params, tau, rs, over_tau=False)
+        - _derivative_projection(n, params, rs)
     )
     rsum = sum(np.asarray(r, dtype=float) for r in rs)
     row = _state_row(sys, tau, big_m)
@@ -412,7 +408,7 @@ def range_derivative_block(
 
 
 # ---------------------------------------------------------------------------
-# Problem extraction.
+# Compiled constraints.
 # ---------------------------------------------------------------------------
 
 
@@ -456,75 +452,148 @@ class LmiProblem:
         return [(c.name, c.sense, c.value(y)) for c in self.constraints]
 
 
-def _extract_constraints(
-    layout: VariableLayout,
-    builders: Iterable[tuple[str, int, Callable[[DecisionVariables], np.ndarray], set[str]]],
-) -> list[LmiConstraint]:
-    builders = list(builders)
-    zero = layout.zero_vars()
-    f0s = [np.asarray(fn(zero), dtype=float) for _, _, fn, _ in builders]
-    stacks = [
-        np.zeros((layout.dim, f0.shape[0], f0.shape[0])) for f0 in f0s
-    ]
-    for idx, group, dv in layout.basis_elements():
-        for b, (name, sense, fn, groups) in enumerate(builders):
-            if group not in groups:
-                continue
-            stacks[b][idx] = fn(dv) - f0s[b]
-    constraints = []
-    for (name, sense, fn, _), f0, stack in zip(builders, f0s, stacks):
-        f0 = 0.5 * (f0 + f0.T)
-        stack = 0.5 * (stack + np.transpose(stack, (0, 2, 1)))
-        constraints.append(LmiConstraint(name, sense, f0, stack))
-    return constraints
+class _TauPolynomial:
+    """Coefficient stack of one constraint block as a Laurent polynomial in
+    tau: coeffs(tau) = sum_k tau**k stacks[k], each stack (dim, d, d).
+
+    Built from (power, offset, row, col, stack) terms: ``stack`` holds the
+    block contributions of consecutive svec coordinates from flat index
+    ``offset`` on, placed at (row, col) of the d x d block.
+    """
+
+    def __init__(self, dim: int, size: int, terms):
+        powers = sorted({term[0] for term in terms})
+        stacks = np.zeros((len(powers), dim, size, size))
+        for power, offset, row, col, stack in terms:
+            count, rows, cols = stack.shape
+            k = powers.index(power)
+            block = stacks[k, offset : offset + count]
+            block[:, row : row + rows, col : col + cols] += stack
+        stacks = 0.5 * (stacks + stacks.swapaxes(-1, -2))
+        stacks.setflags(write=False)
+        self.powers = np.array(powers, dtype=float)
+        self.stacks = stacks
+
+    def at(self, tau: float) -> np.ndarray:
+        return np.tensordot(tau**self.powers, self.stacks, axes=1)
 
 
-def _positivity_builders(layout: VariableLayout):
-    params = layout.params
-    out = []
-    for j in range(params.m1 + 1):
-        out.append(
-            (f"Q{j} positive", 1, (lambda dv, j=j: dv.qs[j]), {f"Q{j}"})
+class _CompiledLmis:
+    """The constraint blocks of one (system, M, m) as polynomials in tau,
+    derived term by term from the block functions above applied to the
+    svec basis matrices of P, the Qs and the Rs."""
+
+    def __init__(self, sys: DelaySystem, params: HierarchyParams):
+        n, big_m = sys.n_x, params.big_m
+        self.layout = layout = VariableLayout(n, params)
+        dim = layout.dim
+        p_basis = _svec_basis(layout.p_size)
+        basis = _svec_basis(n)
+        q_offsets = layout.offsets[1 : params.m1 + 2]
+        r_offsets = layout.offsets[params.m1 + 2 :]
+        rate = n * (big_m + 2)  # derivative block size
+
+        def congruences(proj: np.ndarray, start: int) -> np.ndarray:
+            return np.array([_weighted_congruence(proj, start, b) for b in basis])
+
+        # tau-coefficients of the factors of _energy_rate and
+        # _dissipation_energy: state row = W0 + tau W1 (W1 only when
+        # A_d2 != 0), lam = L0 + tau L1, gam = G0 + tau G1
+        ws = [np.zeros((n, rate))]
+        ws[0][:, :n] = sys.a
+        ws[0][:, n : 2 * n] = sys.a_d1
+        if np.any(sys.a_d2):
+            ws.append(np.zeros((n, rate)))
+            ws[1][:, 2 * n : 3 * n] = sys.a_d2
+        moment_rows = np.kron(_legendre_derivative_array(big_m), np.eye(n))
+        lams = [np.vstack([ws[0], moment_rows])] + [
+            np.vstack([w, np.zeros_like(moment_rows)]) for w in ws[1:]
+        ]
+        pattern0 = np.zeros((big_m + 1, big_m + 2))
+        pattern0[0, 0] = 1.0
+        pattern1 = np.eye(big_m + 1, big_m + 2, k=1)
+        pattern1[0] = 0.0
+        gams = [np.kron(pattern0, np.eye(n)), np.kron(pattern1, np.eye(n))]
+
+        energy = []
+        for a, gam in enumerate(gams):
+            for b, lam in enumerate(lams):
+                pl = gam.T @ p_basis @ lam
+                energy.append((a + b, 0, 0, 0, pl + pl.swapaxes(-1, -2)))
+        positivity = [(1, 0, 0, 0, p_basis)]
+        history = []
+        for j, off in enumerate(q_offsets):
+            if params.nu1(j) >= 0:
+                xi = _xi_array(j, params.nu1(j), big_m)
+                positivity.append((0, off, n, n, congruences(xi, j)))
+            history.append((0, off, 0, 0, basis))
+            if j == 0:
+                history.append((0, off, n, n, -basis))
+            elif params.nu1(j - 1) >= 0:
+                xi = _xi_array(j - 1, params.nu1(j - 1), big_m)
+                history.append((0, off, 2 * n, 2 * n, -j * congruences(xi, j - 1)))
+        dissipation, projection, schur = [], [], []
+        for j, off in enumerate(r_offsets, start=1):
+            for a, wa in enumerate(ws):
+                schur.append((1 + a, off, 0, rate, wa.T @ basis))
+                schur.append((1 + a, off, rate, 0, basis @ wa))
+                for b, wb in enumerate(ws):
+                    dissipation.append((1 + a + b, off, 0, 0, wa.T @ basis @ wb))
+            schur.append((0, off, rate, rate, -basis))
+            if params.nu2(j - 1) >= 0:
+                z = _z_array(j - 1, params.nu2(j - 1), big_m)
+                projection.append((0, off, 0, 0, -j * congruences(z, j - 1)))
+
+        self.definite = [
+            (f"{label} positive", 1, _TauPolynomial(dim, n, [(0, off, 0, 0, basis)]))
+            for label, off in zip(
+                [f"Q{j}" for j in range(params.m1 + 1)]
+                + [f"R{j}" for j in range(1, params.m2 + 1)],
+                layout.offsets[1:],
+            )
+        ]
+        self.positivity = _TauPolynomial(dim, n * (big_m + 1), positivity)
+        # the single-delay block divides the projection term by tau
+        self.derivative = _TauPolynomial(
+            dim,
+            rate,
+            energy + history + dissipation + [(-1, *term[1:]) for term in projection],
         )
-    for j in range(1, params.m2 + 1):
-        out.append(
-            (f"R{j} positive", 1, (lambda dv, j=j: dv.rs[j - 1]), {f"R{j}"})
+        self.range_derivative = _TauPolynomial(
+            dim, rate + n, energy + history + projection + schur
         )
-    return out
+
+
+def _compiled(sys: DelaySystem, params: HierarchyParams) -> _CompiledLmis:
+    compiled = sys._compiled.get(params)
+    if compiled is None:
+        compiled = sys._compiled[params] = _CompiledLmis(sys, params)
+    return compiled
+
+
+def _constraint(
+    name: str, sense: int, poly: _TauPolynomial, tau: float
+) -> LmiConstraint:
+    coeffs = poly.at(tau)
+    return LmiConstraint(name, sense, np.zeros(coeffs.shape[1:]), coeffs)
 
 
 def assemble_stability_lmis(
     sys: DelaySystem,
     params: HierarchyParams,
     tau: float,
-    projection_over_tau: bool = True,
 ) -> LmiProblem:
     """Single-delay stability LMIs at delay tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    layout = VariableLayout(sys.n_x, params)
-    q_groups = {f"Q{j}" for j in range(params.m1 + 1)}
-    r_groups = {f"R{j}" for j in range(1, params.m2 + 1)}
-    builders = [
-        (
-            "positivity",
-            1,
-            lambda dv: positivity_block(sys, params, tau, dv.p, dv.qs),
-            {"P"} | q_groups,
-        ),
-        (
-            "derivative",
-            -1,
-            lambda dv: derivative_block(
-                sys, params, tau, dv.p, dv.qs, dv.rs, projection_over_tau
-            ),
-            {"P"} | q_groups | r_groups,
-        ),
-    ] + _positivity_builders(layout)
-    constraints = _extract_constraints(layout, builders)
+    compiled = _compiled(sys, params)
+    blocks = [
+        ("positivity", 1, compiled.positivity),
+        ("derivative", -1, compiled.derivative),
+    ] + compiled.definite
     return LmiProblem(
-        constraints,
-        layout,
+        [_constraint(*block, tau) for block in blocks],
+        compiled.layout,
         tau,
         params,
         sys,
@@ -547,36 +616,16 @@ def assemble_delay_range_lmis(
     """
     if not 0 < tau_low <= tau_up:
         raise ValueError("need 0 < tau_low <= tau_up")
-    layout = VariableLayout(sys.n_x, params)
-    q_groups = {f"Q{j}" for j in range(params.m1 + 1)}
-    r_groups = {f"R{j}" for j in range(1, params.m2 + 1)}
-    all_groups = {"P"} | q_groups | r_groups
-    builders = [
-        (
-            "positivity at upper endpoint",
-            1,
-            lambda dv: positivity_block(sys, params, tau_up, dv.p, dv.qs),
-            {"P"} | q_groups,
-        ),
-        (
-            "derivative at lower endpoint",
-            -1,
-            lambda dv: range_derivative_block(
-                sys, params, tau_low, dv.p, dv.qs, dv.rs
-            ),
-            all_groups,
-        ),
-        (
-            "derivative at upper endpoint",
-            -1,
-            lambda dv: range_derivative_block(sys, params, tau_up, dv.p, dv.qs, dv.rs),
-            all_groups,
-        ),
-    ] + _positivity_builders(layout)
-    constraints = _extract_constraints(layout, builders)
+    compiled = _compiled(sys, params)
+    derivative = compiled.range_derivative
+    constraints = [
+        _constraint("positivity at upper endpoint", 1, compiled.positivity, tau_up),
+        _constraint("derivative at lower endpoint", -1, derivative, tau_low),
+        _constraint("derivative at upper endpoint", -1, derivative, tau_up),
+    ] + [_constraint(*block, tau_up) for block in compiled.definite]
     return LmiProblem(
         constraints,
-        layout,
+        compiled.layout,
         tau_up,
         params,
         sys,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Rational",
@@ -247,9 +247,3 @@ def expand_in_shifted_legendre(
 def poly_weighted(m: int, n: int) -> RationalPolynomial:
     """The weighted polynomial x**m * R(m, n), of degree exactly m + n."""
     return rodrigues_poly(m, n).shift_exponents(m)
-
-
-def as_fraction_matrix(
-    rows: Sequence[Sequence[int | Fraction]],
-) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(c) for c in row) for row in rows)

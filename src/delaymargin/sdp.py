@@ -173,8 +173,12 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
 
     Deterministic given identical inputs.  Termination: duality gap below
     ``gap_tol * scale`` and normalized primal/dual residuals below
-    ``res_tol``; iteration exhaustion yields the numerically-inconclusive
-    status with diagnostics attached.
+    ``res_tol``.  Classification: FEASIBLE when t* >= ``feas_threshold *
+    scale`` and the dual residual is at most 100 ``res_tol`` (the dual
+    iterate is then a certificate, whatever the primal residual);
+    otherwise the gap and both residuals must be small for INFEASIBLE, and
+    anything else, including iteration exhaustion, is
+    numerically-inconclusive with diagnostics attached.
     """
     p = program.num_y
     q = p + 1  # margin variable t is last
@@ -235,6 +239,8 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
     it = 0
     best_gap = np.inf
     stall_count = 0
+    jitters = (0.0, 1e-13, 1e-10, 1e-7)  # Schur regularization levels
+    jitter_floor = 0
     for it in range(1, options.max_iter + 1):
         rp = b_obj - aop(xs, x_lp)
         rds = [c - np.tensordot(z, a, axes=1) - s for c, a, s in zip(cs, stacks, ss)]
@@ -290,7 +296,7 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
         schur = 0.5 * (schur + schur.T)
 
         factor_inv = None
-        for jitter in (0.0, 1e-13, 1e-10, 1e-7):
+        for jitter in jitters[jitter_floor:]:
             try:
                 factor = np.linalg.cholesky(
                     schur + jitter * max(1.0, schur.diagonal().max()) * np.eye(q)
@@ -398,6 +404,11 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
         gamma = 0.9 + 0.09 * min(1.0, ap, ad)
         ap = ad = min(1.0, gamma * ap, gamma * ad)
         if ap < 1e-10:
+            # an ill-conditioned Schur solve gives a direction that blocks
+            # every cone at once: redo the iteration more regularized
+            if jitter_floor < len(jitters) - 1:
+                jitter_floor += 1
+                continue
             break  # stalled; classify from diagnostics below
 
         for k in range(len(xs)):
@@ -418,20 +429,22 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
     err = residuals.get("gap", np.inf) + (
         residuals.get("primal", np.inf) + residuals.get("dual", np.inf)
     ) * (1.0 + bound)
+    dual_ok = residuals.get("dual", np.inf) <= 100 * options.res_tol
     decisive = converged or (
         err <= 0.1 * max(abs(t_star), threshold)
         and residuals.get("primal", np.inf) <= 100 * options.res_tol
-        and residuals.get("dual", np.inf) <= 100 * options.res_tol
+        and dual_ok
     )
-    if not decisive:
+    if t_star >= threshold and dual_ok:
+        # the dual iterate alone decides feasibility: its slack S(z) > 0
+        # gives F(y) - t* I = S(z) up to the dual residual, whatever the
+        # primal residual or gap (verify_certificate re-checks it)
+        status = FEASIBLE
+    elif not decisive:
         status = INCONCLUSIVE
-    elif homogeneous:
+    elif homogeneous or t_star <= -threshold:
         # a homogeneous family always admits the zero solution with zero
         # margin, so strict feasibility is exactly "margin above threshold"
-        status = FEASIBLE if t_star >= threshold else INFEASIBLE
-    elif t_star >= threshold:
-        status = FEASIBLE
-    elif t_star <= -threshold:
         status = INFEASIBLE
     else:
         status = INCONCLUSIVE

@@ -62,6 +62,8 @@ class ProbeRecord:
     status: str
     margin: float
     verified: bool | None = None
+    iterations: int | None = None  # solver iterations
+    margin_error: float | None = None  # solver's uncertainty estimate of margin
 
 
 @dataclass
@@ -83,7 +85,7 @@ class DelayBoundsReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["schema_version"] = 1
+        out["schema_version"] = 2
         return out
 
 
@@ -97,7 +99,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "cells": [
                 {"M": big_m, "m": m, **rep.to_dict()}
                 for (big_m, m), rep in sorted(self.cells.items())
@@ -140,7 +142,14 @@ class _Prober:
         if result.status == INCONCLUSIVE:
             self.report.inconclusive_probes += 1
         self.report.probes.append(
-            ProbeRecord(tau, result.status, result.margin, verified)
+            ProbeRecord(
+                tau,
+                result.status,
+                result.margin,
+                verified,
+                result.iterations,
+                result.meta["margin_error"],
+            )
         )
         self.cache[tau] = ok
         return ok

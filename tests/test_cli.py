@@ -109,11 +109,12 @@ def test_bounds_json_schema(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["direction"] == "upper"
     assert doc["tau_upper"] == pytest.approx(6.05932, abs=1e-2)
     assert doc["nodv"] == 22
     assert all({"tau", "status", "margin"} <= set(p) for p in doc["probes"])
+    assert all(p["iterations"] >= 1 and p["margin_error"] >= 0 for p in doc["probes"])
 
 
 def test_bounds_csv_output(capsys):
@@ -205,11 +206,21 @@ def test_sweep_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     taus = {(c["M"], c["m"]): c["tau_upper"] for c in doc["cells"]}
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)
     assert doc["violations"] == []
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_sweep_rejects_weight_depth_below_one(capsys, m):
+    code, out, err = run_cli(
+        capsys, "sweep", "--system", "example1", "--M", "1", "--m", m,
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from delaymargin.lmi import (
     derivative_block,
     nodv,
     positivity_block,
+    range_derivative_block,
 )
 from delaymargin.projection import weighted_moment_map
 from delaymargin.sdp import SolverOptions, decide_feasibility
@@ -124,25 +125,46 @@ def test_evaluate_affine_in_variables():
         assert np.allclose(a, lam * b + (1 - lam) * c, atol=1e-12), n1
 
 
-def test_evaluate_matches_direct_assembly():
-    # extraction into constant + coefficients reproduces the structural path
-    rng = np.random.default_rng(3)
-    sys = example1()
-    params = HierarchyParams(3, 2)
-    tau = 0.9
+def _assert_rel_close(got, want, rel=1e-12):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= rel * scale
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.9, 6.2])
+@pytest.mark.parametrize("big_m,m", [(1, 0), (1, 1), (3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_evaluate_matches_direct_assembly(systems, name, big_m, m, tau):
+    # the compiled tau-polynomial reproduces the block functions; example2
+    # has A_d2 != 0, which brings in the tau**2 and tau**3 terms
+    sys = systems[name]
+    params = HierarchyParams(big_m, m)
+    rng = np.random.default_rng([big_m, m, int(1e3 * tau)])
     prob = assemble_stability_lmis(sys, params, tau)
     dv = random_vars(prob.layout, rng)
-    got = {name: mat for name, _, mat in prob.evaluate_at(dv)}
-    assert np.allclose(
-        got["positivity"], positivity_block(sys, params, tau, dv.p, dv.qs), atol=1e-10
+    got = {label: mat for label, _, mat in prob.evaluate_at(dv)}
+    _assert_rel_close(
+        got["positivity"], positivity_block(sys, params, tau, dv.p, dv.qs)
     )
-    assert np.allclose(
-        got["derivative"],
-        derivative_block(sys, params, tau, dv.p, dv.qs, dv.rs),
-        atol=1e-10,
+    _assert_rel_close(
+        got["derivative"], derivative_block(sys, params, tau, dv.p, dv.qs, dv.rs)
     )
     for j in range(params.m1 + 1):
-        assert np.allclose(got[f"Q{j} positive"], dv.qs[j], atol=1e-14)
+        _assert_rel_close(got[f"Q{j} positive"], dv.qs[j])
+    for j in range(1, params.m2 + 1):
+        _assert_rel_close(got[f"R{j} positive"], dv.rs[j - 1])
+
+    low, up = 0.5 * tau, tau
+    range_prob = assemble_delay_range_lmis(sys, params, low, up)
+    got = {label: mat for label, _, mat in range_prob.evaluate_at(dv)}
+    _assert_rel_close(
+        got["positivity at upper endpoint"],
+        positivity_block(sys, params, up, dv.p, dv.qs),
+    )
+    for side, end in (("lower", low), ("upper", up)):
+        _assert_rel_close(
+            got[f"derivative at {side} endpoint"],
+            range_derivative_block(sys, params, end, dv.p, dv.qs, dv.rs),
+        )
 
 
 def test_zero_variables_give_zero_blocks():
@@ -231,8 +253,6 @@ def test_delay_range_matches_affine_structure():
     dv = random_vars(layout, rng)
     lo, hi = 0.4, 1.9
     mid = 0.5 * (lo + hi)
-    from delaymargin.lmi import range_derivative_block
-
     b_lo = range_derivative_block(sys, params, lo, dv.p, dv.qs, dv.rs)
     b_hi = range_derivative_block(sys, params, hi, dv.p, dv.qs, dv.rs)
     b_mid = range_derivative_block(sys, params, mid, dv.p, dv.qs, dv.rs)

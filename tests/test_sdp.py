@@ -8,6 +8,7 @@ import pytest
 from delaymargin.lmi import DelaySystem, HierarchyParams, assemble_stability_lmis
 from delaymargin.sdp import (
     FEASIBLE,
+    INCONCLUSIVE,
     INFEASIBLE,
     ConeProgram,
     SolverOptions,
@@ -129,6 +130,54 @@ def test_determinism_bitwise():
     assert r1.status == r2.status
     assert r1.iterations == r2.iterations
     assert np.array_equal(r1.flat_certificate, r2.flat_certificate)
+
+
+def test_feasible_is_decided_by_the_dual_iterate():
+    # stopped early, the primal residual is far from converged, but the dual
+    # iterate already certifies a positive margin at its y
+    program = oracle_cases()[0][1]  # scalar-box, t* = 1
+    res = solve(program, SolverOptions(max_iter=3))
+    assert res.residuals["primal"] > 100 * SolverOptions.res_tol
+    assert res.status == FEASIBLE
+    for f0, stack in program.blocks:
+        mat = f0 + np.tensordot(res.flat_certificate, stack, axes=1)
+        assert np.linalg.eigvalsh(mat)[0] >= res.margin * (1 - 1e-9)
+    # the primal residual still gates the infeasible verdict
+    res = solve(oracle_cases()[5][1], SolverOptions(max_iter=3))  # t* = -1/2
+    assert res.residuals["primal"] > 100 * SolverOptions.res_tol
+    assert res.status == INCONCLUSIVE
+
+
+def test_stalled_primal_residual_does_not_hide_feasibility():
+    # the n_x = 3 system drawn from seed 2 by the synthetic-system recipe
+    # (A = -aI + eps G1, A_d1 = -bI + eps G2): at M=2, m=1, tau=0.625 the
+    # margin is ~5.5e3 with a clean dual iterate, while the primal residual
+    # may stall above the convergence tolerance
+    rng = np.random.default_rng(2)
+    a = rng.uniform(0.8, 1.2)
+    b = a * rng.uniform(1.5, 2.5)
+    g1 = rng.standard_normal((3, 3))
+    g2 = rng.standard_normal((3, 3))
+    sys = DelaySystem.from_matrices(
+        -a * np.eye(3) + 0.1 * g1, -b * np.eye(3) + 0.1 * g2
+    )
+    prob = assemble_stability_lmis(sys, HierarchyParams(2, 1), 0.625)
+    res = decide_feasibility(prob)
+    assert res.status == FEASIBLE
+    assert res.margin > 1e3
+    assert verify_certificate(prob, res)
+
+
+def test_step_collapse_retries_with_regularized_schur_solve():
+    # just above the M=3, m=3 bound of example3 (~1.71779) the Schur system
+    # turns ill-conditioned mid-solve and the corrector step collapses; a
+    # more regularized retry still converges to a decided verdict
+    sys = DelaySystem.from_matrices(
+        [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]], name="example3"
+    )
+    prob = assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.7181396484375)
+    res = decide_feasibility(prob)
+    assert res.status == INFEASIBLE
 
 
 def test_redundant_identity_block_is_inert():

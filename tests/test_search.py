@@ -81,6 +81,8 @@ def test_bracket_error_when_no_upper_crossing(monkeypatch):
         status = FEASIBLE
         margin = 1.0
         feasible = True
+        iterations = 1
+        meta = {"margin_error": 0.0}
 
     monkeypatch.setattr(search, "decide_feasibility", lambda *a, **k: _Always())
     monkeypatch.setattr(search, "verify_certificate", lambda *a, **k: True)
