@@ -53,20 +53,15 @@ _ENV_PREFIX = "DELAYMARGIN_"
 
 @dataclass
 class RunConfig:
-    """Validated run parameters (CLI flags plus environment overrides)."""
+    """Validated run parameters (CLI flags plus environment overrides);
+    ``params`` validates (M, m) itself."""
 
-    big_m: int = 1
-    m: int = 1
+    params: HierarchyParams
     tol: float = DEFAULT_TOL
     output_format: str = "text"
-    seed: int = DEFAULT_SEED
     solver: SolverOptions = SolverOptions()
 
     def __post_init__(self):
-        if self.big_m < 1:
-            raise ValueError("M must be >= 1")
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if self.output_format not in ("text", "json", "csv"):
@@ -176,22 +171,22 @@ def _sweep_csv(result: SweepResult) -> str:
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         config = RunConfig(
-            big_m=args.M, m=args.m, tol=args.tol,
-            output_format=args.format, seed=args.seed,
-            solver=_solver_options_from_env(),
+            HierarchyParams(args.M, args.m), tol=args.tol,
+            output_format=args.format, solver=_solver_options_from_env(),
         )
         system, _ = _resolve_system(args.system)
     except (SystemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    params = HierarchyParams(config.big_m, config.m)
     try:
         if args.direction == "upper":
-            _, report = max_delay(system, params, DEFAULT_BRACKET, config.tol, config.solver)
+            _, report = max_delay(system, config.params, DEFAULT_BRACKET, config.tol, config.solver)
         elif args.direction == "lower":
-            _, report = min_delay(system, params, DEFAULT_BRACKET, config.tol, config.solver)
+            _, report = min_delay(system, config.params, DEFAULT_BRACKET, config.tol, config.solver)
         else:
-            report = stability_interval(system, params, DEFAULT_BRACKET, config.tol, config.solver)
+            report = stability_interval(
+                system, config.params, DEFAULT_BRACKET, config.tol, config.solver
+            )
     except (NoFeasiblePointError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
@@ -216,9 +211,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     try:
         config = RunConfig(
-            big_m=args.M, m=args.m, tol=args.tol,
-            output_format=args.format, seed=args.seed,
-            solver=_solver_options_from_env(),
+            HierarchyParams(args.M, args.m), tol=args.tol,
+            output_format=args.format, solver=_solver_options_from_env(),
         )
         system, _ = _resolve_system(args.system)
     except (SystemFileError, ValueError) as exc:
@@ -226,8 +220,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     result = hierarchy_sweep(
         system,
-        range(1, config.big_m + 1),
-        range(1, config.m + 1),
+        range(1, config.params.big_m + 1),
+        range(1, config.params.m + 1),
         tol=config.tol,
         options=config.solver,
     )
@@ -293,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="bisection tolerance")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_bounds = sub.add_parser("bounds", help="delay bounds at one (M, m)")
     common(p_bounds)

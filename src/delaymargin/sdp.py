@@ -11,6 +11,14 @@ with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
 here stay well below ~10^2 per block).  The box rows are handled as a
 nonnegative-orthant block with diagonal scaling.  Everything is
 deterministic: fixed iteration schedule, no randomized pivoting.
+
+Blocks are stacked by size once per solve: the k blocks of size d share
+one (k, d, d) array for each of the data C, the iterates X and S, the
+residuals, the NT scalings and the search directions, and their
+coefficients one (q, k, d, d) array.  Each step of an iteration (scaling,
+Schur accumulation, Newton right-hand side, step length, update) is then
+one batched numpy call per size group, not one per block; the
+stability LMIs have many equal-size n_x x n_x blocks.
 """
 
 from __future__ import annotations
@@ -35,6 +43,17 @@ __all__ = [
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 INCONCLUSIVE = "numerically-inconclusive"
+
+STOP_REASONS = (
+    "converged",
+    "stalled",
+    "max-iter",
+    "non-finite",
+    "nt-scaling-failed",
+    "schur-failed",
+    "newton-failed",
+    "step-collapse",
+)
 
 
 @dataclass(frozen=True)
@@ -125,35 +144,63 @@ def to_margin_program(
 # ---------------------------------------------------------------------------
 
 
+def _t(mats: np.ndarray) -> np.ndarray:
+    """Transpose every matrix of a stack."""
+    return mats.swapaxes(-1, -2)
+
+
+def _sym(mats: np.ndarray) -> np.ndarray:
+    return 0.5 * (mats + _t(mats))
+
+
+def _stack_by_size(program: ConeProgram) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Solver-form data, one (C, A) pair per block size d, sizes ascending.
+
+    C is (k, d, d) for the k blocks of size d, in program order, and A is
+    (q, k, d, d) with S(z) = C - sum_i z_i A[i]; the margin t is the last
+    of the q = num_y + 1 variables, with A = I.
+    """
+    p = program.num_y
+    groups = []
+    for d in sorted({f0.shape[0] for f0, _ in program.blocks}):
+        members = [(f0, st) for f0, st in program.blocks if f0.shape[0] == d]
+        a = np.empty((p + 1, len(members), d, d))
+        a[:p] = -np.stack([st for _, st in members], axis=1)
+        a[p] = np.eye(d)
+        groups.append((np.stack([f0 for f0, _ in members]), a))
+    return groups
+
+
 def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
-    """NT scaling factor G with G G^T S G G^T = X; scaled point is diag(lam).
+    """NT scaling of a block stack: G with G G^T S G G^T = X per block, the
+    scaled point being diag(lam).
 
     Also returns the explicit Cholesky inverses of X and S (cheap at these
     block sizes) for step-length computations.
     """
-    lx = np.linalg.cholesky(x_mat)
-    ls = np.linalg.cholesky(s_mat)
-    _, lam, vt = np.linalg.svd(ls.T @ lx)
-    g = lx @ vt.T / np.sqrt(lam)
-    lx_inv = np.linalg.inv(lx)
-    ls_inv = np.linalg.inv(ls)
-    g_inv = (vt * np.sqrt(lam)[:, None]) @ lx_inv
+    lx, ls = np.linalg.cholesky(np.stack((x_mat, s_mat)))
+    _, lam, vt = np.linalg.svd(_t(ls) @ lx)
+    root = np.sqrt(lam)
+    g = lx @ _t(vt) / root[..., None, :]
+    lx_inv, ls_inv = np.linalg.inv(np.stack((lx, ls)))
+    g_inv = (vt * root[..., :, None]) @ lx_inv
     return g, g_inv, lam, lx_inv, ls_inv
 
 
 def _max_step(chol_inv: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with  mat + alpha*delta >= 0, given inv(chol(mat)).
+    """Largest alpha with  mat + alpha*delta >= 0 for every block of a
+    stack, given inv(chol(mat)).
 
     Returns 0 on numerical breakdown, which makes the caller stall out and
     report the run as inconclusive instead of crashing.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        t = chol_inv @ delta @ chol_inv.T
-    t = 0.5 * (t + t.T)
+        t = chol_inv @ delta @ _t(chol_inv)
+    t = _sym(t)
     if not np.isfinite(t).all():
         return 0.0
     try:
-        lam_min = float(np.linalg.eigvalsh(t)[0])
+        lam_min = float(np.linalg.eigvalsh(t)[..., 0].min())
     except np.linalg.LinAlgError:
         return 0.0
     if lam_min >= -1e-16:
@@ -179,22 +226,26 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
     otherwise the gap and both residuals must be small for INFEASIBLE, and
     anything else, including iteration exhaustion, is
     numerically-inconclusive with diagnostics attached.
+
+    ``meta["stop_reason"]`` records why the iteration ended, one of
+    STOP_REASONS: ``converged`` (tolerances met), ``stalled`` (the gap
+    stopped falling near its rounding floor), ``max-iter`` (iteration
+    budget spent), ``non-finite`` (the gap or the dual iterate overflowed),
+    ``nt-scaling-failed`` (an iterate block lost definiteness),
+    ``schur-failed`` (no regularization level made the Schur matrix
+    factorable), ``newton-failed`` (a Newton direction overflowed or was
+    not finite) and ``step-collapse`` (the step length vanished at every
+    regularization level).
     """
     p = program.num_y
     q = p + 1  # margin variable t is last
     bound = program.box_bound
     scale = program.scale
 
-    # Solver-form data: S_k(z) = C_k - sum_i z_i A_k[i] with A for t = +I.
-    cs, stacks = [], []
-    for f0, stack in program.blocks:
-        d = f0.shape[0]
-        a_stack = np.empty((q, d, d))
-        a_stack[:p] = -stack
-        a_stack[p] = np.eye(d)
-        cs.append(f0.copy())
-        stacks.append(a_stack)
-    flat_stacks = [a.reshape(q, -1) for a in stacks]
+    groups = _stack_by_size(program)
+    cs = [c for c, _ in groups]
+    flats = [a.reshape(q, -1) for _, a in groups]
+    eyes = [np.eye(c.shape[-1]) for c in cs]
 
     # Box rows: B -+ y_i >= 0 as a nonnegative block.
     n_lp = 2 * p
@@ -207,26 +258,23 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
     b_obj = np.zeros(q)
     b_obj[p] = 1.0
 
-    dims = [c.shape[0] for c in cs]
-    n_total = sum(dims) + n_lp
-    c_norm = max(float(np.linalg.norm(c)) for c in cs)
-    data_norm = max(
-        [c_norm, 1.0] + [float(np.abs(a).max()) for a in stacks]
-    )
+    n_total = sum(c.shape[0] * c.shape[1] for c in cs) + n_lp
+    c_norm = max(float(np.linalg.norm(c, axis=(1, 2)).max()) for c in cs)
+    data_norm = max([c_norm, 1.0] + [float(np.abs(a).max()) for _, a in groups])
 
     # Start exactly dual feasible: a deeply negative margin makes every
     # slack block C + eta*I strictly positive definite.
     eta = 10.0 * max(1.0, data_norm)
-    xs = [np.eye(d) for d in dims]
+    xs = [np.broadcast_to(e, c.shape).copy() for c, e in zip(cs, eyes)]
     x_lp = np.ones(n_lp)
     z = np.zeros(q)
     z[p] = -eta
-    ss = [c + eta * np.eye(d) for c, d in zip(cs, dims)]
+    ss = [c + eta * e for c, e in zip(cs, eyes)]
     s_lp = c_lp - a_lp @ z
 
     def aop(xmats, xvec) -> np.ndarray:
         out = a_lp.T @ xvec
-        for flat, xm in zip(flat_stacks, xmats):
+        for flat, xm in zip(flats, xmats):
             out += flat @ xm.reshape(-1)
         return out
 
@@ -234,7 +282,7 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
         if options.log_stream is not None:
             options.log_stream.write(msg + "\n")
 
-    converged = False
+    stop_reason = "max-iter"
     residuals: dict = {}
     it = 0
     best_gap = np.inf
@@ -243,20 +291,20 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
     jitter_floor = 0
     for it in range(1, options.max_iter + 1):
         rp = b_obj - aop(xs, x_lp)
-        rds = [c - np.tensordot(z, a, axes=1) - s for c, a, s in zip(cs, stacks, ss)]
+        rds = [c - (z @ flat).reshape(c.shape) - s for c, flat, s in zip(cs, flats, ss)]
         rd_lp = c_lp - a_lp @ z - s_lp
         gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss)) + float(x_lp @ s_lp)
         mu = gap / n_total
 
         pinf = float(np.abs(rp).max()) / (1.0 + bound)
-        dinf_blocks = max(float(np.linalg.norm(r)) for r in rds) if rds else 0.0
+        dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
         dinf_lp = float(np.abs(rd_lp).max()) if n_lp else 0.0
         dinf = max(dinf_blocks, dinf_lp) / (1.0 + c_norm + bound)
         residuals = {"gap": gap, "primal": pinf, "dual": dinf, "mu": mu}
         log(f"iter {it:3d}  t={z[p]: .9e}  gap={gap:.3e}  pinf={pinf:.3e}  dinf={dinf:.3e}")
 
         if gap <= options.gap_tol * scale and pinf <= options.res_tol and dinf <= options.res_tol:
-            converged = True
+            stop_reason = "converged"
             break
         # rounding floor: box products of size ~bound set a floor on the
         # attainable absolute gap; once near it, stop when progress dies
@@ -265,28 +313,31 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
         if gap <= stall_level and gap >= 0.7 * best_gap:
             stall_count += 1
             if stall_count >= 4:
+                stop_reason = "stalled"
                 break
         else:
             stall_count = 0
         best_gap = min(best_gap, gap)
 
         if not np.isfinite(gap) or not np.isfinite(z).all():
+            stop_reason = "non-finite"
             break
-        # NT scalings
+        # NT scalings, one stack per size group
         try:
             scalings = [_nt_scaling(x, s) for x, s in zip(xs, ss)]
         except np.linalg.LinAlgError:
+            stop_reason = "nt-scaling-failed"
             break
+        gs, g_invs, lams, lx_invs, ls_invs = zip(*scalings)
         w_lp = np.sqrt(x_lp / s_lp) if n_lp else x_lp
         lam_lp = np.sqrt(x_lp * s_lp) if n_lp else x_lp
 
-        ws = [g @ g.T for (g, _, _, _, _) in scalings]
+        ws = [g @ _t(g) for g in gs]
 
         # Schur complement (Gram of scaled coefficient matrices) + box diagonal
         schur = np.zeros((q, q))
-        for (g, _, _, _, _), a in zip(scalings, stacks):
-            ahat = np.matmul(np.matmul(g.T[None], a), g[None])
-            flat = ahat.reshape(q, -1)
+        for g, (_, a) in zip(gs, groups):
+            flat = (_t(g) @ a @ g).reshape(q, -1)
             schur += flat @ flat.T
         if n_lp:
             w2 = w_lp**2
@@ -306,6 +357,7 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
             except np.linalg.LinAlgError:
                 continue
         if factor_inv is None:
+            stop_reason = "schur-failed"
             break
 
         def schur_solve(rhs):
@@ -313,21 +365,19 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
 
         def newton(rcs, rc_lp):
             rhs = rp.copy()
-            for (g, _, _, _, _), w_full, a_flat, rc, rd in zip(
-                scalings, ws, flat_stacks, rcs, rds
-            ):
-                term = g @ rc @ g.T - w_full @ rd @ w_full
-                rhs -= a_flat @ term.reshape(-1)
+            for g, w, flat, rc, rd in zip(gs, ws, flats, rcs, rds):
+                term = g @ rc @ _t(g) - w @ rd @ w
+                rhs -= flat @ term.reshape(-1)
             if n_lp:
                 rhs -= a_lp.T @ (w_lp * rc_lp - w_lp**2 * rd_lp)
             dz = schur_solve(rhs)
             # one refinement pass keeps the Schur solve honest near the boundary
             dz += schur_solve(rhs - schur @ dz)
-            d_ss = [rd - np.tensordot(dz, a, axes=1) for rd, a in zip(rds, stacks)]
-            d_xs = []
-            for (g, _, _, _, _), w_full, rc, dsm in zip(scalings, ws, rcs, d_ss):
-                dxm = g @ rc @ g.T - w_full @ dsm @ w_full
-                d_xs.append(0.5 * (dxm + dxm.T))
+            d_ss = [rd - (dz @ flat).reshape(rd.shape) for rd, flat in zip(rds, flats)]
+            d_xs = [
+                _sym(g @ rc @ _t(g) - w @ dsm @ w)
+                for g, w, rc, dsm in zip(gs, ws, rcs, d_ss)
+            ]
             if n_lp:
                 ds_lp = rd_lp - a_lp @ dz
                 dx_lp = w_lp * rc_lp - w_lp**2 * ds_lp
@@ -335,31 +385,31 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
                 ds_lp = dx_lp = np.zeros(0)
             return dz, d_xs, d_ss, dx_lp, ds_lp
 
+        def step_lengths(d_xs, d_ss, dx_lp, ds_lp):
+            ap = min(
+                [_max_step(lx, dx) for lx, dx in zip(lx_invs, d_xs)]
+                + [_max_step_vec(x_lp, dx_lp) if n_lp else np.inf]
+            )
+            ad = min(
+                [_max_step(ls, ds) for ls, ds in zip(ls_invs, d_ss)]
+                + [_max_step_vec(s_lp, ds_lp) if n_lp else np.inf]
+            )
+            return ap, ad
+
         # Predictor: target 0, i.e. L_V^{-1}(-V^2) = -diag(lam)
-        rc_aff = [np.diag(-lam) for (_, _, lam, _, _) in scalings]
+        rc_aff = [-lam[..., None] * e for lam, e in zip(lams, eyes)]
         rc_lp_aff = -lam_lp
         try:
             with np.errstate(over="raise", invalid="raise"):
                 dz_a, dxs_a, dss_a, dxlp_a, dslp_a = newton(rc_aff, rc_lp_aff)
         except (FloatingPointError, np.linalg.LinAlgError):
+            stop_reason = "newton-failed"
             break
         if not np.isfinite(dz_a).all():
+            stop_reason = "newton-failed"
             break
 
-        ap = min(
-            [
-                _max_step(lx, dx)
-                for (_, _, _, lx, _), dx in zip(scalings, dxs_a)
-            ]
-            + [_max_step_vec(x_lp, dxlp_a) if n_lp else np.inf]
-        )
-        ad = min(
-            [
-                _max_step(ls, ds)
-                for (_, _, _, _, ls), ds in zip(scalings, dss_a)
-            ]
-            + [_max_step_vec(s_lp, dslp_a) if n_lp else np.inf]
-        )
+        ap, ad = step_lengths(dxs_a, dss_a, dxlp_a, dslp_a)
         ap_aff = min(1.0, ap)
         ad_aff = min(1.0, ad)
         gap_aff = sum(
@@ -372,12 +422,10 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
 
         # Corrector with Mehrotra second-order term
         rcs = []
-        for (g, g_inv, lam, _, _), dx, ds in zip(scalings, dxs_a, dss_a):
-            dxh = g_inv @ dx @ g_inv.T
-            dsh = g.T @ ds @ g
-            cross = dxh @ dsh
-            resid = sigma * mu * np.eye(len(lam)) - np.diag(lam**2) - 0.5 * (cross + cross.T)
-            denom = lam[:, None] + lam[None, :]
+        for g, g_inv, lam, e, dx, ds in zip(gs, g_invs, lams, eyes, dxs_a, dss_a):
+            cross = (g_inv @ dx @ _t(g_inv)) @ (_t(g) @ ds @ g)
+            resid = (sigma * mu - lam**2)[..., None] * e - _sym(cross)
+            denom = lam[..., :, None] + lam[..., None, :]
             rcs.append(2.0 * resid / denom)
         if n_lp:
             rc_lp = (sigma * mu - lam_lp**2 - dxlp_a * dslp_a) / lam_lp
@@ -387,18 +435,13 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
             with np.errstate(over="raise", invalid="raise"):
                 dz, dxs, dss, dx_lp, ds_lp = newton(rcs, rc_lp)
         except (FloatingPointError, np.linalg.LinAlgError):
+            stop_reason = "newton-failed"
             break
         if not np.isfinite(dz).all():
+            stop_reason = "newton-failed"
             break
 
-        ap = min(
-            [_max_step(lx, dx) for (_, _, _, lx, _), dx in zip(scalings, dxs)]
-            + [_max_step_vec(x_lp, dx_lp) if n_lp else np.inf]
-        )
-        ad = min(
-            [_max_step(ls, ds) for (_, _, _, _, ls), ds in zip(scalings, dss)]
-            + [_max_step_vec(s_lp, ds_lp) if n_lp else np.inf]
-        )
+        ap, ad = step_lengths(dxs, dss, dx_lp, ds_lp)
         # equal primal/dual steps: keeps the duality gap monotone on the
         # degenerate geometries the margin program produces
         gamma = 0.9 + 0.09 * min(1.0, ap, ad)
@@ -409,13 +452,11 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
             if jitter_floor < len(jitters) - 1:
                 jitter_floor += 1
                 continue
-            break  # stalled; classify from diagnostics below
+            stop_reason = "step-collapse"
+            break  # classify from diagnostics below
 
-        for k in range(len(xs)):
-            xs[k] = xs[k] + ap * dxs[k]
-            xs[k] = 0.5 * (xs[k] + xs[k].T)
-            ss[k] = ss[k] + ad * dss[k]
-            ss[k] = 0.5 * (ss[k] + ss[k].T)
+        xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
+        ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
         if n_lp:
             x_lp = x_lp + ap * dx_lp
             s_lp = s_lp + ad * ds_lp
@@ -424,12 +465,13 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
     t_star = float(z[p])
     y = z[:p].copy()
     threshold = options.feas_threshold * scale
-    homogeneous = all(float(np.abs(f0).max()) == 0.0 for f0, _ in program.blocks)
+    homogeneous = not any(c.any() for c in cs)
     # estimated uncertainty of the reported margin
     err = residuals.get("gap", np.inf) + (
         residuals.get("primal", np.inf) + residuals.get("dual", np.inf)
     ) * (1.0 + bound)
     dual_ok = residuals.get("dual", np.inf) <= 100 * options.res_tol
+    converged = stop_reason == "converged"
     decisive = converged or (
         err <= 0.1 * max(abs(t_star), threshold)
         and residuals.get("primal", np.inf) <= 100 * options.res_tol
@@ -448,6 +490,10 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
         status = INFEASIBLE
     else:
         status = INCONCLUSIVE
+    if homogeneous:
+        # y = 0 attains t = 0, so the exact optimum is >= 0 and a negative
+        # t* is off by at least -t*
+        err = max(err, -t_star)
     return FeasibilityResult(
         status=status,
         margin=t_star,
@@ -456,7 +502,12 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
         residuals=residuals,
         scale=scale,
         flat_certificate=y,
-        meta={"converged": converged, "homogeneous": homogeneous, "margin_error": err},
+        meta={
+            "converged": converged,
+            "homogeneous": homogeneous,
+            "margin_error": err,
+            "stop_reason": stop_reason,
+        },
     )
 
 

@@ -64,6 +64,7 @@ class ProbeRecord:
     verified: bool | None = None
     iterations: int | None = None  # solver iterations
     margin_error: float | None = None  # solver's uncertainty estimate of margin
+    stop_reason: str | None = None  # why the solver stopped (sdp.STOP_REASONS)
 
 
 @dataclass
@@ -85,7 +86,7 @@ class DelayBoundsReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["schema_version"] = 2
+        out["schema_version"] = 3
         return out
 
 
@@ -99,7 +100,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 2,
+            "schema_version": 3,
             "cells": [
                 {"M": big_m, "m": m, **rep.to_dict()}
                 for (big_m, m), rep in sorted(self.cells.items())
@@ -149,6 +150,7 @@ class _Prober:
                 verified,
                 result.iterations,
                 result.meta["margin_error"],
+                result.meta["stop_reason"],
             )
         )
         self.cache[tau] = ok

@@ -14,6 +14,7 @@ from delaymargin.cli import (
     main,
 )
 from delaymargin.projection import weighted_moment_map
+from delaymargin.sdp import STOP_REASONS
 from delaymargin.systems import (
     SystemFileError,
     bundled_system,
@@ -109,12 +110,13 @@ def test_bounds_json_schema(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["direction"] == "upper"
     assert doc["tau_upper"] == pytest.approx(6.05932, abs=1e-2)
     assert doc["nodv"] == 22
     assert all({"tau", "status", "margin"} <= set(p) for p in doc["probes"])
     assert all(p["iterations"] >= 1 and p["margin_error"] >= 0 for p in doc["probes"])
+    assert all(p["stop_reason"] in STOP_REASONS for p in doc["probes"])
 
 
 def test_bounds_csv_output(capsys):
@@ -161,6 +163,7 @@ def test_bounds_no_feasible_point(capsys, tmp_path):
 
 def test_usage_error_is_input_error(capsys):
     assert main(["bounds"]) == EXIT_INPUT  # missing --system
+    assert main(["bounds", "--system", "example1", "--seed", "1"]) == EXIT_INPUT
     capsys.readouterr()
 
 
@@ -206,7 +209,7 @@ def test_sweep_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     taus = {(c["M"], c["m"]): c["tau_upper"] for c in doc["cells"]}
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)

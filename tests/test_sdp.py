@@ -113,6 +113,47 @@ def test_oracle_margins(name, program, expected):
         assert result.status == INFEASIBLE
 
 
+def mixed_size_program():
+    """Three 2x2 blocks, one 3x3 and one 1x1 over y in R^3: the binding
+    eigenvalues are y_1, y_2, y_3 and 2 - y_1 - y_2 - y_3, so t* = 1/2 at
+    y = (1/2, 1/2, 1/2); every other eigenvalue keeps slack there.  The
+    equal-size blocks differ in constant and rotation, so a block paired
+    with another's data changes the program."""
+    blocks = []
+    for i, (cap, theta) in enumerate(((5.0, 0.3), (6.0, 1.1), (7.0, 2.0))):
+        q = rotation(theta)
+        st = np.zeros((3, 2, 2))
+        st[i] = q @ np.diag([1.0, -1.0]) @ q.T
+        blocks.append(block(q @ np.diag([0.0, cap]) @ q.T, st))
+    q3 = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0], [1.5, 0.2, 1.0]]))[0]
+    st = np.zeros((3, 3, 3))
+    st[:, 0, 0] = -1.0
+    st[0, 1, 1] = 1.0
+    st[1, 2, 2] = st[2, 2, 2] = 1.0
+    st = q3[None] @ st @ q3.T[None]
+    blocks.append(block(q3 @ np.diag([2.0, 4.0, 6.0]) @ q3.T, st))
+    blocks.append(block([[1.0]], [[[1.0]], [[-1.0]], [[0.0]]]))  # 1 + y_1 - y_2
+    return ConeProgram(blocks, 3, 10.0)
+
+
+def test_blocks_of_mixed_sizes_are_stacked_consistently():
+    program = mixed_size_program()
+    result = solve(program)
+    assert result.status == FEASIBLE
+    assert result.margin == pytest.approx(0.5, abs=1e-7)
+    order = (4, 1, 3, 0, 2)  # sizes 1, 2, 3, 2, 2
+    permuted = ConeProgram([program.blocks[k] for k in order], 3, 10.0)
+    other = solve(permuted)
+    assert other.status == result.status
+    assert other.margin == pytest.approx(result.margin, abs=1e-9)
+
+
+def test_stop_reason():
+    program = oracle_cases()[0][1]
+    assert solve(program).meta["stop_reason"] == "converged"
+    assert solve(program, SolverOptions(max_iter=3)).meta["stop_reason"] == "max-iter"
+
+
 def test_status_three_way_rule():
     # non-homogeneous marginal program lands in the inconclusive band
     st = np.zeros((1, 2, 2))
@@ -178,6 +219,19 @@ def test_step_collapse_retries_with_regularized_schur_solve():
     prob = assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.7181396484375)
     res = decide_feasibility(prob)
     assert res.status == INFEASIBLE
+
+
+def test_margin_error_covers_negative_homogeneous_margin():
+    # the stability LMIs are homogeneous: y = 0 attains t = 0, so the exact
+    # optimum is >= 0 and a negative reported margin is off by at least
+    # its own size (example3 at M=3, m=3, just above its bound)
+    sys = DelaySystem.from_matrices(
+        [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]], name="example3"
+    )
+    res = decide_feasibility(assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.71875))
+    assert res.meta["homogeneous"]
+    assert res.margin < 0
+    assert res.meta["margin_error"] >= -res.margin
 
 
 def test_redundant_identity_block_is_inert():

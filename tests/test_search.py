@@ -82,7 +82,7 @@ def test_bracket_error_when_no_upper_crossing(monkeypatch):
         margin = 1.0
         feasible = True
         iterations = 1
-        meta = {"margin_error": 0.0}
+        meta = {"margin_error": 0.0, "stop_reason": "converged"}
 
     monkeypatch.setattr(search, "decide_feasibility", lambda *a, **k: _Always())
     monkeypatch.setattr(search, "verify_certificate", lambda *a, **k: True)
