@@ -13,7 +13,6 @@ implements the competing first-order bound they are compared against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ import numpy as np
 
 from .polynomials import RationalPolynomial, rodrigues_poly
 from .projection import derivative_moment_map, weighted_moment_map
-from .quadrature import adaptive_quadrature, nested_integral
+from .quadrature import adaptive_quadrature
 
 __all__ = [
     "FunctionalSpec",
@@ -31,13 +30,11 @@ __all__ = [
     "PolynomialVectorFunction",
     "CallableVectorFunction",
     "functional_value",
-    "functional_value_nested",
     "moments",
     "lower_bound_values",
     "lower_bound_derivative",
     "competitor_bound",
     "competitor_statistics",
-    "dump_gap_sweep",
 ]
 
 
@@ -176,23 +173,6 @@ def functional_value(spec: FunctionalSpec, f: VectorFunction) -> float:
     return float(adaptive_quadrature(integrand, a, b, tol=1e-10))
 
 
-def functional_value_nested(spec: FunctionalSpec, f: VectorFunction) -> float:
-    """J(f) via the literal repeated-integral form (independent oracle).
-
-    Cost grows exponentially in m; only supported for m <= 3.
-    """
-    if spec.m > 3:
-        raise ValueError("nested evaluation supported for m <= 3 only")
-    w = spec.weight
-
-    def g(s: float) -> float:
-        v = f(s)
-        return float(v @ w @ v)
-
-    raw = nested_integral(g, spec.a, spec.b, folds=spec.m)
-    return math.factorial(spec.m) / spec.width**spec.m * raw
-
-
 def moments(f: VectorFunction, a: float, b: float, big_m: int) -> np.ndarray:
     """Legendre moment vectors phi_l, l = 0..M-1, stacked as an (M, n) array."""
     if big_m < 1:
@@ -296,14 +276,3 @@ def competitor_bound(
     second = (l + 3) * fact2 / denom * float(upsilon_l @ w @ upsilon_l)
     return first + second
 
-
-def dump_gap_sweep(
-    path: str,
-    rows: Sequence[tuple[float, float, float]],
-    header: tuple[str, str, str] = ("bound", "value", "gap"),
-) -> None:
-    """Write (bound, value, gap) sweep rows to CSV for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

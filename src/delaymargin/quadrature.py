@@ -64,26 +64,3 @@ def adaptive_quadrature(
 
     return recurse(a, b, _panel(f, a, b), 0)
 
-
-def nested_integral(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    folds: int,
-    nodes: int = 12,
-) -> float:
-    """Literal nested integral  int_a^b int_{v_1}^b ... int_{v_k}^b g ds dv_k...dv_1.
-
-    ``folds`` counts the outer v-integrals (so folds + 1 integral signs in
-    total).  Deliberately evaluated by recursive one-dimensional rules so it
-    stays an independent oracle for the single-integral weighted form; cost
-    grows as nodes**(folds+1).
-    """
-
-    def level(k: int, lo: float) -> float:
-        x, w = gauss_rule(lo, b, nodes)
-        if k == 0:
-            return float(np.dot(w, [g(t) for t in x]))
-        return float(np.dot(w, [level(k - 1, t) for t in x]))
-
-    return level(folds, a)

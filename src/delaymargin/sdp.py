@@ -4,7 +4,10 @@ Strict LMI feasibility is decided through a margin program: every
 positive-definite constraint G(y) > 0 becomes G(y) - t*I >= 0 (negative
 ones are negated first), an infinity-norm box |y_i| <= B keeps the program
 bounded, and the solver maximizes t.  The sign of the optimal margin t*
-then decides strict feasibility against a threshold.
+then decides strict feasibility against a threshold.  ``solve`` returns
+that optimum; ``decide_feasibility``, the decision interface used by the
+bound search, stops earlier, at the first iterate whose dual point already
+certifies a margin above the threshold within 2x of the optimum.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -53,6 +56,7 @@ STOP_REASONS = (
     "schur-failed",
     "newton-failed",
     "step-collapse",
+    "certified",
 )
 
 
@@ -215,7 +219,12 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> FeasibilityResult:
+def solve(
+    program: ConeProgram,
+    options: SolverOptions = SolverOptions(),
+    *,
+    stop_when_certified: bool = False,
+) -> FeasibilityResult:
     """Maximize the margin t and classify strict feasibility by its sign.
 
     Deterministic given identical inputs.  Termination: duality gap below
@@ -236,11 +245,19 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
     factorable), ``newton-failed`` (a Newton direction overflowed or was
     not finite) and ``step-collapse`` (the step length vanished at every
     regularization level).
+
+    By default ``solve`` runs to the optimal margin.  With
+    ``stop_when_certified`` (the decision path, ``decide_feasibility``) it
+    also stops, as ``certified``, at the first iterate that already decides
+    FEASIBLE, with both residuals at most 100 ``res_tol`` and a duality gap
+    no larger than its margin: the reported margin is then a certified
+    lower bound within 2x of the optimum, not the optimum.
     """
     p = program.num_y
     q = p + 1  # margin variable t is last
     bound = program.box_bound
     scale = program.scale
+    threshold = options.feas_threshold * scale
 
     groups = _stack_by_size(program)
     cs = [c for c, _ in groups]
@@ -305,6 +322,19 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
 
         if gap <= options.gap_tol * scale and pinf <= options.res_tol and dinf <= options.res_tol:
             stop_reason = "converged"
+            break
+        # the verdict is fixed once the dual iterate certifies a margin above
+        # threshold; the gap bounds the distance to the optimum only for a
+        # primal-feasible X, so gap <= t with a small primal residual keeps
+        # that margin within 2x of the optimum
+        if (
+            stop_when_certified
+            and z[p] >= threshold
+            and dinf <= 100 * options.res_tol
+            and pinf <= 100 * options.res_tol
+            and gap <= z[p]
+        ):
+            stop_reason = "certified"
             break
         # rounding floor: box products of size ~bound set a floor on the
         # attainable absolute gap; once near it, stop when progress dies
@@ -464,7 +494,6 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
 
     t_star = float(z[p])
     y = z[:p].copy()
-    threshold = options.feas_threshold * scale
     homogeneous = not any(c.any() for c in cs)
     # estimated uncertainty of the reported margin
     err = residuals.get("gap", np.inf) + (
@@ -519,9 +548,16 @@ def solve(program: ConeProgram, options: SolverOptions = SolverOptions()) -> Fea
 def decide_feasibility(
     problem: LmiProblem, options: SolverOptions = SolverOptions()
 ) -> FeasibilityResult:
-    """Margin-solve an LMI problem and attach the decision-variable snapshot."""
+    """Decide strict feasibility of an LMI problem and attach the
+    decision-variable snapshot.
+
+    Unlike a bare ``solve``, this stops at the first iterate that certifies
+    FEASIBLE (stop reason ``certified``), so a feasible margin is a
+    certified lower bound within 2x of the optimum; infeasible and
+    inconclusive verdicts still come from the full solve.
+    """
     program = to_margin_program(problem, options.box_bound)
-    result = solve(program, options)
+    result = solve(program, options, stop_when_certified=True)
     result.certificate = problem.layout.unpack(result.flat_certificate)
     result.meta["description"] = problem.description
     return result

@@ -65,6 +65,9 @@ class ProbeRecord:
     iterations: int | None = None  # solver iterations
     margin_error: float | None = None  # solver's uncertainty estimate of margin
     stop_reason: str | None = None  # why the solver stopped (sdp.STOP_REASONS)
+    assemble_s: float = 0.0  # wall time of the LMI assembly
+    solve_s: float = 0.0  # wall time of the feasibility decision
+    verify_s: float = 0.0  # wall time of the certificate check (0.0 if none ran)
 
 
 @dataclass
@@ -86,7 +89,7 @@ class DelayBoundsReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["schema_version"] = 3
+        out["schema_version"] = 4
         return out
 
 
@@ -100,7 +103,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 3,
+            "schema_version": 4,
             "cells": [
                 {"M": big_m, "m": m, **rep.to_dict()}
                 for (big_m, m), rep in sorted(self.cells.items())
@@ -134,11 +137,16 @@ class _Prober:
     def feasible(self, tau: float) -> bool:
         if tau in self.cache:
             return self.cache[tau]
+        t0 = time.perf_counter()
         problem = assemble_stability_lmis(self.sys, self.params, tau)
+        t1 = time.perf_counter()
         result = decide_feasibility(problem, self.options)
+        t2 = time.perf_counter()
         verified = None
+        verify_s = 0.0
         if result.feasible and self.verify:
             verified = verify_certificate(problem, result)
+            verify_s = time.perf_counter() - t2
         ok = result.status == FEASIBLE and verified is not False
         if result.status == INCONCLUSIVE:
             self.report.inconclusive_probes += 1
@@ -151,6 +159,9 @@ class _Prober:
                 result.iterations,
                 result.meta["margin_error"],
                 result.meta["stop_reason"],
+                t1 - t0,
+                t2 - t1,
+                verify_s,
             )
         )
         self.cache[tau] = ok

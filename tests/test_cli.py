@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -110,13 +111,16 @@ def test_bounds_json_schema(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["direction"] == "upper"
     assert doc["tau_upper"] == pytest.approx(6.05932, abs=1e-2)
     assert doc["nodv"] == 22
     assert all({"tau", "status", "margin"} <= set(p) for p in doc["probes"])
     assert all(p["iterations"] >= 1 and p["margin_error"] >= 0 for p in doc["probes"])
     assert all(p["stop_reason"] in STOP_REASONS for p in doc["probes"])
+    for p in doc["probes"]:
+        for key in ("assemble_s", "solve_s", "verify_s"):
+            assert math.isfinite(p[key]) and p[key] >= 0.0
 
 
 def test_bounds_csv_output(capsys):
@@ -209,7 +213,7 @@ def test_sweep_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     taus = {(c["M"], c["m"]): c["tau_upper"] for c in doc["cells"]}
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)

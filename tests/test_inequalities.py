@@ -12,7 +12,6 @@ from delaymargin.inequalities import (
     PolynomialVectorFunction,
     competitor_statistics,
     functional_value,
-    functional_value_nested,
     competitor_bound,
     lower_bound_derivative,
     lower_bound_values,
@@ -20,6 +19,7 @@ from delaymargin.inequalities import (
 )
 from delaymargin.polynomials import RationalPolynomial, rodrigues_poly
 from delaymargin.quadrature import adaptive_quadrature
+from oracles import functional_value_nested
 
 F = Fraction
 
@@ -311,18 +311,6 @@ def test_adaptive_quadrature_depth_limit():
     rough = lambda s: abs(s - 0.3456789) ** -0.45
     with pytest.raises(QuadratureConvergenceError):
         adaptive_quadrature(rough, 0.0, 1.0, tol=1e-10, max_depth=4)
-
-
-def test_gap_sweep_csv_dump(tmp_path):
-    from delaymargin.inequalities import dump_gap_sweep
-
-    rows = [(0.5, 1.0, 0.5), (0.9, 1.0, 0.1)]
-    path = tmp_path / "sweep.csv"
-    dump_gap_sweep(str(path), rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bound,value,gap"
-    assert lines[1].startswith("0.5,")
-    assert len(lines) == 3
 
 
 def test_functional_spec_validation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from delaymargin.lmi import DelaySystem, HierarchyParams, assemble_stability_lmis
+from delaymargin.systems import bundled_system
 from delaymargin.sdp import (
     FEASIBLE,
     INCONCLUSIVE,
@@ -107,6 +108,8 @@ def oracle_cases():
 def test_oracle_margins(name, program, expected):
     result = solve(program)
     assert result.margin == pytest.approx(expected, abs=1e-7)
+    # bare solve is an exact maximizer: it never stops at the verdict
+    assert result.meta["stop_reason"] != "certified"
     if expected > 1e-6:
         assert result.status == FEASIBLE
     elif expected < -1e-6:
@@ -294,6 +297,34 @@ def test_delay_lmi_feasibility_at_published_bounds():
     assert res.status == FEASIBLE
     res = decide_feasibility(example1_problem(6.2))
     assert res.status == INFEASIBLE
+
+
+def test_decision_stops_at_first_certifying_iterate():
+    prob = example1_problem(6.0)
+    full = solve(to_margin_program(prob))
+    res = decide_feasibility(prob)
+    assert res.status == FEASIBLE
+    assert res.meta["stop_reason"] == "certified"
+    assert res.iterations < full.iterations
+    # gap <= margin keeps the certified margin within 2x of the optimum
+    err = res.meta["margin_error"] + full.meta["margin_error"]
+    assert 0.5 * full.margin - err <= res.margin <= full.margin + err
+    assert verify_certificate(prob, res)
+
+
+# (M, m) = (3, 1) upper bounds of the bundled examples, to bisection tol 1e-5
+_BOUNDS_3_1 = {"example1": 6.1725044, "example2": 2.0412350, "example3": 1.7177868}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDS_3_1))
+def test_early_exit_keeps_verdicts_near_the_bound(name):
+    sys = bundled_system(name)[0]
+    for offset in (-1e-1, -1e-2, -1e-3, 1e-3, 1e-2, 1e-1):
+        prob = assemble_stability_lmis(sys, HierarchyParams(3, 1), _BOUNDS_3_1[name] + offset)
+        full = solve(to_margin_program(prob))
+        if full.status == INCONCLUSIVE:
+            continue
+        assert decide_feasibility(prob).status == full.status, offset
 
 
 def test_margin_program_structure():
