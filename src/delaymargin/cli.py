@@ -285,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int, default=1, help="moment order (>= 1)")
         p.add_argument("--m", type=int, default=1, help=f"weight depth (>= {m_floor})")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="bisection tolerance")
+                       help="search tolerance: the bound's feasible probe and an "
+                            "infeasible probe beyond it lie at most this far apart")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_bounds = sub.add_parser("bounds", help="delay bounds at one (M, m)")

@@ -151,11 +151,6 @@ class DecisionVariables:
     qs: list[np.ndarray]
     rs: list[np.ndarray]
 
-    def copy(self) -> "DecisionVariables":
-        return DecisionVariables(
-            self.p.copy(), [q.copy() for q in self.qs], [r.copy() for r in self.rs]
-        )
-
 
 class VariableLayout:
     """Flat svec packing of (P, Q_0..Q_m1, R_1..R_m2)."""

@@ -31,7 +31,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .lmi import DecisionVariables, LmiProblem
+from .lmi import LmiProblem
 
 __all__ = [
     "ConeProgram",
@@ -109,18 +109,16 @@ class ConeProgram:
 class FeasibilityResult:
     """Outcome of a margin solve.
 
-    ``certificate`` is the flat decision vector for bare cone programs and a
-    ``DecisionVariables`` snapshot when produced through
-    ``decide_feasibility``.
+    ``certificate`` is the flat decision vector ``y``; for an LMI problem,
+    ``problem.layout.unpack`` turns it into its ``DecisionVariables``.
     """
 
     status: str
     margin: float
-    certificate: object
+    certificate: np.ndarray
     iterations: int
     residuals: dict
     scale: float = 1.0
-    flat_certificate: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -530,7 +528,6 @@ def solve(
         iterations=it,
         residuals=residuals,
         scale=scale,
-        flat_certificate=y,
         meta={
             "converged": converged,
             "homogeneous": homogeneous,
@@ -548,8 +545,7 @@ def solve(
 def decide_feasibility(
     problem: LmiProblem, options: SolverOptions = SolverOptions()
 ) -> FeasibilityResult:
-    """Decide strict feasibility of an LMI problem and attach the
-    decision-variable snapshot.
+    """Decide strict feasibility of an LMI problem.
 
     Unlike a bare ``solve``, this stops at the first iterate that certifies
     FEASIBLE (stop reason ``certified``), so a feasible margin is a
@@ -558,7 +554,6 @@ def decide_feasibility(
     """
     program = to_margin_program(problem, options.box_bound)
     result = solve(program, options, stop_when_certified=True)
-    result.certificate = problem.layout.unpack(result.flat_certificate)
     result.meta["description"] = problem.description
     return result
 
@@ -571,10 +566,7 @@ def verify_certificate(problem: LmiProblem, result: FeasibilityResult) -> bool:
     """
     if not result.feasible:
         raise ValueError("certificate verification requires a feasible result")
-    dv = result.certificate
-    if not isinstance(dv, DecisionVariables):
-        dv = problem.layout.unpack(np.asarray(result.certificate, dtype=float))
-    for name, sense, mat in problem.evaluate_at(dv):
+    for name, sense, mat in problem.evaluate_at(problem.layout.unpack(result.certificate)):
         eigs = np.linalg.eigvalsh(mat)
         margin = eigs[0] if sense > 0 else -eigs[-1]
         if margin <= 0:

@@ -1,14 +1,21 @@
-"""Delay-bound discovery: bisection on the feasibility oracle.
+"""Delay-bound discovery: a margin-guided search on the feasibility oracle.
 
 Bounds are bracketed by geometric probing around a hint, then refined by
-bisection.  Every reported bound is backed by a logged feasible probe and a
-logged infeasible probe within the bisection tolerance.  Solver runs that
-end numerically inconclusive are treated as infeasible (the conservative
-choice for a stability claim) and flagged in the report.
+one safeguarded search (`_refine`) in the style of Brent's method.  The
+margin of a feasible probe falls to zero at the bound, so the next probe
+is estimated by inverse interpolation of tau(margin) at margin 0 through
+the last feasible probes, and falls back to bisection whenever the
+estimate is unusable or neither the bracket nor the step shrinks fast
+enough.  Infeasible margins sit at ~0 and carry no slope, so they only
+move the bracket.  Every reported bound is backed by a logged feasible
+probe and a logged infeasible probe within the tolerance.  Solver runs
+that end numerically inconclusive are treated as infeasible (the
+conservative choice for a stability claim) and flagged in the report.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -41,11 +48,16 @@ __all__ = [
     "hierarchy_sweep",
     "DEFAULT_BRACKET",
     "DEFAULT_TOL",
+    "STEPS",
 ]
 
 DEFAULT_BRACKET = (1e-3, 10.0)
 DEFAULT_TOL = 1e-5
 _MAX_PROBE_DOUBLINGS = 30
+# the rules that choose a probe delay (ProbeRecord.step): geometric
+# bracketing, the bisection fallback, the margin model's estimate, and the
+# closing probes within tol of the estimate
+STEPS = ("bracket", "bisect", "model", "close")
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -68,6 +80,10 @@ class ProbeRecord:
     assemble_s: float = 0.0  # wall time of the LMI assembly
     solve_s: float = 0.0  # wall time of the feasibility decision
     verify_s: float = 0.0  # wall time of the certificate check (0.0 if none ran)
+    step: str | None = None  # search rule that chose the delay (STEPS)
+    gap: float | None = None  # final duality gap of the solve
+    primal: float | None = None  # final normalized primal residual
+    dual: float | None = None  # final normalized dual residual
 
 
 @dataclass
@@ -89,7 +105,7 @@ class DelayBoundsReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["schema_version"] = 4
+        out["schema_version"] = 5
         return out
 
 
@@ -103,7 +119,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 4,
+            "schema_version": 5,
             "cells": [
                 {"M": big_m, "m": m, **rep.to_dict()}
                 for (big_m, m), rep in sorted(self.cells.items())
@@ -133,8 +149,10 @@ class _Prober:
         self.report = report
         self.verify = verify
         self.cache: dict[float, bool] = {}
+        # margin of every probe that came out feasible, in probe order
+        self.margins: dict[float, float] = {}
 
-    def feasible(self, tau: float) -> bool:
+    def feasible(self, tau: float, step: str) -> bool:
         if tau in self.cache:
             return self.cache[tau]
         t0 = time.perf_counter()
@@ -162,19 +180,25 @@ class _Prober:
                 t1 - t0,
                 t2 - t1,
                 verify_s,
+                step=step,
+                gap=result.residuals.get("gap"),
+                primal=result.residuals.get("primal"),
+                dual=result.residuals.get("dual"),
             )
         )
         self.cache[tau] = ok
+        if ok:
+            self.margins[tau] = result.margin
         return ok
 
 
 def _find_feasible(prober: _Prober, hint: float) -> float:
     """Probe hint * 2**(+-k) outward until a feasible delay appears."""
-    if prober.feasible(hint):
+    if prober.feasible(hint, "bracket"):
         return hint
     for k in range(1, _MAX_PROBE_DOUBLINGS + 1):
         for tau in (hint / 2.0**k, hint * 2.0**k):
-            if prober.feasible(tau):
+            if prober.feasible(tau, "bracket"):
                 return tau
     raise NoFeasiblePointError(
         f"no feasible delay found near hint {hint} "
@@ -182,17 +206,69 @@ def _find_feasible(prober: _Prober, hint: float) -> float:
     )
 
 
-def _bisect(prober: _Prober, tau_feas: float, tau_infeas: float, tol: float) -> tuple[float, float]:
-    """Shrink a (feasible, infeasible) bracket below tol; returns both ends."""
+def _margin_root(points: list[tuple[float, float]]) -> float:
+    """Inverse interpolation of tau(margin) at margin 0 through (tau, margin)
+    points: the secant for two, inverse quadratic for three; NaN when there
+    are fewer than two or two margins coincide."""
+    if len(points) < 2:
+        return math.nan
+    estimate = 0.0
+    for i, (tau_i, margin_i) in enumerate(points):
+        term = tau_i
+        for j, (_, margin_j) in enumerate(points):
+            if j != i:
+                if margin_j == margin_i:
+                    return math.nan
+                term *= margin_j / (margin_j - margin_i)
+        estimate += term
+    return estimate
+
+
+def _refine(prober: _Prober, tau_feas: float, tau_infeas: float, tol: float) -> float:
+    """Shrink a (feasible, infeasible) bracket to at most tol; returns the
+    feasible end.
+
+    Works in either direction.  Each step estimates the crossing with
+    `_margin_root` through the last three feasible probes and proposes:
+    - the estimate itself (model);
+    - when the estimate is within tol of the feasible end, the delay tol
+      from the feasible end (close), which ends the search if infeasible;
+    - when two successive estimates agree within tol/2, the estimate minus
+      tol/2 on the feasible side (close), so that the next close probe
+      lands at the estimate plus tol/2.
+    The step bisects instead when the estimate is not finite or not inside
+    the open bracket, or when over the last two steps neither the bracket
+    nor the step (the probe's distance from the feasible end) halved.
+    """
+    toward = 1.0 if tau_infeas > tau_feas else -1.0
+    widths: list[float] = []  # bracket width before each step
+    steps: list[float] = []  # distance of each step's probe from the feasible end
+    estimate = math.nan
     while abs(tau_infeas - tau_feas) > tol:
-        mid = 0.5 * (tau_feas + tau_infeas)
-        if mid == tau_feas or mid == tau_infeas:
+        width = abs(tau_infeas - tau_feas)
+        lo, hi = sorted((tau_feas, tau_infeas))
+        previous, estimate = estimate, _margin_root(list(prober.margins.items())[-3:])
+        rule, tau = "bisect", 0.5 * (tau_feas + tau_infeas)
+        if lo < estimate < hi:
+            proposal, candidate = "model", estimate
+            if abs(estimate - tau_feas) <= tol:
+                proposal, candidate = "close", tau_feas + toward * tol
+                while abs(candidate - tau_feas) > tol:  # keep the closing pair within tol
+                    candidate = math.nextafter(candidate, tau_feas)
+            elif abs(estimate - previous) <= 0.5 * tol:
+                proposal, candidate = "close", estimate - toward * 0.5 * tol
+            halved = len(widths) < 2 or width <= 0.5 * widths[-2]
+            if halved or abs(candidate - tau_feas) <= 0.5 * steps[-2]:
+                rule, tau = proposal, candidate
+        if not lo < tau < hi:
             break  # float resolution reached
-        if prober.feasible(mid):
-            tau_feas = mid
+        widths.append(width)
+        steps.append(abs(tau - tau_feas))
+        if prober.feasible(tau, rule):
+            tau_feas = tau
         else:
-            tau_infeas = mid
-    return tau_feas, tau_infeas
+            tau_infeas = tau
+    return tau_feas
 
 
 def max_delay(
@@ -216,7 +292,7 @@ def max_delay(
     probe = tau_feas
     for _ in range(_MAX_PROBE_DOUBLINGS):
         probe *= 2.0
-        if not prober.feasible(probe):
+        if not prober.feasible(probe, "bracket"):
             tau_infeas = probe
             break
         tau_feas = probe
@@ -225,7 +301,7 @@ def max_delay(
             f"feasible up to tau={tau_feas:g}; no upper crossing found "
             "(delay-independent stability in the probed range)"
         )
-    tau_feas, _ = _bisect(prober, tau_feas, tau_infeas, tol)
+    tau_feas = _refine(prober, tau_feas, tau_infeas, tol)
     report.tau_upper = tau_feas
     report.wall_time_s = time.perf_counter() - t0
     return tau_feas, report
@@ -252,7 +328,7 @@ def min_delay(
     probe = tau_feas
     for _ in range(_MAX_PROBE_DOUBLINGS):
         probe /= 2.0
-        if not prober.feasible(probe):
+        if not prober.feasible(probe, "bracket"):
             tau_infeas = probe
             break
         tau_feas = probe
@@ -262,7 +338,7 @@ def min_delay(
         )
         report.wall_time_s = time.perf_counter() - t0
         return None, report
-    tau_feas, _ = _bisect(prober, tau_feas, tau_infeas, tol)
+    tau_feas = _refine(prober, tau_feas, tau_infeas, tol)
     report.tau_lower = tau_feas
     report.wall_time_s = time.perf_counter() - t0
     return tau_feas, report
@@ -278,7 +354,7 @@ def stability_interval(
 ) -> DelayBoundsReport:
     """Certified stability interval [tau_lower, tau_upper].
 
-    Pointwise bounds come from min_delay/max_delay bisection; the whole
+    Pointwise bounds come from the min_delay/max_delay searches; the whole
     interval is then re-certified with the delay-range LMIs at the found
     endpoints.  A certification failure is reported (range_certified False
     plus a note), never silently shrunk.

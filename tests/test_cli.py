@@ -16,6 +16,7 @@ from delaymargin.cli import (
 )
 from delaymargin.projection import weighted_moment_map
 from delaymargin.sdp import STOP_REASONS
+from delaymargin.search import STEPS
 from delaymargin.systems import (
     SystemFileError,
     bundled_system,
@@ -111,7 +112,7 @@ def test_bounds_json_schema(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     assert doc["direction"] == "upper"
     assert doc["tau_upper"] == pytest.approx(6.05932, abs=1e-2)
     assert doc["nodv"] == 22
@@ -120,6 +121,9 @@ def test_bounds_json_schema(capsys):
     assert all(p["stop_reason"] in STOP_REASONS for p in doc["probes"])
     for p in doc["probes"]:
         for key in ("assemble_s", "solve_s", "verify_s"):
+            assert math.isfinite(p[key]) and p[key] >= 0.0
+        assert p["step"] in STEPS
+        for key in ("gap", "primal", "dual"):
             assert math.isfinite(p[key]) and p[key] >= 0.0
 
 
@@ -213,7 +217,7 @@ def test_sweep_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     taus = {(c["M"], c["m"]): c["tau_upper"] for c in doc["cells"]}
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)

@@ -173,7 +173,7 @@ def test_determinism_bitwise():
     assert r1.margin == r2.margin
     assert r1.status == r2.status
     assert r1.iterations == r2.iterations
-    assert np.array_equal(r1.flat_certificate, r2.flat_certificate)
+    assert np.array_equal(r1.certificate, r2.certificate)
 
 
 def test_feasible_is_decided_by_the_dual_iterate():
@@ -184,7 +184,7 @@ def test_feasible_is_decided_by_the_dual_iterate():
     assert res.residuals["primal"] > 100 * SolverOptions.res_tol
     assert res.status == FEASIBLE
     for f0, stack in program.blocks:
-        mat = f0 + np.tensordot(res.flat_certificate, stack, axes=1)
+        mat = f0 + np.tensordot(res.certificate, stack, axes=1)
         assert np.linalg.eigvalsh(mat)[0] >= res.margin * (1 - 1e-9)
     # the primal residual still gates the infeasible verdict
     res = solve(oracle_cases()[5][1], SolverOptions(max_iter=3))  # t* = -1/2
@@ -344,7 +344,7 @@ def test_feasible_certificate_margin_consistency():
     res = decide_feasibility(prob)
     assert res.status == FEASIBLE
     floor = res.margin * (1 - 1e-6) - 1e-9
-    for name, sense, mat in prob.evaluate_at(res.certificate):
+    for name, sense, mat in prob.evaluate_at(prob.layout.unpack(res.certificate)):
         eigs = np.linalg.eigvalsh(mat)
         attained = eigs[0] if sense > 0 else -eigs[-1]
         assert attained >= floor, (name, attained, res.margin)
@@ -356,9 +356,9 @@ def test_certificate_roundtrip_and_tampering():
     assert res.status == FEASIBLE
     assert verify_certificate(prob, res)
     # zeroing the augmented quadratic form destroys the positivity block
-    tampered = res.certificate.copy()
+    tampered = prob.layout.unpack(res.certificate)
     tampered.p = np.zeros_like(tampered.p)
-    res.certificate = tampered
+    res.certificate = prob.layout.pack(tampered)
     assert not verify_certificate(prob, res)
 
 

@@ -1,13 +1,15 @@
-"""Bisection and sweep tests, including an analytic delay-margin oracle."""
+"""Search and sweep tests, including an analytic delay-margin oracle."""
 
 import math
 
+import numpy as np
 import pytest
 
 import delaymargin.search as search
 from delaymargin.lmi import DelaySystem, HierarchyParams
-from delaymargin.sdp import FEASIBLE
+from delaymargin.sdp import FEASIBLE, INFEASIBLE
 from delaymargin.search import (
+    STEPS,
     BracketError,
     NoFeasiblePointError,
     hierarchy_sweep,
@@ -82,12 +84,100 @@ def test_bracket_error_when_no_upper_crossing(monkeypatch):
         margin = 1.0
         feasible = True
         iterations = 1
+        residuals = {"gap": 0.0, "primal": 0.0, "dual": 0.0}
         meta = {"margin_error": 0.0, "stop_reason": "converged"}
 
     monkeypatch.setattr(search, "decide_feasibility", lambda *a, **k: _Always())
     monkeypatch.setattr(search, "verify_certificate", lambda *a, **k: True)
     with pytest.raises(BracketError):
         max_delay(pure_delay_scalar(), HierarchyParams(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Margin-guided refinement against a fake oracle with a known crossing r:
+# the margin is profile(distance to r) on the feasible side and ~0 beyond.
+# ---------------------------------------------------------------------------
+
+
+class _FakeResult:
+    def __init__(self, margin):
+        self.feasible = margin > 0
+        self.status = FEASIBLE if self.feasible else INFEASIBLE
+        self.margin = margin
+        self.iterations = 1
+        self.residuals = {"gap": 0.0, "primal": 0.0, "dual": 0.0}
+        self.meta = {"margin_error": 0.0, "stop_reason": "converged"}
+
+
+_PROFILES = {
+    "linear": lambda d, rng: 2.0 * d,
+    "convex": lambda d, rng: d**1.5,
+    "concave": lambda d, rng: math.sqrt(d),
+    "kink": lambda d, rng: d if d < 0.05 else 0.05 + 8.0 * (d - 0.05),
+    # a flat crossing: the model alone creeps up on it at ~0.8x per probe,
+    # so this profile needs the progress guard to stay within the budget
+    "flat": lambda d, rng: d**4,
+    "constant": lambda d, rng: 1.0,
+    "scaled": lambda d, rng: d * rng.uniform(0.5, 1.0),
+}
+# crossings per direction; the bracket starts from the default hint
+_CROSSINGS = {"upper": (1.2345678, 6.0593), "lower": (0.1005, 0.0123456)}
+
+
+def _fake_search(monkeypatch, profile, r, direction, tol):
+    rng = np.random.default_rng(5)
+
+    def decide(tau, options):
+        d = r - tau if direction == "upper" else tau - r
+        return _FakeResult(_PROFILES[profile](d, rng) if d > 0 else -1e-10)
+
+    monkeypatch.setattr(search, "assemble_stability_lmis", lambda sys, params, tau: tau)
+    monkeypatch.setattr(search, "decide_feasibility", decide)
+    monkeypatch.setattr(search, "verify_certificate", lambda *a, **k: True)
+    run = max_delay if direction == "upper" else min_delay
+    return run(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("profile", sorted(_PROFILES))
+def test_refinement_against_known_crossing(monkeypatch, profile, direction):
+    tol = 1e-5
+    for r in _CROSSINGS[direction]:
+        bound, report = _fake_search(monkeypatch, profile, r, direction, tol)
+        assert {p.step for p in report.probes} <= set(STEPS)
+        # the bound is a logged feasible probe with a logged infeasible probe
+        # less than tol beyond it, and the crossing lies between them
+        beyond = 1.0 if direction == "upper" else -1.0
+        feas = [p.tau for p in report.probes if p.status == FEASIBLE]
+        infeas = [p.tau for p in report.probes if p.status != FEASIBLE]
+        assert bound in feas
+        gaps = [beyond * (t - bound) for t in infeas if beyond * (t - bound) > 0]
+        assert gaps and min(gaps) <= tol
+        assert 0 < beyond * (r - bound) <= tol
+        # probe budget, counted from the bracket the refinement starts from
+        bracket = [p for p in report.probes if p.step == "bracket"]
+        start_feas = min((p.tau for p in bracket if p.status == FEASIBLE), key=lambda t: abs(t - r))
+        start_infeas = min(
+            (p.tau for p in bracket if p.status != FEASIBLE and beyond * (p.tau - r) >= 0),
+            key=lambda t: abs(t - r),
+        )
+        width = abs(start_infeas - start_feas)
+        refinement = len(report.probes) - len(bracket)
+        assert refinement <= 2 * math.ceil(math.log2(width / tol)) + 4
+        if profile in ("linear", "concave"):
+            assert refinement <= 8
+
+
+def test_refinement_labels_its_steps(monkeypatch):
+    _, report = _fake_search(monkeypatch, "linear", 1.2345678, "upper", 1e-5)
+    steps = [p.step for p in report.probes]
+    first = next(i for i, step in enumerate(steps) if step != "bracket")
+    assert set(steps[:first]) == {"bracket"}
+    assert "bracket" not in steps[first:]
+    assert "model" in steps and steps[-1] == "close"
+    # the constant-margin profile gives the model no slope: pure bisection
+    _, report = _fake_search(monkeypatch, "constant", 1.2345678, "upper", 1e-5)
+    assert {p.step for p in report.probes} == {"bracket", "bisect"}
 
 
 def test_min_delay_none_when_feasible_to_floor():
