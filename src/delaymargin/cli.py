@@ -20,13 +20,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .lmi import DelaySystem, HierarchyParams
 from .projection import crosscheck_closed_forms
-from .sdp import SolverOptions
 from .search import (
-    DEFAULT_BRACKET,
     DEFAULT_TOL,
     BracketError,
     DelayBoundsReport,
@@ -40,7 +37,7 @@ from .search import (
 from .systems import BUNDLED_SYSTEMS, SystemFileError, bundled_system_path, load_system
 from .verification import DEFAULT_SEED, run_all
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -48,48 +45,19 @@ EXIT_NO_FEASIBLE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_VIOLATION = 4
 
-_ENV_PREFIX = "DELAYMARGIN_"
 
-
-@dataclass
-class RunConfig:
-    """Validated run parameters (CLI flags plus environment overrides);
-    ``params`` validates (M, m) itself."""
-
-    params: HierarchyParams
-    tol: float = DEFAULT_TOL
-    output_format: str = "text"
-    solver: SolverOptions = SolverOptions()
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.output_format not in ("text", "json", "csv"):
-            raise ValueError("format must be text, json or csv")
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(_ENV_PREFIX + name)
-    return float(raw) if raw is not None else default
-
-
-def _solver_options_from_env() -> SolverOptions:
-    """Solver thresholds with environment overrides (DELAYMARGIN_*)."""
-    max_iter_raw = os.environ.get(_ENV_PREFIX + "MAX_ITER")
-    return SolverOptions(
-        gap_tol=_env_float("GAP_TOL", SolverOptions.gap_tol),
-        res_tol=_env_float("RES_TOL", SolverOptions.res_tol),
-        feas_threshold=_env_float("FEAS_THRESHOLD", SolverOptions.feas_threshold),
-        box_bound=_env_float("BOX_BOUND", SolverOptions.box_bound),
-        max_iter=int(max_iter_raw) if max_iter_raw is not None else SolverOptions.max_iter,
-    )
-
-
-def _resolve_system(spec: str) -> tuple[DelaySystem, dict]:
-    """Accept a file path or the name of a bundled benchmark system."""
-    if spec in BUNDLED_SYSTEMS and not os.path.exists(spec):
-        return load_system(bundled_system_path(spec))
-    return load_system(spec)
+def _search_inputs(args: argparse.Namespace) -> tuple[DelaySystem, HierarchyParams]:
+    """The system and (M, m) of a bounds or sweep run, after checking the
+    tolerance; --system is a file path or the name of a bundled system.
+    Raises ValueError or SystemFileError on bad input."""
+    params = HierarchyParams(args.M, args.m)
+    if not args.tol > 0:
+        raise ValueError("tolerance must be positive")
+    path = args.system
+    if path in BUNDLED_SYSTEMS and not os.path.exists(path):
+        path = bundled_system_path(path)
+    system, _ = load_system(path)
+    return system, params
 
 
 def _fmt(x: float | None) -> str:
@@ -170,29 +138,23 @@ def _sweep_csv(result: SweepResult) -> str:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
-        config = RunConfig(
-            HierarchyParams(args.M, args.m), tol=args.tol,
-            output_format=args.format, solver=_solver_options_from_env(),
-        )
-        system, _ = _resolve_system(args.system)
+        system, params = _search_inputs(args)
     except (SystemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         if args.direction == "upper":
-            _, report = max_delay(system, config.params, DEFAULT_BRACKET, config.tol, config.solver)
+            _, report = max_delay(system, params, args.tol)
         elif args.direction == "lower":
-            _, report = min_delay(system, config.params, DEFAULT_BRACKET, config.tol, config.solver)
+            _, report = min_delay(system, params, args.tol)
         else:
-            report = stability_interval(
-                system, config.params, DEFAULT_BRACKET, config.tol, config.solver
-            )
+            report = stability_interval(system, params, args.tol)
     except (NoFeasiblePointError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         print(_bounds_csv(report))
     else:
         print(_bounds_text(report))
@@ -210,24 +172,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_INPUT
     try:
-        config = RunConfig(
-            HierarchyParams(args.M, args.m), tol=args.tol,
-            output_format=args.format, solver=_solver_options_from_env(),
-        )
-        system, _ = _resolve_system(args.system)
+        system, params = _search_inputs(args)
     except (SystemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     result = hierarchy_sweep(
-        system,
-        range(1, config.params.big_m + 1),
-        range(1, config.params.m + 1),
-        tol=config.tol,
-        options=config.solver,
+        system, range(1, params.big_m + 1), range(1, params.m + 1), args.tol
     )
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         print(_sweep_csv(result))
     else:
         print(_sweep_text(result))

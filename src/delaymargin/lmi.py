@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -215,32 +214,6 @@ def _svec_basis(size: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Cached float projection matrices.
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _xi_array(m: int, nu: int, big_m: int) -> np.ndarray:
-    arr = weighted_moment_map(m, nu, big_m).as_array()
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=None)
-def _z_array(m: int, nu: int, big_m: int) -> np.ndarray:
-    arr = derivative_moment_map(m, nu, big_m).as_array()
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=None)
-def _legendre_derivative_array(big_m: int) -> np.ndarray:
-    arr = legendre_derivative_map(big_m).as_array()
-    arr.setflags(write=False)
-    return arr
-
-
 def _weighted_congruence(proj: np.ndarray, start: int, mat: np.ndarray) -> np.ndarray:
     """(proj x I)^T  diag{(start+1)M, (start+3)M, ...}  (proj x I)."""
     rows = proj.shape[0]
@@ -280,7 +253,7 @@ def positivity_block(
         nu = params.nu1(j)
         if nu < 0:
             continue  # no valid projection order; trivial bound suffices
-        xi = _xi_array(j, nu, big_m)
+        xi = weighted_moment_map(j, nu, big_m).as_array()
         out[n:, n:] += _weighted_congruence(xi, j, np.asarray(qs[j], dtype=float))
     return out
 
@@ -292,7 +265,10 @@ def _energy_rate(
     n = sys.n_x
     big_m = params.big_m
     lam = np.vstack(
-        [_state_row(sys, tau, big_m), np.kron(_legendre_derivative_array(big_m), np.eye(n))]
+        [
+            _state_row(sys, tau, big_m),
+            np.kron(legendre_derivative_map(big_m).as_array(), np.eye(n)),
+        ]
     )
     pattern = np.zeros((big_m + 1, big_m + 2))
     pattern[0, 0] = 1.0
@@ -316,7 +292,7 @@ def _history_rate(
         nu = params.nu1(j - 1)
         if nu < 0:
             continue
-        xi = _xi_array(j - 1, nu, big_m)
+        xi = weighted_moment_map(j - 1, nu, big_m).as_array()
         out[2 * n :, 2 * n :] -= j * _weighted_congruence(
             xi, j - 1, np.asarray(qs[j], dtype=float)
         )
@@ -346,7 +322,7 @@ def _derivative_projection(
         nu = params.nu2(j - 1)
         if nu < 0:
             continue
-        z = _z_array(j - 1, nu, big_m)
+        z = derivative_moment_map(j - 1, nu, big_m).as_array()
         out += j * _weighted_congruence(z, j - 1, np.asarray(rs[j - 1], dtype=float))
     return out
 
@@ -434,8 +410,6 @@ class LmiProblem:
     tau: float
     params: HierarchyParams
     system: DelaySystem
-    description: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -500,7 +474,7 @@ class _CompiledLmis:
         if np.any(sys.a_d2):
             ws.append(np.zeros((n, rate)))
             ws[1][:, 2 * n : 3 * n] = sys.a_d2
-        moment_rows = np.kron(_legendre_derivative_array(big_m), np.eye(n))
+        moment_rows = np.kron(legendre_derivative_map(big_m).as_array(), np.eye(n))
         lams = [np.vstack([ws[0], moment_rows])] + [
             np.vstack([w, np.zeros_like(moment_rows)]) for w in ws[1:]
         ]
@@ -519,13 +493,13 @@ class _CompiledLmis:
         history = []
         for j, off in enumerate(q_offsets):
             if params.nu1(j) >= 0:
-                xi = _xi_array(j, params.nu1(j), big_m)
+                xi = weighted_moment_map(j, params.nu1(j), big_m).as_array()
                 positivity.append((0, off, n, n, congruences(xi, j)))
             history.append((0, off, 0, 0, basis))
             if j == 0:
                 history.append((0, off, n, n, -basis))
             elif params.nu1(j - 1) >= 0:
-                xi = _xi_array(j - 1, params.nu1(j - 1), big_m)
+                xi = weighted_moment_map(j - 1, params.nu1(j - 1), big_m).as_array()
                 history.append((0, off, 2 * n, 2 * n, -j * congruences(xi, j - 1)))
         dissipation, projection, schur = [], [], []
         for j, off in enumerate(r_offsets, start=1):
@@ -536,7 +510,7 @@ class _CompiledLmis:
                     dissipation.append((1 + a + b, off, 0, 0, wa.T @ basis @ wb))
             schur.append((0, off, rate, rate, -basis))
             if params.nu2(j - 1) >= 0:
-                z = _z_array(j - 1, params.nu2(j - 1), big_m)
+                z = derivative_moment_map(j - 1, params.nu2(j - 1), big_m).as_array()
                 projection.append((0, off, 0, 0, -j * congruences(z, j - 1)))
 
         self.definite = [
@@ -586,14 +560,8 @@ def assemble_stability_lmis(
         ("positivity", 1, compiled.positivity),
         ("derivative", -1, compiled.derivative),
     ] + compiled.definite
-    return LmiProblem(
-        [_constraint(*block, tau) for block in blocks],
-        compiled.layout,
-        tau,
-        params,
-        sys,
-        description=f"{sys.name}: single delay tau={tau:.6g}, M={params.big_m}, m={params.m}",
-    )
+    constraints = [_constraint(*block, tau) for block in blocks]
+    return LmiProblem(constraints, compiled.layout, tau, params, sys)
 
 
 def assemble_delay_range_lmis(
@@ -618,28 +586,9 @@ def assemble_delay_range_lmis(
         _constraint("derivative at lower endpoint", -1, derivative, tau_low),
         _constraint("derivative at upper endpoint", -1, derivative, tau_up),
     ] + [_constraint(*block, tau_up) for block in compiled.definite]
-    return LmiProblem(
-        constraints,
-        compiled.layout,
-        tau_up,
-        params,
-        sys,
-        description=(
-            f"{sys.name}: delay range [{tau_low:.6g}, {tau_up:.6g}], "
-            f"M={params.big_m}, m={params.m}"
-        ),
-        meta={"tau_low": tau_low, "tau_up": tau_up},
-    )
+    return LmiProblem(constraints, compiled.layout, tau_up, params, sys)
 
 
 def nodv(params: HierarchyParams, n_x: int) -> int:
     """Number of scalar decision variables (triangular counts of P, Qs, Rs)."""
-
-    def tri(k: int) -> int:
-        return k * (k + 1) // 2
-
-    return (
-        tri(n_x * (params.big_m + 1))
-        + (params.m1 + 1) * tri(n_x)
-        + params.m2 * tri(n_x)
-    )
+    return VariableLayout(n_x, params).dim

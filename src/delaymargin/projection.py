@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .polynomials import (
 )
 
 __all__ = [
-    "MomentProjection",
-    "DerivativeProjection",
+    "ProjectionMap",
     "weighted_moment_map",
     "derivative_moment_map",
     "legendre_derivative_map",
@@ -47,39 +46,31 @@ __all__ = [
 FractionMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _to_array(rows: FractionMatrix) -> np.ndarray:
-    return np.array([[float(c) for c in row] for row in rows], dtype=float)
-
-
 @dataclass(frozen=True)
-class MomentProjection:
-    """Exact (nu+1) x M map from Legendre moments to weight-x**m moments."""
+class ProjectionMap:
+    """Exact projection map of one (m, nu, M): (nu+1) x M from Legendre
+    moments to weight-x**m moments (``weighted_moment_map``), or (nu+1) x
+    (M+2) from boundary values and scaled Legendre moments to weight-x**m
+    moments of the derivative (``derivative_moment_map``)."""
 
     m: int
     nu: int
     big_m: int
     entries: FractionMatrix
 
-    def as_array(self) -> np.ndarray:
-        return _to_array(self.entries)
-
-
-@dataclass(frozen=True)
-class DerivativeProjection:
-    """Exact (nu+1) x (M+2) map from boundary values and scaled Legendre
-    moments to weight-x**m moments of the derivative."""
-
-    m: int
-    nu: int
-    big_m: int
-    entries: FractionMatrix
+    @cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.array([[float(c) for c in row] for row in self.entries], dtype=float)
+        arr.setflags(write=False)
+        return arr
 
     def as_array(self) -> np.ndarray:
-        return _to_array(self.entries)
+        """The entries as a read-only float array, converted once per map."""
+        return self._array
 
 
 @lru_cache(maxsize=None)
-def weighted_moment_map(m: int, nu: int, big_m: int) -> MomentProjection:
+def weighted_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
     """Rows j = 0..nu: shifted-Legendre coordinates of x**m R(m, j).
 
     Requires m + nu <= big_m - 1 so every row lies in the Legendre span.
@@ -95,11 +86,11 @@ def weighted_moment_map(m: int, nu: int, big_m: int) -> MomentProjection:
     for j in range(nu + 1):
         q = poly_weighted(m, j)
         rows.append(expand_in_shifted_legendre(q, big_m))
-    return MomentProjection(m, nu, big_m, tuple(rows))
+    return ProjectionMap(m, nu, big_m, tuple(rows))
 
 
 @lru_cache(maxsize=None)
-def derivative_moment_map(m: int, nu: int, big_m: int) -> DerivativeProjection:
+def derivative_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
     """Rows j = 0..nu of the derivative projection.
 
     Row j is (q(1), -q(0), -zeta_0, ..., -zeta_{M-1}) for q = x**m R(m, j),
@@ -122,11 +113,11 @@ def derivative_moment_map(m: int, nu: int, big_m: int) -> DerivativeProjection:
         else:
             at_zero = Fraction(0)
         rows.append((Fraction(1), at_zero) + tuple(-z for z in zeta))
-    return DerivativeProjection(m, nu, big_m, tuple(rows))
+    return ProjectionMap(m, nu, big_m, tuple(rows))
 
 
 @lru_cache(maxsize=None)
-def legendre_derivative_map(big_m: int) -> DerivativeProjection:
+def legendre_derivative_map(big_m: int) -> ProjectionMap:
     """The m = 0 derivative map with one row per Legendre polynomial below M."""
     if big_m < 1:
         raise ValueError("legendre_derivative_map requires M >= 1")

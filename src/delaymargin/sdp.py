@@ -63,7 +63,7 @@ STOP_REASONS = (
 @dataclass(frozen=True)
 class SolverOptions:
     """Termination and decision thresholds (all margins scale with the
-    largest constant-block norm, reported as ``scale``)."""
+    largest constant-block norm, ``ConeProgram.scale``)."""
 
     gap_tol: float = 1e-8
     res_tol: float = 1e-9
@@ -118,7 +118,6 @@ class FeasibilityResult:
     certificate: np.ndarray
     iterations: int
     residuals: dict
-    scale: float = 1.0
     meta: dict = field(default_factory=dict)
 
     @property
@@ -527,9 +526,7 @@ def solve(
         certificate=y,
         iterations=it,
         residuals=residuals,
-        scale=scale,
         meta={
-            "converged": converged,
             "homogeneous": homogeneous,
             "margin_error": err,
             "stop_reason": stop_reason,
@@ -553,22 +550,20 @@ def decide_feasibility(
     inconclusive verdicts still come from the full solve.
     """
     program = to_margin_program(problem, options.box_bound)
-    result = solve(program, options, stop_when_certified=True)
-    result.meta["description"] = problem.description
-    return result
+    return solve(program, options, stop_when_certified=True)
 
 
 def verify_certificate(problem: LmiProblem, result: FeasibilityResult) -> bool:
     """Independently re-check a feasible certificate via eigenvalues.
 
-    Returns True iff every constraint evaluated at the certificate is
-    strictly definite in its required sense.
+    Returns True iff every constraint evaluated at the certificate, the
+    solver's own vector y, is strictly definite in its required sense.
     """
     if not result.feasible:
         raise ValueError("certificate verification requires a feasible result")
-    for name, sense, mat in problem.evaluate_at(problem.layout.unpack(result.certificate)):
-        eigs = np.linalg.eigvalsh(mat)
-        margin = eigs[0] if sense > 0 else -eigs[-1]
+    for c in problem.constraints:
+        eigs = np.linalg.eigvalsh(c.value(result.certificate))
+        margin = eigs[0] if c.sense > 0 else -eigs[-1]
         if margin <= 0:
             return False
     return True

@@ -1,16 +1,18 @@
 """Delay-bound discovery: a margin-guided search on the feasibility oracle.
 
-Bounds are bracketed by geometric probing around a hint, then refined by
-one safeguarded search (`_refine`) in the style of Brent's method.  The
-margin of a feasible probe falls to zero at the bound, so the next probe
-is estimated by inverse interpolation of tau(margin) at margin 0 through
-the last feasible probes, and falls back to bisection whenever the
+Bounds are bracketed by geometric probing around a fixed starting delay,
+then refined by one safeguarded search (`_refine`) in the style of Brent's
+method.  The margin of a feasible probe falls to zero at the bound, so the
+next probe is estimated by inverse interpolation of tau(margin) at margin 0
+through the last feasible probes, and falls back to bisection whenever the
 estimate is unusable or neither the bracket nor the step shrinks fast
 enough.  Infeasible margins sit at ~0 and carry no slope, so they only
-move the bracket.  Every reported bound is backed by a logged feasible
-probe and a logged infeasible probe within the tolerance.  Solver runs
-that end numerically inconclusive are treated as infeasible (the
-conservative choice for a stability claim) and flagged in the report.
+move the bracket.  A feasible verdict counts only once `verify_certificate`
+has re-checked its certificate, so every reported bound is backed by a
+logged, verified feasible probe and a logged infeasible probe within the
+tolerance.  Solver runs that end numerically inconclusive are treated as
+infeasible (the conservative choice for a stability claim) and flagged in
+the report.
 """
 
 from __future__ import annotations
@@ -46,13 +48,21 @@ __all__ = [
     "min_delay",
     "stability_interval",
     "hierarchy_sweep",
-    "DEFAULT_BRACKET",
     "DEFAULT_TOL",
+    "SCHEMA_VERSION",
     "STEPS",
 ]
 
-DEFAULT_BRACKET = (1e-3, 10.0)
 DEFAULT_TOL = 1e-5
+# version of the JSON report layout (DelayBoundsReport / SweepResult.to_dict)
+SCHEMA_VERSION = 5
+# first delay of the bracketing walk: max_delay starts at 10, min_delay at
+# the midpoint of [1e-3, 10]
+_UPPER_HINT = 10.0
+_LOWER_HINT = 0.5 * (1e-3 + 10.0)
+# largest decrease between neighbouring sweep cells that is not a
+# hierarchy violation
+_COMPARISON_TOL = 5e-3
 _MAX_PROBE_DOUBLINGS = 30
 # the rules that choose a probe delay (ProbeRecord.step): geometric
 # bracketing, the bisection fallback, the margin model's estimate, and the
@@ -105,7 +115,7 @@ class DelayBoundsReport:
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["schema_version"] = 5
+        out["schema_version"] = SCHEMA_VERSION
         return out
 
 
@@ -119,7 +129,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 5,
+            "schema_version": SCHEMA_VERSION,
             "cells": [
                 {"M": big_m, "m": m, **rep.to_dict()}
                 for (big_m, m), rep in sorted(self.cells.items())
@@ -133,7 +143,8 @@ class SweepResult:
 
 
 class _Prober:
-    """Feasibility oracle with memoized, logged probes."""
+    """Feasibility oracle with memoized, logged probes; every feasible
+    probe's certificate is re-checked before it counts."""
 
     def __init__(
         self,
@@ -141,13 +152,11 @@ class _Prober:
         params: HierarchyParams,
         options: SolverOptions,
         report: DelayBoundsReport,
-        verify: bool = True,
     ):
         self.sys = sys
         self.params = params
         self.options = options
         self.report = report
-        self.verify = verify
         self.cache: dict[float, bool] = {}
         # margin of every probe that came out feasible, in probe order
         self.margins: dict[float, float] = {}
@@ -162,10 +171,10 @@ class _Prober:
         t2 = time.perf_counter()
         verified = None
         verify_s = 0.0
-        if result.feasible and self.verify:
+        if result.feasible:
             verified = verify_certificate(problem, result)
             verify_s = time.perf_counter() - t2
-        ok = result.status == FEASIBLE and verified is not False
+        ok = verified is True
         if result.status == INCONCLUSIVE:
             self.report.inconclusive_probes += 1
         self.report.probes.append(
@@ -274,10 +283,8 @@ def _refine(prober: _Prober, tau_feas: float, tau_infeas: float, tol: float) -> 
 def max_delay(
     sys: DelaySystem,
     params: HierarchyParams,
-    bracket_hint: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = DEFAULT_TOL,
     options: SolverOptions = SolverOptions(),
-    verify: bool = True,
 ) -> tuple[float, DelayBoundsReport]:
     """Largest certified-stable delay: feasible at the bound, infeasible at
     bound + tol."""
@@ -285,9 +292,8 @@ def max_delay(
     report = DelayBoundsReport(
         sys.name, params.big_m, params.m, "upper", nodv=nodv(params, sys.n_x)
     )
-    prober = _Prober(sys, params, options, report, verify)
-    hint = bracket_hint[1]
-    tau_feas = _find_feasible(prober, hint)
+    prober = _Prober(sys, params, options, report)
+    tau_feas = _find_feasible(prober, _UPPER_HINT)
     tau_infeas = None
     probe = tau_feas
     for _ in range(_MAX_PROBE_DOUBLINGS):
@@ -310,10 +316,8 @@ def max_delay(
 def min_delay(
     sys: DelaySystem,
     params: HierarchyParams,
-    bracket_hint: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = DEFAULT_TOL,
     options: SolverOptions = SolverOptions(),
-    verify: bool = True,
 ) -> tuple[float | None, DelayBoundsReport]:
     """Smallest certified-stable delay, or None when feasibility persists
     down to the probe floor (interval open at zero)."""
@@ -321,9 +325,8 @@ def min_delay(
     report = DelayBoundsReport(
         sys.name, params.big_m, params.m, "lower", nodv=nodv(params, sys.n_x)
     )
-    prober = _Prober(sys, params, options, report, verify)
-    hint = 0.5 * (bracket_hint[0] + bracket_hint[1]) if bracket_hint[0] < bracket_hint[1] else bracket_hint[0]
-    tau_feas = _find_feasible(prober, hint)
+    prober = _Prober(sys, params, options, report)
+    tau_feas = _find_feasible(prober, _LOWER_HINT)
     tau_infeas = None
     probe = tau_feas
     for _ in range(_MAX_PROBE_DOUBLINGS):
@@ -347,10 +350,8 @@ def min_delay(
 def stability_interval(
     sys: DelaySystem,
     params: HierarchyParams,
-    bracket_hint: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = DEFAULT_TOL,
     options: SolverOptions = SolverOptions(),
-    verify: bool = True,
 ) -> DelayBoundsReport:
     """Certified stability interval [tau_lower, tau_upper].
 
@@ -360,8 +361,8 @@ def stability_interval(
     plus a note), never silently shrunk.
     """
     t0 = time.perf_counter()
-    lower, low_report = min_delay(sys, params, bracket_hint, tol, options, verify)
-    upper, up_report = max_delay(sys, params, bracket_hint, tol, options, verify)
+    lower, low_report = min_delay(sys, params, tol, options)
+    upper, up_report = max_delay(sys, params, tol, options)
     report = DelayBoundsReport(
         sys.name,
         params.big_m,
@@ -381,10 +382,8 @@ def stability_interval(
     if range_low is not None and upper is not None:
         problem = assemble_delay_range_lmis(sys, params, range_low, upper)
         result = decide_feasibility(problem, options)
-        certified = result.status == FEASIBLE and (
-            not verify or verify_certificate(problem, result)
-        )
-        report.range_certified = bool(certified)
+        certified = result.status == FEASIBLE and verify_certificate(problem, result)
+        report.range_certified = certified
         if not certified:
             report.notes.append(
                 f"range certification failed on [{range_low:g}, {upper:g}] "
@@ -403,15 +402,12 @@ def hierarchy_sweep(
     m_big_range: range,
     m_range: range,
     tol: float = DEFAULT_TOL,
-    comparison_tol: float = 5e-3,
-    bracket_hint: tuple[float, float] = DEFAULT_BRACKET,
     options: SolverOptions = SolverOptions(),
-    verify: bool = True,
 ) -> SweepResult:
     """Upper-bound sweep over an (M, m) grid with monotonicity audit.
 
     The expected hierarchy is nondecreasing bounds in both M and m; any
-    decrease beyond comparison_tol is recorded as a violation.  Per-cell
+    decrease beyond _COMPARISON_TOL is recorded as a violation.  Per-cell
     failures are captured, not raised, so one bad cell cannot abort a sweep.
     """
     if len(m_big_range) == 0 or len(m_range) == 0:
@@ -421,9 +417,7 @@ def hierarchy_sweep(
     for big_m in m_big_range:
         for m in m_range:
             try:
-                _, rep = max_delay(
-                    sys, HierarchyParams(big_m, m), bracket_hint, tol, options, verify
-                )
+                _, rep = max_delay(sys, HierarchyParams(big_m, m), tol, options)
                 cells[(big_m, m)] = rep
             except (NoFeasiblePointError, BracketError, ValueError) as exc:
                 errors[(big_m, m)] = str(exc)
@@ -435,7 +429,7 @@ def hierarchy_sweep(
             nxt = cells.get(key)
             if nxt is None or nxt.tau_upper is None:
                 continue
-            if nxt.tau_upper < rep.tau_upper - comparison_tol:
+            if nxt.tau_upper < rep.tau_upper - _COMPARISON_TOL:
                 violations.append(
                     {
                         "direction": label,

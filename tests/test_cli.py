@@ -119,6 +119,7 @@ def test_bounds_json_schema(capsys):
     assert all({"tau", "status", "margin"} <= set(p) for p in doc["probes"])
     assert all(p["iterations"] >= 1 and p["margin_error"] >= 0 for p in doc["probes"])
     assert all(p["stop_reason"] in STOP_REASONS for p in doc["probes"])
+    assert all(p["verified"] is True for p in doc["probes"] if p["status"] == "feasible")
     for p in doc["probes"]:
         for key in ("assemble_s", "solve_s", "verify_s"):
             assert math.isfinite(p[key]) and p[key] >= 0.0
@@ -159,6 +160,9 @@ def test_bounds_input_errors(capsys, tmp_path):
     assert code == EXIT_INPUT and "line" in err
     code, _, err = run_cli(capsys, "bounds", "--system", "example1", "--M", "0")
     assert code == EXIT_INPUT
+    for tol in ("0", "nan"):
+        code, _, err = run_cli(capsys, "bounds", "--system", "example1", "--tol", tol)
+        assert code == EXIT_INPUT and "tolerance must be positive" in err
 
 
 def test_bounds_no_feasible_point(capsys, tmp_path):
@@ -179,7 +183,7 @@ def test_inconclusive_dominated_run_exits_3(capsys, monkeypatch):
     import delaymargin.cli as cli_mod
     from delaymargin.search import DelayBoundsReport, ProbeRecord
 
-    def fake_max_delay(system, params, bracket, tol, options):
+    def fake_max_delay(system, params, tol):
         report = DelayBoundsReport("fake", params.big_m, params.m, "upper")
         report.tau_upper = 1.0
         report.probes = [
@@ -289,18 +293,19 @@ def test_crosscheck_clean(capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment overrides for solver thresholds.
+# the environment does not reach the solver.
 # ---------------------------------------------------------------------------
 
 
-def test_solver_env_overrides(monkeypatch):
-    from delaymargin.cli import _solver_options_from_env
-
-    monkeypatch.setenv("DELAYMARGIN_BOX_BOUND", "250.0")
-    monkeypatch.setenv("DELAYMARGIN_FEAS_THRESHOLD", "1e-6")
-    monkeypatch.setenv("DELAYMARGIN_MAX_ITER", "55")
-    opts = _solver_options_from_env()
-    assert opts.box_bound == 250.0
-    assert opts.feas_threshold == 1e-6
-    assert opts.max_iter == 55
-    assert opts.gap_tol == 1e-8  # untouched default
+def test_environment_does_not_change_bounds(capsys, monkeypatch):
+    argv = ("bounds", "--system", "example1", "--M", "1", "--m", "1",
+            "--tol", "1e-3", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    clean = json.loads(out)["tau_upper"]
+    # a NaN feasibility threshold and a zero box bound would break any solve
+    monkeypatch.setenv("DELAYMARGIN_FEAS_THRESHOLD", "nan")
+    monkeypatch.setenv("DELAYMARGIN_BOX_BOUND", "0")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["tau_upper"] == clean
