@@ -35,7 +35,6 @@ from .projection import (
 from .sdp import (
     ConeProgram,
     FeasibilityResult,
-    SolverOptions,
     decide_feasibility,
     solve,
     to_margin_program,

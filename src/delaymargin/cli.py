@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -51,8 +52,8 @@ def _search_inputs(args: argparse.Namespace) -> tuple[DelaySystem, HierarchyPara
     tolerance; --system is a file path or the name of a bundled system.
     Raises ValueError or SystemFileError on bad input."""
     params = HierarchyParams(args.M, args.m)
-    if not args.tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < args.tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     path = args.system
     if path in BUNDLED_SYSTEMS and not os.path.exists(path):
         path = bundled_system_path(path)
@@ -239,8 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int, default=1, help="moment order (>= 1)")
         p.add_argument("--m", type=int, default=1, help=f"weight depth (>= {m_floor})")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="search tolerance: the bound's feasible probe and an "
-                            "infeasible probe beyond it lie at most this far apart")
+                       help="search tolerance, positive and finite: the bound's "
+                            "feasible probe and an infeasible probe beyond it lie "
+                            "at most this far apart")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_bounds = sub.add_parser("bounds", help="delay bounds at one (M, m)")

@@ -84,9 +84,6 @@ class VectorFunction:
     def __call__(self, s: float) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def has_exact(self) -> bool:
-        return False
-
 
 class CallableVectorFunction(VectorFunction):
     def __init__(self, func: Callable[[float], Sequence[float]], dim: int):
@@ -123,9 +120,6 @@ class PolynomialVectorFunction(VectorFunction):
     def __call__(self, s: float) -> np.ndarray:
         return np.array([c.eval_float(s) for c in self.components])
 
-    def has_exact(self) -> bool:
-        return True
-
     def derivative(self) -> "PolynomialVectorFunction":
         return PolynomialVectorFunction(
             [c.derivative() for c in self.components], self.a, self.b
@@ -158,7 +152,7 @@ class PolynomialVectorFunction(VectorFunction):
 
 def functional_value(spec: FunctionalSpec, f: VectorFunction) -> float:
     """J(f) by adaptive quadrature, or exactly for polynomial test functions."""
-    if isinstance(f, PolynomialVectorFunction) and f.has_exact():
+    if isinstance(f, PolynomialVectorFunction):
         if (float(f.a), float(f.b)) != (spec.a, spec.b):
             raise ValueError("function interval does not match the spec interval")
         return f.exact_functional(spec.weight, spec.m)
@@ -177,7 +171,7 @@ def moments(f: VectorFunction, a: float, b: float, big_m: int) -> np.ndarray:
     """Legendre moment vectors phi_l, l = 0..M-1, stacked as an (M, n) array."""
     if big_m < 1:
         raise ValueError("at least one moment is required")
-    if isinstance(f, PolynomialVectorFunction) and f.has_exact():
+    if isinstance(f, PolynomialVectorFunction):
         if (float(f.a), float(f.b)) != (a, b):
             raise ValueError("function interval does not match [a, b]")
         return np.vstack([f.exact_moment(l) for l in range(big_m)])

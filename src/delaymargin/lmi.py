@@ -407,9 +407,6 @@ class LmiProblem:
 
     constraints: list[LmiConstraint]
     layout: VariableLayout
-    tau: float
-    params: HierarchyParams
-    system: DelaySystem
 
     @property
     def dim(self) -> int:
@@ -561,7 +558,7 @@ def assemble_stability_lmis(
         ("derivative", -1, compiled.derivative),
     ] + compiled.definite
     constraints = [_constraint(*block, tau) for block in blocks]
-    return LmiProblem(constraints, compiled.layout, tau, params, sys)
+    return LmiProblem(constraints, compiled.layout)
 
 
 def assemble_delay_range_lmis(
@@ -586,7 +583,7 @@ def assemble_delay_range_lmis(
         _constraint("derivative at lower endpoint", -1, derivative, tau_low),
         _constraint("derivative at upper endpoint", -1, derivative, tau_up),
     ] + [_constraint(*block, tau_up) for block in compiled.definite]
-    return LmiProblem(constraints, compiled.layout, tau_up, params, sys)
+    return LmiProblem(constraints, compiled.layout)
 
 
 def nodv(params: HierarchyParams, n_x: int) -> int:

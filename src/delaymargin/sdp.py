@@ -2,12 +2,15 @@
 
 Strict LMI feasibility is decided through a margin program: every
 positive-definite constraint G(y) > 0 becomes G(y) - t*I >= 0 (negative
-ones are negated first), an infinity-norm box |y_i| <= B keeps the program
-bounded, and the solver maximizes t.  The sign of the optimal margin t*
-then decides strict feasibility against a threshold.  ``solve`` returns
-that optimum; ``decide_feasibility``, the decision interface used by the
-bound search, stops earlier, at the first iterate whose dual point already
-certifies a margin above the threshold within 2x of the optimum.
+ones are negated first), an infinity-norm box |y_i| <= BOX_BOUND keeps
+the program bounded, and the solver maximizes t.  The sign of the optimal
+margin t* then decides strict feasibility against FEAS_THRESHOLD.
+``solve`` returns that optimum; ``decide_feasibility``, the decision
+interface used by the bound search, stops earlier, at the first iterate
+whose dual point already certifies a margin above the threshold within 2x
+of the optimum.  The thresholds are the module constants GAP_TOL, RES_TOL,
+FEAS_THRESHOLD and BOX_BOUND; only the iteration budget and an iteration
+log can be passed to ``solve``.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -35,7 +38,6 @@ from .lmi import LmiProblem
 
 __all__ = [
     "ConeProgram",
-    "SolverOptions",
     "FeasibilityResult",
     "to_margin_program",
     "solve",
@@ -59,18 +61,13 @@ STOP_REASONS = (
     "certified",
 )
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Termination and decision thresholds (all margins scale with the
-    largest constant-block norm, ``ConeProgram.scale``)."""
-
-    gap_tol: float = 1e-8
-    res_tol: float = 1e-9
-    feas_threshold: float = 1e-7
-    box_bound: float = 1e4
-    max_iter: int = 100
-    log_stream: TextIO | None = None
+# Termination and decision thresholds (GAP_TOL and FEAS_THRESHOLD scale
+# with the largest constant-block norm, ``ConeProgram.scale``), and the box
+# bound of the margin program built from an LMI problem.
+GAP_TOL = 1e-8
+RES_TOL = 1e-9
+FEAS_THRESHOLD = 1e-7
+BOX_BOUND = 1e4
 
 
 @dataclass
@@ -125,19 +122,18 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-def to_margin_program(
-    problem: LmiProblem, bound: float = SolverOptions.box_bound
-) -> ConeProgram:
+def to_margin_program(problem: LmiProblem) -> ConeProgram:
     """Margin reformulation of an LMI problem.
 
     Negative-definite constraints are negated, so every block must exceed
-    t*I; the box on the decision scalars makes max-t well posed.
+    t*I; the box |y_i| <= BOX_BOUND on the decision scalars makes max-t
+    well posed.
     """
     blocks = []
     for c in problem.constraints:
         sgn = float(c.sense)
         blocks.append((sgn * c.f0, sgn * c.coeffs))
-    return ConeProgram(blocks=blocks, num_y=problem.dim, box_bound=bound)
+    return ConeProgram(blocks=blocks, num_y=problem.dim, box_bound=BOX_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +214,20 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
 
 def solve(
     program: ConeProgram,
-    options: SolverOptions = SolverOptions(),
     *,
     stop_when_certified: bool = False,
+    max_iter: int = 100,
+    log_stream: TextIO | None = None,
 ) -> FeasibilityResult:
     """Maximize the margin t and classify strict feasibility by its sign.
 
     Deterministic given identical inputs.  Termination: duality gap below
-    ``gap_tol * scale`` and normalized primal/dual residuals below
-    ``res_tol``.  Classification: FEASIBLE when t* >= ``feas_threshold *
-    scale`` and the dual residual is at most 100 ``res_tol`` (the dual
-    iterate is then a certificate, whatever the primal residual);
-    otherwise the gap and both residuals must be small for INFEASIBLE, and
-    anything else, including iteration exhaustion, is
+    ``GAP_TOL * scale`` and normalized primal/dual residuals below
+    ``RES_TOL``, or ``max_iter`` iterations.  Classification: FEASIBLE when
+    t* >= ``FEAS_THRESHOLD * scale`` and the dual residual is at most 100
+    ``RES_TOL`` (the dual iterate is then a certificate, whatever the
+    primal residual); otherwise the gap and both residuals must be small
+    for INFEASIBLE, and anything else, including iteration exhaustion, is
     numerically-inconclusive with diagnostics attached.
 
     ``meta["stop_reason"]`` records why the iteration ended, one of
@@ -246,15 +243,16 @@ def solve(
     By default ``solve`` runs to the optimal margin.  With
     ``stop_when_certified`` (the decision path, ``decide_feasibility``) it
     also stops, as ``certified``, at the first iterate that already decides
-    FEASIBLE, with both residuals at most 100 ``res_tol`` and a duality gap
+    FEASIBLE, with both residuals at most 100 ``RES_TOL`` and a duality gap
     no larger than its margin: the reported margin is then a certified
-    lower bound within 2x of the optimum, not the optimum.
+    lower bound within 2x of the optimum, not the optimum.  ``log_stream``,
+    when given, receives one text line per iteration (t, gap, residuals).
     """
     p = program.num_y
     q = p + 1  # margin variable t is last
     bound = program.box_bound
     scale = program.scale
-    threshold = options.feas_threshold * scale
+    threshold = FEAS_THRESHOLD * scale
 
     groups = _stack_by_size(program)
     cs = [c for c, _ in groups]
@@ -293,8 +291,8 @@ def solve(
         return out
 
     def log(msg: str) -> None:
-        if options.log_stream is not None:
-            options.log_stream.write(msg + "\n")
+        if log_stream is not None:
+            log_stream.write(msg + "\n")
 
     stop_reason = "max-iter"
     residuals: dict = {}
@@ -303,7 +301,7 @@ def solve(
     stall_count = 0
     jitters = (0.0, 1e-13, 1e-10, 1e-7)  # Schur regularization levels
     jitter_floor = 0
-    for it in range(1, options.max_iter + 1):
+    for it in range(1, max_iter + 1):
         rp = b_obj - aop(xs, x_lp)
         rds = [c - (z @ flat).reshape(c.shape) - s for c, flat, s in zip(cs, flats, ss)]
         rd_lp = c_lp - a_lp @ z - s_lp
@@ -312,12 +310,12 @@ def solve(
 
         pinf = float(np.abs(rp).max()) / (1.0 + bound)
         dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
-        dinf_lp = float(np.abs(rd_lp).max()) if n_lp else 0.0
+        dinf_lp = float(np.abs(rd_lp).max(initial=0.0))
         dinf = max(dinf_blocks, dinf_lp) / (1.0 + c_norm + bound)
-        residuals = {"gap": gap, "primal": pinf, "dual": dinf, "mu": mu}
+        residuals = {"gap": gap, "primal": pinf, "dual": dinf}
         log(f"iter {it:3d}  t={z[p]: .9e}  gap={gap:.3e}  pinf={pinf:.3e}  dinf={dinf:.3e}")
 
-        if gap <= options.gap_tol * scale and pinf <= options.res_tol and dinf <= options.res_tol:
+        if gap <= GAP_TOL * scale and pinf <= RES_TOL and dinf <= RES_TOL:
             stop_reason = "converged"
             break
         # the verdict is fixed once the dual iterate certifies a margin above
@@ -327,8 +325,8 @@ def solve(
         if (
             stop_when_certified
             and z[p] >= threshold
-            and dinf <= 100 * options.res_tol
-            and pinf <= 100 * options.res_tol
+            and dinf <= 100 * RES_TOL
+            and pinf <= 100 * RES_TOL
             and gap <= z[p]
         ):
             stop_reason = "certified"
@@ -336,7 +334,7 @@ def solve(
         # rounding floor: box products of size ~bound set a floor on the
         # attainable absolute gap; once near it, stop when progress dies
         # (mid-phase plateaus at large gap are left alone)
-        stall_level = max(1e2 * options.gap_tol * scale, 1e-12 * bound * n_total)
+        stall_level = max(1e2 * GAP_TOL * scale, 1e-12 * bound * n_total)
         if gap <= stall_level and gap >= 0.7 * best_gap:
             stall_count += 1
             if stall_count >= 4:
@@ -356,8 +354,8 @@ def solve(
             stop_reason = "nt-scaling-failed"
             break
         gs, g_invs, lams, lx_invs, ls_invs = zip(*scalings)
-        w_lp = np.sqrt(x_lp / s_lp) if n_lp else x_lp
-        lam_lp = np.sqrt(x_lp * s_lp) if n_lp else x_lp
+        w_lp = np.sqrt(x_lp / s_lp)
+        lam_lp = np.sqrt(x_lp * s_lp)
 
         ws = [g @ _t(g) for g in gs]
 
@@ -366,11 +364,8 @@ def solve(
         for g, (_, a) in zip(gs, groups):
             flat = (_t(g) @ a @ g).reshape(q, -1)
             schur += flat @ flat.T
-        if n_lp:
-            w2 = w_lp**2
-            diag_add = np.zeros(q)
-            diag_add[:p] = w2[0::2] + w2[1::2]
-            schur[np.diag_indices(q)] += diag_add
+        w2 = w_lp**2
+        schur[np.diag_indices(p)] += w2[0::2] + w2[1::2]
         schur = 0.5 * (schur + schur.T)
 
         factor_inv = None
@@ -395,8 +390,7 @@ def solve(
             for g, w, flat, rc, rd in zip(gs, ws, flats, rcs, rds):
                 term = g @ rc @ _t(g) - w @ rd @ w
                 rhs -= flat @ term.reshape(-1)
-            if n_lp:
-                rhs -= a_lp.T @ (w_lp * rc_lp - w_lp**2 * rd_lp)
+            rhs -= a_lp.T @ (w_lp * rc_lp - w_lp**2 * rd_lp)
             dz = schur_solve(rhs)
             # one refinement pass keeps the Schur solve honest near the boundary
             dz += schur_solve(rhs - schur @ dz)
@@ -405,21 +399,18 @@ def solve(
                 _sym(g @ rc @ _t(g) - w @ dsm @ w)
                 for g, w, rc, dsm in zip(gs, ws, rcs, d_ss)
             ]
-            if n_lp:
-                ds_lp = rd_lp - a_lp @ dz
-                dx_lp = w_lp * rc_lp - w_lp**2 * ds_lp
-            else:
-                ds_lp = dx_lp = np.zeros(0)
+            ds_lp = rd_lp - a_lp @ dz
+            dx_lp = w_lp * rc_lp - w_lp**2 * ds_lp
             return dz, d_xs, d_ss, dx_lp, ds_lp
 
         def step_lengths(d_xs, d_ss, dx_lp, ds_lp):
             ap = min(
                 [_max_step(lx, dx) for lx, dx in zip(lx_invs, d_xs)]
-                + [_max_step_vec(x_lp, dx_lp) if n_lp else np.inf]
+                + [_max_step_vec(x_lp, dx_lp)]
             )
             ad = min(
                 [_max_step(ls, ds) for ls, ds in zip(ls_invs, d_ss)]
-                + [_max_step_vec(s_lp, ds_lp) if n_lp else np.inf]
+                + [_max_step_vec(s_lp, ds_lp)]
             )
             return ap, ad
 
@@ -442,9 +433,7 @@ def solve(
         gap_aff = sum(
             float(np.sum((x + ap_aff * dx) * (s + ad_aff * ds)))
             for x, dx, s, ds in zip(xs, dxs_a, ss, dss_a)
-        )
-        if n_lp:
-            gap_aff += float((x_lp + ap_aff * dxlp_a) @ (s_lp + ad_aff * dslp_a))
+        ) + float((x_lp + ap_aff * dxlp_a) @ (s_lp + ad_aff * dslp_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
         # Corrector with Mehrotra second-order term
@@ -454,10 +443,7 @@ def solve(
             resid = (sigma * mu - lam**2)[..., None] * e - _sym(cross)
             denom = lam[..., :, None] + lam[..., None, :]
             rcs.append(2.0 * resid / denom)
-        if n_lp:
-            rc_lp = (sigma * mu - lam_lp**2 - dxlp_a * dslp_a) / lam_lp
-        else:
-            rc_lp = np.zeros(0)
+        rc_lp = (sigma * mu - lam_lp**2 - dxlp_a * dslp_a) / lam_lp
         try:
             with np.errstate(over="raise", invalid="raise"):
                 dz, dxs, dss, dx_lp, ds_lp = newton(rcs, rc_lp)
@@ -484,9 +470,8 @@ def solve(
 
         xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
         ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
-        if n_lp:
-            x_lp = x_lp + ap * dx_lp
-            s_lp = s_lp + ad * ds_lp
+        x_lp = x_lp + ap * dx_lp
+        s_lp = s_lp + ad * ds_lp
         z = z + ad * dz
 
     t_star = float(z[p])
@@ -496,11 +481,11 @@ def solve(
     err = residuals.get("gap", np.inf) + (
         residuals.get("primal", np.inf) + residuals.get("dual", np.inf)
     ) * (1.0 + bound)
-    dual_ok = residuals.get("dual", np.inf) <= 100 * options.res_tol
+    dual_ok = residuals.get("dual", np.inf) <= 100 * RES_TOL
     converged = stop_reason == "converged"
     decisive = converged or (
         err <= 0.1 * max(abs(t_star), threshold)
-        and residuals.get("primal", np.inf) <= 100 * options.res_tol
+        and residuals.get("primal", np.inf) <= 100 * RES_TOL
         and dual_ok
     )
     if t_star >= threshold and dual_ok:
@@ -539,9 +524,7 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def decide_feasibility(
-    problem: LmiProblem, options: SolverOptions = SolverOptions()
-) -> FeasibilityResult:
+def decide_feasibility(problem: LmiProblem) -> FeasibilityResult:
     """Decide strict feasibility of an LMI problem.
 
     Unlike a bare ``solve``, this stops at the first iterate that certifies
@@ -549,8 +532,7 @@ def decide_feasibility(
     certified lower bound within 2x of the optimum; infeasible and
     inconclusive verdicts still come from the full solve.
     """
-    program = to_margin_program(problem, options.box_bound)
-    return solve(program, options, stop_when_certified=True)
+    return solve(to_margin_program(problem), stop_when_certified=True)
 
 
 def verify_certificate(problem: LmiProblem, result: FeasibilityResult) -> bool:

@@ -1,8 +1,11 @@
 """Delay-bound discovery: a margin-guided search on the feasibility oracle.
 
-Bounds are bracketed by geometric probing around a fixed starting delay,
-then refined by one safeguarded search (`_refine`) in the style of Brent's
-method.  The margin of a feasible probe falls to zero at the bound, so the
+Both ends of the stable delay range are found by one bracket-and-refine
+body (`_search`): geometric probing from a fixed starting delay (doubling
+for the upper bound, halving for the lower), then one safeguarded search
+(`_refine`) in the style of Brent's method.  `max_delay` and `min_delay`
+differ only in what a missing crossing means: an error for the upper
+bound, an interval open at zero for the lower.  The margin of a feasible probe falls to zero at the bound, so the
 next probe is estimated by inverse interpolation of tau(margin) at margin 0
 through the last feasible probes, and falls back to bisection whenever the
 estimate is unusable or neither the bracket nor the step shrinks fast
@@ -12,7 +15,8 @@ has re-checked its certificate, so every reported bound is backed by a
 logged, verified feasible probe and a logged infeasible probe within the
 tolerance.  Solver runs that end numerically inconclusive are treated as
 infeasible (the conservative choice for a stability claim) and flagged in
-the report.
+the report.  The solver's thresholds are the fixed `sdp` constants; the
+search exposes only its tolerance.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .lmi import (
 from .sdp import (
     FEASIBLE,
     INCONCLUSIVE,
-    SolverOptions,
     decide_feasibility,
     verify_certificate,
 )
@@ -147,15 +150,10 @@ class _Prober:
     probe's certificate is re-checked before it counts."""
 
     def __init__(
-        self,
-        sys: DelaySystem,
-        params: HierarchyParams,
-        options: SolverOptions,
-        report: DelayBoundsReport,
+        self, sys: DelaySystem, params: HierarchyParams, report: DelayBoundsReport
     ):
         self.sys = sys
         self.params = params
-        self.options = options
         self.report = report
         self.cache: dict[float, bool] = {}
         # margin of every probe that came out feasible, in probe order
@@ -167,7 +165,7 @@ class _Prober:
         t0 = time.perf_counter()
         problem = assemble_stability_lmis(self.sys, self.params, tau)
         t1 = time.perf_counter()
-        result = decide_feasibility(problem, self.options)
+        result = decide_feasibility(problem)
         t2 = time.perf_counter()
         verified = None
         verify_s = 0.0
@@ -233,9 +231,10 @@ def _margin_root(points: list[tuple[float, float]]) -> float:
     return estimate
 
 
-def _refine(prober: _Prober, tau_feas: float, tau_infeas: float, tol: float) -> float:
-    """Shrink a (feasible, infeasible) bracket to at most tol; returns the
-    feasible end.
+def _refine(
+    prober: _Prober, tau_feas: float, tau_infeas: float, tol: float
+) -> tuple[float, float]:
+    """Shrink a (feasible, infeasible) bracket to at most tol and return it.
 
     Works in either direction.  Each step estimates the crossing with
     `_margin_root` through the last three feasible probes and proposes:
@@ -277,81 +276,71 @@ def _refine(prober: _Prober, tau_feas: float, tau_infeas: float, tol: float) -> 
             tau_feas = tau
         else:
             tau_infeas = tau
-    return tau_feas
+    return tau_feas, tau_infeas
+
+
+def _search(
+    sys: DelaySystem, params: HierarchyParams, tol: float, direction: str
+) -> tuple[float, float | None, DelayBoundsReport]:
+    """Bracket and refine one end of the stable delay range.
+
+    Walks from a feasible start by x2 (upper) or x0.5 (lower), both exact,
+    until a probe is infeasible, then refines that bracket to tol.  Returns
+    the refined (feasible, infeasible) ends and the report, whose bound is
+    left for the caller to set; the infeasible end is None when the walk
+    found no crossing.
+    """
+    upper = direction == "upper"
+    report = DelayBoundsReport(
+        sys.name, params.big_m, params.m, direction, nodv=nodv(params, sys.n_x)
+    )
+    prober = _Prober(sys, params, report)
+    tau_feas = _find_feasible(prober, _UPPER_HINT if upper else _LOWER_HINT)
+    factor = 2.0 if upper else 0.5
+    for _ in range(_MAX_PROBE_DOUBLINGS):
+        probe = tau_feas * factor
+        if not prober.feasible(probe, "bracket"):
+            return (*_refine(prober, tau_feas, probe, tol), report)
+        tau_feas = probe
+    return tau_feas, None, report
 
 
 def max_delay(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tol: float = DEFAULT_TOL,
-    options: SolverOptions = SolverOptions(),
+    sys: DelaySystem, params: HierarchyParams, tol: float = DEFAULT_TOL
 ) -> tuple[float, DelayBoundsReport]:
     """Largest certified-stable delay: feasible at the bound, infeasible at
     bound + tol."""
     t0 = time.perf_counter()
-    report = DelayBoundsReport(
-        sys.name, params.big_m, params.m, "upper", nodv=nodv(params, sys.n_x)
-    )
-    prober = _Prober(sys, params, options, report)
-    tau_feas = _find_feasible(prober, _UPPER_HINT)
-    tau_infeas = None
-    probe = tau_feas
-    for _ in range(_MAX_PROBE_DOUBLINGS):
-        probe *= 2.0
-        if not prober.feasible(probe, "bracket"):
-            tau_infeas = probe
-            break
-        tau_feas = probe
+    tau_feas, tau_infeas, report = _search(sys, params, tol, "upper")
     if tau_infeas is None:
         raise BracketError(
             f"feasible up to tau={tau_feas:g}; no upper crossing found "
             "(delay-independent stability in the probed range)"
         )
-    tau_feas = _refine(prober, tau_feas, tau_infeas, tol)
     report.tau_upper = tau_feas
     report.wall_time_s = time.perf_counter() - t0
     return tau_feas, report
 
 
 def min_delay(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tol: float = DEFAULT_TOL,
-    options: SolverOptions = SolverOptions(),
+    sys: DelaySystem, params: HierarchyParams, tol: float = DEFAULT_TOL
 ) -> tuple[float | None, DelayBoundsReport]:
     """Smallest certified-stable delay, or None when feasibility persists
     down to the probe floor (interval open at zero)."""
     t0 = time.perf_counter()
-    report = DelayBoundsReport(
-        sys.name, params.big_m, params.m, "lower", nodv=nodv(params, sys.n_x)
-    )
-    prober = _Prober(sys, params, options, report)
-    tau_feas = _find_feasible(prober, _LOWER_HINT)
-    tau_infeas = None
-    probe = tau_feas
-    for _ in range(_MAX_PROBE_DOUBLINGS):
-        probe /= 2.0
-        if not prober.feasible(probe, "bracket"):
-            tau_infeas = probe
-            break
-        tau_feas = probe
+    tau_feas, tau_infeas, report = _search(sys, params, tol, "lower")
     if tau_infeas is None:
         report.notes.append(
             f"feasible down to probe floor tau={tau_feas:g}; no lower crossing"
         )
-        report.wall_time_s = time.perf_counter() - t0
-        return None, report
-    tau_feas = _refine(prober, tau_feas, tau_infeas, tol)
+        tau_feas = None
     report.tau_lower = tau_feas
     report.wall_time_s = time.perf_counter() - t0
     return tau_feas, report
 
 
 def stability_interval(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tol: float = DEFAULT_TOL,
-    options: SolverOptions = SolverOptions(),
+    sys: DelaySystem, params: HierarchyParams, tol: float = DEFAULT_TOL
 ) -> DelayBoundsReport:
     """Certified stability interval [tau_lower, tau_upper].
 
@@ -361,8 +350,8 @@ def stability_interval(
     plus a note), never silently shrunk.
     """
     t0 = time.perf_counter()
-    lower, low_report = min_delay(sys, params, tol, options)
-    upper, up_report = max_delay(sys, params, tol, options)
+    lower, low_report = min_delay(sys, params, tol)
+    upper, up_report = max_delay(sys, params, tol)
     report = DelayBoundsReport(
         sys.name,
         params.big_m,
@@ -381,7 +370,7 @@ def stability_interval(
     )
     if range_low is not None and upper is not None:
         problem = assemble_delay_range_lmis(sys, params, range_low, upper)
-        result = decide_feasibility(problem, options)
+        result = decide_feasibility(problem)
         certified = result.status == FEASIBLE and verify_certificate(problem, result)
         report.range_certified = certified
         if not certified:
@@ -389,7 +378,7 @@ def stability_interval(
                 f"range certification failed on [{range_low:g}, {upper:g}] "
                 f"(status {result.status}); pointwise bounds reported unchanged"
             )
-        if not np.allclose(sys.a_d2, 0.0):
+        if np.any(sys.a_d2):
             report.notes.append(
                 "distributed-kernel matrix nonzero: endpoint range check is heuristic"
             )
@@ -402,7 +391,6 @@ def hierarchy_sweep(
     m_big_range: range,
     m_range: range,
     tol: float = DEFAULT_TOL,
-    options: SolverOptions = SolverOptions(),
 ) -> SweepResult:
     """Upper-bound sweep over an (M, m) grid with monotonicity audit.
 
@@ -417,7 +405,7 @@ def hierarchy_sweep(
     for big_m in m_big_range:
         for m in m_range:
             try:
-                _, rep = max_delay(sys, HierarchyParams(big_m, m), tol, options)
+                _, rep = max_delay(sys, HierarchyParams(big_m, m), tol)
                 cells[(big_m, m)] = rep
             except (NoFeasiblePointError, BracketError, ValueError) as exc:
                 errors[(big_m, m)] = str(exc)

@@ -160,7 +160,7 @@ def test_bounds_input_errors(capsys, tmp_path):
     assert code == EXIT_INPUT and "line" in err
     code, _, err = run_cli(capsys, "bounds", "--system", "example1", "--M", "0")
     assert code == EXIT_INPUT
-    for tol in ("0", "nan"):
+    for tol in ("0", "nan", "inf"):
         code, _, err = run_cli(capsys, "bounds", "--system", "example1", "--tol", tol)
         assert code == EXIT_INPUT and "tolerance must be positive" in err
 

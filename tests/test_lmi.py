@@ -17,7 +17,7 @@ from delaymargin.lmi import (
     range_derivative_block,
 )
 from delaymargin.projection import weighted_moment_map
-from delaymargin.sdp import SolverOptions, decide_feasibility
+from delaymargin.sdp import decide_feasibility
 
 
 def example1() -> DelaySystem:
@@ -262,7 +262,6 @@ def test_delay_range_matches_affine_structure():
 def test_delay_range_single_point_equivalence():
     # Schur form at a single tau decides exactly like the plain condition
     rng = np.random.default_rng(5)
-    opts = SolverOptions()
     agreements = 0
     for _ in range(20):
         n = int(rng.integers(1, 3))
@@ -271,10 +270,8 @@ def test_delay_range_single_point_equivalence():
         sys = DelaySystem.from_matrices(a, d1)
         tau = float(rng.uniform(0.05, 2.5))
         params = HierarchyParams(int(rng.integers(1, 3)), int(rng.integers(0, 2)))
-        r1 = decide_feasibility(assemble_stability_lmis(sys, params, tau), opts)
-        r2 = decide_feasibility(
-            assemble_delay_range_lmis(sys, params, tau, tau), opts
-        )
+        r1 = decide_feasibility(assemble_stability_lmis(sys, params, tau))
+        r2 = decide_feasibility(assemble_delay_range_lmis(sys, params, tau, tau))
         assert r1.status == r2.status, (a, d1, tau, params)
         agreements += 1
     assert agreements == 20

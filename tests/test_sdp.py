@@ -11,8 +11,9 @@ from delaymargin.sdp import (
     FEASIBLE,
     INCONCLUSIVE,
     INFEASIBLE,
+    BOX_BOUND,
+    RES_TOL,
     ConeProgram,
-    SolverOptions,
     decide_feasibility,
     solve,
     to_margin_program,
@@ -154,7 +155,7 @@ def test_blocks_of_mixed_sizes_are_stacked_consistently():
 def test_stop_reason():
     program = oracle_cases()[0][1]
     assert solve(program).meta["stop_reason"] == "converged"
-    assert solve(program, SolverOptions(max_iter=3)).meta["stop_reason"] == "max-iter"
+    assert solve(program, max_iter=3).meta["stop_reason"] == "max-iter"
 
 
 def test_status_three_way_rule():
@@ -180,15 +181,15 @@ def test_feasible_is_decided_by_the_dual_iterate():
     # stopped early, the primal residual is far from converged, but the dual
     # iterate already certifies a positive margin at its y
     program = oracle_cases()[0][1]  # scalar-box, t* = 1
-    res = solve(program, SolverOptions(max_iter=3))
-    assert res.residuals["primal"] > 100 * SolverOptions.res_tol
+    res = solve(program, max_iter=3)
+    assert res.residuals["primal"] > 100 * RES_TOL
     assert res.status == FEASIBLE
     for f0, stack in program.blocks:
         mat = f0 + np.tensordot(res.certificate, stack, axes=1)
         assert np.linalg.eigvalsh(mat)[0] >= res.margin * (1 - 1e-9)
     # the primal residual still gates the infeasible verdict
-    res = solve(oracle_cases()[5][1], SolverOptions(max_iter=3))  # t* = -1/2
-    assert res.residuals["primal"] > 100 * SolverOptions.res_tol
+    res = solve(oracle_cases()[5][1], max_iter=3)  # t* = -1/2
+    assert res.residuals["primal"] > 100 * RES_TOL
     assert res.status == INCONCLUSIVE
 
 
@@ -279,7 +280,7 @@ def test_rejects_invalid_programs():
 def test_iteration_log_stream():
     stream = io.StringIO()
     program = oracle_cases()[0][1]
-    solve(program, SolverOptions(log_stream=stream))
+    solve(program, log_stream=stream)
     lines = stream.getvalue().strip().splitlines()
     assert len(lines) >= 3
     assert all("gap=" in ln for ln in lines)
@@ -329,9 +330,9 @@ def test_early_exit_keeps_verdicts_near_the_bound(name):
 
 def test_margin_program_structure():
     prob = example1_problem(1.0)
-    program = to_margin_program(prob, bound=123.0)
+    program = to_margin_program(prob)
     assert program.num_y == prob.dim
-    assert program.box_bound == 123.0
+    assert program.box_bound == BOX_BOUND
     # negative-definite constraints arrive negated
     deriv = prob.constraints[1]
     assert deriv.sense == -1

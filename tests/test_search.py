@@ -127,7 +127,7 @@ _CROSSINGS = {"upper": (1.2345678, 6.0593), "lower": (0.1005, 0.0123456)}
 def _fake_search(monkeypatch, profile, r, direction, tol):
     rng = np.random.default_rng(5)
 
-    def decide(tau, options):
+    def decide(tau):
         d = r - tau if direction == "upper" else tau - r
         return _FakeResult(_PROFILES[profile](d, rng) if d > 0 else -1e-10)
 
@@ -214,6 +214,16 @@ def test_stability_interval_reports_certification_outcome():
     assert report.range_certified is not None
     if not report.range_certified:
         assert any("range certification failed" in n for n in report.notes)
+
+
+def test_interval_notes_any_nonzero_distributed_kernel():
+    # a tiny A_d2 still puts tau**2 terms into the range LMIs, so the
+    # endpoint range check is heuristic however small the kernel is
+    a, d1 = [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]]
+    sys3 = DelaySystem.from_matrices(a, d1, 1e-9 * np.eye(2), name="example3-d2")
+    report = stability_interval(sys3, HierarchyParams(1, 1), tol=1e-3)
+    assert report.range_certified is not None
+    assert any("endpoint range check is heuristic" in n for n in report.notes)
 
 
 def test_interval_open_at_zero():
