@@ -8,7 +8,6 @@ by the margins of the feasible ones (with a bisection fallback).
 """
 
 from .inequalities import (
-    CallableVectorFunction,
     FunctionalSpec,
     PolynomialVectorFunction,
     functional_value,

@@ -195,6 +195,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _range_error(args: argparse.Namespace) -> str | None:
+    """Why a verify or crosscheck input is out of range, or None.  Below
+    these floors the seed is unusable or the suites check nothing."""
+    for dest, flag, floor in (("seed", "--seed", 0), ("cases", "--cases", 1),
+                              ("max_m", "--max-m", 0), ("max_M", "--max-M", 1)):
+        value = getattr(args, dest, floor)
+        if value < floor:
+            return f"{flag} must be >= {floor}, got {value}"
+    return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_all(
         seed=args.seed,
@@ -259,18 +270,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the inequality property suites")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--cases", type=int, default=250)
-    p_verify.add_argument("--max-m", dest="max_m", type=int, default=3)
-    p_verify.add_argument("--max-M", dest="max_M", type=int, default=6)
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                          help="random seed (>= 0)")
+    p_verify.add_argument("--cases", type=int, default=250,
+                          help="random soundness cases (>= 1)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_cross = sub.add_parser(
         "crosscheck", help="diff published closed forms against basis change"
     )
-    p_cross.add_argument("--max-m", dest="max_m", type=int, default=3)
-    p_cross.add_argument("--max-M", dest="max_M", type=int, default=6)
     p_cross.set_defaults(func=cmd_crosscheck)
+    for p in (p_verify, p_cross):
+        p.add_argument("--max-m", dest="max_m", type=int, default=3,
+                       help="largest weight depth m checked (>= 0)")
+        p.add_argument("--max-M", dest="max_M", type=int, default=6,
+                       help="largest moment order M checked (>= 1)")
 
     return parser
 
@@ -281,6 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses code 2 for usage errors
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    error = _range_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_INPUT
     return args.func(args)
 
 

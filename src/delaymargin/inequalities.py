@@ -1,4 +1,4 @@
-"""Numerical oracle layer for the weighted integral functionals and their
+"""Exact evaluation of the weighted integral functionals and their
 projection lower bounds.
 
 The functional under study is
@@ -6,9 +6,9 @@ The functional under study is
     J(f) = int_a^b ((s - a)/(b - a))**m  f(s)^T W f(s) ds,   W > 0,
 
 together with two families of certified lower bounds obtained by projecting
-f (or f') onto the first few weighted orthogonal polynomials.  This module
-evaluates both sides so the bound inequalities can be certified numerically, and
-implements the competing first-order bound they are compared against.
+f (or f') onto the first few weighted orthogonal polynomials.  Test functions
+are rational polynomials on rational intervals, so both sides are integrated
+exactly; the module also implements the competing first-order bound.
 """
 
 from __future__ import annotations
@@ -16,19 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .polynomials import RationalPolynomial, rodrigues_poly
 from .projection import derivative_moment_map, weighted_moment_map
-from .quadrature import adaptive_quadrature
 
 __all__ = [
     "FunctionalSpec",
-    "VectorFunction",
     "PolynomialVectorFunction",
-    "CallableVectorFunction",
     "functional_value",
     "moments",
     "lower_bound_values",
@@ -71,30 +68,7 @@ class FunctionalSpec:
         return self.b - self.a
 
 
-class VectorFunction:
-    """Continuous vector-valued test function on an interval.
-
-    Subclasses provide ``__call__``; polynomial test functions additionally
-    expose exact moments and exact functional values, which the evaluators
-    prefer over quadrature.
-    """
-
-    dim: int
-
-    def __call__(self, s: float) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class CallableVectorFunction(VectorFunction):
-    def __init__(self, func: Callable[[float], Sequence[float]], dim: int):
-        self._func = func
-        self.dim = dim
-
-    def __call__(self, s: float) -> np.ndarray:
-        return np.asarray(self._func(s), dtype=float)
-
-
-class PolynomialVectorFunction(VectorFunction):
+class PolynomialVectorFunction:
     """Vector of exact rational polynomials in s, on an exact interval.
 
     When the interval endpoints are rationals, every moment and functional
@@ -150,40 +124,22 @@ class PolynomialVectorFunction(VectorFunction):
         return f_a, f_b
 
 
-def functional_value(spec: FunctionalSpec, f: VectorFunction) -> float:
-    """J(f) by adaptive quadrature, or exactly for polynomial test functions."""
-    if isinstance(f, PolynomialVectorFunction):
-        if (float(f.a), float(f.b)) != (spec.a, spec.b):
-            raise ValueError("function interval does not match the spec interval")
-        return f.exact_functional(spec.weight, spec.m)
-    w = spec.weight
-    a, b, m = spec.a, spec.b, spec.m
-    inv_width = 1.0 / (b - a)
-
-    def integrand(s: float) -> float:
-        v = f(s)
-        return ((s - a) * inv_width) ** m * float(v @ w @ v)
-
-    return float(adaptive_quadrature(integrand, a, b, tol=1e-10))
+def functional_value(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float:
+    """J(f), integrated exactly."""
+    if (float(f.a), float(f.b)) != (spec.a, spec.b):
+        raise ValueError("function interval does not match the spec interval")
+    return f.exact_functional(spec.weight, spec.m)
 
 
-def moments(f: VectorFunction, a: float, b: float, big_m: int) -> np.ndarray:
+def moments(
+    f: PolynomialVectorFunction, a: float, b: float, big_m: int
+) -> np.ndarray:
     """Legendre moment vectors phi_l, l = 0..M-1, stacked as an (M, n) array."""
     if big_m < 1:
         raise ValueError("at least one moment is required")
-    if isinstance(f, PolynomialVectorFunction):
-        if (float(f.a), float(f.b)) != (a, b):
-            raise ValueError("function interval does not match [a, b]")
-        return np.vstack([f.exact_moment(l) for l in range(big_m)])
-    width = b - a
-    basis = [rodrigues_poly(0, l) for l in range(big_m)]
-
-    def integrand(s: float) -> np.ndarray:
-        x = (s - a) / width
-        vals = f(s)
-        return np.array([p.eval_float(x) for p in basis])[:, None] * vals[None, :]
-
-    return np.asarray(adaptive_quadrature(integrand, a, b, tol=1e-10))
+    if (float(f.a), float(f.b)) != (a, b):
+        raise ValueError("function interval does not match [a, b]")
+    return np.vstack([f.exact_moment(l) for l in range(big_m)])
 
 
 def _weight_block(m: int, nu: int, weight: np.ndarray) -> np.ndarray:
@@ -233,7 +189,7 @@ def lower_bound_derivative(
 
 
 def competitor_statistics(
-    spec: FunctionalSpec, f: VectorFunction
+    spec: FunctionalSpec, f: PolynomialVectorFunction
 ) -> tuple[np.ndarray, np.ndarray]:
     """The competing bound's statistics, recovered from weighted moments.
 

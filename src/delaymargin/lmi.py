@@ -385,19 +385,19 @@ def range_derivative_block(
 
 @dataclass
 class LmiConstraint:
-    """One affine matrix constraint: sense * (f0 + sum_i y_i coeffs[i]) > 0."""
+    """One linear matrix constraint: sense * sum_i y_i coeffs[i] > 0 (the
+    stability LMIs are homogeneous, so there is no constant term)."""
 
     name: str
     sense: int  # +1: positive definite, -1: negative definite
-    f0: np.ndarray
     coeffs: np.ndarray  # (dim, d, d)
 
     @property
     def size(self) -> int:
-        return self.f0.shape[0]
+        return self.coeffs.shape[1]
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        mat = self.f0 + np.tensordot(y, self.coeffs, axes=1)
+        mat = np.tensordot(y, self.coeffs, axes=1)
         return 0.5 * (mat + mat.T)
 
 
@@ -537,13 +537,6 @@ def _compiled(sys: DelaySystem, params: HierarchyParams) -> _CompiledLmis:
     return compiled
 
 
-def _constraint(
-    name: str, sense: int, poly: _TauPolynomial, tau: float
-) -> LmiConstraint:
-    coeffs = poly.at(tau)
-    return LmiConstraint(name, sense, np.zeros(coeffs.shape[1:]), coeffs)
-
-
 def assemble_stability_lmis(
     sys: DelaySystem,
     params: HierarchyParams,
@@ -557,7 +550,9 @@ def assemble_stability_lmis(
         ("positivity", 1, compiled.positivity),
         ("derivative", -1, compiled.derivative),
     ] + compiled.definite
-    constraints = [_constraint(*block, tau) for block in blocks]
+    constraints = [
+        LmiConstraint(name, sense, poly.at(tau)) for name, sense, poly in blocks
+    ]
     return LmiProblem(constraints, compiled.layout)
 
 
@@ -577,12 +572,15 @@ def assemble_delay_range_lmis(
     if not 0 < tau_low <= tau_up:
         raise ValueError("need 0 < tau_low <= tau_up")
     compiled = _compiled(sys, params)
-    derivative = compiled.range_derivative
+    positivity, derivative = compiled.positivity, compiled.range_derivative
     constraints = [
-        _constraint("positivity at upper endpoint", 1, compiled.positivity, tau_up),
-        _constraint("derivative at lower endpoint", -1, derivative, tau_low),
-        _constraint("derivative at upper endpoint", -1, derivative, tau_up),
-    ] + [_constraint(*block, tau_up) for block in compiled.definite]
+        LmiConstraint("positivity at upper endpoint", 1, positivity.at(tau_up)),
+        LmiConstraint("derivative at lower endpoint", -1, derivative.at(tau_low)),
+        LmiConstraint("derivative at upper endpoint", -1, derivative.at(tau_up)),
+    ] + [
+        LmiConstraint(name, sense, poly.at(tau_up))
+        for name, sense, poly in compiled.definite
+    ]
     return LmiProblem(constraints, compiled.layout)
 
 

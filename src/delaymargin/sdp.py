@@ -126,13 +126,13 @@ def to_margin_program(problem: LmiProblem) -> ConeProgram:
     """Margin reformulation of an LMI problem.
 
     Negative-definite constraints are negated, so every block must exceed
-    t*I; the box |y_i| <= BOX_BOUND on the decision scalars makes max-t
-    well posed.
+    t*I; the LMIs are homogeneous, so every constant block is zero.  The box
+    |y_i| <= BOX_BOUND on the decision scalars makes max-t well posed.
     """
-    blocks = []
-    for c in problem.constraints:
-        sgn = float(c.sense)
-        blocks.append((sgn * c.f0, sgn * c.coeffs))
+    blocks = [
+        (np.zeros((c.size, c.size)), float(c.sense) * c.coeffs)
+        for c in problem.constraints
+    ]
     return ConeProgram(blocks=blocks, num_y=problem.dim, box_bound=BOX_BOUND)
 
 

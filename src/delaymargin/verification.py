@@ -87,14 +87,8 @@ def check_projection_reconstruction(
     max_m: int = 4,
     max_nu: int = 4,
     max_big_m: int = 8,
-    weighted_factory=weighted_moment_map,
-    derivative_factory=derivative_moment_map,
 ) -> VerificationReport:
-    """Exact row-wise reconstruction of both projection matrix families.
-
-    The factory arguments exist for fault injection in tests: substituting a
-    corrupted builder must surface the failing (m, nu, M) triple here.
-    """
+    """Exact row-wise reconstruction of both projection matrix families."""
     report = VerificationReport(seed=0)
 
     def reconstruct(coords, big_m):
@@ -108,7 +102,7 @@ def check_projection_reconstruction(
             for big_m in range(1, max_big_m + 1):
                 if m + nu <= big_m - 1:
                     report.checks_run += 1
-                    xi = weighted_factory(m, nu, big_m)
+                    xi = weighted_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
                         target = rodrigues_poly(m, j).shift_exponents(m)
                         if reconstruct(xi.entries[j], big_m) != target:
@@ -119,7 +113,7 @@ def check_projection_reconstruction(
                             break
                 if m + nu <= big_m:
                     report.checks_run += 1
-                    z = derivative_factory(m, nu, big_m)
+                    z = derivative_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
                         q = rodrigues_poly(m, j).shift_exponents(m)
                         row = z.entries[j]

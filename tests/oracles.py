@@ -7,8 +7,14 @@ from typing import Callable
 
 import numpy as np
 
-from delaymargin.inequalities import FunctionalSpec, VectorFunction
-from delaymargin.quadrature import gauss_rule
+from delaymargin.inequalities import FunctionalSpec
+
+
+def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre nodes and weights mapped to [a, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * nodes, half * weights
 
 
 def nested_integral(
@@ -35,7 +41,9 @@ def nested_integral(
     return level(folds, a)
 
 
-def functional_value_nested(spec: FunctionalSpec, f: VectorFunction) -> float:
+def functional_value_nested(
+    spec: FunctionalSpec, f: Callable[[float], np.ndarray]
+) -> float:
     """J(f) via the literal repeated-integral form.
 
     Cost grows exponentially in m; only supported for m <= 3.

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from delaymargin import verification
 from delaymargin.cli import (
     EXIT_INPUT,
     EXIT_NO_FEASIBLE,
@@ -24,7 +25,6 @@ from delaymargin.systems import (
     load_system,
     system_to_json_dict,
 )
-from delaymargin.verification import check_projection_reconstruction
 
 
 def run_cli(capsys, *argv):
@@ -249,7 +249,7 @@ def test_verify_default_passes(capsys):
     assert "0 failures" in out
 
 
-def test_verify_reports_corrupted_projection():
+def test_verify_reports_corrupted_projection(monkeypatch):
     def corrupted(m, nu, big_m):
         real = weighted_moment_map(m, nu, big_m)
         if (m, nu, big_m) == (1, 1, 3):
@@ -258,8 +258,9 @@ def test_verify_reports_corrupted_projection():
             return type(real)(m, nu, big_m, tuple(tuple(r) for r in rows))
         return real
 
-    report = check_projection_reconstruction(
-        max_m=2, max_nu=2, max_big_m=4, weighted_factory=corrupted
+    monkeypatch.setattr(verification, "weighted_moment_map", corrupted)
+    report = verification.check_projection_reconstruction(
+        max_m=2, max_nu=2, max_big_m=4
     )
     assert not report.ok
     assert any("(m=1, nu=1, M=3)" in f for f in report.failures)
@@ -290,6 +291,25 @@ def test_crosscheck_clean(capsys):
     assert code == EXIT_OK
     assert "clean" in out
     assert "note:" in out  # index corrections are surfaced
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--seed", "-1"),
+        ("verify", "--cases", "0"),
+        ("verify", "--max-m", "-1"),
+        ("verify", "--max-M", "0"),
+        ("verify", "--cases", "-5", "--max-m", "-1", "--max-M", "0"),
+        ("crosscheck", "--max-m", "-1"),
+        ("crosscheck", "--max-M", "0"),
+    ],
+)
+def test_suites_reject_ranges_that_check_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Certification tests for the weighted functionals and projection bounds."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from delaymargin.inequalities import (
-    CallableVectorFunction,
     FunctionalSpec,
     PolynomialVectorFunction,
     competitor_statistics,
@@ -18,8 +16,7 @@ from delaymargin.inequalities import (
     moments,
 )
 from delaymargin.polynomials import RationalPolynomial, rodrigues_poly
-from delaymargin.quadrature import adaptive_quadrature
-from oracles import functional_value_nested
+from oracles import functional_value_nested, gauss_rule
 
 F = Fraction
 
@@ -64,19 +61,6 @@ def test_functional_value_norm_of_second_legendre():
     assert functional_value(spec, f) == pytest.approx(1 / 5, abs=1e-14)
 
 
-def test_functional_value_quadrature_path_matches_exact():
-    rng = np.random.default_rng(7)
-    a, b = F(-1), F(3, 2)
-    f = random_poly_function(rng, dim=2, degree=4, a=a, b=b)
-    g = CallableVectorFunction(lambda s: f(s), dim=2)
-    w = random_pd_matrix(rng, 2)
-    for m in (0, 1, 3):
-        spec = FunctionalSpec(w, m, float(a), float(b))
-        assert functional_value(spec, g) == pytest.approx(
-            functional_value(spec, f), rel=1e-9
-        )
-
-
 def test_moments_of_constant():
     c = PolynomialVectorFunction(
         [RationalPolynomial.from_coeffs((3,)), RationalPolynomial.from_coeffs((-2,))],
@@ -96,14 +80,6 @@ def test_moment_of_first_legendre_is_its_norm():
     assert phi[1, 0] == pytest.approx((3 - 1) / 3, abs=1e-12)
     assert phi[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert phi[2, 0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_moments_quadrature_path():
-    f = CallableVectorFunction(lambda s: [math.sin(s), math.cos(2 * s)], dim=2)
-    phi = moments(f, 0.0, 2.0, 3)
-    # independent check of phi_0 by direct quadrature
-    direct = adaptive_quadrature(lambda s: np.array([math.sin(s), math.cos(2 * s)]), 0.0, 2.0)
-    assert np.allclose(phi[0], direct, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +169,21 @@ def test_soundness_randomized(seed):
 
 
 def test_soundness_trig_mixture():
-    f = CallableVectorFunction(
-        lambda s: [math.sin(1.3 * s) + 0.2, 0.5 * math.cos(2.1 * s)], dim=2
-    )
+    # a non-polynomial f: J(f) and the moments come from the oracle's
+    # Gauss-Legendre rule, which is exact to rounding for this smooth f
+    a, b = -0.5, 1.5
+    s, wq = gauss_rule(a, b, 40)
+    vals = np.stack([np.sin(1.3 * s) + 0.2, 0.5 * np.cos(2.1 * s)], axis=1)
+    x = (s - a) / (b - a)
     w = np.array([[1.5, -0.3], [-0.3, 0.8]])
+    quad = np.einsum("ki,ij,kj->k", vals, w, vals)
+    legendre = np.array(
+        [[rodrigues_poly(0, l).eval_float(t) for t in x] for l in range(5)]
+    )
+    phi = (legendre * wq) @ vals
     for m in (0, 1, 2):
-        spec = FunctionalSpec(w, m, -0.5, 1.5)
-        value = functional_value(spec, f)
-        phi = moments(f, -0.5, 1.5, 5)
+        spec = FunctionalSpec(w, m, a, b)
+        value = float(np.dot(wq, x**m * quad))
         for nu in range(5 - m):
             bound = lower_bound_values(spec, phi, nu, 5)
             assert bound <= value + 1e-8 * max(1.0, value)
@@ -293,24 +276,6 @@ def test_nested_integral_equivalence(m):
     assert functional_value_nested(spec, f) == pytest.approx(
         functional_value(spec, f), rel=1e-8
     )
-
-
-def test_nested_integral_equivalence_trig():
-    f = CallableVectorFunction(lambda s: [math.sin(s), math.cos(s)], dim=2)
-    spec = FunctionalSpec(np.eye(2), 2, 0.0, 1.5)
-    assert functional_value_nested(spec, f) == pytest.approx(
-        functional_value(spec, f), rel=1e-8
-    )
-
-
-def test_adaptive_quadrature_depth_limit():
-    from delaymargin.quadrature import QuadratureConvergenceError
-
-    # integrable endpoint singularity: refinement cannot reach 1e-10 within
-    # a tiny depth budget
-    rough = lambda s: abs(s - 0.3456789) ** -0.45
-    with pytest.raises(QuadratureConvergenceError):
-        adaptive_quadrature(rough, 0.0, 1.0, tol=1e-10, max_depth=4)
 
 
 def test_functional_spec_validation():
