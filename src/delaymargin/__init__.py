@@ -16,7 +16,6 @@ from .inequalities import (
     moments,
 )
 from .lmi import (
-    DecisionVariables,
     DelaySystem,
     HierarchyParams,
     LmiProblem,

@@ -222,6 +222,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
+    if args.max_m > args.max_M - 1:  # no M up to --max-M reaches that depth
+        print(f"error: --max-m must be <= --max-M - 1 = {args.max_M - 1}, "
+              f"got {args.max_m}", file=sys.stderr)
+        return EXIT_INPUT
     clean = True
     for m in range(args.max_m + 1):
         for big_m in range(1, args.max_M + 1):
@@ -282,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross.set_defaults(func=cmd_crosscheck)
     for p in (p_verify, p_cross):
         p.add_argument("--max-m", dest="max_m", type=int, default=3,
-                       help="largest weight depth m checked (>= 0)")
+                       help="largest weight depth m checked (>= 0; for "
+                            "crosscheck also <= --max-M - 1)")
         p.add_argument("--max-M", dest="max_M", type=int, default=6,
                        help="largest moment order M checked (>= 1)")
 

@@ -21,7 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import RationalPolynomial, rodrigues_poly
-from .projection import derivative_moment_map, weighted_moment_map
+from .projection import (
+    derivative_moment_map,
+    rodrigues_weight_block,
+    weighted_moment_map,
+)
 
 __all__ = [
     "FunctionalSpec",
@@ -142,12 +146,6 @@ def moments(
     return np.vstack([f.exact_moment(l) for l in range(big_m)])
 
 
-def _weight_block(m: int, nu: int, weight: np.ndarray) -> np.ndarray:
-    """diag{(m+1) W, (m+3) W, ..., (m+2 nu+1) W}."""
-    factors = np.arange(m + 1, m + 2 * nu + 2, 2, dtype=float)
-    return np.kron(np.diag(factors), weight)
-
-
 def lower_bound_values(
     spec: FunctionalSpec, phi: np.ndarray, nu: int, big_m: int
 ) -> float:
@@ -158,7 +156,7 @@ def lower_bound_values(
     xi = weighted_moment_map(spec.m, nu, big_m).as_array()
     stacked = phi.reshape(-1)  # already (M, n) row-major = kron layout
     proj = np.kron(xi, np.eye(spec.dim)) @ stacked
-    wm = _weight_block(spec.m, nu, spec.weight)
+    wm = rodrigues_weight_block(spec.m, nu, spec.weight)
     return float(proj @ wm @ proj) / spec.width
 
 
@@ -184,7 +182,7 @@ def lower_bound_derivative(
         stacked = np.concatenate([f_b, f_a, phi.reshape(-1) / spec.width])
     z = derivative_moment_map(spec.m, nu, big_m).as_array()
     proj = np.kron(z, np.eye(spec.dim)) @ stacked
-    wm = _weight_block(spec.m, nu, spec.weight)
+    wm = rodrigues_weight_block(spec.m, nu, spec.weight)
     return float(proj @ wm @ proj) / spec.width
 
 

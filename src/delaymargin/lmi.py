@@ -25,38 +25,32 @@ coefficient stack per power of tau, with one coefficient matrix per scalar
 decision variable (symmetric matrices are vectorized with sqrt(2) scaling on
 off-diagonal entries so flat inner products match trace inner products).
 Assembling the LMIs at a probe delay is then the sum of tau**k times those
-stacks.  The block functions below (``positivity_block``,
-``derivative_block``, ``range_derivative_block``) state each condition
-directly at one delay; the compiled stacks reproduce them.
+stacks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .projection import (
     derivative_moment_map,
     legendre_derivative_map,
+    rodrigues_weight_block,
     weighted_moment_map,
 )
 
 __all__ = [
     "DelaySystem",
     "HierarchyParams",
-    "DecisionVariables",
     "VariableLayout",
     "LmiConstraint",
     "LmiProblem",
     "assemble_stability_lmis",
     "assemble_delay_range_lmis",
     "nodv",
-    "positivity_block",
-    "derivative_block",
-    "range_derivative_block",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -138,19 +132,6 @@ class HierarchyParams:
         return self.big_m - j
 
 
-@dataclass
-class DecisionVariables:
-    """Symmetric decision matrices: augmented P, history Qs, derivative Rs.
-
-    ``qs[j]`` is Q_j for j = 0..m1; ``rs[j-1]`` is R_j for j = 1..m2.
-    P may be indefinite; positivity of Q/R is imposed as constraints.
-    """
-
-    p: np.ndarray
-    qs: list[np.ndarray]
-    rs: list[np.ndarray]
-
-
 class VariableLayout:
     """Flat svec packing of (P, Q_0..Q_m1, R_1..R_m2)."""
 
@@ -166,45 +147,11 @@ class VariableLayout:
             off += s * (s + 1) // 2
         self.dim = off
 
-    def zero_vars(self) -> DecisionVariables:
-        n = self.n_x
-        return DecisionVariables(
-            np.zeros((self.p_size, self.p_size)),
-            [np.zeros((n, n)) for _ in range(self.params.m1 + 1)],
-            [np.zeros((n, n)) for _ in range(self.params.m2)],
-        )
-
-    def _mats(self, dv: DecisionVariables) -> list[np.ndarray]:
-        return [dv.p] + dv.qs + dv.rs
-
-    def pack(self, dv: DecisionVariables) -> np.ndarray:
-        y = np.empty(self.dim)
-        pos = 0
-        for mat, size in zip(self._mats(dv), self.sizes):
-            for i in range(size):
-                y[pos] = mat[i, i]
-                pos += 1
-                for j in range(i + 1, size):
-                    y[pos] = mat[i, j] * _SQRT2
-                    pos += 1
-        return y
-
-    def unpack(self, y: np.ndarray) -> DecisionVariables:
-        dv = self.zero_vars()
-        pos = 0
-        for mat, size in zip(self._mats(dv), self.sizes):
-            for i in range(size):
-                mat[i, i] = y[pos]
-                pos += 1
-                for j in range(i + 1, size):
-                    mat[i, j] = mat[j, i] = y[pos] / _SQRT2
-                    pos += 1
-        return dv
-
 
 def _svec_basis(size: int) -> np.ndarray:
     """The symmetric matrices of the svec coordinates of one size x size
-    variable, stacked in ``VariableLayout.pack`` order."""
+    variable, in svec order: row by row over the upper triangle, so
+    y = (Y_00, sqrt2 Y_01, ..., Y_11, sqrt2 Y_12, ...)."""
     rows, cols = np.triu_indices(size)
     idx = np.arange(len(rows))
     weight = np.where(rows == cols, 1.0, 1.0 / _SQRT2)
@@ -216,171 +163,9 @@ def _svec_basis(size: int) -> np.ndarray:
 
 def _weighted_congruence(proj: np.ndarray, start: int, mat: np.ndarray) -> np.ndarray:
     """(proj x I)^T  diag{(start+1)M, (start+3)M, ...}  (proj x I)."""
-    rows = proj.shape[0]
-    factors = np.arange(start + 1, start + 2 * rows + 1, 2, dtype=float)
     u = np.kron(proj, np.eye(mat.shape[0]))
-    w = np.kron(np.diag(factors), mat)
+    w = rodrigues_weight_block(start, proj.shape[0] - 1, mat)
     return u.T @ w @ u
-
-
-# ---------------------------------------------------------------------------
-# Structural blocks.
-# ---------------------------------------------------------------------------
-
-
-def _state_row(sys: DelaySystem, tau: float, big_m: int) -> np.ndarray:
-    """Row mapping the stacked probe vector to x'(t)."""
-    n = sys.n_x
-    out = np.zeros((n, n * (big_m + 2)))
-    out[:, :n] = sys.a
-    out[:, n : 2 * n] = sys.a_d1
-    out[:, 2 * n : 3 * n] = tau * sys.a_d2
-    return out
-
-
-def positivity_block(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tau: float,
-    p: np.ndarray,
-    qs: Sequence[np.ndarray],
-) -> np.ndarray:
-    """tau P plus the history projection terms; must be positive definite."""
-    n = sys.n_x
-    big_m = params.big_m
-    out = tau * np.asarray(p, dtype=float).copy()
-    for j in range(params.m1 + 1):
-        nu = params.nu1(j)
-        if nu < 0:
-            continue  # no valid projection order; trivial bound suffices
-        xi = weighted_moment_map(j, nu, big_m).as_array()
-        out[n:, n:] += _weighted_congruence(xi, j, np.asarray(qs[j], dtype=float))
-    return out
-
-
-def _energy_rate(
-    sys: DelaySystem, params: HierarchyParams, tau: float, p: np.ndarray
-) -> np.ndarray:
-    """Derivative of the augmented quadratic form on the probe space."""
-    n = sys.n_x
-    big_m = params.big_m
-    lam = np.vstack(
-        [
-            _state_row(sys, tau, big_m),
-            np.kron(legendre_derivative_map(big_m).as_array(), np.eye(n)),
-        ]
-    )
-    pattern = np.zeros((big_m + 1, big_m + 2))
-    pattern[0, 0] = 1.0
-    for i in range(big_m):
-        pattern[1 + i, 2 + i] = tau
-    gam = np.kron(pattern, np.eye(n))
-    pl = gam.T @ p @ lam
-    return pl + pl.T
-
-
-def _history_rate(
-    n: int, params: HierarchyParams, qs: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Derivative contribution of the weighted history terms."""
-    big_m = params.big_m
-    size = n * (big_m + 2)
-    out = np.zeros((size, size))
-    out[:n, :n] = sum(np.asarray(q, dtype=float) for q in qs)
-    out[n : 2 * n, n : 2 * n] = -np.asarray(qs[0], dtype=float)
-    for j in range(1, params.m1 + 1):
-        nu = params.nu1(j - 1)
-        if nu < 0:
-            continue
-        xi = weighted_moment_map(j - 1, nu, big_m).as_array()
-        out[2 * n :, 2 * n :] -= j * _weighted_congruence(
-            xi, j - 1, np.asarray(qs[j], dtype=float)
-        )
-    return out
-
-
-def _dissipation_energy(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tau: float,
-    rs: Sequence[np.ndarray],
-) -> np.ndarray:
-    row = _state_row(sys, tau, params.big_m)
-    rsum = sum(np.asarray(r, dtype=float) for r in rs)
-    return tau * row.T @ rsum @ row
-
-
-def _derivative_projection(
-    n: int, params: HierarchyParams, rs: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Projection lower bound of the derivative terms (subtracted; the
-    single-delay block divides it by tau)."""
-    big_m = params.big_m
-    size = n * (big_m + 2)
-    out = np.zeros((size, size))
-    for j in range(1, params.m2 + 1):
-        nu = params.nu2(j - 1)
-        if nu < 0:
-            continue
-        z = derivative_moment_map(j - 1, nu, big_m).as_array()
-        out += j * _weighted_congruence(z, j - 1, np.asarray(rs[j - 1], dtype=float))
-    return out
-
-
-def derivative_block(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tau: float,
-    p: np.ndarray,
-    qs: Sequence[np.ndarray],
-    rs: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Full derivative condition; must be negative definite."""
-    return (
-        _energy_rate(sys, params, tau, p)
-        + _history_rate(sys.n_x, params, qs)
-        + _dissipation_energy(sys, params, tau, rs)
-        - _derivative_projection(sys.n_x, params, rs) / tau
-    )
-
-
-def range_derivative_block(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tau: float,
-    p: np.ndarray,
-    qs: Sequence[np.ndarray],
-    rs: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Schur form of the derivative condition used for delay ranges.
-
-    Affine in tau when A_d2 = 0, so checking both interval endpoints
-    certifies the whole range.  The derivative functional here carries a
-    tau**2 multiplier, which removes the 1/tau from the projection term and
-    produces the extra negative corner block.
-    """
-    n = sys.n_x
-    big_m = params.big_m
-    core = (
-        _energy_rate(sys, params, tau, p)
-        + _history_rate(n, params, qs)
-        - _derivative_projection(n, params, rs)
-    )
-    rsum = sum(np.asarray(r, dtype=float) for r in rs)
-    row = _state_row(sys, tau, big_m)
-    off = tau * row.T @ rsum
-    size = n * (big_m + 3)
-    out = np.zeros((size, size))
-    out[: n * (big_m + 2), : n * (big_m + 2)] = core
-    out[: n * (big_m + 2), n * (big_m + 2) :] = off
-    out[n * (big_m + 2) :, : n * (big_m + 2)] = off.T
-    out[n * (big_m + 2) :, n * (big_m + 2) :] = -rsum
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Compiled constraints.
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -412,11 +197,6 @@ class LmiProblem:
     def dim(self) -> int:
         return self.layout.dim
 
-    def evaluate_at(self, dv: DecisionVariables) -> list[tuple[str, int, np.ndarray]]:
-        """Numeric constraint matrices at the given decision variables."""
-        y = self.layout.pack(dv)
-        return [(c.name, c.sense, c.value(y)) for c in self.constraints]
-
 
 class _TauPolynomial:
     """Coefficient stack of one constraint block as a Laurent polynomial in
@@ -446,8 +226,18 @@ class _TauPolynomial:
 
 class _CompiledLmis:
     """The constraint blocks of one (system, M, m) as polynomials in tau,
-    derived term by term from the block functions above applied to the
-    svec basis matrices of P, the Qs and the Rs."""
+    one coefficient matrix per svec basis matrix of P, the Qs and the Rs.
+
+    On the probe vector (x(t), x(t - tau), moments (1/tau) int L_l x), with
+    W(tau) = (A, A_d1, tau A_d2, 0...) the row giving x'(t):
+    * positivity: tau P plus the weighted projections of the Qs;
+    * derivative: the energy rate He(Gam^T P Lam), the history rate of the
+      Qs, the dissipation tau W^T (sum R_j) W, and minus 1/tau times the
+      derivative projections of the Rs;
+    * range derivative: its Schur form, with the projections not divided
+      by tau and an extra corner row [tau W^T sum R_j; -sum R_j].
+    Projection terms of negative order nu1(j) or nu2(j) are left out.
+    """
 
     def __init__(self, sys: DelaySystem, params: HierarchyParams):
         n, big_m = sys.n_x, params.big_m
@@ -462,9 +252,9 @@ class _CompiledLmis:
         def congruences(proj: np.ndarray, start: int) -> np.ndarray:
             return np.array([_weighted_congruence(proj, start, b) for b in basis])
 
-        # tau-coefficients of the factors of _energy_rate and
-        # _dissipation_energy: state row = W0 + tau W1 (W1 only when
-        # A_d2 != 0), lam = L0 + tau L1, gam = G0 + tau G1
+        # tau-coefficients of the factors of the energy rate and the
+        # dissipation: state row W = W0 + tau W1 (W1 only when A_d2 != 0),
+        # lam = L0 + tau L1, gam = G0 + tau G1
         ws = [np.zeros((n, rate))]
         ws[0][:, :n] = sys.a
         ws[0][:, n : 2 * n] = sys.a_d1

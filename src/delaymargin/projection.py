@@ -39,6 +39,7 @@ __all__ = [
     "weighted_moment_map",
     "derivative_moment_map",
     "legendre_derivative_map",
+    "rodrigues_weight_block",
     "crosscheck_closed_forms",
     "CrosscheckReport",
 ]
@@ -122,6 +123,13 @@ def legendre_derivative_map(big_m: int) -> ProjectionMap:
     if big_m < 1:
         raise ValueError("legendre_derivative_map requires M >= 1")
     return derivative_moment_map(0, big_m - 1, big_m)
+
+
+def rodrigues_weight_block(m: int, nu: int, weight: np.ndarray) -> np.ndarray:
+    """diag{(m+1) W, (m+3) W, ..., (m+2 nu+1) W}: the weight W scaled by the
+    inverse squared norms of the weighted Rodrigues polynomials j = 0..nu."""
+    factors = np.arange(m + 1, m + 2 * nu + 2, 2, dtype=float)
+    return np.kron(np.diag(factors), weight)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ class FeasibilityResult:
     """Outcome of a margin solve.
 
     ``certificate`` is the flat decision vector ``y``; for an LMI problem,
-    ``problem.layout.unpack`` turns it into its ``DecisionVariables``.
+    ``constraint.value(y)`` evaluates each block at it.
     """
 
     status: str

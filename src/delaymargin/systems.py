@@ -13,7 +13,6 @@ from .lmi import DelaySystem
 __all__ = [
     "SystemFileError",
     "load_system",
-    "system_to_json_dict",
     "bundled_system_path",
     "bundled_system",
     "BUNDLED_SYSTEMS",
@@ -81,22 +80,6 @@ def load_system(path: str | Path) -> tuple[DelaySystem, dict]:
         if key in doc
     }
     return DelaySystem(a, a_d1, a_d2, name=name), meta
-
-
-def system_to_json_dict(sys: DelaySystem, meta: dict | None = None) -> dict:
-    """Serialize back to the file schema (floats keep full precision)."""
-    doc = {
-        "n_x": sys.n_x,
-        "A": sys.a.tolist(),
-        "A_d1": sys.a_d1.tolist(),
-        "A_d2": sys.a_d2.tolist(),
-        "name": sys.name,
-    }
-    if meta:
-        for key in ("analytical_bounds", "comment"):
-            if key in meta:
-                doc[key] = meta[key]
-    return doc
 
 
 def bundled_system_path(name: str) -> Path:

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from delaymargin.lmi import (
-    DecisionVariables,
     DelaySystem,
     HierarchyParams,
     VariableLayout,
-    _history_rate,
     assemble_delay_range_lmis,
     assemble_stability_lmis,
-    derivative_block,
     nodv,
-    positivity_block,
-    range_derivative_block,
 )
 from delaymargin.projection import weighted_moment_map
 from delaymargin.sdp import decide_feasibility
+from oracles import (
+    DecisionVariables,
+    derivative_block,
+    pack,
+    positivity_block,
+    range_derivative_block,
+    unpack,
+    zero_vars,
+)
 
 
 def example1() -> DelaySystem:
@@ -27,7 +31,7 @@ def example1() -> DelaySystem:
 
 
 def random_vars(layout: VariableLayout, rng) -> DecisionVariables:
-    dv = layout.zero_vars()
+    dv = zero_vars(layout)
     sym = lambda mat: 0.5 * (mat + mat.T)
     dv.p = sym(rng.normal(size=dv.p.shape))
     dv.qs = [sym(rng.normal(size=q.shape)) for q in dv.qs]
@@ -60,15 +64,15 @@ def test_layout_pack_unpack_roundtrip():
     rng = np.random.default_rng(0)
     layout = VariableLayout(2, HierarchyParams(3, 1))
     dv = random_vars(layout, rng)
-    y = layout.pack(dv)
+    y = pack(layout, dv)
     assert y.shape == (layout.dim,)
-    back = layout.unpack(y)
+    back = unpack(layout, y)
     assert np.allclose(back.p, dv.p)
     for a, b in zip(back.qs + back.rs, dv.qs + dv.rs):
         assert np.allclose(a, b)
     # svec scaling preserves the trace inner product
     dv2 = random_vars(layout, rng)
-    flat_ip = float(layout.pack(dv) @ layout.pack(dv2))
+    flat_ip = float(pack(layout, dv) @ pack(layout, dv2))
     mat_ip = float(np.sum(dv.p * dv2.p))
     mat_ip += sum(float(np.sum(a * b)) for a, b in zip(dv.qs, dv2.qs))
     mat_ip += sum(float(np.sum(a * b)) for a, b in zip(dv.rs, dv2.rs))
@@ -105,24 +109,23 @@ def test_constraints_symmetric():
     rng = np.random.default_rng(1)
     sys = example1()
     prob = assemble_stability_lmis(sys, HierarchyParams(2, 1), 1.7)
-    dv = random_vars(prob.layout, rng)
-    for name, sense, mat in prob.evaluate_at(dv):
-        assert np.array_equal(mat, mat.T), name
+    y = pack(prob.layout, random_vars(prob.layout, rng))
+    for c in prob.constraints:
+        mat = c.value(y)
+        assert np.array_equal(mat, mat.T), c.name
 
 
 def test_evaluate_affine_in_variables():
     rng = np.random.default_rng(2)
     sys = example1()
     prob = assemble_stability_lmis(sys, HierarchyParams(2, 1), 1.3)
-    u = random_vars(prob.layout, rng)
-    v = random_vars(prob.layout, rng)
+    yu = pack(prob.layout, random_vars(prob.layout, rng))
+    yv = pack(prob.layout, random_vars(prob.layout, rng))
     lam = 0.37
-    yu, yv = prob.layout.pack(u), prob.layout.pack(v)
-    mix = prob.layout.unpack(lam * yu + (1 - lam) * yv)
-    for (n1, _, a), (_, _, b), (_, _, c) in zip(
-        prob.evaluate_at(mix), prob.evaluate_at(u), prob.evaluate_at(v)
-    ):
-        assert np.allclose(a, lam * b + (1 - lam) * c, atol=1e-12), n1
+    for c in prob.constraints:
+        mix = c.value(lam * yu + (1 - lam) * yv)
+        want = lam * c.value(yu) + (1 - lam) * c.value(yv)
+        assert np.allclose(mix, want, atol=1e-12), c.name
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -134,14 +137,15 @@ def _assert_rel_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("big_m,m", [(1, 0), (1, 1), (3, 1), (3, 2), (4, 1)])
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_evaluate_matches_direct_assembly(systems, name, big_m, m, tau):
-    # the compiled tau-polynomial reproduces the block functions; example2
-    # has A_d2 != 0, which brings in the tau**2 and tau**3 terms
+    # the compiled tau-polynomial reproduces the oracle's per-delay blocks;
+    # example2 has A_d2 != 0, which brings in the tau**2 and tau**3 terms
     sys = systems[name]
     params = HierarchyParams(big_m, m)
     rng = np.random.default_rng([big_m, m, int(1e3 * tau)])
     prob = assemble_stability_lmis(sys, params, tau)
     dv = random_vars(prob.layout, rng)
-    got = {label: mat for label, _, mat in prob.evaluate_at(dv)}
+    y = pack(prob.layout, dv)
+    got = {c.name: c.value(y) for c in prob.constraints}
     _assert_rel_close(
         got["positivity"], positivity_block(sys, params, tau, dv.p, dv.qs)
     )
@@ -155,7 +159,7 @@ def test_evaluate_matches_direct_assembly(systems, name, big_m, m, tau):
 
     low, up = 0.5 * tau, tau
     range_prob = assemble_delay_range_lmis(sys, params, low, up)
-    got = {label: mat for label, _, mat in range_prob.evaluate_at(dv)}
+    got = {c.name: c.value(y) for c in range_prob.constraints}
     _assert_rel_close(
         got["positivity at upper endpoint"],
         positivity_block(sys, params, up, dv.p, dv.qs),
@@ -175,6 +179,12 @@ def test_zero_variables_give_zero_blocks():
         assert np.array_equal(c.value(np.zeros(prob.dim)), np.zeros((c.size, c.size)))
 
 
+def _compiled_value(prob, name: str, dv: DecisionVariables) -> np.ndarray:
+    """The compiled block ``name`` of ``prob`` at the decision matrices."""
+    (block,) = [c for c in prob.constraints if c.name == name]
+    return block.value(pack(prob.layout, dv))
+
+
 def test_positivity_block_structure():
     # tau*P plus a projection term only in the moment part; the first
     # weighted map at full order is the identity
@@ -182,10 +192,10 @@ def test_positivity_block_structure():
     n = sys.n_x
     params = HierarchyParams(2, 0)
     tau = 1.4
-    layout = VariableLayout(n, params)
-    dv = layout.zero_vars()
+    prob = assemble_stability_lmis(sys, params, tau)
+    dv = zero_vars(prob.layout)
     dv.qs[0] = np.array([[2.0, 0.3], [0.3, 1.0]])
-    blk = positivity_block(sys, params, tau, dv.p, dv.qs)
+    blk = _compiled_value(prob, "positivity", dv)
     assert np.allclose(blk[:n, :n], 0.0)
     xi0 = weighted_moment_map(0, params.big_m - 1, params.big_m).as_array()
     assert np.allclose(xi0, np.eye(params.big_m))
@@ -193,19 +203,22 @@ def test_positivity_block_structure():
     expected = np.kron(weights, dv.qs[0])
     assert np.allclose(blk[n:, n:], expected, atol=1e-12)
     # P enters scaled by tau
-    dv2 = layout.zero_vars()
+    dv2 = zero_vars(prob.layout)
     dv2.p = np.eye(n * (params.big_m + 1))
-    blk2 = positivity_block(sys, params, tau, dv2.p, dv2.qs)
+    blk2 = _compiled_value(prob, "positivity", dv2)
     assert np.allclose(blk2, tau * np.eye(n * (params.big_m + 1)))
 
 
 def test_history_rate_corner_blocks():
-    n = 2
-    params = HierarchyParams(3, 2)
-    qs = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), np.diag([5.0, 6.0])]
-    blk = _history_rate(n, params, qs)
-    assert np.allclose(blk[:n, :n], sum(qs))
-    assert np.allclose(blk[n : 2 * n, n : 2 * n], -qs[0])
+    # with P = 0 and R = 0 the derivative block is the history rate alone
+    sys = example1()
+    n = sys.n_x
+    prob = assemble_stability_lmis(sys, HierarchyParams(3, 2), 0.8)
+    dv = zero_vars(prob.layout)
+    dv.qs = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), np.diag([5.0, 6.0])]
+    blk = _compiled_value(prob, "derivative", dv)
+    assert np.allclose(blk[:n, :n], sum(dv.qs))
+    assert np.allclose(blk[n : 2 * n, n : 2 * n], -dv.qs[0])
     # moment part is negative semidefinite for positive Q
     tail = blk[2 * n :, 2 * n :]
     assert np.all(np.linalg.eigvalsh(tail) <= 1e-12)
@@ -229,10 +242,9 @@ def test_high_weight_depth_drops_invalid_projections():
     prob = assemble_stability_lmis(sys, params, 1.0)
     names = {c.name for c in prob.constraints}
     assert {"Q0 positive", "Q1 positive", "Q2 positive"} <= names
-    layout = prob.layout
-    dv = layout.zero_vars()
+    dv = zero_vars(prob.layout)
     dv.qs[2] = np.eye(2)
-    blk = positivity_block(sys, params, 1.0, dv.p, dv.qs)
+    blk = _compiled_value(prob, "positivity", dv)
     assert np.allclose(blk, 0.0)  # Q2 has no valid projection term at M=1
 
 
@@ -248,13 +260,14 @@ def test_delay_range_matches_affine_structure():
     sys = example1()
     params = HierarchyParams(2, 1)
     rng = np.random.default_rng(4)
-    layout = VariableLayout(sys.n_x, params)
-    dv = random_vars(layout, rng)
     lo, hi = 0.4, 1.9
     mid = 0.5 * (lo + hi)
-    b_lo = range_derivative_block(sys, params, lo, dv.p, dv.qs, dv.rs)
-    b_hi = range_derivative_block(sys, params, hi, dv.p, dv.qs, dv.rs)
-    b_mid = range_derivative_block(sys, params, mid, dv.p, dv.qs, dv.rs)
+    prob = assemble_delay_range_lmis(sys, params, lo, hi)
+    dv = random_vars(prob.layout, rng)
+    b_lo = _compiled_value(prob, "derivative at lower endpoint", dv)
+    b_hi = _compiled_value(prob, "derivative at upper endpoint", dv)
+    mid_prob = assemble_delay_range_lmis(sys, params, mid, hi)
+    b_mid = _compiled_value(mid_prob, "derivative at lower endpoint", dv)
     assert np.allclose(b_mid, 0.5 * (b_lo + b_hi), atol=1e-11)
 
 

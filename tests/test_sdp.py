@@ -345,10 +345,10 @@ def test_feasible_certificate_margin_consistency():
     res = decide_feasibility(prob)
     assert res.status == FEASIBLE
     floor = res.margin * (1 - 1e-6) - 1e-9
-    for name, sense, mat in prob.evaluate_at(prob.layout.unpack(res.certificate)):
-        eigs = np.linalg.eigvalsh(mat)
-        attained = eigs[0] if sense > 0 else -eigs[-1]
-        assert attained >= floor, (name, attained, res.margin)
+    for c in prob.constraints:
+        eigs = np.linalg.eigvalsh(c.value(res.certificate))
+        attained = eigs[0] if c.sense > 0 else -eigs[-1]
+        assert attained >= floor, (c.name, attained, res.margin)
 
 
 def test_certificate_roundtrip_and_tampering():
@@ -357,9 +357,9 @@ def test_certificate_roundtrip_and_tampering():
     assert res.status == FEASIBLE
     assert verify_certificate(prob, res)
     # zeroing the augmented quadratic form destroys the positivity block
-    tampered = prob.layout.unpack(res.certificate)
-    tampered.p = np.zeros_like(tampered.p)
-    res.certificate = prob.layout.pack(tampered)
+    tampered = res.certificate.copy()
+    tampered[: prob.layout.offsets[1]] = 0.0  # P's svec slice
+    res.certificate = tampered
     assert not verify_certificate(prob, res)
 
 
