@@ -18,7 +18,6 @@ from .inequalities import (
 from .lmi import (
     DelaySystem,
     HierarchyParams,
-    LmiProblem,
     assemble_delay_range_lmis,
     assemble_stability_lmis,
     nodv,
@@ -35,7 +34,6 @@ from .sdp import (
     FeasibilityResult,
     decide_feasibility,
     solve,
-    to_margin_program,
     verify_certificate,
 )
 from .search import (

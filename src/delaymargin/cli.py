@@ -197,12 +197,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _range_error(args: argparse.Namespace) -> str | None:
     """Why a verify or crosscheck input is out of range, or None.  Below
-    these floors the seed is unusable or the suites check nothing."""
+    these floors, or with a depth no moment order reaches, the seed is
+    unusable or the suites leave cells unchecked."""
     for dest, flag, floor in (("seed", "--seed", 0), ("cases", "--cases", 1),
                               ("max_m", "--max-m", 0), ("max_M", "--max-M", 1)):
         value = getattr(args, dest, floor)
         if value < floor:
             return f"{flag} must be >= {floor}, got {value}"
+    max_m, max_big_m = getattr(args, "max_m", 0), getattr(args, "max_M", 1)
+    if max_m > max_big_m - 1:  # no M up to --max-M reaches that depth
+        return f"--max-m must be <= --max-M - 1 = {max_big_m - 1}, got {max_m}"
     return None
 
 
@@ -222,10 +226,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    if args.max_m > args.max_M - 1:  # no M up to --max-M reaches that depth
-        print(f"error: --max-m must be <= --max-M - 1 = {args.max_M - 1}, "
-              f"got {args.max_m}", file=sys.stderr)
-        return EXIT_INPUT
     clean = True
     for m in range(args.max_m + 1):
         for big_m in range(1, args.max_M + 1):
@@ -286,8 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross.set_defaults(func=cmd_crosscheck)
     for p in (p_verify, p_cross):
         p.add_argument("--max-m", dest="max_m", type=int, default=3,
-                       help="largest weight depth m checked (>= 0; for "
-                            "crosscheck also <= --max-M - 1)")
+                       help="largest weight depth m checked (>= 0 and "
+                            "<= --max-M - 1)")
         p.add_argument("--max-M", dest="max_M", type=int, default=6,
                        help="largest moment order M checked (>= 1)")
 

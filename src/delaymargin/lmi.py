@@ -15,7 +15,9 @@ state history:
 
 together with positivity of the individual Q and R variables.  A delay-range
 variant replaces the single-delay derivative block by its Schur-complement
-form, affine in tau, checked at both interval endpoints.
+form, affine in tau, checked at both interval endpoints.  The assembled
+conditions are an ``sdp.ConeProgram``: zero constant blocks, every block
+positive definite (the derivative blocks negated).
 
 All blocks are linear in the decision variables and depend on the delay
 only through a few powers of tau: tau**-1 (the projection term of the
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sdp
 from .projection import (
     derivative_moment_map,
     legendre_derivative_map,
@@ -46,8 +49,6 @@ __all__ = [
     "DelaySystem",
     "HierarchyParams",
     "VariableLayout",
-    "LmiConstraint",
-    "LmiProblem",
     "assemble_stability_lmis",
     "assemble_delay_range_lmis",
     "nodv",
@@ -168,36 +169,6 @@ def _weighted_congruence(proj: np.ndarray, start: int, mat: np.ndarray) -> np.nd
     return u.T @ w @ u
 
 
-@dataclass
-class LmiConstraint:
-    """One linear matrix constraint: sense * sum_i y_i coeffs[i] > 0 (the
-    stability LMIs are homogeneous, so there is no constant term)."""
-
-    name: str
-    sense: int  # +1: positive definite, -1: negative definite
-    coeffs: np.ndarray  # (dim, d, d)
-
-    @property
-    def size(self) -> int:
-        return self.coeffs.shape[1]
-
-    def value(self, y: np.ndarray) -> np.ndarray:
-        mat = np.tensordot(y, self.coeffs, axes=1)
-        return 0.5 * (mat + mat.T)
-
-
-@dataclass
-class LmiProblem:
-    """Immutable bundle of affine matrix constraints plus the variable layout."""
-
-    constraints: list[LmiConstraint]
-    layout: VariableLayout
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-
 class _TauPolynomial:
     """Coefficient stack of one constraint block as a Laurent polynomial in
     tau: coeffs(tau) = sum_k tau**k stacks[k], each stack (dim, d, d).
@@ -236,7 +207,9 @@ class _CompiledLmis:
       derivative projections of the Rs;
     * range derivative: its Schur form, with the projections not divided
       by tau and an extra corner row [tau W^T sum R_j; -sum R_j].
-    Projection terms of negative order nu1(j) or nu2(j) are left out.
+    Projection terms of negative order nu1(j) or nu2(j) are left out.  Both
+    derivative blocks are stored negated (an exact sign flip), so every
+    block must be positive definite.
     """
 
     def __init__(self, sys: DelaySystem, params: HierarchyParams):
@@ -301,23 +274,19 @@ class _CompiledLmis:
                 projection.append((0, off, 0, 0, -j * congruences(z, j - 1)))
 
         self.definite = [
-            (f"{label} positive", 1, _TauPolynomial(dim, n, [(0, off, 0, 0, basis)]))
-            for label, off in zip(
-                [f"Q{j}" for j in range(params.m1 + 1)]
-                + [f"R{j}" for j in range(1, params.m2 + 1)],
-                layout.offsets[1:],
-            )
+            _TauPolynomial(dim, n, [(0, off, 0, 0, basis)]) for off in layout.offsets[1:]
         ]
         self.positivity = _TauPolynomial(dim, n * (big_m + 1), positivity)
         # the single-delay block divides the projection term by tau
-        self.derivative = _TauPolynomial(
-            dim,
-            rate,
-            energy + history + dissipation + [(-1, *term[1:]) for term in projection],
-        )
+        derivative = energy + history + dissipation + [(-1, *t[1:]) for t in projection]
+        self.derivative = _TauPolynomial(dim, rate, _negated(derivative))
         self.range_derivative = _TauPolynomial(
-            dim, rate + n, energy + history + projection + schur
+            dim, rate + n, _negated(energy + history + projection + schur)
         )
+
+
+def _negated(terms):
+    return [(*term[:-1], -term[-1]) for term in terms]
 
 
 def _compiled(sys: DelaySystem, params: HierarchyParams) -> _CompiledLmis:
@@ -327,23 +296,27 @@ def _compiled(sys: DelaySystem, params: HierarchyParams) -> _CompiledLmis:
     return compiled
 
 
+def _program(compiled: _CompiledLmis, blocks) -> sdp.ConeProgram:
+    """The margin program of (polynomial, delay) blocks, constant blocks zero."""
+    return sdp.ConeProgram(
+        [(np.zeros(poly.stacks.shape[-2:]), poly.at(tau)) for poly, tau in blocks],
+        num_y=compiled.layout.dim,
+        box_bound=sdp.BOX_BOUND,
+    )
+
+
 def assemble_stability_lmis(
     sys: DelaySystem,
     params: HierarchyParams,
     tau: float,
-) -> LmiProblem:
-    """Single-delay stability LMIs at delay tau."""
+) -> sdp.ConeProgram:
+    """Single-delay stability LMIs at delay tau, in block order positivity,
+    -derivative, Q_0..Q_m1, R_1..R_m2."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     compiled = _compiled(sys, params)
-    blocks = [
-        ("positivity", 1, compiled.positivity),
-        ("derivative", -1, compiled.derivative),
-    ] + compiled.definite
-    constraints = [
-        LmiConstraint(name, sense, poly.at(tau)) for name, sense, poly in blocks
-    ]
-    return LmiProblem(constraints, compiled.layout)
+    polys = [compiled.positivity, compiled.derivative] + compiled.definite
+    return _program(compiled, [(poly, tau) for poly in polys])
 
 
 def assemble_delay_range_lmis(
@@ -351,8 +324,10 @@ def assemble_delay_range_lmis(
     params: HierarchyParams,
     tau_low: float,
     tau_up: float,
-) -> LmiProblem:
-    """Delay-range stability LMIs for tau in [tau_low, tau_up].
+) -> sdp.ConeProgram:
+    """Delay-range stability LMIs for tau in [tau_low, tau_up], in block
+    order positivity at tau_up, -range derivative at tau_low and at tau_up,
+    Q_0..Q_m1, R_1..R_m2.
 
     Endpoint checks certify the range because every block is affine in tau
     when A_d2 = 0; with A_d2 != 0 the endpoint reduction is heuristic (tau**2
@@ -362,16 +337,12 @@ def assemble_delay_range_lmis(
     if not 0 < tau_low <= tau_up:
         raise ValueError("need 0 < tau_low <= tau_up")
     compiled = _compiled(sys, params)
-    positivity, derivative = compiled.positivity, compiled.range_derivative
-    constraints = [
-        LmiConstraint("positivity at upper endpoint", 1, positivity.at(tau_up)),
-        LmiConstraint("derivative at lower endpoint", -1, derivative.at(tau_low)),
-        LmiConstraint("derivative at upper endpoint", -1, derivative.at(tau_up)),
-    ] + [
-        LmiConstraint(name, sense, poly.at(tau_up))
-        for name, sense, poly in compiled.definite
-    ]
-    return LmiProblem(constraints, compiled.layout)
+    blocks = [
+        (compiled.positivity, tau_up),
+        (compiled.range_derivative, tau_low),
+        (compiled.range_derivative, tau_up),
+    ] + [(poly, tau_up) for poly in compiled.definite]
+    return _program(compiled, blocks)
 
 
 def nodv(params: HierarchyParams, n_x: int) -> int:

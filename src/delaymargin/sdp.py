@@ -1,16 +1,17 @@
 """Embedded dense semidefinite feasibility solver.
 
 Strict LMI feasibility is decided through a margin program: every
-positive-definite constraint G(y) > 0 becomes G(y) - t*I >= 0 (negative
-ones are negated first), an infinity-norm box |y_i| <= BOX_BOUND keeps
-the program bounded, and the solver maximizes t.  The sign of the optimal
-margin t* then decides strict feasibility against FEAS_THRESHOLD.
-``solve`` returns that optimum; ``decide_feasibility``, the decision
-interface used by the bound search, stops earlier, at the first iterate
-whose dual point already certifies a margin above the threshold within 2x
-of the optimum.  The thresholds are the module constants GAP_TOL, RES_TOL,
-FEAS_THRESHOLD and BOX_BOUND; only the iteration budget and an iteration
-log can be passed to ``solve``.
+constraint block is stated as G(y) > 0 (the LMI builder negates the
+negative-definite conditions) and becomes G(y) - t*I >= 0, an
+infinity-norm box |y_i| <= BOX_BOUND keeps the program bounded, and the
+solver maximizes t.  The sign of the optimal margin t* then decides
+strict feasibility against FEAS_THRESHOLD.  ``solve`` returns that
+optimum; ``decide_feasibility``, the decision interface used by the
+bound search, stops earlier, at the first iterate whose dual point
+already certifies a margin above the threshold within 2x of the optimum.
+The thresholds are the module constants GAP_TOL, RES_TOL, FEAS_THRESHOLD
+and BOX_BOUND; only the iteration budget and an iteration log can be
+passed to ``solve``.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -34,12 +35,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .lmi import LmiProblem
-
 __all__ = [
     "ConeProgram",
     "FeasibilityResult",
-    "to_margin_program",
     "solve",
     "decide_feasibility",
     "verify_certificate",
@@ -63,7 +61,7 @@ STOP_REASONS = (
 
 # Termination and decision thresholds (GAP_TOL and FEAS_THRESHOLD scale
 # with the largest constant-block norm, ``ConeProgram.scale``), and the box
-# bound of the margin program built from an LMI problem.
+# bound of the margin programs the LMI builder emits.
 GAP_TOL = 1e-8
 RES_TOL = 1e-9
 FEAS_THRESHOLD = 1e-7
@@ -106,8 +104,8 @@ class ConeProgram:
 class FeasibilityResult:
     """Outcome of a margin solve.
 
-    ``certificate`` is the flat decision vector ``y``; for an LMI problem,
-    ``constraint.value(y)`` evaluates each block at it.
+    ``certificate`` is the flat decision vector ``y``; block k of the
+    program evaluates to F0_k + sum_i y_i F_k[i] at it.
     """
 
     status: str
@@ -120,20 +118,6 @@ class FeasibilityResult:
     @property
     def feasible(self) -> bool:
         return self.status == FEASIBLE
-
-
-def to_margin_program(problem: LmiProblem) -> ConeProgram:
-    """Margin reformulation of an LMI problem.
-
-    Negative-definite constraints are negated, so every block must exceed
-    t*I; the LMIs are homogeneous, so every constant block is zero.  The box
-    |y_i| <= BOX_BOUND on the decision scalars makes max-t well posed.
-    """
-    blocks = [
-        (np.zeros((c.size, c.size)), float(c.sense) * c.coeffs)
-        for c in problem.constraints
-    ]
-    return ConeProgram(blocks=blocks, num_y=problem.dim, box_bound=BOX_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -520,32 +504,31 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
-# LMI-level interface.
+# Decision interface.
 # ---------------------------------------------------------------------------
 
 
-def decide_feasibility(problem: LmiProblem) -> FeasibilityResult:
-    """Decide strict feasibility of an LMI problem.
+def decide_feasibility(program: ConeProgram) -> FeasibilityResult:
+    """Decide strict feasibility of a margin program.
 
     Unlike a bare ``solve``, this stops at the first iterate that certifies
     FEASIBLE (stop reason ``certified``), so a feasible margin is a
     certified lower bound within 2x of the optimum; infeasible and
     inconclusive verdicts still come from the full solve.
     """
-    return solve(to_margin_program(problem), stop_when_certified=True)
+    return solve(program, stop_when_certified=True)
 
 
-def verify_certificate(problem: LmiProblem, result: FeasibilityResult) -> bool:
+def verify_certificate(program: ConeProgram, result: FeasibilityResult) -> bool:
     """Independently re-check a feasible certificate via eigenvalues.
 
-    Returns True iff every constraint evaluated at the certificate, the
-    solver's own vector y, is strictly definite in its required sense.
+    Returns True iff every block F0_k + sum_i y_i F_k[i], at the solver's
+    own vector y, is strictly positive definite.
     """
     if not result.feasible:
         raise ValueError("certificate verification requires a feasible result")
-    for c in problem.constraints:
-        eigs = np.linalg.eigvalsh(c.value(result.certificate))
-        margin = eigs[0] if c.sense > 0 else -eigs[-1]
-        if margin <= 0:
+    for f0, stack in program.blocks:
+        mat = np.tensordot(result.certificate, stack, axes=1)
+        if np.linalg.eigvalsh(f0 + 0.5 * (mat + mat.T))[0] <= 0:
             return False
     return True

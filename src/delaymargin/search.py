@@ -163,14 +163,14 @@ class _Prober:
         if tau in self.cache:
             return self.cache[tau]
         t0 = time.perf_counter()
-        problem = assemble_stability_lmis(self.sys, self.params, tau)
+        program = assemble_stability_lmis(self.sys, self.params, tau)
         t1 = time.perf_counter()
-        result = decide_feasibility(problem)
+        result = decide_feasibility(program)
         t2 = time.perf_counter()
         verified = None
         verify_s = 0.0
         if result.feasible:
-            verified = verify_certificate(problem, result)
+            verified = verify_certificate(program, result)
             verify_s = time.perf_counter() - t2
         ok = verified is True
         if result.status == INCONCLUSIVE:
@@ -369,9 +369,9 @@ def stability_interval(
         (p.tau for p in low_report.probes if p.status == FEASIBLE), default=None
     )
     if range_low is not None and upper is not None:
-        problem = assemble_delay_range_lmis(sys, params, range_low, upper)
-        result = decide_feasibility(problem)
-        certified = result.status == FEASIBLE and verify_certificate(problem, result)
+        program = assemble_delay_range_lmis(sys, params, range_low, upper)
+        result = decide_feasibility(program)
+        certified = result.status == FEASIBLE and verify_certificate(program, result)
         report.range_certified = certified
         if not certified:
             report.notes.append(

@@ -305,6 +305,7 @@ def test_crosscheck_clean(capsys):
         ("crosscheck", "--max-M", "0"),
         # no M <= 2 reaches m = 2..5, so only m = 0, 1 would be checked
         ("crosscheck", "--max-m", "5", "--max-M", "2"),
+        ("verify", "--max-m", "5", "--max-M", "2"),
     ],
 )
 def test_suites_reject_ranges_that_check_nothing(capsys, argv):

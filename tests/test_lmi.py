@@ -30,6 +30,13 @@ def example1() -> DelaySystem:
     )
 
 
+def value(program, k: int, y: np.ndarray) -> np.ndarray:
+    """Block k of a margin program at the decision vector y."""
+    f0, stack = program.blocks[k]
+    mat = np.tensordot(y, stack, axes=1)
+    return f0 + 0.5 * (mat + mat.T)
+
+
 def random_vars(layout: VariableLayout, rng) -> DecisionVariables:
     dv = zero_vars(layout)
     sym = lambda mat: 0.5 * (mat + mat.T)
@@ -79,53 +86,53 @@ def test_layout_pack_unpack_roundtrip():
     assert flat_ip == pytest.approx(mat_ip, rel=1e-12)
 
 
+def sizes(program) -> list[int]:
+    return [f0.shape[0] for f0, _ in program.blocks]
+
+
 def test_block_dimensions():
+    # block order: positivity, -derivative, Q0..Qm, R1..Rm+1
     sys = example1()
+    n = sys.n_x
     for big_m, m in [(1, 0), (1, 1), (3, 1), (2, 2)]:
         params = HierarchyParams(big_m, m)
-        prob = assemble_stability_lmis(sys, params, 1.0)
-        by_name = {c.name: c for c in prob.constraints}
-        assert by_name["positivity"].size == sys.n_x * (big_m + 1)
-        assert by_name["derivative"].size == sys.n_x * (big_m + 2)
-        assert by_name["positivity"].sense == 1
-        assert by_name["derivative"].sense == -1
-        for j in range(m + 1):
-            assert by_name[f"Q{j} positive"].size == sys.n_x
-        for j in range(1, m + 2):
-            assert by_name[f"R{j} positive"].size == sys.n_x
+        program = assemble_stability_lmis(sys, params, 1.0)
+        assert program.num_y == nodv(params, n)
+        assert sizes(program) == [n * (big_m + 1), n * (big_m + 2)] + [n] * (2 * m + 2)
 
 
 def test_minimal_condition_block_sizes():
-    # M=1, m=0: positivity block 2*n_x, derivative block 3*n_x
+    # M=1, m=0: positivity block 2*n_x, derivative block 3*n_x, Q0, R1
     sys = example1()
-    prob = assemble_stability_lmis(sys, HierarchyParams(1, 0), 2.0)
-    sizes = {c.name: c.size for c in prob.constraints}
-    assert sizes["positivity"] == 2 * sys.n_x
-    assert sizes["derivative"] == 3 * sys.n_x
-    assert set(sizes) == {"positivity", "derivative", "Q0 positive", "R1 positive"}
+    program = assemble_stability_lmis(sys, HierarchyParams(1, 0), 2.0)
+    assert sizes(program) == [2 * sys.n_x, 3 * sys.n_x, sys.n_x, sys.n_x]
 
 
 def test_constraints_symmetric():
     rng = np.random.default_rng(1)
     sys = example1()
-    prob = assemble_stability_lmis(sys, HierarchyParams(2, 1), 1.7)
-    y = pack(prob.layout, random_vars(prob.layout, rng))
-    for c in prob.constraints:
-        mat = c.value(y)
-        assert np.array_equal(mat, mat.T), c.name
+    params = HierarchyParams(2, 1)
+    program = assemble_stability_lmis(sys, params, 1.7)
+    layout = VariableLayout(sys.n_x, params)
+    y = pack(layout, random_vars(layout, rng))
+    for k in range(len(program.blocks)):
+        mat = value(program, k, y)
+        assert np.array_equal(mat, mat.T), k
 
 
 def test_evaluate_affine_in_variables():
     rng = np.random.default_rng(2)
     sys = example1()
-    prob = assemble_stability_lmis(sys, HierarchyParams(2, 1), 1.3)
-    yu = pack(prob.layout, random_vars(prob.layout, rng))
-    yv = pack(prob.layout, random_vars(prob.layout, rng))
+    params = HierarchyParams(2, 1)
+    program = assemble_stability_lmis(sys, params, 1.3)
+    layout = VariableLayout(sys.n_x, params)
+    yu = pack(layout, random_vars(layout, rng))
+    yv = pack(layout, random_vars(layout, rng))
     lam = 0.37
-    for c in prob.constraints:
-        mix = c.value(lam * yu + (1 - lam) * yv)
-        want = lam * c.value(yu) + (1 - lam) * c.value(yv)
-        assert np.allclose(mix, want, atol=1e-12), c.name
+    for k in range(len(program.blocks)):
+        mix = value(program, k, lam * yu + (1 - lam) * yv)
+        want = lam * value(program, k, yu) + (1 - lam) * value(program, k, yv)
+        assert np.allclose(mix, want, atol=1e-12), k
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -137,52 +144,43 @@ def _assert_rel_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("big_m,m", [(1, 0), (1, 1), (3, 1), (3, 2), (4, 1)])
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_evaluate_matches_direct_assembly(systems, name, big_m, m, tau):
-    # the compiled tau-polynomial reproduces the oracle's per-delay blocks;
-    # example2 has A_d2 != 0, which brings in the tau**2 and tau**3 terms
+    # the compiled tau-polynomial reproduces the oracle's per-delay blocks,
+    # with the derivative blocks negated; example2 has A_d2 != 0, which
+    # brings in the tau**2 and tau**3 terms
     sys = systems[name]
     params = HierarchyParams(big_m, m)
     rng = np.random.default_rng([big_m, m, int(1e3 * tau)])
-    prob = assemble_stability_lmis(sys, params, tau)
-    dv = random_vars(prob.layout, rng)
-    y = pack(prob.layout, dv)
-    got = {c.name: c.value(y) for c in prob.constraints}
-    _assert_rel_close(
-        got["positivity"], positivity_block(sys, params, tau, dv.p, dv.qs)
-    )
-    _assert_rel_close(
-        got["derivative"], derivative_block(sys, params, tau, dv.p, dv.qs, dv.rs)
-    )
-    for j in range(params.m1 + 1):
-        _assert_rel_close(got[f"Q{j} positive"], dv.qs[j])
-    for j in range(1, params.m2 + 1):
-        _assert_rel_close(got[f"R{j} positive"], dv.rs[j - 1])
+    program = assemble_stability_lmis(sys, params, tau)
+    layout = VariableLayout(sys.n_x, params)
+    dv = random_vars(layout, rng)
+    y = pack(layout, dv)
+    got = [value(program, k, y) for k in range(len(program.blocks))]
+    assert len(got) == 2 + len(dv.qs) + len(dv.rs)
+    _assert_rel_close(got[0], positivity_block(sys, params, tau, dv.p, dv.qs))
+    _assert_rel_close(got[1], -derivative_block(sys, params, tau, dv.p, dv.qs, dv.rs))
+    for blk, var in zip(got[2:], dv.qs + dv.rs):  # Q0..Qm1, R1..Rm2
+        _assert_rel_close(blk, var)
 
     low, up = 0.5 * tau, tau
-    range_prob = assemble_delay_range_lmis(sys, params, low, up)
-    got = {c.name: c.value(y) for c in range_prob.constraints}
-    _assert_rel_close(
-        got["positivity at upper endpoint"],
-        positivity_block(sys, params, up, dv.p, dv.qs),
-    )
-    for side, end in (("lower", low), ("upper", up)):
+    range_program = assemble_delay_range_lmis(sys, params, low, up)
+    got = [value(range_program, k, y) for k in range(len(range_program.blocks))]
+    assert len(got) == 3 + len(dv.qs) + len(dv.rs)
+    _assert_rel_close(got[0], positivity_block(sys, params, up, dv.p, dv.qs))
+    for blk, end in zip(got[1:3], (low, up)):
         _assert_rel_close(
-            got[f"derivative at {side} endpoint"],
-            range_derivative_block(sys, params, end, dv.p, dv.qs, dv.rs),
+            blk, -range_derivative_block(sys, params, end, dv.p, dv.qs, dv.rs)
         )
+    for blk, var in zip(got[3:], dv.qs + dv.rs):
+        _assert_rel_close(blk, var)
 
 
 def test_zero_variables_give_zero_blocks():
     # the stability conditions are homogeneous: no constant terms anywhere
     sys = example1()
-    prob = assemble_stability_lmis(sys, HierarchyParams(2, 1), 1.1)
-    for c in prob.constraints:
-        assert np.array_equal(c.value(np.zeros(prob.dim)), np.zeros((c.size, c.size)))
-
-
-def _compiled_value(prob, name: str, dv: DecisionVariables) -> np.ndarray:
-    """The compiled block ``name`` of ``prob`` at the decision matrices."""
-    (block,) = [c for c in prob.constraints if c.name == name]
-    return block.value(pack(prob.layout, dv))
+    program = assemble_stability_lmis(sys, HierarchyParams(2, 1), 1.1)
+    for k, (f0, _) in enumerate(program.blocks):
+        assert np.array_equal(f0, np.zeros_like(f0))
+        assert np.array_equal(value(program, k, np.zeros(program.num_y)), f0)
 
 
 def test_positivity_block_structure():
@@ -192,10 +190,11 @@ def test_positivity_block_structure():
     n = sys.n_x
     params = HierarchyParams(2, 0)
     tau = 1.4
-    prob = assemble_stability_lmis(sys, params, tau)
-    dv = zero_vars(prob.layout)
+    program = assemble_stability_lmis(sys, params, tau)
+    layout = VariableLayout(n, params)
+    dv = zero_vars(layout)
     dv.qs[0] = np.array([[2.0, 0.3], [0.3, 1.0]])
-    blk = _compiled_value(prob, "positivity", dv)
+    blk = value(program, 0, pack(layout, dv))
     assert np.allclose(blk[:n, :n], 0.0)
     xi0 = weighted_moment_map(0, params.big_m - 1, params.big_m).as_array()
     assert np.allclose(xi0, np.eye(params.big_m))
@@ -203,20 +202,23 @@ def test_positivity_block_structure():
     expected = np.kron(weights, dv.qs[0])
     assert np.allclose(blk[n:, n:], expected, atol=1e-12)
     # P enters scaled by tau
-    dv2 = zero_vars(prob.layout)
+    dv2 = zero_vars(layout)
     dv2.p = np.eye(n * (params.big_m + 1))
-    blk2 = _compiled_value(prob, "positivity", dv2)
+    blk2 = value(program, 0, pack(layout, dv2))
     assert np.allclose(blk2, tau * np.eye(n * (params.big_m + 1)))
 
 
 def test_history_rate_corner_blocks():
     # with P = 0 and R = 0 the derivative block is the history rate alone
+    # (block 1 holds it negated)
     sys = example1()
     n = sys.n_x
-    prob = assemble_stability_lmis(sys, HierarchyParams(3, 2), 0.8)
-    dv = zero_vars(prob.layout)
+    params = HierarchyParams(3, 2)
+    program = assemble_stability_lmis(sys, params, 0.8)
+    layout = VariableLayout(n, params)
+    dv = zero_vars(layout)
     dv.qs = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0]), np.diag([5.0, 6.0])]
-    blk = _compiled_value(prob, "derivative", dv)
+    blk = -value(program, 1, pack(layout, dv))
     assert np.allclose(blk[:n, :n], sum(dv.qs))
     assert np.allclose(blk[n : 2 * n, n : 2 * n], -dv.qs[0])
     # moment part is negative semidefinite for positive Q
@@ -231,20 +233,21 @@ def test_distributed_term_column():
     params = HierarchyParams(2, 1)
     p1 = assemble_stability_lmis(sys_zero, params, 1.2)
     p2 = assemble_stability_lmis(sys_none, params, 1.2)
-    for c1, c2 in zip(p1.constraints, p2.constraints):
-        assert np.array_equal(c1.coeffs, c2.coeffs)
+    assert len(p1.blocks) == len(p2.blocks)
+    for (_, s1), (_, s2) in zip(p1.blocks, p2.blocks):
+        assert np.array_equal(s1, s2)
 
 
 def test_high_weight_depth_drops_invalid_projections():
     # m >= M: projection orders would go negative; those terms are omitted
     sys = example1()
     params = HierarchyParams(1, 2)  # m1=2 > M-1=0
-    prob = assemble_stability_lmis(sys, params, 1.0)
-    names = {c.name for c in prob.constraints}
-    assert {"Q0 positive", "Q1 positive", "Q2 positive"} <= names
-    dv = zero_vars(prob.layout)
+    program = assemble_stability_lmis(sys, params, 1.0)
+    assert len(program.blocks) == 2 + 3 + 3  # Q0..Q2 and R1..R3 are kept
+    layout = VariableLayout(sys.n_x, params)
+    dv = zero_vars(layout)
     dv.qs[2] = np.eye(2)
-    blk = _compiled_value(prob, "positivity", dv)
+    blk = value(program, 0, pack(layout, dv))
     assert np.allclose(blk, 0.0)  # Q2 has no valid projection term at M=1
 
 
@@ -262,12 +265,13 @@ def test_delay_range_matches_affine_structure():
     rng = np.random.default_rng(4)
     lo, hi = 0.4, 1.9
     mid = 0.5 * (lo + hi)
-    prob = assemble_delay_range_lmis(sys, params, lo, hi)
-    dv = random_vars(prob.layout, rng)
-    b_lo = _compiled_value(prob, "derivative at lower endpoint", dv)
-    b_hi = _compiled_value(prob, "derivative at upper endpoint", dv)
-    mid_prob = assemble_delay_range_lmis(sys, params, mid, hi)
-    b_mid = _compiled_value(mid_prob, "derivative at lower endpoint", dv)
+    program = assemble_delay_range_lmis(sys, params, lo, hi)
+    layout = VariableLayout(sys.n_x, params)
+    y = pack(layout, random_vars(layout, rng))
+    b_lo = value(program, 1, y)  # derivative at the lower endpoint
+    b_hi = value(program, 2, y)  # derivative at the upper endpoint
+    mid_program = assemble_delay_range_lmis(sys, params, mid, hi)
+    b_mid = value(mid_program, 1, y)
     assert np.allclose(b_mid, 0.5 * (b_lo + b_hi), atol=1e-11)
 
 

@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import delaymargin
+import delaymargin.sdp
 
 
 def test_package_exports_resolve():
@@ -25,3 +26,17 @@ def test_package_exports_resolve():
     assert imported
     for name in imported:
         assert hasattr(delaymargin, name), name
+
+
+def test_sdp_imports_nothing_from_lmi():
+    # lmi builds the solver's ConeProgram, so the dependency runs lmi -> sdp
+    tree = ast.parse(Path(delaymargin.sdp.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert not [name for name in imported if "lmi" in name.split(".")]

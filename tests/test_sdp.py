@@ -5,7 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from delaymargin.lmi import DelaySystem, HierarchyParams, assemble_stability_lmis
+from delaymargin.lmi import (
+    DelaySystem,
+    HierarchyParams,
+    VariableLayout,
+    assemble_stability_lmis,
+    nodv,
+)
 from delaymargin.systems import bundled_system
 from delaymargin.sdp import (
     FEASIBLE,
@@ -16,9 +22,9 @@ from delaymargin.sdp import (
     ConeProgram,
     decide_feasibility,
     solve,
-    to_margin_program,
     verify_certificate,
 )
+from oracles import derivative_block, pack, unpack
 
 
 def block(f0, stack):
@@ -206,11 +212,11 @@ def test_stalled_primal_residual_does_not_hide_feasibility():
     sys = DelaySystem.from_matrices(
         -a * np.eye(3) + 0.1 * g1, -b * np.eye(3) + 0.1 * g2
     )
-    prob = assemble_stability_lmis(sys, HierarchyParams(2, 1), 0.625)
-    res = decide_feasibility(prob)
+    program = assemble_stability_lmis(sys, HierarchyParams(2, 1), 0.625)
+    res = decide_feasibility(program)
     assert res.status == FEASIBLE
     assert res.margin > 1e3
-    assert verify_certificate(prob, res)
+    assert verify_certificate(program, res)
 
 
 def test_step_collapse_retries_with_regularized_schur_solve():
@@ -220,8 +226,8 @@ def test_step_collapse_retries_with_regularized_schur_solve():
     sys = DelaySystem.from_matrices(
         [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]], name="example3"
     )
-    prob = assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.7181396484375)
-    res = decide_feasibility(prob)
+    program = assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.7181396484375)
+    res = decide_feasibility(program)
     assert res.status == INFEASIBLE
 
 
@@ -286,31 +292,34 @@ def test_iteration_log_stream():
     assert all("gap=" in ln for ln in lines)
 
 
-def example1_problem(tau):
-    sys = DelaySystem.from_matrices(
+def example1():
+    return DelaySystem.from_matrices(
         [[-2.0, 0.0], [0.0, -0.9]], [[-1.0, 0.0], [-1.0, -1.0]], name="example1"
     )
-    return assemble_stability_lmis(sys, HierarchyParams(1, 1), tau)
+
+
+def example1_program(tau):
+    return assemble_stability_lmis(example1(), HierarchyParams(1, 1), tau)
 
 
 def test_delay_lmi_feasibility_at_published_bounds():
-    res = decide_feasibility(example1_problem(6.0))
+    res = decide_feasibility(example1_program(6.0))
     assert res.status == FEASIBLE
-    res = decide_feasibility(example1_problem(6.2))
+    res = decide_feasibility(example1_program(6.2))
     assert res.status == INFEASIBLE
 
 
 def test_decision_stops_at_first_certifying_iterate():
-    prob = example1_problem(6.0)
-    full = solve(to_margin_program(prob))
-    res = decide_feasibility(prob)
+    program = example1_program(6.0)
+    full = solve(program)
+    res = decide_feasibility(program)
     assert res.status == FEASIBLE
     assert res.meta["stop_reason"] == "certified"
     assert res.iterations < full.iterations
     # gap <= margin keeps the certified margin within 2x of the optimum
     err = res.meta["margin_error"] + full.meta["margin_error"]
     assert 0.5 * full.margin - err <= res.margin <= full.margin + err
-    assert verify_certificate(prob, res)
+    assert verify_certificate(program, res)
 
 
 # (M, m) = (3, 1) upper bounds of the bundled examples, to bisection tol 1e-5
@@ -321,50 +330,75 @@ _BOUNDS_3_1 = {"example1": 6.1725044, "example2": 2.0412350, "example3": 1.71778
 def test_early_exit_keeps_verdicts_near_the_bound(name):
     sys = bundled_system(name)[0]
     for offset in (-1e-1, -1e-2, -1e-3, 1e-3, 1e-2, 1e-1):
-        prob = assemble_stability_lmis(sys, HierarchyParams(3, 1), _BOUNDS_3_1[name] + offset)
-        full = solve(to_margin_program(prob))
+        program = assemble_stability_lmis(
+            sys, HierarchyParams(3, 1), _BOUNDS_3_1[name] + offset
+        )
+        full = solve(program)
         if full.status == INCONCLUSIVE:
             continue
-        assert decide_feasibility(prob).status == full.status, offset
+        assert decide_feasibility(program).status == full.status, offset
 
 
 def test_margin_program_structure():
-    prob = example1_problem(1.0)
-    program = to_margin_program(prob)
-    assert program.num_y == prob.dim
+    # the LMI builder emits the margin program: homogeneous, box-bounded,
+    # with the negative-definite derivative condition arriving negated
+    sys = example1()
+    params = HierarchyParams(1, 1)
+    program = example1_program(1.0)
+    assert program.num_y == nodv(params, sys.n_x)
     assert program.box_bound == BOX_BOUND
-    # negative-definite constraints arrive negated
-    deriv = prob.constraints[1]
-    assert deriv.sense == -1
-    assert np.array_equal(program.blocks[1][1], -deriv.coeffs)
+    for f0, _ in program.blocks:
+        assert np.array_equal(f0, np.zeros_like(f0))
+    y = np.random.default_rng(3).normal(size=program.num_y)
+    dv = unpack(VariableLayout(sys.n_x, params), y)
+    want = -derivative_block(sys, params, 1.0, dv.p, dv.qs, dv.rs)
+    got = np.tensordot(y, program.blocks[1][1], axes=1)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
 
 
 def test_feasible_certificate_margin_consistency():
-    # re-evaluated constraint eigenvalues must support the reported margin
-    prob = example1_problem(6.0)
-    res = decide_feasibility(prob)
+    # re-evaluated block eigenvalues must support the reported margin
+    program = example1_program(6.0)
+    res = decide_feasibility(program)
     assert res.status == FEASIBLE
     floor = res.margin * (1 - 1e-6) - 1e-9
-    for c in prob.constraints:
-        eigs = np.linalg.eigvalsh(c.value(res.certificate))
-        attained = eigs[0] if c.sense > 0 else -eigs[-1]
-        assert attained >= floor, (c.name, attained, res.margin)
+    for k, (f0, stack) in enumerate(program.blocks):
+        mat = f0 + np.tensordot(res.certificate, stack, axes=1)
+        attained = np.linalg.eigvalsh(mat)[0]
+        assert attained >= floor, (k, attained, res.margin)
 
 
 def test_certificate_roundtrip_and_tampering():
-    prob = example1_problem(6.0)
-    res = decide_feasibility(prob)
+    program = example1_program(6.0)
+    res = decide_feasibility(program)
     assert res.status == FEASIBLE
-    assert verify_certificate(prob, res)
+    assert verify_certificate(program, res)
     # zeroing the augmented quadratic form destroys the positivity block
     tampered = res.certificate.copy()
-    tampered[: prob.layout.offsets[1]] = 0.0  # P's svec slice
+    layout = VariableLayout(2, HierarchyParams(1, 1))
+    tampered[: layout.offsets[1]] = 0.0  # P's svec slice
     res.certificate = tampered
-    assert not verify_certificate(prob, res)
+    assert not verify_certificate(program, res)
 
 
 def test_verify_requires_feasible_result():
-    prob = example1_problem(6.2)
-    res = decide_feasibility(prob)
+    program = example1_program(6.2)
+    res = decide_feasibility(program)
     with pytest.raises(ValueError):
-        verify_certificate(prob, res)
+        verify_certificate(program, res)
+
+
+def test_verify_checks_any_cone_program():
+    # rotated balance (non-zero F0): eigenvalues y and 2 - y, optimum y = 1
+    program = oracle_cases()[6][1]
+    res = solve(program)
+    assert res.status == FEASIBLE
+    assert verify_certificate(program, res)
+    # past the balance point the 2 - y eigenvalue turns negative
+    res.certificate = np.array([2.5])
+    assert not verify_certificate(program, res)
+    # blocks of several sizes, each with its own constant block
+    program = mixed_size_program()
+    res = solve(program)
+    assert res.status == FEASIBLE
+    assert verify_certificate(program, res)
