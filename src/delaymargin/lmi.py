@@ -16,8 +16,10 @@ state history:
 together with positivity of the individual Q and R variables.  A delay-range
 variant replaces the single-delay derivative block by its Schur-complement
 form, affine in tau, checked at both interval endpoints.  The assembled
-conditions are an ``sdp.ConeProgram``: zero constant blocks, every block
-positive definite (the derivative blocks negated).
+conditions are an ``sdp.ConeProgram``, one coefficient stack per block
+and no constant term (the conditions are homogeneous in the decision
+variables), every block positive definite (the derivative blocks
+negated).
 
 All blocks are linear in the decision variables and depend on the delay
 only through a few powers of tau: tau**-1 (the projection term of the
@@ -59,7 +61,8 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class DelaySystem:
-    """Constant-coefficient delay system matrices.
+    """Constant-coefficient delay system matrices; ``a_d2`` None means the
+    zero matrix (no distributed delay).
 
     The matrices are private read-only copies, so the LMI coefficients
     compiled from them can be memoized on the instance (``_compiled``, one
@@ -68,14 +71,16 @@ class DelaySystem:
 
     a: np.ndarray
     a_d1: np.ndarray
-    a_d2: np.ndarray
+    a_d2: np.ndarray | None = None
     name: str = "system"
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.array(self.a, dtype=float))
         d1 = np.atleast_2d(np.array(self.a_d1, dtype=float))
-        d2 = np.atleast_2d(np.array(self.a_d2, dtype=float))
+        d2 = np.zeros_like(a)
+        if self.a_d2 is not None:
+            d2 = np.atleast_2d(np.array(self.a_d2, dtype=float))
         for label, m in (("A", a), ("A_d1", d1), ("A_d2", d2)):
             if m.shape != a.shape or m.shape[0] != m.shape[1]:
                 raise ValueError(f"{label} must be square and match A's shape")
@@ -85,13 +90,6 @@ class DelaySystem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_d1", d1)
         object.__setattr__(self, "a_d2", d2)
-
-    @staticmethod
-    def from_matrices(a, a_d1, a_d2=None, name: str = "system") -> "DelaySystem":
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        if a_d2 is None:
-            a_d2 = np.zeros_like(a)
-        return DelaySystem(a, a_d1, a_d2, name)
 
     @property
     def n_x(self) -> int:
@@ -297,9 +295,9 @@ def _compiled(sys: DelaySystem, params: HierarchyParams) -> _CompiledLmis:
 
 
 def _program(compiled: _CompiledLmis, blocks) -> sdp.ConeProgram:
-    """The margin program of (polynomial, delay) blocks, constant blocks zero."""
+    """The margin program of (polynomial, delay) blocks."""
     return sdp.ConeProgram(
-        [(np.zeros(poly.stacks.shape[-2:]), poly.at(tau)) for poly, tau in blocks],
+        [poly.at(tau) for poly, tau in blocks],
         num_y=compiled.layout.dim,
         box_bound=sdp.BOX_BOUND,
     )

@@ -1,17 +1,19 @@
 """Embedded dense semidefinite feasibility solver.
 
 Strict LMI feasibility is decided through a margin program: every
-constraint block is stated as G(y) > 0 (the LMI builder negates the
-negative-definite conditions) and becomes G(y) - t*I >= 0, an
+constraint block is stated as F(y) = sum_i y_i F_i > 0 (the LMI builder
+negates the negative-definite conditions) and becomes F(y) - t*I >= 0, an
 infinity-norm box |y_i| <= BOX_BOUND keeps the program bounded, and the
-solver maximizes t.  The sign of the optimal margin t* then decides
-strict feasibility against FEAS_THRESHOLD.  ``solve`` returns that
-optimum; ``decide_feasibility``, the decision interface used by the
-bound search, stops earlier, at the first iterate whose dual point
-already certifies a margin above the threshold within 2x of the optimum.
-The thresholds are the module constants GAP_TOL, RES_TOL, FEAS_THRESHOLD
-and BOX_BOUND; only the iteration budget and an iteration log can be
-passed to ``solve``.
+solver maximizes t.  The programs are homogeneous, as the stability
+conditions are linear in the Lyapunov-Krasovskii matrices with no
+constant term: y = 0 attains t = 0, so the optimal margin t* is never
+negative, and strict feasibility is exactly t* > 0, decided against
+FEAS_THRESHOLD.  ``solve`` returns that optimum; ``decide_feasibility``,
+the decision interface used by the bound search, stops earlier, at the
+first iterate whose dual point already certifies a margin above the
+threshold within 2x of the optimum.  The thresholds are the module
+constants GAP_TOL, RES_TOL, FEAS_THRESHOLD and BOX_BOUND; only the
+iteration budget and an iteration log can be passed to ``solve``.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -20,17 +22,17 @@ nonnegative-orthant block with diagonal scaling.  Everything is
 deterministic: fixed iteration schedule, no randomized pivoting.
 
 Blocks are stacked by size once per solve: the k blocks of size d share
-one (k, d, d) array for each of the data C, the iterates X and S, the
-residuals, the NT scalings and the search directions, and their
-coefficients one (q, k, d, d) array.  Each step of an iteration (scaling,
-Schur accumulation, Newton right-hand side, step length, update) is then
-one batched numpy call per size group, not one per block; the
-stability LMIs have many equal-size n_x x n_x blocks.
+one (k, d, d) array for each of the iterates X and S, the residuals, the
+NT scalings and the search directions, and their coefficients one
+(q, k, d, d) array.  Each step of an iteration (scaling, Schur
+accumulation, Newton right-hand side, step length, update) is then one
+batched numpy call per size group, not one per block; the stability LMIs
+have many equal-size n_x x n_x blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -59,9 +61,8 @@ STOP_REASONS = (
     "certified",
 )
 
-# Termination and decision thresholds (GAP_TOL and FEAS_THRESHOLD scale
-# with the largest constant-block norm, ``ConeProgram.scale``), and the box
-# bound of the margin programs the LMI builder emits.
+# Termination and decision thresholds, and the box bound of the margin
+# programs the LMI builder emits.
 GAP_TOL = 1e-8
 RES_TOL = 1e-9
 FEAS_THRESHOLD = 1e-7
@@ -70,13 +71,14 @@ BOX_BOUND = 1e4
 
 @dataclass
 class ConeProgram:
-    """max t  s.t.  F0_k + sum_i y_i F_k[i] - t I >= 0 for all k, |y| <= B.
+    """max t  s.t.  sum_i y_i F_k[i] - t I >= 0 for all k, |y| <= B.
 
-    ``blocks`` holds (F0, stack) pairs where ``stack`` has one symmetric
-    coefficient matrix per y variable; the margin variable is implicit.
+    ``blocks`` holds one (num_y, d, d) stack F_k per constraint block, one
+    symmetric coefficient matrix per y variable; there is no constant
+    term, and the margin variable is implicit.
     """
 
-    blocks: list[tuple[np.ndarray, np.ndarray]]
+    blocks: list[np.ndarray]
     num_y: int
     box_bound: float
 
@@ -85,19 +87,12 @@ class ConeProgram:
             raise ValueError("at least one constraint block is required")
         if not self.box_bound > 0:
             raise ValueError("box bound must be positive")
-        for f0, stack in self.blocks:
-            if f0.ndim != 2 or f0.shape[0] != f0.shape[1]:
-                raise ValueError("constant blocks must be square")
-            if not np.allclose(f0, f0.T, atol=1e-12):
-                raise ValueError("constant blocks must be symmetric")
-            if stack.shape != (self.num_y,) + f0.shape:
-                raise ValueError("coefficient stack shape mismatch")
+        for stack in self.blocks:
+            d = stack.shape[-1]
+            if stack.shape != (self.num_y, d, d):
+                raise ValueError("each block must be a (num_y, d, d) coefficient stack")
             if not np.allclose(stack, np.transpose(stack, (0, 2, 1)), atol=1e-12):
                 raise ValueError("coefficient matrices must be symmetric")
-
-    @property
-    def scale(self) -> float:
-        return max(1.0, max(float(np.linalg.norm(f0)) for f0, _ in self.blocks))
 
 
 @dataclass
@@ -105,15 +100,21 @@ class FeasibilityResult:
     """Outcome of a margin solve.
 
     ``certificate`` is the flat decision vector ``y``; block k of the
-    program evaluates to F0_k + sum_i y_i F_k[i] at it.
+    program evaluates to sum_i y_i F_k[i] at it.  ``stop_reason`` is one of
+    STOP_REASONS, ``margin_error`` the estimated uncertainty of ``margin``,
+    and ``gap``, ``primal`` and ``dual`` the duality gap and the normalized
+    primal and dual residuals of the last iterate.
     """
 
     status: str
     margin: float
     certificate: np.ndarray
     iterations: int
-    residuals: dict
-    meta: dict = field(default_factory=dict)
+    stop_reason: str
+    margin_error: float
+    gap: float
+    primal: float
+    dual: float
 
     @property
     def feasible(self) -> bool:
@@ -134,21 +135,21 @@ def _sym(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + _t(mats))
 
 
-def _stack_by_size(program: ConeProgram) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Solver-form data, one (C, A) pair per block size d, sizes ascending.
+def _stack_by_size(program: ConeProgram) -> list[np.ndarray]:
+    """Solver-form data, one A per block size d, sizes ascending.
 
-    C is (k, d, d) for the k blocks of size d, in program order, and A is
-    (q, k, d, d) with S(z) = C - sum_i z_i A[i]; the margin t is the last
-    of the q = num_y + 1 variables, with A = I.
+    A is (q, k, d, d) for the k blocks of size d, in program order, with
+    S(z) = -sum_i z_i A[i]; the margin t is the last of the q = num_y + 1
+    variables, with A = I.
     """
     p = program.num_y
     groups = []
-    for d in sorted({f0.shape[0] for f0, _ in program.blocks}):
-        members = [(f0, st) for f0, st in program.blocks if f0.shape[0] == d]
+    for d in sorted({stack.shape[-1] for stack in program.blocks}):
+        members = [stack for stack in program.blocks if stack.shape[-1] == d]
         a = np.empty((p + 1, len(members), d, d))
-        a[:p] = -np.stack([st for _, st in members], axis=1)
+        a[:p] = -np.stack(members, axis=1)
         a[p] = np.eye(d)
-        groups.append((np.stack([f0 for f0, _ in members]), a))
+        groups.append(a)
     return groups
 
 
@@ -206,15 +207,17 @@ def solve(
     """Maximize the margin t and classify strict feasibility by its sign.
 
     Deterministic given identical inputs.  Termination: duality gap below
-    ``GAP_TOL * scale`` and normalized primal/dual residuals below
-    ``RES_TOL``, or ``max_iter`` iterations.  Classification: FEASIBLE when
-    t* >= ``FEAS_THRESHOLD * scale`` and the dual residual is at most 100
+    ``GAP_TOL`` and normalized primal/dual residuals below ``RES_TOL``, or
+    ``max_iter`` iterations.  Classification: FEASIBLE when
+    t* >= ``FEAS_THRESHOLD`` and the dual residual is at most 100
     ``RES_TOL`` (the dual iterate is then a certificate, whatever the
-    primal residual); otherwise the gap and both residuals must be small
-    for INFEASIBLE, and anything else, including iteration exhaustion, is
-    numerically-inconclusive with diagnostics attached.
+    primal residual); otherwise INFEASIBLE when the run is decided (it
+    converged, or its error estimate and both residuals are small), since
+    the homogeneous optimum is then zero, and numerically-inconclusive
+    when it is not, including iteration exhaustion.  ``margin_error`` is
+    at least -t*, because y = 0 attains t = 0.
 
-    ``meta["stop_reason"]`` records why the iteration ended, one of
+    ``stop_reason`` records why the iteration ended, one of
     STOP_REASONS: ``converged`` (tolerances met), ``stalled`` (the gap
     stopped falling near its rounding floor), ``max-iter`` (iteration
     budget spent), ``non-finite`` (the gap or the dual iterate overflowed),
@@ -235,13 +238,11 @@ def solve(
     p = program.num_y
     q = p + 1  # margin variable t is last
     bound = program.box_bound
-    scale = program.scale
-    threshold = FEAS_THRESHOLD * scale
 
     groups = _stack_by_size(program)
-    cs = [c for c, _ in groups]
-    flats = [a.reshape(q, -1) for _, a in groups]
-    eyes = [np.eye(c.shape[-1]) for c in cs]
+    shapes = [a.shape[1:] for a in groups]
+    flats = [a.reshape(q, -1) for a in groups]
+    eyes = [np.eye(shape[-1]) for shape in shapes]
 
     # Box rows: B -+ y_i >= 0 as a nonnegative block.
     n_lp = 2 * p
@@ -254,18 +255,17 @@ def solve(
     b_obj = np.zeros(q)
     b_obj[p] = 1.0
 
-    n_total = sum(c.shape[0] * c.shape[1] for c in cs) + n_lp
-    c_norm = max(float(np.linalg.norm(c, axis=(1, 2)).max()) for c in cs)
-    data_norm = max([c_norm, 1.0] + [float(np.abs(a).max()) for _, a in groups])
+    n_total = sum(shape[0] * shape[1] for shape in shapes) + n_lp
+    data_norm = max([1.0] + [float(np.abs(a).max()) for a in groups])
 
     # Start exactly dual feasible: a deeply negative margin makes every
-    # slack block C + eta*I strictly positive definite.
+    # slack block eta*I strictly positive definite.
     eta = 10.0 * max(1.0, data_norm)
-    xs = [np.broadcast_to(e, c.shape).copy() for c, e in zip(cs, eyes)]
+    xs = [np.broadcast_to(e, shape).copy() for shape, e in zip(shapes, eyes)]
     x_lp = np.ones(n_lp)
     z = np.zeros(q)
     z[p] = -eta
-    ss = [c + eta * e for c, e in zip(cs, eyes)]
+    ss = [np.broadcast_to(eta * e, shape).copy() for shape, e in zip(shapes, eyes)]
     s_lp = c_lp - a_lp @ z
 
     def aop(xmats, xvec) -> np.ndarray:
@@ -279,7 +279,7 @@ def solve(
             log_stream.write(msg + "\n")
 
     stop_reason = "max-iter"
-    residuals: dict = {}
+    gap = pinf = dinf = np.inf
     it = 0
     best_gap = np.inf
     stall_count = 0
@@ -287,7 +287,7 @@ def solve(
     jitter_floor = 0
     for it in range(1, max_iter + 1):
         rp = b_obj - aop(xs, x_lp)
-        rds = [c - (z @ flat).reshape(c.shape) - s for c, flat, s in zip(cs, flats, ss)]
+        rds = [-(z @ flat).reshape(s.shape) - s for flat, s in zip(flats, ss)]
         rd_lp = c_lp - a_lp @ z - s_lp
         gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss)) + float(x_lp @ s_lp)
         mu = gap / n_total
@@ -295,11 +295,10 @@ def solve(
         pinf = float(np.abs(rp).max()) / (1.0 + bound)
         dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
         dinf_lp = float(np.abs(rd_lp).max(initial=0.0))
-        dinf = max(dinf_blocks, dinf_lp) / (1.0 + c_norm + bound)
-        residuals = {"gap": gap, "primal": pinf, "dual": dinf}
+        dinf = max(dinf_blocks, dinf_lp) / (1.0 + bound)
         log(f"iter {it:3d}  t={z[p]: .9e}  gap={gap:.3e}  pinf={pinf:.3e}  dinf={dinf:.3e}")
 
-        if gap <= GAP_TOL * scale and pinf <= RES_TOL and dinf <= RES_TOL:
+        if gap <= GAP_TOL and pinf <= RES_TOL and dinf <= RES_TOL:
             stop_reason = "converged"
             break
         # the verdict is fixed once the dual iterate certifies a margin above
@@ -308,7 +307,7 @@ def solve(
         # that margin within 2x of the optimum
         if (
             stop_when_certified
-            and z[p] >= threshold
+            and z[p] >= FEAS_THRESHOLD
             and dinf <= 100 * RES_TOL
             and pinf <= 100 * RES_TOL
             and gap <= z[p]
@@ -318,7 +317,7 @@ def solve(
         # rounding floor: box products of size ~bound set a floor on the
         # attainable absolute gap; once near it, stop when progress dies
         # (mid-phase plateaus at large gap are left alone)
-        stall_level = max(1e2 * GAP_TOL * scale, 1e-12 * bound * n_total)
+        stall_level = max(1e2 * GAP_TOL, 1e-12 * bound * n_total)
         if gap <= stall_level and gap >= 0.7 * best_gap:
             stall_count += 1
             if stall_count >= 4:
@@ -345,7 +344,7 @@ def solve(
 
         # Schur complement (Gram of scaled coefficient matrices) + box diagonal
         schur = np.zeros((q, q))
-        for g, (_, a) in zip(gs, groups):
+        for g, a in zip(gs, groups):
             flat = (_t(g) @ a @ g).reshape(q, -1)
             schur += flat @ flat.T
         w2 = w_lp**2
@@ -459,47 +458,36 @@ def solve(
         z = z + ad * dz
 
     t_star = float(z[p])
-    y = z[:p].copy()
-    homogeneous = not any(c.any() for c in cs)
     # estimated uncertainty of the reported margin
-    err = residuals.get("gap", np.inf) + (
-        residuals.get("primal", np.inf) + residuals.get("dual", np.inf)
-    ) * (1.0 + bound)
-    dual_ok = residuals.get("dual", np.inf) <= 100 * RES_TOL
-    converged = stop_reason == "converged"
-    decisive = converged or (
-        err <= 0.1 * max(abs(t_star), threshold)
-        and residuals.get("primal", np.inf) <= 100 * RES_TOL
+    err = gap + (pinf + dinf) * (1.0 + bound)
+    dual_ok = dinf <= 100 * RES_TOL
+    decisive = stop_reason == "converged" or (
+        err <= 0.1 * max(abs(t_star), FEAS_THRESHOLD)
+        and pinf <= 100 * RES_TOL
         and dual_ok
     )
-    if t_star >= threshold and dual_ok:
+    if t_star >= FEAS_THRESHOLD and dual_ok:
         # the dual iterate alone decides feasibility: its slack S(z) > 0
         # gives F(y) - t* I = S(z) up to the dual residual, whatever the
         # primal residual or gap (verify_certificate re-checks it)
         status = FEASIBLE
-    elif not decisive:
-        status = INCONCLUSIVE
-    elif homogeneous or t_star <= -threshold:
-        # a homogeneous family always admits the zero solution with zero
-        # margin, so strict feasibility is exactly "margin above threshold"
+    elif decisive:
+        # y = 0 attains t = 0, so strict feasibility is exactly "margin
+        # above threshold"
         status = INFEASIBLE
     else:
         status = INCONCLUSIVE
-    if homogeneous:
-        # y = 0 attains t = 0, so the exact optimum is >= 0 and a negative
-        # t* is off by at least -t*
-        err = max(err, -t_star)
     return FeasibilityResult(
         status=status,
         margin=t_star,
-        certificate=y,
+        certificate=z[:p].copy(),
         iterations=it,
-        residuals=residuals,
-        meta={
-            "homogeneous": homogeneous,
-            "margin_error": err,
-            "stop_reason": stop_reason,
-        },
+        stop_reason=stop_reason,
+        # the exact optimum is >= 0, so a negative t* is off by at least -t*
+        margin_error=max(err, -t_star),
+        gap=gap,
+        primal=pinf,
+        dual=dinf,
     )
 
 
@@ -522,13 +510,13 @@ def decide_feasibility(program: ConeProgram) -> FeasibilityResult:
 def verify_certificate(program: ConeProgram, result: FeasibilityResult) -> bool:
     """Independently re-check a feasible certificate via eigenvalues.
 
-    Returns True iff every block F0_k + sum_i y_i F_k[i], at the solver's
-    own vector y, is strictly positive definite.
+    Returns True iff every block sum_i y_i F_k[i], at the solver's own
+    vector y, is strictly positive definite.
     """
     if not result.feasible:
         raise ValueError("certificate verification requires a feasible result")
-    for f0, stack in program.blocks:
+    for stack in program.blocks:
         mat = np.tensordot(result.certificate, stack, axes=1)
-        if np.linalg.eigvalsh(f0 + 0.5 * (mat + mat.T))[0] <= 0:
+        if np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] <= 0:
             return False
     return True

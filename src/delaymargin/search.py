@@ -177,20 +177,20 @@ class _Prober:
             self.report.inconclusive_probes += 1
         self.report.probes.append(
             ProbeRecord(
-                tau,
-                result.status,
-                result.margin,
-                verified,
-                result.iterations,
-                result.meta["margin_error"],
-                result.meta["stop_reason"],
-                t1 - t0,
-                t2 - t1,
-                verify_s,
+                tau=tau,
+                status=result.status,
+                margin=result.margin,
+                verified=verified,
+                iterations=result.iterations,
+                margin_error=result.margin_error,
+                stop_reason=result.stop_reason,
+                assemble_s=t1 - t0,
+                solve_s=t2 - t1,
+                verify_s=verify_s,
                 step=step,
-                gap=result.residuals.get("gap"),
-                primal=result.residuals.get("primal"),
-                dual=result.residuals.get("dual"),
+                gap=result.gap,
+                primal=result.primal,
+                dual=result.dual,
             )
         )
         self.cache[tau] = ok
@@ -279,6 +279,11 @@ def _refine(
     return tau_feas, tau_infeas
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _search(
     sys: DelaySystem, params: HierarchyParams, tol: float, direction: str
 ) -> tuple[float, float | None, DelayBoundsReport]:
@@ -290,6 +295,7 @@ def _search(
     left for the caller to set; the infeasible end is None when the walk
     found no crossing.
     """
+    _check_tol(tol)
     upper = direction == "upper"
     report = DelayBoundsReport(
         sys.name, params.big_m, params.m, direction, nodv=nodv(params, sys.n_x)
@@ -400,6 +406,7 @@ def hierarchy_sweep(
     """
     if len(m_big_range) == 0 or len(m_range) == 0:
         raise ValueError("sweep ranges must be nonempty")
+    _check_tol(tol)  # before the loop, which records ValueError per cell
     cells: dict[tuple[int, int], DelayBoundsReport] = {}
     errors: dict[tuple[int, int], str] = {}
     for big_m in m_big_range:

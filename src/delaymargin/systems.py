@@ -69,10 +69,9 @@ def load_system(path: str | Path) -> tuple[DelaySystem, dict]:
         raise SystemFileError(f"{path}: fields 'A' and 'A_d1' are required")
     a = _as_square_matrix(doc["A"], n_x, "A")
     a_d1 = _as_square_matrix(doc["A_d1"], n_x, "A_d1")
-    if "A_d2" in doc and doc["A_d2"] is not None:
+    a_d2 = None  # DelaySystem reads None as the zero matrix
+    if doc.get("A_d2") is not None:
         a_d2 = _as_square_matrix(doc["A_d2"], n_x, "A_d2")
-    else:
-        a_d2 = np.zeros((n_x, n_x))
     name = str(doc.get("name", path.stem))
     meta = {
         key: doc[key]

@@ -25,16 +25,15 @@ from oracles import (
 
 
 def example1() -> DelaySystem:
-    return DelaySystem.from_matrices(
+    return DelaySystem(
         [[-2.0, 0.0], [0.0, -0.9]], [[-1.0, 0.0], [-1.0, -1.0]], name="example1"
     )
 
 
 def value(program, k: int, y: np.ndarray) -> np.ndarray:
     """Block k of a margin program at the decision vector y."""
-    f0, stack = program.blocks[k]
-    mat = np.tensordot(y, stack, axes=1)
-    return f0 + 0.5 * (mat + mat.T)
+    mat = np.tensordot(y, program.blocks[k], axes=1)
+    return 0.5 * (mat + mat.T)
 
 
 def random_vars(layout: VariableLayout, rng) -> DecisionVariables:
@@ -48,10 +47,10 @@ def random_vars(layout: VariableLayout, rng) -> DecisionVariables:
 
 def test_delay_system_validation():
     with pytest.raises(ValueError):
-        DelaySystem.from_matrices([[1.0, 0.0]], [[1.0]])
+        DelaySystem([[1.0, 0.0]], [[1.0]])
     with pytest.raises(ValueError):
-        DelaySystem.from_matrices([[np.inf]], [[0.0]])
-    s = DelaySystem.from_matrices([[-1.0]], [[0.5]])
+        DelaySystem([[np.inf]], [[0.0]])
+    s = DelaySystem([[-1.0]], [[0.5]])
     assert np.allclose(s.a_d2, 0.0)
     assert s.n_x == 1
 
@@ -87,7 +86,7 @@ def test_layout_pack_unpack_roundtrip():
 
 
 def sizes(program) -> list[int]:
-    return [f0.shape[0] for f0, _ in program.blocks]
+    return [stack.shape[-1] for stack in program.blocks]
 
 
 def test_block_dimensions():
@@ -178,9 +177,9 @@ def test_zero_variables_give_zero_blocks():
     # the stability conditions are homogeneous: no constant terms anywhere
     sys = example1()
     program = assemble_stability_lmis(sys, HierarchyParams(2, 1), 1.1)
-    for k, (f0, _) in enumerate(program.blocks):
-        assert np.array_equal(f0, np.zeros_like(f0))
-        assert np.array_equal(value(program, k, np.zeros(program.num_y)), f0)
+    zero = np.zeros(program.num_y)
+    for k, stack in enumerate(program.blocks):
+        assert np.array_equal(value(program, k, zero), np.zeros(stack.shape[1:]))
 
 
 def test_positivity_block_structure():
@@ -229,12 +228,12 @@ def test_history_rate_corner_blocks():
 def test_distributed_term_column():
     # the distributed-kernel matrix enters only through the tau * A_d2 column
     sys_zero = example1()
-    sys_none = DelaySystem.from_matrices(sys_zero.a, sys_zero.a_d1)
+    sys_none = DelaySystem(sys_zero.a, sys_zero.a_d1)
     params = HierarchyParams(2, 1)
     p1 = assemble_stability_lmis(sys_zero, params, 1.2)
     p2 = assemble_stability_lmis(sys_none, params, 1.2)
     assert len(p1.blocks) == len(p2.blocks)
-    for (_, s1), (_, s2) in zip(p1.blocks, p2.blocks):
+    for s1, s2 in zip(p1.blocks, p2.blocks):
         assert np.array_equal(s1, s2)
 
 
@@ -283,7 +282,7 @@ def test_delay_range_single_point_equivalence():
         n = int(rng.integers(1, 3))
         a = rng.normal(size=(n, n)) - 1.2 * np.eye(n)
         d1 = 0.6 * rng.normal(size=(n, n))
-        sys = DelaySystem.from_matrices(a, d1)
+        sys = DelaySystem(a, d1)
         tau = float(rng.uniform(0.05, 2.5))
         params = HierarchyParams(int(rng.integers(1, 3)), int(rng.integers(0, 2)))
         r1 = decide_feasibility(assemble_stability_lmis(sys, params, tau))

@@ -27,8 +27,9 @@ from delaymargin.sdp import (
 from oracles import derivative_block, pack, unpack
 
 
-def block(f0, stack):
-    return np.asarray(f0, dtype=float), np.asarray(stack, dtype=float)
+def stack(*coefficients):
+    """A coefficient stack, one symmetric matrix per y variable."""
+    return np.array(coefficients, dtype=float)
 
 
 def rotation(theta):
@@ -37,77 +38,53 @@ def rotation(theta):
 
 
 def oracle_cases():
-    """Ten margin programs with closed-form optima.
+    """Ten homogeneous margin programs with closed-form optima.
 
     Each is small enough to solve by hand: diagonal structure, a single
-    coupling, or a box-active optimum.
+    coupling, or a box-active optimum.  A constant term C is stated as
+    y_0 C on an extra variable y_0 with box bound 1, which attains the
+    optimum at y_0 = 1.
     """
     cases = []
 
     # 1. scalar free variable, tight box: t* = B
-    cases.append(
-        ("scalar-box", ConeProgram([block(np.zeros((1, 1)), np.ones((1, 1, 1)))], 1, 1.0), 1.0)
-    )
+    cases.append(("scalar-box", ConeProgram([stack([[1.0]])], 1, 1.0), 1.0))
     # 2. antagonistic pair: only the zero margin is attainable
-    st = np.zeros((1, 2, 2))
-    st[0] = np.diag([1.0, -1.0])
-    cases.append(("antagonistic", ConeProgram([block(np.zeros((2, 2)), st)], 1, 1e4), 0.0))
-    # 3. constant block, no variables: margin is the smallest eigenvalue
+    cases.append(("antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]))], 1, 1e4), 0.0))
+    # 3. a constant block y_0 C: margin is the smallest eigenvalue of C
     c = np.array([[3.5, 1.5], [1.5, 3.5]])  # eigenvalues 2 and 5
-    cases.append(("constant-only", ConeProgram([block(c, np.zeros((0, 2, 2)))], 0, 1e4), 2.0))
+    cases.append(("constant-only", ConeProgram([stack(c)], 1, 1.0), 2.0))
     # 4. identity direction with box: t* = B
-    st = np.zeros((1, 2, 2))
-    st[0] = np.eye(2)
-    cases.append(("identity-box", ConeProgram([block(np.zeros((2, 2)), st)], 1, 1.0), 1.0))
-    # 5. two scalar blocks y and 1 - y: balance at 1/2
-    s1 = np.ones((1, 1, 1))
-    s2 = -np.ones((1, 1, 1))
+    cases.append(("identity-box", ConeProgram([stack(np.eye(2))], 1, 1.0), 1.0))
+    # 5. two scalar blocks y_1 and y_0 - y_1: balance at 1/2
+    balance = [stack([[0.0]], [[1.0]]), stack([[1.0]], [[-1.0]])]
+    cases.append(("balance", ConeProgram(balance, 2, 1.0), 0.5))
+    # 6. y_1 diag(1, -1) + y_2 [[0, 1], [1, 0]] has eigenvalues +-|y|:
+    # only the zero margin is attainable
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases.append(
-        (
-            "balance",
-            ConeProgram(
-                [block(np.zeros((1, 1)), s1), block(np.ones((1, 1)), s2)], 1, 10.0
-            ),
-            0.5,
-        )
+        ("rotated-antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]), swap)], 2, 10.0), 0.0)
     )
-    # 6. infeasible pair: diag(y, -y-1) caps the margin at -1/2
-    st = np.zeros((1, 2, 2))
-    st[0] = np.diag([1.0, -1.0])
-    cases.append(
-        ("strictly-infeasible", ConeProgram([block(np.diag([0.0, -1.0]), st)], 1, 10.0), -0.5)
-    )
-    # 7. rotated coordinates: same optimum as diag(y, 2 - y)
+    # 7. rotated coordinates: same optimum as diag(y_1, 2 y_0 - y_1)
     q = rotation(0.6)
-    st = np.zeros((1, 2, 2))
-    st[0] = q @ np.diag([1.0, -1.0]) @ q.T
-    f0 = q @ np.diag([0.0, 2.0]) @ q.T
-    cases.append(("rotated-balance", ConeProgram([block(f0, st)], 1, 10.0), 1.0))
-    # 8. box-active slope: eigenvalues y and 2y - 1, maximal at y = B = 3
-    st = np.zeros((1, 2, 2))
-    st[0] = np.diag([1.0, 2.0])
-    cases.append(
-        ("box-active-slope", ConeProgram([block(np.diag([0.0, -1.0]), st)], 1, 3.0), 3.0)
-    )
-    # 9. three variables sharing a budget of 4: symmetric optimum at 1
-    st = np.zeros((3, 4, 4))
-    for i in range(3):
-        st[i, i, i] = 1.0
+    rotated = stack(q @ np.diag([0.0, 2.0]) @ q.T, q @ np.diag([1.0, -1.0]) @ q.T)
+    cases.append(("rotated-balance", ConeProgram([rotated], 2, 1.0), 1.0))
+    # 8. box-active slope: eigenvalues y_1 and 2 y_1 - y_0, maximal at
+    # y_1 = -y_0 = B = 3
+    slope = stack(np.diag([0.0, -1.0]), np.diag([1.0, 2.0]))
+    cases.append(("box-active-slope", ConeProgram([slope], 2, 3.0), 3.0))
+    # 9. three variables sharing a budget of 4 y_0: symmetric optimum at 1
+    st = np.zeros((4, 4, 4))
+    st[0, 3, 3] = 4.0
+    for i in range(1, 4):
+        st[i, i - 1, i - 1] = 1.0
         st[i, 3, 3] = -1.0
-    cases.append(
-        ("budget-split", ConeProgram([block(np.diag([0.0, 0.0, 0.0, 4.0]), st)], 3, 100.0), 1.0)
+    cases.append(("budget-split", ConeProgram([st], 4, 1.0), 1.0))
+    # 10. fixed off-diagonal coupling: at the box corner eigenvalues are 2 -+ 0.3
+    corner = stack(
+        [[1.0, 0.3], [0.3, 1.0]], np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     )
-    # 10. fixed off-diagonal coupling: at the box corner eigenvalues are B -+ c
-    st = np.zeros((2, 2, 2))
-    st[0, 0, 0] = 1.0
-    st[1, 1, 1] = 1.0
-    cases.append(
-        (
-            "coupled-corner",
-            ConeProgram([block(np.array([[0.0, 0.3], [0.3, 0.0]]), st)], 2, 2.0),
-            1.7,
-        )
-    )
+    cases.append(("coupled-corner", ConeProgram([corner], 3, 1.0), 1.7))
     return cases
 
 
@@ -116,34 +93,33 @@ def test_oracle_margins(name, program, expected):
     result = solve(program)
     assert result.margin == pytest.approx(expected, abs=1e-7)
     # bare solve is an exact maximizer: it never stops at the verdict
-    assert result.meta["stop_reason"] != "certified"
-    if expected > 1e-6:
-        assert result.status == FEASIBLE
-    elif expected < -1e-6:
-        assert result.status == INFEASIBLE
+    assert result.stop_reason != "certified"
+    # y = 0 attains t = 0, so a zero optimum means strictly infeasible
+    assert result.status == (FEASIBLE if expected > 0 else INFEASIBLE)
 
 
 def mixed_size_program():
-    """Three 2x2 blocks, one 3x3 and one 1x1 over y in R^3: the binding
-    eigenvalues are y_1, y_2, y_3 and 2 - y_1 - y_2 - y_3, so t* = 1/2 at
-    y = (1/2, 1/2, 1/2); every other eigenvalue keeps slack there.  The
-    equal-size blocks differ in constant and rotation, so a block paired
-    with another's data changes the program."""
+    """Three 2x2 blocks, one 3x3 and one 1x1 over (y_0, y) in R^4: at
+    y_0 = 1 the binding eigenvalues are y_1, y_2, y_3 and 2 - y_1 - y_2 - y_3,
+    so t* = 1/2 at y = (1/2, 1/2, 1/2); every other eigenvalue keeps slack
+    there.  The equal-size blocks differ in their y_0 term and rotation, so
+    a block paired with another's data changes the program."""
     blocks = []
     for i, (cap, theta) in enumerate(((5.0, 0.3), (6.0, 1.1), (7.0, 2.0))):
         q = rotation(theta)
-        st = np.zeros((3, 2, 2))
-        st[i] = q @ np.diag([1.0, -1.0]) @ q.T
-        blocks.append(block(q @ np.diag([0.0, cap]) @ q.T, st))
+        st = np.zeros((4, 2, 2))
+        st[0] = q @ np.diag([0.0, cap]) @ q.T
+        st[1 + i] = q @ np.diag([1.0, -1.0]) @ q.T
+        blocks.append(st)
     q3 = np.linalg.qr(np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 2.0], [1.5, 0.2, 1.0]]))[0]
-    st = np.zeros((3, 3, 3))
-    st[:, 0, 0] = -1.0
-    st[0, 1, 1] = 1.0
-    st[1, 2, 2] = st[2, 2, 2] = 1.0
-    st = q3[None] @ st @ q3.T[None]
-    blocks.append(block(q3 @ np.diag([2.0, 4.0, 6.0]) @ q3.T, st))
-    blocks.append(block([[1.0]], [[[1.0]], [[-1.0]], [[0.0]]]))  # 1 + y_1 - y_2
-    return ConeProgram(blocks, 3, 10.0)
+    st = np.zeros((4, 3, 3))
+    st[0] = np.diag([2.0, 4.0, 6.0])
+    st[1:, 0, 0] = -1.0
+    st[1, 1, 1] = 1.0
+    st[2, 2, 2] = st[3, 2, 2] = 1.0
+    blocks.append(q3[None] @ st @ q3.T[None])
+    blocks.append(stack([[1.0]], [[1.0]], [[-1.0]], [[0.0]]))  # y_0 + y_1 - y_2
+    return ConeProgram(blocks, 4, 1.0)
 
 
 def test_blocks_of_mixed_sizes_are_stacked_consistently():
@@ -152,7 +128,7 @@ def test_blocks_of_mixed_sizes_are_stacked_consistently():
     assert result.status == FEASIBLE
     assert result.margin == pytest.approx(0.5, abs=1e-7)
     order = (4, 1, 3, 0, 2)  # sizes 1, 2, 3, 2, 2
-    permuted = ConeProgram([program.blocks[k] for k in order], 3, 10.0)
+    permuted = ConeProgram([program.blocks[k] for k in order], 4, 1.0)
     other = solve(permuted)
     assert other.status == result.status
     assert other.margin == pytest.approx(result.margin, abs=1e-9)
@@ -160,17 +136,22 @@ def test_blocks_of_mixed_sizes_are_stacked_consistently():
 
 def test_stop_reason():
     program = oracle_cases()[0][1]
-    assert solve(program).meta["stop_reason"] == "converged"
-    assert solve(program, max_iter=3).meta["stop_reason"] == "max-iter"
+    assert solve(program).stop_reason == "converged"
+    assert solve(program, max_iter=3).stop_reason == "max-iter"
 
 
 def test_status_three_way_rule():
-    # non-homogeneous marginal program lands in the inconclusive band
-    st = np.zeros((1, 2, 2))
-    st[0] = np.diag([1.0, -1.0])
-    res = solve(ConeProgram([block(np.zeros((2, 2)), st)], 1, 1e4))
-    assert res.status in ("numerically-inconclusive", INFEASIBLE)
+    # a decided run is FEASIBLE or INFEASIBLE by the sign of its margin; an
+    # undecided one is inconclusive, whatever its margin
+    cases = oracle_cases()
+    assert solve(cases[0][1]).status == FEASIBLE  # t* = 1
+    res = solve(cases[1][1])  # t* = 0
+    assert res.stop_reason == "converged"
+    assert res.status == INFEASIBLE
     assert abs(res.margin) < 1e-8
+    res = solve(cases[5][1], max_iter=3)  # t* = 0, stopped early
+    assert res.margin < 0
+    assert res.status == INCONCLUSIVE
 
 
 def test_determinism_bitwise():
@@ -188,14 +169,14 @@ def test_feasible_is_decided_by_the_dual_iterate():
     # iterate already certifies a positive margin at its y
     program = oracle_cases()[0][1]  # scalar-box, t* = 1
     res = solve(program, max_iter=3)
-    assert res.residuals["primal"] > 100 * RES_TOL
+    assert res.primal > 100 * RES_TOL
     assert res.status == FEASIBLE
-    for f0, stack in program.blocks:
-        mat = f0 + np.tensordot(res.certificate, stack, axes=1)
+    for st in program.blocks:
+        mat = np.tensordot(res.certificate, st, axes=1)
         assert np.linalg.eigvalsh(mat)[0] >= res.margin * (1 - 1e-9)
     # the primal residual still gates the infeasible verdict
-    res = solve(oracle_cases()[5][1], max_iter=3)  # t* = -1/2
-    assert res.residuals["primal"] > 100 * RES_TOL
+    res = solve(oracle_cases()[5][1], max_iter=3)  # rotated-antagonistic, t* = 0
+    assert res.primal > 100 * RES_TOL
     assert res.status == INCONCLUSIVE
 
 
@@ -209,7 +190,7 @@ def test_stalled_primal_residual_does_not_hide_feasibility():
     b = a * rng.uniform(1.5, 2.5)
     g1 = rng.standard_normal((3, 3))
     g2 = rng.standard_normal((3, 3))
-    sys = DelaySystem.from_matrices(
+    sys = DelaySystem(
         -a * np.eye(3) + 0.1 * g1, -b * np.eye(3) + 0.1 * g2
     )
     program = assemble_stability_lmis(sys, HierarchyParams(2, 1), 0.625)
@@ -223,7 +204,7 @@ def test_step_collapse_retries_with_regularized_schur_solve():
     # just above the M=3, m=3 bound of example3 (~1.71779) the Schur system
     # turns ill-conditioned mid-solve and the corrector step collapses; a
     # more regularized retry still converges to a decided verdict
-    sys = DelaySystem.from_matrices(
+    sys = DelaySystem(
         [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]], name="example3"
     )
     program = assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.7181396484375)
@@ -235,20 +216,19 @@ def test_margin_error_covers_negative_homogeneous_margin():
     # the stability LMIs are homogeneous: y = 0 attains t = 0, so the exact
     # optimum is >= 0 and a negative reported margin is off by at least
     # its own size (example3 at M=3, m=3, just above its bound)
-    sys = DelaySystem.from_matrices(
+    sys = DelaySystem(
         [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]], name="example3"
     )
     res = decide_feasibility(assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.71875))
-    assert res.meta["homogeneous"]
     assert res.margin < 0
-    assert res.meta["margin_error"] >= -res.margin
+    assert res.margin_error >= -res.margin
 
 
 def test_redundant_identity_block_is_inert():
-    # adding I >= 0 cannot change a sub-unit margin
+    # adding y_0 I >= 0 cannot change a margin below y_0 = 1
     base = oracle_cases()[4][1]  # balance, t* = 0.5 < 1
     augmented = ConeProgram(
-        base.blocks + [block(np.eye(3), np.zeros((1, 3, 3)))],
+        base.blocks + [stack(np.eye(3), np.zeros((3, 3)))],
         base.num_y,
         base.box_bound,
     )
@@ -261,7 +241,7 @@ def test_scaling_covariance():
     base = oracle_cases()[6][1]  # rotated balance, t* = 1
     alpha = 3.7
     scaled = ConeProgram(
-        [(alpha * f0, alpha * stack) for f0, stack in base.blocks],
+        [alpha * st for st in base.blocks],
         base.num_y,
         base.box_bound,
     )
@@ -274,13 +254,17 @@ def test_rejects_invalid_programs():
     with pytest.raises(ValueError):
         ConeProgram([], 0, 1.0)
     with pytest.raises(ValueError):
-        ConeProgram([block(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((0, 2, 2)))], 0, 1.0)
+        ConeProgram([np.zeros((1, 2, 3))], 1, 1.0)  # not square
     with pytest.raises(ValueError):
-        ConeProgram([block(np.zeros((2, 2)), np.zeros((1, 2, 2)))], 1, -1.0)
+        ConeProgram([np.zeros((2, 2, 2))], 1, 1.0)  # one matrix too many
+    with pytest.raises(ValueError):
+        ConeProgram([np.zeros((2, 2))], 1, 1.0)  # not a stack
+    with pytest.raises(ValueError):
+        ConeProgram([np.zeros((1, 2, 2))], 1, -1.0)
     asym = np.zeros((1, 2, 2))
     asym[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
-        ConeProgram([block(np.zeros((2, 2)), asym)], 1, 1.0)
+        ConeProgram([asym], 1, 1.0)
 
 
 def test_iteration_log_stream():
@@ -293,7 +277,7 @@ def test_iteration_log_stream():
 
 
 def example1():
-    return DelaySystem.from_matrices(
+    return DelaySystem(
         [[-2.0, 0.0], [0.0, -0.9]], [[-1.0, 0.0], [-1.0, -1.0]], name="example1"
     )
 
@@ -314,10 +298,10 @@ def test_decision_stops_at_first_certifying_iterate():
     full = solve(program)
     res = decide_feasibility(program)
     assert res.status == FEASIBLE
-    assert res.meta["stop_reason"] == "certified"
+    assert res.stop_reason == "certified"
     assert res.iterations < full.iterations
     # gap <= margin keeps the certified margin within 2x of the optimum
-    err = res.meta["margin_error"] + full.meta["margin_error"]
+    err = res.margin_error + full.margin_error
     assert 0.5 * full.margin - err <= res.margin <= full.margin + err
     assert verify_certificate(program, res)
 
@@ -347,12 +331,10 @@ def test_margin_program_structure():
     program = example1_program(1.0)
     assert program.num_y == nodv(params, sys.n_x)
     assert program.box_bound == BOX_BOUND
-    for f0, _ in program.blocks:
-        assert np.array_equal(f0, np.zeros_like(f0))
     y = np.random.default_rng(3).normal(size=program.num_y)
     dv = unpack(VariableLayout(sys.n_x, params), y)
     want = -derivative_block(sys, params, 1.0, dv.p, dv.qs, dv.rs)
-    got = np.tensordot(y, program.blocks[1][1], axes=1)
+    got = np.tensordot(y, program.blocks[1], axes=1)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
 
 
@@ -362,8 +344,8 @@ def test_feasible_certificate_margin_consistency():
     res = decide_feasibility(program)
     assert res.status == FEASIBLE
     floor = res.margin * (1 - 1e-6) - 1e-9
-    for k, (f0, stack) in enumerate(program.blocks):
-        mat = f0 + np.tensordot(res.certificate, stack, axes=1)
+    for k, st in enumerate(program.blocks):
+        mat = np.tensordot(res.certificate, st, axes=1)
         attained = np.linalg.eigvalsh(mat)[0]
         assert attained >= floor, (k, attained, res.margin)
 
@@ -389,15 +371,15 @@ def test_verify_requires_feasible_result():
 
 
 def test_verify_checks_any_cone_program():
-    # rotated balance (non-zero F0): eigenvalues y and 2 - y, optimum y = 1
+    # rotated balance: eigenvalues y_1 and 2 y_0 - y_1, optimum y = (1, 1)
     program = oracle_cases()[6][1]
     res = solve(program)
     assert res.status == FEASIBLE
     assert verify_certificate(program, res)
-    # past the balance point the 2 - y eigenvalue turns negative
-    res.certificate = np.array([2.5])
+    # past the balance point the 2 y_0 - y_1 eigenvalue turns negative
+    res.certificate = np.array([1.0, 2.5])
     assert not verify_certificate(program, res)
-    # blocks of several sizes, each with its own constant block
+    # blocks of several sizes
     program = mixed_size_program()
     res = solve(program)
     assert res.status == FEASIBLE

@@ -7,7 +7,7 @@ import pytest
 
 import delaymargin.search as search
 from delaymargin.lmi import DelaySystem, HierarchyParams
-from delaymargin.sdp import FEASIBLE, INFEASIBLE
+from delaymargin.sdp import FEASIBLE, INFEASIBLE, FeasibilityResult
 from delaymargin.search import (
     STEPS,
     BracketError,
@@ -21,7 +21,7 @@ from delaymargin.search import (
 
 def pure_delay_scalar() -> DelaySystem:
     # x'(t) = -x(t - tau): asymptotically stable exactly for tau < pi/2
-    return DelaySystem.from_matrices([[0.0]], [[-1.0]], name="pure-delay")
+    return DelaySystem([[0.0]], [[-1.0]], name="pure-delay")
 
 
 def test_scalar_margin_against_analytic_value():
@@ -72,22 +72,14 @@ def test_bisection_determinism():
 
 
 def test_no_feasible_point_for_unstable_system():
-    unstable = DelaySystem.from_matrices([[1.0]], [[0.0]], name="unstable")
+    unstable = DelaySystem([[1.0]], [[0.0]], name="unstable")
     with pytest.raises(NoFeasiblePointError):
         max_delay(unstable, HierarchyParams(1, 1))
 
 
 def test_bracket_error_when_no_upper_crossing(monkeypatch):
     # force the oracle to report feasibility everywhere
-    class _Always:
-        status = FEASIBLE
-        margin = 1.0
-        feasible = True
-        iterations = 1
-        residuals = {"gap": 0.0, "primal": 0.0, "dual": 0.0}
-        meta = {"margin_error": 0.0, "stop_reason": "converged"}
-
-    monkeypatch.setattr(search, "decide_feasibility", lambda *a, **k: _Always())
+    monkeypatch.setattr(search, "decide_feasibility", lambda *a, **k: _fake_result(1.0))
     monkeypatch.setattr(search, "verify_certificate", lambda *a, **k: True)
     with pytest.raises(BracketError):
         max_delay(pure_delay_scalar(), HierarchyParams(1, 1))
@@ -99,14 +91,18 @@ def test_bracket_error_when_no_upper_crossing(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-class _FakeResult:
-    def __init__(self, margin):
-        self.feasible = margin > 0
-        self.status = FEASIBLE if self.feasible else INFEASIBLE
-        self.margin = margin
-        self.iterations = 1
-        self.residuals = {"gap": 0.0, "primal": 0.0, "dual": 0.0}
-        self.meta = {"margin_error": 0.0, "stop_reason": "converged"}
+def _fake_result(margin: float) -> FeasibilityResult:
+    return FeasibilityResult(
+        status=FEASIBLE if margin > 0 else INFEASIBLE,
+        margin=margin,
+        certificate=np.zeros(0),
+        iterations=1,
+        stop_reason="converged",
+        margin_error=0.0,
+        gap=0.0,
+        primal=0.0,
+        dual=0.0,
+    )
 
 
 _PROFILES = {
@@ -129,7 +125,7 @@ def _fake_search(monkeypatch, profile, r, direction, tol):
 
     def decide(tau):
         d = r - tau if direction == "upper" else tau - r
-        return _FakeResult(_PROFILES[profile](d, rng) if d > 0 else -1e-10)
+        return _fake_result(_PROFILES[profile](d, rng) if d > 0 else -1e-10)
 
     monkeypatch.setattr(search, "assemble_stability_lmis", lambda sys, params, tau: tau)
     monkeypatch.setattr(search, "decide_feasibility", decide)
@@ -181,7 +177,7 @@ def test_refinement_labels_its_steps(monkeypatch):
 
 
 def test_min_delay_none_when_feasible_to_floor():
-    indep = DelaySystem.from_matrices([[-1.0]], [[-0.5]], name="delay-independent")
+    indep = DelaySystem([[-1.0]], [[-0.5]], name="delay-independent")
     lo, report = min_delay(indep, HierarchyParams(1, 1))
     assert lo is None
     assert report.tau_lower is None
@@ -190,7 +186,7 @@ def test_min_delay_none_when_feasible_to_floor():
 
 def test_min_delay_finds_lower_crossing():
     # distributed-delay benchmark: stability window starts near 0.2
-    sys2 = DelaySystem.from_matrices(
+    sys2 = DelaySystem(
         [[0.2, 0.0], [0.2, 0.1]],
         [[0.0, 0.0], [0.0, 0.0]],
         [[-1.0, 0.0], [-1.0, -1.0]],
@@ -203,7 +199,7 @@ def test_min_delay_finds_lower_crossing():
 
 
 def test_stability_interval_reports_certification_outcome():
-    sys3 = DelaySystem.from_matrices(
+    sys3 = DelaySystem(
         [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]], name="example3"
     )
     report = stability_interval(sys3, HierarchyParams(1, 1), tol=1e-4)
@@ -220,14 +216,14 @@ def test_interval_notes_any_nonzero_distributed_kernel():
     # a tiny A_d2 still puts tau**2 terms into the range LMIs, so the
     # endpoint range check is heuristic however small the kernel is
     a, d1 = [[0.0, 1.0], [-2.0, 0.1]], [[0.0, 0.0], [1.0, 0.0]]
-    sys3 = DelaySystem.from_matrices(a, d1, 1e-9 * np.eye(2), name="example3-d2")
+    sys3 = DelaySystem(a, d1, 1e-9 * np.eye(2), name="example3-d2")
     report = stability_interval(sys3, HierarchyParams(1, 1), tol=1e-3)
     assert report.range_certified is not None
     assert any("endpoint range check is heuristic" in n for n in report.notes)
 
 
 def test_interval_open_at_zero():
-    indep = DelaySystem.from_matrices([[-1.0]], [[-0.5]], name="delay-independent")
+    indep = DelaySystem([[-1.0]], [[-0.5]], name="delay-independent")
     report = stability_interval(indep, HierarchyParams(1, 1), tol=1e-3)
     assert report.tau_lower is None
     assert report.tau_upper is not None
@@ -245,7 +241,7 @@ def test_hierarchy_sweep_monotone_and_deterministic():
 
 
 def test_hierarchy_sweep_collects_cell_errors():
-    unstable = DelaySystem.from_matrices([[1.0]], [[0.0]], name="unstable")
+    unstable = DelaySystem([[1.0]], [[0.0]], name="unstable")
     result = hierarchy_sweep(unstable, range(1, 2), range(1, 2), tol=1e-3)
     assert result.cells == {}
     assert (1, 1) in result.errors
@@ -254,6 +250,16 @@ def test_hierarchy_sweep_collects_cell_errors():
 def test_sweep_rejects_empty_ranges():
     with pytest.raises(ValueError):
         hierarchy_sweep(pure_delay_scalar(), range(1, 1), range(1, 2))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_entry_points_reject_invalid_tolerance(tol):
+    sys, params = pure_delay_scalar(), HierarchyParams(1, 1)
+    for run in (max_delay, min_delay, stability_interval):
+        with pytest.raises(ValueError, match="tol"):
+            run(sys, params, tol)
+    with pytest.raises(ValueError, match="tol"):
+        hierarchy_sweep(sys, range(1, 3), range(1, 2), tol)
 
 
 def test_single_cell_sweep_has_no_comparisons():
