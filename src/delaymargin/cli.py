@@ -168,18 +168,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.m < 1:
-        print(f"error: sweep needs m >= 1 (it sweeps m = 1..m), got m={args.m}",
-              file=sys.stderr)
-        return EXIT_INPUT
     try:
         system, params = _search_inputs(args)
+        # raises ValueError for m < 1 before it runs any cell
+        result = hierarchy_sweep(system, params.big_m, params.m, args.tol)
     except (SystemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    result = hierarchy_sweep(
-        system, range(1, params.big_m + 1), range(1, params.m + 1), args.tol
-    )
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     elif args.format == "csv":
@@ -212,11 +207,7 @@ def _range_error(args: argparse.Namespace) -> str | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_all(
-        seed=args.seed,
-        max_m=args.max_m,
-        max_big_m=args.max_M,
-        soundness_cases=args.cases,
-        dominance_cases=max(args.cases // 2, 50),
+        seed=args.seed, max_m=args.max_m, max_big_m=args.max_M, cases=args.cases
     )
     print(f"seed {report.seed}: {report.checks_run} checks, "
           f"{len(report.failures)} failures")

@@ -9,6 +9,8 @@ together with two families of certified lower bounds obtained by projecting
 f (or f') onto the first few weighted orthogonal polynomials.  Test functions
 are rational polynomials on rational intervals, so both sides are integrated
 exactly; the module also implements the competing first-order bound.
+Moments are taken over the function's own interval, and the number M of
+moments behind a bound is the number of rows of its moment array.
 """
 
 from __future__ import annotations
@@ -135,24 +137,21 @@ def functional_value(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float
     return f.exact_functional(spec.weight, spec.m)
 
 
-def moments(
-    f: PolynomialVectorFunction, a: float, b: float, big_m: int
-) -> np.ndarray:
-    """Legendre moment vectors phi_l, l = 0..M-1, stacked as an (M, n) array."""
+def moments(f: PolynomialVectorFunction, big_m: int) -> np.ndarray:
+    """Legendre moment vectors phi_l, l = 0..M-1, of f over its own
+    interval [f.a, f.b], stacked as an (M, n) array."""
     if big_m < 1:
         raise ValueError("at least one moment is required")
-    if (float(f.a), float(f.b)) != (a, b):
-        raise ValueError("function interval does not match [a, b]")
     return np.vstack([f.exact_moment(l) for l in range(big_m)])
 
 
-def lower_bound_values(
-    spec: FunctionalSpec, phi: np.ndarray, nu: int, big_m: int
-) -> float:
-    """Projection lower bound for J(f) from the first M Legendre moments."""
+def lower_bound_values(spec: FunctionalSpec, phi: np.ndarray, nu: int) -> float:
+    """Projection lower bound for J(f) from its first M Legendre moments
+    phi (as from ``moments``); M is the number of rows of phi."""
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (big_m, spec.dim):
-        raise ValueError(f"moment array must have shape ({big_m}, {spec.dim})")
+    if phi.ndim != 2 or phi.shape[1] != spec.dim:
+        raise ValueError(f"moment array must have shape (M, {spec.dim})")
+    big_m = phi.shape[0]
     xi = weighted_moment_map(spec.m, nu, big_m).as_array()
     stacked = phi.reshape(-1)  # already (M, n) row-major = kron layout
     proj = np.kron(xi, np.eye(spec.dim)) @ stacked
@@ -166,19 +165,22 @@ def lower_bound_derivative(
     f_b: np.ndarray,
     phi: np.ndarray | None,
     nu: int,
-    big_m: int,
 ) -> float:
-    """Projection lower bound for J(f') from boundary values and moments."""
+    """Projection lower bound for J(f') from the boundary values f(a), f(b)
+    and the first M Legendre moments phi of f; M is the number of rows of
+    phi, and phi=None means M = 0 (boundary values only)."""
     f_a = np.asarray(f_a, dtype=float)
     f_b = np.asarray(f_b, dtype=float)
     if f_a.shape != (spec.dim,) or f_b.shape != (spec.dim,):
         raise ValueError("boundary values must be vectors of the weight dimension")
-    if big_m == 0:
+    if phi is None:
+        big_m = 0
         stacked = np.concatenate([f_b, f_a])
     else:
         phi = np.asarray(phi, dtype=float)
-        if phi.shape != (big_m, spec.dim):
-            raise ValueError(f"moment array must have shape ({big_m}, {spec.dim})")
+        if phi.ndim != 2 or phi.shape[1] != spec.dim:
+            raise ValueError(f"moment array must have shape (M, {spec.dim})")
+        big_m = phi.shape[0]
         stacked = np.concatenate([f_b, f_a, phi.reshape(-1) / spec.width])
     z = derivative_moment_map(spec.m, nu, big_m).as_array()
     proj = np.kron(z, np.eye(spec.dim)) @ stacked
@@ -195,9 +197,11 @@ def competitor_statistics(
         w_{l,0} =  l!       / (b-a)**l * g_l
         w_{l,1} = -(l+1)! / (b-a)**l * Upsilon_l.
     """
+    if (float(f.a), float(f.b)) != (spec.a, spec.b):
+        raise ValueError("function interval does not match the spec interval")
     l = spec.m
     big_m = l + 2  # enough span for the two weighted moments
-    phi = moments(f, spec.a, spec.b, big_m)
+    phi = moments(f, big_m)
     xi = weighted_moment_map(l, 1, big_m).as_array()
     w_moms = xi @ phi  # rows: w_{l,0}, w_{l,1}
     width = spec.width

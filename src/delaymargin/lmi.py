@@ -294,15 +294,6 @@ def _compiled(sys: DelaySystem, params: HierarchyParams) -> _CompiledLmis:
     return compiled
 
 
-def _program(compiled: _CompiledLmis, blocks) -> sdp.ConeProgram:
-    """The margin program of (polynomial, delay) blocks."""
-    return sdp.ConeProgram(
-        [poly.at(tau) for poly, tau in blocks],
-        num_y=compiled.layout.dim,
-        box_bound=sdp.BOX_BOUND,
-    )
-
-
 def assemble_stability_lmis(
     sys: DelaySystem,
     params: HierarchyParams,
@@ -314,7 +305,7 @@ def assemble_stability_lmis(
         raise ValueError("tau must be positive")
     compiled = _compiled(sys, params)
     polys = [compiled.positivity, compiled.derivative] + compiled.definite
-    return _program(compiled, [(poly, tau) for poly in polys])
+    return sdp.ConeProgram([poly.at(tau) for poly in polys])
 
 
 def assemble_delay_range_lmis(
@@ -340,7 +331,7 @@ def assemble_delay_range_lmis(
         (compiled.range_derivative, tau_low),
         (compiled.range_derivative, tau_up),
     ] + [(poly, tau_up) for poly in compiled.definite]
-    return _program(compiled, blocks)
+    return sdp.ConeProgram([poly.at(tau) for poly, tau in blocks])
 
 
 def nodv(params: HierarchyParams, n_x: int) -> int:

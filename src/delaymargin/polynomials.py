@@ -22,16 +22,12 @@ from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
-    "Rational",
     "RationalPolynomial",
     "rodrigues_poly",
     "inner_product",
     "monomial_to_basis_matrix",
     "shifted_legendre",
 ]
-
-# Exactness carrier for all coefficients; always lowest terms, denominator > 0.
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -13,7 +13,8 @@ the decision interface used by the bound search, stops earlier, at the
 first iterate whose dual point already certifies a margin above the
 threshold within 2x of the optimum.  The thresholds are the module
 constants GAP_TOL, RES_TOL, FEAS_THRESHOLD and BOX_BOUND; only the
-iteration budget and an iteration log can be passed to ``solve``.
+iteration budget and an iteration log can be passed to ``solve``.  A
+``ConeProgram`` is its coefficient stacks; the variable count is read off them.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -32,7 +33,7 @@ have many equal-size n_x x n_x blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -61,8 +62,8 @@ STOP_REASONS = (
     "certified",
 )
 
-# Termination and decision thresholds, and the box bound of the margin
-# programs the LMI builder emits.
+# Termination and decision thresholds, and the default box bound of a
+# ConeProgram (every program the LMI builder emits uses it).
 GAP_TOL = 1e-8
 RES_TOL = 1e-9
 FEAS_THRESHOLD = 1e-7
@@ -75,12 +76,13 @@ class ConeProgram:
 
     ``blocks`` holds one (num_y, d, d) stack F_k per constraint block, one
     symmetric coefficient matrix per y variable; there is no constant
-    term, and the margin variable is implicit.
+    term, and the margin variable is implicit.  The number of variables
+    ``num_y`` is read off the stacks, which must all share it.  The box
+    bound B is the solver's policy, BOX_BOUND unless given by keyword.
     """
 
     blocks: list[np.ndarray]
-    num_y: int
-    box_bound: float
+    box_bound: float = field(default=BOX_BOUND, kw_only=True)
 
     def __post_init__(self):
         if not self.blocks:
@@ -93,6 +95,11 @@ class ConeProgram:
                 raise ValueError("each block must be a (num_y, d, d) coefficient stack")
             if not np.allclose(stack, np.transpose(stack, (0, 2, 1)), atol=1e-12):
                 raise ValueError("coefficient matrices must be symmetric")
+
+    @property
+    def num_y(self) -> int:
+        """Number of y variables: the leading size of every stack."""
+        return self.blocks[0].shape[0]
 
 
 @dataclass

@@ -371,46 +371,48 @@ def stability_interval(
         + up_report.inconclusive_probes,
         notes=low_report.notes + up_report.notes,
     )
+    # open at zero: the smallest feasible probe (min_delay raises if none)
     range_low = lower if lower is not None else min(
-        (p.tau for p in low_report.probes if p.status == FEASIBLE), default=None
+        p.tau for p in low_report.probes if p.status == FEASIBLE
     )
-    if range_low is not None and upper is not None:
-        program = assemble_delay_range_lmis(sys, params, range_low, upper)
-        result = decide_feasibility(program)
-        certified = result.status == FEASIBLE and verify_certificate(program, result)
-        report.range_certified = certified
-        if not certified:
-            report.notes.append(
-                f"range certification failed on [{range_low:g}, {upper:g}] "
-                f"(status {result.status}); pointwise bounds reported unchanged"
-            )
-        if np.any(sys.a_d2):
-            report.notes.append(
-                "distributed-kernel matrix nonzero: endpoint range check is heuristic"
-            )
+    program = assemble_delay_range_lmis(sys, params, range_low, upper)
+    result = decide_feasibility(program)
+    certified = result.status == FEASIBLE and verify_certificate(program, result)
+    report.range_certified = certified
+    if not certified:
+        report.notes.append(
+            f"range certification failed on [{range_low:g}, {upper:g}] "
+            f"(status {result.status}); pointwise bounds reported unchanged"
+        )
+    if np.any(sys.a_d2):
+        report.notes.append(
+            "distributed-kernel matrix nonzero: endpoint range check is heuristic"
+        )
     report.wall_time_s = time.perf_counter() - t0
     return report
 
 
 def hierarchy_sweep(
     sys: DelaySystem,
-    m_big_range: range,
-    m_range: range,
+    max_big_m: int,
+    max_m: int,
     tol: float = DEFAULT_TOL,
 ) -> SweepResult:
-    """Upper-bound sweep over an (M, m) grid with monotonicity audit.
+    """Upper-bound sweep over the grid M = 1..max_big_m, m = 1..max_m with
+    monotonicity audit.
 
     The expected hierarchy is nondecreasing bounds in both M and m; any
     decrease beyond _COMPARISON_TOL is recorded as a violation.  Per-cell
     failures are captured, not raised, so one bad cell cannot abort a sweep.
+    Raises ValueError when either maximum is below 1.
     """
-    if len(m_big_range) == 0 or len(m_range) == 0:
-        raise ValueError("sweep ranges must be nonempty")
+    if max_big_m < 1 or max_m < 1:
+        raise ValueError(f"sweep needs M, m >= 1, got M={max_big_m}, m={max_m}")
     _check_tol(tol)  # before the loop, which records ValueError per cell
     cells: dict[tuple[int, int], DelayBoundsReport] = {}
     errors: dict[tuple[int, int], str] = {}
-    for big_m in m_big_range:
-        for m in m_range:
+    for big_m in range(1, max_big_m + 1):
+        for m in range(1, max_m + 1):
             try:
                 _, rep = max_delay(sys, HierarchyParams(big_m, m), tol)
                 cells[(big_m, m)] = rep

@@ -170,10 +170,10 @@ def check_bound_soundness(
         spec = FunctionalSpec(weight, m, a, b)
         value = functional_value(spec, f)
         scale = max(1.0, abs(value))
-        phi = moments(f, a, b, big_m)
+        phi = moments(f, big_m)
         for nu in range(big_m - m):
             report.checks_run += 1
-            bound = lower_bound_values(spec, phi, nu, big_m)
+            bound = lower_bound_values(spec, phi, nu)
             if bound > value + 1e-8 * scale:
                 report.failures.append(
                     f"value bound unsound (case {case}, m={m}, nu={nu}, M={big_m}): "
@@ -184,7 +184,7 @@ def check_bound_soundness(
         f_a, f_b = f.endpoint_values()
         for nu in range(big_m - m + 1):
             report.checks_run += 1
-            dbound = lower_bound_derivative(spec, f_a, f_b, phi, nu, big_m)
+            dbound = lower_bound_derivative(spec, f_a, f_b, phi, nu)
             if dbound > dvalue + 1e-8 * dscale:
                 report.failures.append(
                     f"derivative bound unsound (case {case}, m={m}, nu={nu}, "
@@ -200,9 +200,9 @@ def check_bound_soundness(
         span_f = PolynomialVectorFunction([basis], a_ex, a_ex + width)
         span_spec = FunctionalSpec(np.eye(1), m, float(a_ex), float(a_ex + width))
         span_m = m + j + 1
-        span_phi = moments(span_f, float(a_ex), float(a_ex + width), span_m)
+        span_phi = moments(span_f, span_m)
         span_value = functional_value(span_spec, span_f)
-        span_bound = lower_bound_values(span_spec, span_phi, j, span_m)
+        span_bound = lower_bound_values(span_spec, span_phi, j)
         report.checks_run += 1
         if abs(span_bound - span_value) > 1e-9 * max(1.0, abs(span_value)):
             report.failures.append(
@@ -223,8 +223,8 @@ def check_competitor_dominance(
         l = int(rng.integers(1, 4))
         spec = FunctionalSpec(weight, l, a, b)
         big_m = l + 2
-        phi = moments(f, a, b, big_m)
-        ours = lower_bound_values(spec, phi, 1, big_m)
+        phi = moments(f, big_m)
+        ours = lower_bound_values(spec, phi, 1)
         g_l, ups_l = competitor_statistics(spec, f)
         theirs = competitor_bound(spec, g_l, ups_l)
         value = functional_value(spec, f)
@@ -246,10 +246,13 @@ def run_all(
     seed: int = DEFAULT_SEED,
     max_m: int = 3,
     max_big_m: int = 6,
-    soundness_cases: int = 250,
-    dominance_cases: int = 100,
+    cases: int = 250,
 ) -> VerificationReport:
-    """Full verification battery; sizes capped for interactive runtimes."""
+    """Full verification battery; sizes capped for interactive runtimes.
+
+    The soundness suite runs ``cases`` random cases and the dominance
+    suite half as many, at least 50.
+    """
     report = VerificationReport(seed=seed)
     report.merge(check_polynomial_identities(max_m=max(max_m, 4), max_n=6))
     report.merge(
@@ -257,6 +260,6 @@ def run_all(
             max_m=max_m, max_nu=max_m + 1, max_big_m=max_big_m
         )
     )
-    report.merge(check_bound_soundness(seed=seed, cases=soundness_cases))
-    report.merge(check_competitor_dominance(seed=seed, cases=dominance_cases))
+    report.merge(check_bound_soundness(seed=seed, cases=cases))
+    report.merge(check_competitor_dominance(seed=seed, cases=max(cases // 2, 50)))
     return report

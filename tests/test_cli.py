@@ -280,6 +280,21 @@ def test_verify_exit_nonzero_on_failure(capsys, monkeypatch):
     assert "synthetic failure" in out
 
 
+@pytest.mark.parametrize("cases,dominance_cases", [(4, 50), (120, 60)])
+def test_run_all_sizes_dominance_from_soundness_cases(cases, dominance_cases):
+    # the dominance suite runs half the soundness cases, at least 50
+    seed = 3
+    parts = (
+        verification.check_polynomial_identities(max_m=4, max_n=6),
+        verification.check_projection_reconstruction(max_m=1, max_nu=2, max_big_m=2),
+        verification.check_bound_soundness(seed=seed, cases=cases),
+        verification.check_competitor_dominance(seed=seed, cases=dominance_cases),
+    )
+    report = verification.run_all(seed=seed, max_m=1, max_big_m=2, cases=cases)
+    assert report.checks_run == sum(part.checks_run for part in parts)
+    assert report.ok
+
+
 # ---------------------------------------------------------------------------
 # crosscheck command.
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_moments_of_constant():
         -1,
         4,
     )
-    phi = moments(c, -1.0, 4.0, 4)
+    phi = moments(c, 4)
     assert np.allclose(phi[0], [15.0, -10.0], atol=1e-12)
     assert np.allclose(phi[1:], 0.0, atol=1e-12)
 
@@ -76,7 +76,7 @@ def test_moment_of_first_legendre_is_its_norm():
     a, b = F(1), F(3)
     p = poly_on_interval(rodrigues_poly(0, 1), a, b)
     f = PolynomialVectorFunction([p], a, b)
-    phi = moments(f, 1.0, 3.0, 3)
+    phi = moments(f, 3)
     assert phi[1, 0] == pytest.approx((3 - 1) / 3, abs=1e-12)
     assert phi[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert phi[2, 0] == pytest.approx(0.0, abs=1e-12)
@@ -91,8 +91,8 @@ def test_jensen_special_case():
     rng = np.random.default_rng(3)
     f = random_poly_function(rng, dim=1, degree=3, a=F(0), b=F(1))
     spec = FunctionalSpec(np.eye(1), 0, 0.0, 1.0)
-    phi = moments(f, 0.0, 1.0, 2)
-    bound = lower_bound_values(spec, phi, nu=0, big_m=2)
+    phi = moments(f, 2)
+    bound = lower_bound_values(spec, phi, nu=0)
     assert bound == pytest.approx(float(phi[0, 0] ** 2), rel=1e-12)
     assert bound <= functional_value(spec, f) + 1e-12
 
@@ -103,7 +103,7 @@ def test_derivative_jensen_special_case():
     f = random_poly_function(rng, dim=1, degree=4, a=a, b=b)
     spec = FunctionalSpec(np.eye(1), 0, -1.0, 2.0)
     f_a, f_b = f.endpoint_values()
-    bound = lower_bound_derivative(spec, f_a, f_b, None, nu=0, big_m=0)
+    bound = lower_bound_derivative(spec, f_a, f_b, None, nu=0)
     assert bound == pytest.approx(float((f_b[0] - f_a[0]) ** 2) / 3.0, rel=1e-12)
 
 
@@ -117,8 +117,8 @@ def test_equality_on_span():
             spec = FunctionalSpec(np.eye(1), m, 0.0, 2.0)
             big_m = m + j + 1
             nu = j
-            phi = moments(f, 0.0, 2.0, big_m)
-            bound = lower_bound_values(spec, phi, nu, big_m)
+            phi = moments(f, big_m)
+            bound = lower_bound_values(spec, phi, nu)
             value = functional_value(spec, f)
             assert bound == pytest.approx(value, rel=1e-11)
             assert value == pytest.approx(2.0 / (m + 2 * j + 1), rel=1e-12)
@@ -137,8 +137,8 @@ def test_derivative_equality_for_linear_functions():
         spec = FunctionalSpec(w, m, 0.0, 3.0)
         big_m = m + 2
         f_a, f_b = f.endpoint_values()
-        phi = moments(f, 0.0, 3.0, big_m)
-        bound = lower_bound_derivative(spec, f_a, f_b, phi, nu=1, big_m=big_m)
+        phi = moments(f, big_m)
+        bound = lower_bound_derivative(spec, f_a, f_b, phi, nu=1)
         value = functional_value(spec, f.derivative())
         assert bound == pytest.approx(value, rel=1e-10)
 
@@ -156,15 +156,15 @@ def test_soundness_randomized(seed):
         spec = FunctionalSpec(w, m, float(a), float(b))
         value = functional_value(spec, f)
         scale = max(1.0, abs(value))
-        phi = moments(f, float(a), float(b), big_m)
+        phi = moments(f, big_m)
         for nu in range(big_m - m):
-            bound = lower_bound_values(spec, phi, nu, big_m)
+            bound = lower_bound_values(spec, phi, nu)
             assert bound <= value + 1e-8 * scale
         dvalue = functional_value(spec, f.derivative())
         dscale = max(1.0, abs(dvalue))
         f_a, f_b = f.endpoint_values()
         for nu in range(big_m - m + 1):
-            dbound = lower_bound_derivative(spec, f_a, f_b, phi, nu, big_m)
+            dbound = lower_bound_derivative(spec, f_a, f_b, phi, nu)
             assert dbound <= dvalue + 1e-8 * dscale
 
 
@@ -185,7 +185,7 @@ def test_soundness_trig_mixture():
         spec = FunctionalSpec(w, m, a, b)
         value = float(np.dot(wq, x**m * quad))
         for nu in range(5 - m):
-            bound = lower_bound_values(spec, phi, nu, 5)
+            bound = lower_bound_values(spec, phi, nu)
             assert bound <= value + 1e-8 * max(1.0, value)
 
 
@@ -196,8 +196,8 @@ def test_monotonicity_in_nu():
     w = random_pd_matrix(rng, 2)
     for m in (0, 1):
         spec = FunctionalSpec(w, m, -1.0, 1.0)
-        phi = moments(f, -1.0, 1.0, 6)
-        bounds = [lower_bound_values(spec, phi, nu, 6) for nu in range(6 - m)]
+        phi = moments(f, 6)
+        bounds = [lower_bound_values(spec, phi, nu) for nu in range(6 - m)]
         diffs = np.diff(bounds)
         assert np.all(diffs >= -1e-12)
 
@@ -205,9 +205,13 @@ def test_monotonicity_in_nu():
 def test_bound_dimension_mismatch():
     spec = FunctionalSpec(np.eye(2), 1, 0.0, 1.0)
     with pytest.raises(ValueError):
-        lower_bound_values(spec, np.zeros((3, 1)), nu=0, big_m=3)
+        lower_bound_values(spec, np.zeros((3, 1)), nu=0)
     with pytest.raises(ValueError):
-        lower_bound_derivative(spec, np.zeros(2), np.zeros(3), np.zeros((3, 2)), 0, 3)
+        lower_bound_values(spec, np.zeros(2), nu=0)  # moments must be 2-D
+    with pytest.raises(ValueError):
+        lower_bound_derivative(spec, np.zeros(2), np.zeros(3), np.zeros((3, 2)), 0)
+    with pytest.raises(ValueError):
+        lower_bound_derivative(spec, np.zeros(2), np.zeros(2), np.zeros((3, 1)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +225,8 @@ def test_competitor_coincides_at_order_zero():
     f = random_poly_function(rng, dim=2, degree=3, a=a, b=b)
     w = random_pd_matrix(rng, 2)
     spec = FunctionalSpec(w, 0, 0.0, 2.0)
-    phi = moments(f, 0.0, 2.0, 2)
-    ours = lower_bound_values(spec, phi, nu=1, big_m=2)
+    phi = moments(f, 2)
+    ours = lower_bound_values(spec, phi, nu=1)
     g0, ups0 = competitor_statistics(spec, f)
     theirs = competitor_bound(spec, g0, ups0)
     assert theirs == pytest.approx(ours, rel=1e-10)
@@ -238,8 +242,8 @@ def test_projection_bound_dominates_competitor(seed):
     f = random_poly_function(rng, dim, degree=int(rng.integers(1, 6)), a=a, b=b)
     for l in (1, 2, 3):
         spec = FunctionalSpec(w, l, float(a), float(b))
-        phi = moments(f, float(a), float(b), l + 2)
-        ours = lower_bound_values(spec, phi, nu=1, big_m=l + 2)
+        phi = moments(f, l + 2)
+        ours = lower_bound_values(spec, phi, nu=1)
         g_l, ups_l = competitor_statistics(spec, f)
         theirs = competitor_bound(spec, g_l, ups_l)
         value = functional_value(spec, f)
@@ -252,8 +256,8 @@ def test_competitor_strict_gap_at_order_two():
     comp = poly_on_interval(rodrigues_poly(2, 1), a, b)
     f = PolynomialVectorFunction([comp], a, b)
     spec = FunctionalSpec(np.eye(1), 2, 0.0, 1.0)
-    phi = moments(f, 0.0, 1.0, 4)
-    ours = lower_bound_values(spec, phi, nu=1, big_m=4)
+    phi = moments(f, 4)
+    ours = lower_bound_values(spec, phi, nu=1)
     g2, ups2 = competitor_statistics(spec, f)
     theirs = competitor_bound(spec, g2, ups2)
     # second statistic is nonzero here, so the factor 9-vs-1 gap is strict
@@ -287,3 +291,12 @@ def test_functional_spec_validation():
         FunctionalSpec(np.eye(2), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         FunctionalSpec(np.eye(2), -1, 0.0, 1.0)
+
+
+def test_spec_and_function_intervals_must_agree():
+    f = PolynomialVectorFunction([RationalPolynomial.one()], 0, 1)
+    spec = FunctionalSpec(np.eye(1), 1, 0.0, 2.0)
+    with pytest.raises(ValueError, match="interval"):
+        functional_value(spec, f)
+    with pytest.raises(ValueError, match="interval"):
+        competitor_statistics(spec, f)

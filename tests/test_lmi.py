@@ -12,7 +12,7 @@ from delaymargin.lmi import (
     nodv,
 )
 from delaymargin.projection import weighted_moment_map
-from delaymargin.sdp import decide_feasibility
+from delaymargin.sdp import decide_feasibility, verify_certificate
 from oracles import (
     DecisionVariables,
     derivative_block,
@@ -290,6 +290,28 @@ def test_delay_range_single_point_equivalence():
         assert r1.status == r2.status, (a, d1, tau, params)
         agreements += 1
     assert agreements == 20
+
+
+@pytest.mark.parametrize("big_m,m", [(1, 1), (3, 2)])
+@pytest.mark.parametrize(
+    "name,taus", [("example1", (1.0, 6.0)), ("example2", (0.5, 1.9)), ("example3", (0.5, 1.2))]
+)
+def test_plain_certificate_maps_to_range_certificate(systems, name, taus, big_m, m):
+    # The Schur complement of the range derivative block at [tau, tau] is
+    # tau times the plain derivative block, so a plain certificate
+    # (P, Q, R) at tau becomes a range certificate as (tau P, tau Q, R).
+    sys = systems[name]
+    params = HierarchyParams(big_m, m)
+    layout = VariableLayout(sys.n_x, params)
+    for tau in taus:
+        plain = assemble_stability_lmis(sys, params, tau)
+        result = decide_feasibility(plain)
+        assert result.feasible and verify_certificate(plain, result), tau
+        y = result.certificate.copy()
+        y[: layout.offsets[params.m1 + 2]] *= tau  # P and Q_0..Q_m1
+        program = assemble_delay_range_lmis(sys, params, tau, tau)
+        for k in range(len(program.blocks)):
+            assert np.linalg.eigvalsh(value(program, k, y))[0] > 0, (tau, k)
 
 
 def test_delay_range_validation():

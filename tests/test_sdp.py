@@ -48,43 +48,43 @@ def oracle_cases():
     cases = []
 
     # 1. scalar free variable, tight box: t* = B
-    cases.append(("scalar-box", ConeProgram([stack([[1.0]])], 1, 1.0), 1.0))
+    cases.append(("scalar-box", ConeProgram([stack([[1.0]])], box_bound=1.0), 1.0))
     # 2. antagonistic pair: only the zero margin is attainable
-    cases.append(("antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]))], 1, 1e4), 0.0))
+    cases.append(("antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]))], box_bound=1e4), 0.0))
     # 3. a constant block y_0 C: margin is the smallest eigenvalue of C
     c = np.array([[3.5, 1.5], [1.5, 3.5]])  # eigenvalues 2 and 5
-    cases.append(("constant-only", ConeProgram([stack(c)], 1, 1.0), 2.0))
+    cases.append(("constant-only", ConeProgram([stack(c)], box_bound=1.0), 2.0))
     # 4. identity direction with box: t* = B
-    cases.append(("identity-box", ConeProgram([stack(np.eye(2))], 1, 1.0), 1.0))
+    cases.append(("identity-box", ConeProgram([stack(np.eye(2))], box_bound=1.0), 1.0))
     # 5. two scalar blocks y_1 and y_0 - y_1: balance at 1/2
     balance = [stack([[0.0]], [[1.0]]), stack([[1.0]], [[-1.0]])]
-    cases.append(("balance", ConeProgram(balance, 2, 1.0), 0.5))
+    cases.append(("balance", ConeProgram(balance, box_bound=1.0), 0.5))
     # 6. y_1 diag(1, -1) + y_2 [[0, 1], [1, 0]] has eigenvalues +-|y|:
     # only the zero margin is attainable
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases.append(
-        ("rotated-antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]), swap)], 2, 10.0), 0.0)
+        ("rotated-antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]), swap)], box_bound=10.0), 0.0)
     )
     # 7. rotated coordinates: same optimum as diag(y_1, 2 y_0 - y_1)
     q = rotation(0.6)
     rotated = stack(q @ np.diag([0.0, 2.0]) @ q.T, q @ np.diag([1.0, -1.0]) @ q.T)
-    cases.append(("rotated-balance", ConeProgram([rotated], 2, 1.0), 1.0))
+    cases.append(("rotated-balance", ConeProgram([rotated], box_bound=1.0), 1.0))
     # 8. box-active slope: eigenvalues y_1 and 2 y_1 - y_0, maximal at
     # y_1 = -y_0 = B = 3
     slope = stack(np.diag([0.0, -1.0]), np.diag([1.0, 2.0]))
-    cases.append(("box-active-slope", ConeProgram([slope], 2, 3.0), 3.0))
+    cases.append(("box-active-slope", ConeProgram([slope], box_bound=3.0), 3.0))
     # 9. three variables sharing a budget of 4 y_0: symmetric optimum at 1
     st = np.zeros((4, 4, 4))
     st[0, 3, 3] = 4.0
     for i in range(1, 4):
         st[i, i - 1, i - 1] = 1.0
         st[i, 3, 3] = -1.0
-    cases.append(("budget-split", ConeProgram([st], 4, 1.0), 1.0))
+    cases.append(("budget-split", ConeProgram([st], box_bound=1.0), 1.0))
     # 10. fixed off-diagonal coupling: at the box corner eigenvalues are 2 -+ 0.3
     corner = stack(
         [[1.0, 0.3], [0.3, 1.0]], np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     )
-    cases.append(("coupled-corner", ConeProgram([corner], 3, 1.0), 1.7))
+    cases.append(("coupled-corner", ConeProgram([corner], box_bound=1.0), 1.7))
     return cases
 
 
@@ -119,7 +119,7 @@ def mixed_size_program():
     st[2, 2, 2] = st[3, 2, 2] = 1.0
     blocks.append(q3[None] @ st @ q3.T[None])
     blocks.append(stack([[1.0]], [[1.0]], [[-1.0]], [[0.0]]))  # y_0 + y_1 - y_2
-    return ConeProgram(blocks, 4, 1.0)
+    return ConeProgram(blocks, box_bound=1.0)
 
 
 def test_blocks_of_mixed_sizes_are_stacked_consistently():
@@ -128,7 +128,7 @@ def test_blocks_of_mixed_sizes_are_stacked_consistently():
     assert result.status == FEASIBLE
     assert result.margin == pytest.approx(0.5, abs=1e-7)
     order = (4, 1, 3, 0, 2)  # sizes 1, 2, 3, 2, 2
-    permuted = ConeProgram([program.blocks[k] for k in order], 4, 1.0)
+    permuted = ConeProgram([program.blocks[k] for k in order], box_bound=1.0)
     other = solve(permuted)
     assert other.status == result.status
     assert other.margin == pytest.approx(result.margin, abs=1e-9)
@@ -229,8 +229,7 @@ def test_redundant_identity_block_is_inert():
     base = oracle_cases()[4][1]  # balance, t* = 0.5 < 1
     augmented = ConeProgram(
         base.blocks + [stack(np.eye(3), np.zeros((3, 3)))],
-        base.num_y,
-        base.box_bound,
+        box_bound=base.box_bound,
     )
     r1 = solve(base)
     r2 = solve(augmented)
@@ -240,11 +239,7 @@ def test_redundant_identity_block_is_inert():
 def test_scaling_covariance():
     base = oracle_cases()[6][1]  # rotated balance, t* = 1
     alpha = 3.7
-    scaled = ConeProgram(
-        [alpha * st for st in base.blocks],
-        base.num_y,
-        base.box_bound,
-    )
+    scaled = ConeProgram([alpha * st for st in base.blocks], box_bound=base.box_bound)
     r1 = solve(base)
     r2 = solve(scaled)
     assert r2.margin == pytest.approx(alpha * r1.margin, rel=1e-7)
@@ -252,19 +247,22 @@ def test_scaling_covariance():
 
 def test_rejects_invalid_programs():
     with pytest.raises(ValueError):
-        ConeProgram([], 0, 1.0)
+        ConeProgram([], box_bound=1.0)
     with pytest.raises(ValueError):
-        ConeProgram([np.zeros((1, 2, 3))], 1, 1.0)  # not square
+        ConeProgram([np.zeros((1, 2, 3))], box_bound=1.0)  # not square
     with pytest.raises(ValueError):
-        ConeProgram([np.zeros((2, 2, 2))], 1, 1.0)  # one matrix too many
+        # the second stack has one matrix more than the first
+        ConeProgram([np.zeros((1, 2, 2)), np.zeros((2, 2, 2))], box_bound=1.0)
     with pytest.raises(ValueError):
-        ConeProgram([np.zeros((2, 2))], 1, 1.0)  # not a stack
+        ConeProgram([np.zeros((2, 2))], box_bound=1.0)  # not a stack
     with pytest.raises(ValueError):
-        ConeProgram([np.zeros((1, 2, 2))], 1, -1.0)
+        ConeProgram([np.zeros((1, 2, 2))], box_bound=-1.0)
+    with pytest.raises(TypeError):
+        ConeProgram([np.zeros((1, 2, 2))], 1.0)  # the box is keyword-only
     asym = np.zeros((1, 2, 2))
     asym[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
-        ConeProgram([asym], 1, 1.0)
+        ConeProgram([asym], box_bound=1.0)
 
 
 def test_iteration_log_stream():

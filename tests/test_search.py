@@ -230,9 +230,7 @@ def test_interval_open_at_zero():
 
 
 def test_hierarchy_sweep_monotone_and_deterministic():
-    result = hierarchy_sweep(
-        pure_delay_scalar(), range(1, 3), range(1, 2), tol=1e-4
-    )
+    result = hierarchy_sweep(pure_delay_scalar(), 2, 1, tol=1e-4)
     assert set(result.cells) == {(1, 1), (2, 1)}
     assert result.violations == []
     assert result.errors == {}
@@ -242,14 +240,15 @@ def test_hierarchy_sweep_monotone_and_deterministic():
 
 def test_hierarchy_sweep_collects_cell_errors():
     unstable = DelaySystem([[1.0]], [[0.0]], name="unstable")
-    result = hierarchy_sweep(unstable, range(1, 2), range(1, 2), tol=1e-3)
+    result = hierarchy_sweep(unstable, 1, 1, tol=1e-3)
     assert result.cells == {}
     assert (1, 1) in result.errors
 
 
-def test_sweep_rejects_empty_ranges():
-    with pytest.raises(ValueError):
-        hierarchy_sweep(pure_delay_scalar(), range(1, 1), range(1, 2))
+@pytest.mark.parametrize("max_big_m,max_m", [(0, 1), (1, 0), (-1, 1)])
+def test_sweep_rejects_maxima_below_one(max_big_m, max_m):
+    with pytest.raises(ValueError, match="sweep needs"):
+        hierarchy_sweep(pure_delay_scalar(), max_big_m, max_m)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -259,13 +258,11 @@ def test_entry_points_reject_invalid_tolerance(tol):
         with pytest.raises(ValueError, match="tol"):
             run(sys, params, tol)
     with pytest.raises(ValueError, match="tol"):
-        hierarchy_sweep(sys, range(1, 3), range(1, 2), tol)
+        hierarchy_sweep(sys, 2, 1, tol)
 
 
 def test_single_cell_sweep_has_no_comparisons():
-    result = hierarchy_sweep(
-        pure_delay_scalar(), range(1, 2), range(1, 2), tol=1e-3
-    )
+    result = hierarchy_sweep(pure_delay_scalar(), 1, 1, tol=1e-3)
     assert result.violations == []
     assert len(result.cells) == 1
 
