@@ -10,6 +10,10 @@ Verbs:
 All results go to stdout; diagnostics to stderr.  Exit codes: 0 success,
 1 input error, 2 no feasible delay found, 3 run dominated by inconclusive
 solver probes, 4 hierarchy monotonicity violation.
+
+The library functions check their own inputs and raise ValueError, as
+does ``cmd_crosscheck`` for the one range no library function takes;
+``main`` turns that into an ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
+from numpy.linalg import LinAlgError
+
 from .lmi import DelaySystem, HierarchyParams
-from .projection import crosscheck_closed_forms
+from .projection import crosscheck_closed_forms, max_weighted_order
 from .search import (
     DEFAULT_TOL,
     BracketError,
@@ -35,7 +40,7 @@ from .search import (
     min_delay,
     stability_interval,
 )
-from .systems import BUNDLED_SYSTEMS, SystemFileError, bundled_system_path, load_system
+from .systems import BUNDLED_SYSTEMS, bundled_system_path, load_system
 from .verification import DEFAULT_SEED, run_all
 
 __all__ = ["main"]
@@ -47,18 +52,13 @@ EXIT_INCONCLUSIVE = 3
 EXIT_VIOLATION = 4
 
 
-def _search_inputs(args: argparse.Namespace) -> tuple[DelaySystem, HierarchyParams]:
-    """The system and (M, m) of a bounds or sweep run, after checking the
-    tolerance; --system is a file path or the name of a bundled system.
-    Raises ValueError or SystemFileError on bad input."""
-    params = HierarchyParams(args.M, args.m)
-    if not 0 < args.tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+def _system(args: argparse.Namespace) -> DelaySystem:
+    """The system of a bounds or sweep run: --system is a file path or the
+    name of a bundled system.  Raises SystemFileError on a bad file."""
     path = args.system
     if path in BUNDLED_SYSTEMS and not os.path.exists(path):
         path = bundled_system_path(path)
-    system, _ = load_system(path)
-    return system, params
+    return load_system(path)[0]
 
 
 def _fmt(x: float | None) -> str:
@@ -138,11 +138,8 @@ def _sweep_csv(result: SweepResult) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        system, params = _search_inputs(args)
-    except (SystemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    params = HierarchyParams(args.M, args.m)
+    system = _system(args)
     try:
         if args.direction == "upper":
             _, report = max_delay(system, params, args.tol)
@@ -168,13 +165,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        system, params = _search_inputs(args)
-        # raises ValueError for m < 1 before it runs any cell
-        result = hierarchy_sweep(system, params.big_m, params.m, args.tol)
-    except (SystemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = hierarchy_sweep(_system(args), args.M, args.m, args.tol)
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     elif args.format == "csv":
@@ -190,21 +181,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _range_error(args: argparse.Namespace) -> str | None:
-    """Why a verify or crosscheck input is out of range, or None.  Below
-    these floors, or with a depth no moment order reaches, the seed is
-    unusable or the suites leave cells unchecked."""
-    for dest, flag, floor in (("seed", "--seed", 0), ("cases", "--cases", 1),
-                              ("max_m", "--max-m", 0), ("max_M", "--max-M", 1)):
-        value = getattr(args, dest, floor)
-        if value < floor:
-            return f"{flag} must be >= {floor}, got {value}"
-    max_m, max_big_m = getattr(args, "max_m", 0), getattr(args, "max_M", 1)
-    if max_m > max_big_m - 1:  # no M up to --max-M reaches that depth
-        return f"--max-m must be <= --max-M - 1 = {max_big_m - 1}, got {max_m}"
-    return None
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_all(
         seed=args.seed, max_m=args.max_m, max_big_m=args.max_M, cases=args.cases
@@ -217,10 +193,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
+    if args.max_m < 0 or max_weighted_order(args.max_m, args.max_M) < 0:
+        raise ValueError(f"--max-m must be >= 0 and reached by some M <= --max-M, "
+                         f"got --max-m {args.max_m}, --max-M {args.max_M}")
     clean = True
     for m in range(args.max_m + 1):
         for big_m in range(1, args.max_M + 1):
-            nu = big_m - 1 - m
+            nu = max_weighted_order(m, big_m)  # the closed forms' tight case
             if nu < 0:
                 continue
             report = crosscheck_closed_forms(m, nu, big_m)
@@ -291,11 +270,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses code 2 for usage errors
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    error = _range_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
+    try:
+        return args.func(args)
+    except LinAlgError:  # a ValueError, but a solver breakdown, not bad input
+        raise
+    except ValueError as exc:  # the library's input checks (SystemFileError too)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -97,9 +97,6 @@ class PolynomialVectorFunction:
         # components composed to live on [0, 1]
         self._unit = [c.compose_affine(self.a, width) for c in self.components]
 
-    def __call__(self, s: float) -> np.ndarray:
-        return np.array([c.eval_float(s) for c in self.components])
-
     def derivative(self) -> "PolynomialVectorFunction":
         return PolynomialVectorFunction(
             [c.derivative() for c in self.components], self.a, self.b
@@ -130,10 +127,14 @@ class PolynomialVectorFunction:
         return f_a, f_b
 
 
-def functional_value(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float:
-    """J(f), integrated exactly."""
+def _check_interval(spec: FunctionalSpec, f: PolynomialVectorFunction) -> None:
     if (float(f.a), float(f.b)) != (spec.a, spec.b):
         raise ValueError("function interval does not match the spec interval")
+
+
+def functional_value(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float:
+    """J(f), integrated exactly."""
+    _check_interval(spec, f)
     return f.exact_functional(spec.weight, spec.m)
 
 
@@ -197,8 +198,7 @@ def competitor_statistics(
         w_{l,0} =  l!       / (b-a)**l * g_l
         w_{l,1} = -(l+1)! / (b-a)**l * Upsilon_l.
     """
-    if (float(f.a), float(f.b)) != (spec.a, spec.b):
-        raise ValueError("function interval does not match the spec interval")
+    _check_interval(spec, f)
     l = spec.m
     big_m = l + 2  # enough span for the two weighted moments
     phi = moments(f, big_m)

@@ -43,6 +43,8 @@ from . import sdp
 from .projection import (
     derivative_moment_map,
     legendre_derivative_map,
+    max_derivative_order,
+    max_weighted_order,
     rodrigues_weight_block,
     weighted_moment_map,
 )
@@ -98,13 +100,11 @@ class DelaySystem:
 
 @dataclass(frozen=True)
 class HierarchyParams:
-    """Moment order M and weight depth m of the condition family.
+    """Moment order M >= 1 and weight depth m >= 0 of the condition family.
 
     Derived counts: m1 = m weighted history terms (Q_0..Q_m1), m2 = m + 1
-    derivative terms (R_1..R_m2).  Projection orders are nu1(j) = M - j - 1
-    and nu2(j) = M - j; any projection term whose order would be negative is
-    omitted (its trivial nonnegativity bound is used instead), which keeps
-    the condition sound for every m >= 0.
+    derivative terms (R_1..R_m2).  Their projection orders are the
+    ``projection`` module's (see ``_CompiledLmis``).
     """
 
     big_m: int
@@ -123,12 +123,6 @@ class HierarchyParams:
     @property
     def m2(self) -> int:
         return self.m + 1
-
-    def nu1(self, j: int) -> int:
-        return self.big_m - j - 1
-
-    def nu2(self, j: int) -> int:
-        return self.big_m - j
 
 
 class VariableLayout:
@@ -205,9 +199,11 @@ class _CompiledLmis:
       derivative projections of the Rs;
     * range derivative: its Schur form, with the projections not divided
       by tau and an extra corner row [tau W^T sum R_j; -sum R_j].
-    Projection terms of negative order nu1(j) or nu2(j) are left out.  Both
-    derivative blocks are stored negated (an exact sign flip), so every
-    block must be positive definite.
+    A projection term of depth j has order ``max_weighted_order(j, M)``
+    (Qs) or ``max_derivative_order(j, M)`` (Rs), and is left out when that
+    is negative (its trivial nonnegativity bound keeps the condition sound
+    for every m >= 0).  Both derivative blocks are stored negated (an exact
+    sign flip), so every block must be positive definite.
     """
 
     def __init__(self, sys: DelaySystem, params: HierarchyParams):
@@ -220,8 +216,13 @@ class _CompiledLmis:
         r_offsets = layout.offsets[params.m1 + 2 :]
         rate = n * (big_m + 2)  # derivative block size
 
-        def congruences(proj: np.ndarray, start: int) -> np.ndarray:
-            return np.array([_weighted_congruence(proj, start, b) for b in basis])
+        def congruences(moment_map, largest_order, depth: int):
+            # each basis matrix through the depth's map; None with no order
+            order = largest_order(depth, big_m)
+            if order < 0:
+                return None
+            proj = moment_map(depth, order, big_m).as_array()
+            return np.array([_weighted_congruence(proj, depth, b) for b in basis])
 
         # tau-coefficients of the factors of the energy rate and the
         # dissipation: state row W = W0 + tau W1 (W1 only when A_d2 != 0),
@@ -249,16 +250,18 @@ class _CompiledLmis:
                 energy.append((a + b, 0, 0, 0, pl + pl.swapaxes(-1, -2)))
         positivity = [(1, 0, 0, 0, p_basis)]
         history = []
+        weighted = [
+            congruences(weighted_moment_map, max_weighted_order, j)
+            for j in range(params.m1 + 1)
+        ]
         for j, off in enumerate(q_offsets):
-            if params.nu1(j) >= 0:
-                xi = weighted_moment_map(j, params.nu1(j), big_m).as_array()
-                positivity.append((0, off, n, n, congruences(xi, j)))
+            if weighted[j] is not None:
+                positivity.append((0, off, n, n, weighted[j]))
             history.append((0, off, 0, 0, basis))
             if j == 0:
                 history.append((0, off, n, n, -basis))
-            elif params.nu1(j - 1) >= 0:
-                xi = weighted_moment_map(j - 1, params.nu1(j - 1), big_m).as_array()
-                history.append((0, off, 2 * n, 2 * n, -j * congruences(xi, j - 1)))
+            elif weighted[j - 1] is not None:
+                history.append((0, off, 2 * n, 2 * n, -j * weighted[j - 1]))
         dissipation, projection, schur = [], [], []
         for j, off in enumerate(r_offsets, start=1):
             for a, wa in enumerate(ws):
@@ -267,9 +270,9 @@ class _CompiledLmis:
                 for b, wb in enumerate(ws):
                     dissipation.append((1 + a + b, off, 0, 0, wa.T @ basis @ wb))
             schur.append((0, off, rate, rate, -basis))
-            if params.nu2(j - 1) >= 0:
-                z = derivative_moment_map(j - 1, params.nu2(j - 1), big_m).as_array()
-                projection.append((0, off, 0, 0, -j * congruences(z, j - 1)))
+            z = congruences(derivative_moment_map, max_derivative_order, j - 1)
+            if z is not None:
+                projection.append((0, off, 0, 0, -j * z))
 
         self.definite = [
             _TauPolynomial(dim, n, [(0, off, 0, 0, basis)]) for off in layout.offsets[1:]

@@ -138,12 +138,6 @@ class RationalPolynomial:
             out = out * x + c
         return out
 
-    def eval_float(self, x: float) -> float:
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + float(c)
-        return out
-
     def integral(self) -> Fraction:
         """Exact integral over [0, 1]: sum c_k / (k + 1)."""
         return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), _ZERO)

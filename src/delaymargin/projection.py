@@ -18,6 +18,10 @@ The source of truth is the exact triangular basis-change solve.  The
 published closed-form constructions are re-derived in
 ``crosscheck_closed_forms`` purely as a diagnostic and never override the
 basis-change result.
+
+The admissible orders are stated once: ``max_weighted_order`` and
+``max_derivative_order`` give the largest nu each map accepts (negative
+when none is), and every caller that picks or bounds an order asks them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .polynomials import (
 
 __all__ = [
     "ProjectionMap",
+    "max_weighted_order",
+    "max_derivative_order",
     "weighted_moment_map",
     "derivative_moment_map",
     "legendre_derivative_map",
@@ -54,9 +60,6 @@ class ProjectionMap:
     (M+2) from boundary values and scaled Legendre moments to weight-x**m
     moments of the derivative (``derivative_moment_map``)."""
 
-    m: int
-    nu: int
-    big_m: int
     entries: FractionMatrix
 
     @cached_property
@@ -70,24 +73,36 @@ class ProjectionMap:
         return self._array
 
 
+def max_weighted_order(m: int, big_m: int) -> int:
+    """Largest nu of ``weighted_moment_map(m, nu, M)``: x**m R(m, nu) must
+    have degree below M to lie in the span of M Legendre moments."""
+    return big_m - m - 1
+
+
+def max_derivative_order(m: int, big_m: int) -> int:
+    """Largest nu of ``derivative_moment_map(m, nu, M)``: one more than the
+    weighted map's, since the derivative drops one degree."""
+    return big_m - m
+
+
+def _check_order(m: int, nu: int, largest: int) -> None:
+    if m < 0 or not 0 <= nu <= largest:
+        raise ValueError(f"need m >= 0 and 0 <= nu <= {largest}, got m={m}, nu={nu}")
+
+
 @lru_cache(maxsize=None)
 def weighted_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
     """Rows j = 0..nu: shifted-Legendre coordinates of x**m R(m, j).
 
-    Requires m + nu <= big_m - 1 so every row lies in the Legendre span.
-    Entries with column index l > m + j vanish (degree count).
+    Requires nu <= ``max_weighted_order(m, M)``.  Entries with column
+    index l > m + j vanish (degree count).
     """
-    if m < 0 or nu < 0 or big_m < 1:
-        raise ValueError("weighted_moment_map requires m, nu >= 0 and M >= 1")
-    if m + nu > big_m - 1:
-        raise ValueError(
-            f"weighted_moment_map needs m + nu <= M - 1 (got m={m}, nu={nu}, M={big_m})"
-        )
+    _check_order(m, nu, max_weighted_order(m, big_m))
     rows = []
     for j in range(nu + 1):
         q = poly_weighted(m, j)
         rows.append(expand_in_shifted_legendre(q, big_m))
-    return ProjectionMap(m, nu, big_m, tuple(rows))
+    return ProjectionMap(tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -97,14 +112,9 @@ def derivative_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
     Row j is (q(1), -q(0), -zeta_0, ..., -zeta_{M-1}) for q = x**m R(m, j),
     where the zeta are the Legendre coordinates of q'.  Boundary values:
     q(1) = 1 always; q(0) = (-1)**j for m = 0 and 0 for m > 0.
-    Requires m + nu <= M (the derivative drops one degree).
+    Requires nu <= ``max_derivative_order(m, M)``.
     """
-    if m < 0 or nu < 0 or big_m < 0:
-        raise ValueError("derivative_moment_map requires m, nu, M >= 0")
-    if m + nu > max(0, big_m):
-        raise ValueError(
-            f"derivative_moment_map needs m + nu <= M (got m={m}, nu={nu}, M={big_m})"
-        )
+    _check_order(m, nu, max_derivative_order(m, big_m))
     rows = []
     for j in range(nu + 1):
         q = poly_weighted(m, j)
@@ -114,14 +124,12 @@ def derivative_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
         else:
             at_zero = Fraction(0)
         rows.append((Fraction(1), at_zero) + tuple(-z for z in zeta))
-    return ProjectionMap(m, nu, big_m, tuple(rows))
+    return ProjectionMap(tuple(rows))
 
 
 @lru_cache(maxsize=None)
 def legendre_derivative_map(big_m: int) -> ProjectionMap:
     """The m = 0 derivative map with one row per Legendre polynomial below M."""
-    if big_m < 1:
-        raise ValueError("legendre_derivative_map requires M >= 1")
     return derivative_moment_map(0, big_m - 1, big_m)
 
 
@@ -255,7 +263,7 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
     #    valid only in the tight case m + nu = M - 1, where the shift block
     #    [0 I] needs no right padding.
     g0_inv = _fraction_inverse_lower(monomial_to_basis_matrix(0, big_m - 1))
-    if m + nu == big_m - 1:
+    if nu == max_weighted_order(m, big_m):
         gm = _coefficient_matrix_closed_form(m, nu) if nu >= 0 else ()
         shift = tuple(
             tuple(
@@ -277,7 +285,7 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
     # 3. Derivative moment map: the diagonal factor is the monomial
     #    differentiation operator.  Printed sizes corrected:
     #    G(m, nu+1) -> G(m, nu) and diag{m..m+nu+1} -> diag{m..m+nu}.
-    if m + nu <= big_m:
+    if nu <= max_derivative_order(m, big_m):
         span = m + nu  # q' has degree <= m + nu - 1, expanded in span terms
         if span >= 1:
             gm = _coefficient_matrix_closed_form(m, nu)

@@ -281,7 +281,7 @@ def _refine(
 
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _search(
@@ -404,7 +404,8 @@ def hierarchy_sweep(
     The expected hierarchy is nondecreasing bounds in both M and m; any
     decrease beyond _COMPARISON_TOL is recorded as a violation.  Per-cell
     failures are captured, not raised, so one bad cell cannot abort a sweep.
-    Raises ValueError when either maximum is below 1.
+    Raises ValueError, before any cell runs, when either maximum is below 1
+    or the tolerance is not positive and finite.
     """
     if max_big_m < 1 or max_m < 1:
         raise ValueError(f"sweep needs M, m >= 1, got M={max_big_m}, m={max_m}")

@@ -27,7 +27,12 @@ from .inequalities import (
     moments,
 )
 from .polynomials import RationalPolynomial, inner_product, rodrigues_poly
-from .projection import derivative_moment_map, weighted_moment_map
+from .projection import (
+    derivative_moment_map,
+    max_derivative_order,
+    max_weighted_order,
+    weighted_moment_map,
+)
 
 __all__ = [
     "VerificationReport",
@@ -100,7 +105,7 @@ def check_projection_reconstruction(
     for m in range(max_m + 1):
         for nu in range(max_nu + 1):
             for big_m in range(1, max_big_m + 1):
-                if m + nu <= big_m - 1:
+                if nu <= max_weighted_order(m, big_m):
                     report.checks_run += 1
                     xi = weighted_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
@@ -111,7 +116,7 @@ def check_projection_reconstruction(
                                 f"(m={m}, nu={nu}, M={big_m}), row {j}"
                             )
                             break
-                if m + nu <= big_m:
+                if nu <= max_derivative_order(m, big_m):
                     report.checks_run += 1
                     z = derivative_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
@@ -171,7 +176,7 @@ def check_bound_soundness(
         value = functional_value(spec, f)
         scale = max(1.0, abs(value))
         phi = moments(f, big_m)
-        for nu in range(big_m - m):
+        for nu in range(max_weighted_order(m, big_m) + 1):
             report.checks_run += 1
             bound = lower_bound_values(spec, phi, nu)
             if bound > value + 1e-8 * scale:
@@ -182,7 +187,7 @@ def check_bound_soundness(
         dvalue = functional_value(spec, f.derivative())
         dscale = max(1.0, abs(dvalue))
         f_a, f_b = f.endpoint_values()
-        for nu in range(big_m - m + 1):
+        for nu in range(max_derivative_order(m, big_m) + 1):
             report.checks_run += 1
             dbound = lower_bound_derivative(spec, f_a, f_b, phi, nu)
             if dbound > dvalue + 1e-8 * dscale:
@@ -251,8 +256,15 @@ def run_all(
     """Full verification battery; sizes capped for interactive runtimes.
 
     The soundness suite runs ``cases`` random cases and the dominance
-    suite half as many, at least 50.
+    suite half as many, at least 50.  Raises ValueError, before any suite
+    runs, for a range that checks nothing or leaves depths unchecked:
+    seed < 0, cases < 1, max_m < 0, or a max_m no M <= max_big_m reaches.
     """
+    for name, value, floor in (("seed", seed, 0), ("cases", cases, 1), ("max_m", max_m, 0)):
+        if value < floor:
+            raise ValueError(f"{name} must be >= {floor}, got {value}")
+    if max_weighted_order(max_m, max_big_m) < 0:
+        raise ValueError(f"no M <= max_big_m={max_big_m} reaches max_m={max_m}")
     report = VerificationReport(seed=seed)
     report.merge(check_polynomial_identities(max_m=max(max_m, 4), max_n=6))
     report.merge(

@@ -1,7 +1,8 @@
 """Test-only oracles, evaluated independently of the code paths in
-``delaymargin`` they are checked against: literal repeated-integral forms
-of the weighted functionals, and the stability LMI blocks stated directly
-at one delay in terms of the decision matrices."""
+``delaymargin`` they are checked against: float point evaluation of the
+exact polynomials, literal repeated-integral forms of the weighted
+functionals, and the stability LMI blocks stated directly at one delay in
+terms of the decision matrices."""
 
 import math
 from dataclasses import dataclass
@@ -9,16 +10,27 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from delaymargin.inequalities import FunctionalSpec
+from delaymargin.inequalities import FunctionalSpec, PolynomialVectorFunction
 from delaymargin.lmi import DelaySystem, HierarchyParams, VariableLayout
+from delaymargin.polynomials import RationalPolynomial
 from delaymargin.projection import (
     derivative_moment_map,
     legendre_derivative_map,
+    max_derivative_order,
+    max_weighted_order,
     rodrigues_weight_block,
     weighted_moment_map,
 )
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def eval_float(p: RationalPolynomial, x: float) -> float:
+    """p(x) by Horner's rule in float arithmetic."""
+    out = 0.0
+    for c in reversed(p.coeffs):
+        out = out * x + float(c)
+    return out
 
 
 def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,10 +64,9 @@ def nested_integral(
     return level(folds, a)
 
 
-def functional_value_nested(
-    spec: FunctionalSpec, f: Callable[[float], np.ndarray]
-) -> float:
-    """J(f) via the literal repeated-integral form.
+def functional_value_nested(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float:
+    """J(f) via the literal repeated-integral form, with f evaluated
+    pointwise in float arithmetic.
 
     Cost grows exponentially in m; only supported for m <= 3.
     """
@@ -64,7 +75,7 @@ def functional_value_nested(
     w = spec.weight
 
     def g(s: float) -> float:
-        v = f(s)
+        v = np.array([eval_float(c, s) for c in f.components])
         return float(v @ w @ v)
 
     raw = nested_integral(g, spec.a, spec.b, folds=spec.m)
@@ -153,7 +164,7 @@ def positivity_block(
     big_m = params.big_m
     out = tau * np.asarray(p, dtype=float).copy()
     for j in range(params.m1 + 1):
-        nu = params.nu1(j)
+        nu = max_weighted_order(j, big_m)
         if nu < 0:
             continue  # no valid projection order; trivial bound suffices
         xi = weighted_moment_map(j, nu, big_m).as_array()
@@ -192,7 +203,7 @@ def _history_rate(
     out[:n, :n] = sum(np.asarray(q, dtype=float) for q in qs)
     out[n : 2 * n, n : 2 * n] = -np.asarray(qs[0], dtype=float)
     for j in range(1, params.m1 + 1):
-        nu = params.nu1(j - 1)
+        nu = max_weighted_order(j - 1, big_m)
         if nu < 0:
             continue
         xi = weighted_moment_map(j - 1, nu, big_m).as_array()
@@ -222,7 +233,7 @@ def _derivative_projection(
     size = n * (big_m + 2)
     out = np.zeros((size, size))
     for j in range(1, params.m2 + 1):
-        nu = params.nu2(j - 1)
+        nu = max_derivative_order(j - 1, big_m)
         if nu < 0:
             continue
         z = derivative_moment_map(j - 1, nu, big_m).as_array()

@@ -254,7 +254,7 @@ def test_verify_reports_corrupted_projection(monkeypatch):
         if (m, nu, big_m) == (1, 1, 3):
             rows = [list(r) for r in real.entries]
             rows[0][0] += 1  # poison one entry
-            return type(real)(m, nu, big_m, tuple(tuple(r) for r in rows))
+            return type(real)(tuple(tuple(r) for r in rows))
         return real
 
     monkeypatch.setattr(verification, "weighted_moment_map", corrupted)
@@ -328,6 +328,36 @@ def test_suites_reject_ranges_that_check_nothing(capsys, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": -1},
+        {"cases": 0},
+        {"max_m": -1},
+        {"max_big_m": 0},
+        {"cases": -5, "max_m": -1, "max_big_m": 0},
+        # no M <= 2 reaches m = 2..5
+        {"max_m": 5, "max_big_m": 2},
+    ],
+)
+def test_run_all_rejects_the_ranges_verify_rejects(kwargs):
+    with pytest.raises(ValueError):
+        verification.run_all(**kwargs)
+
+
+def test_solver_breakdown_is_not_an_input_error(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError; it must not become exit 1
+    import delaymargin.cli as cli_mod
+
+    def broken_max_delay(system, params, tol):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(cli_mod, "max_delay", broken_max_delay)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["bounds", "--system", "example1"])
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

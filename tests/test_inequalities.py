@@ -16,7 +16,7 @@ from delaymargin.inequalities import (
     moments,
 )
 from delaymargin.polynomials import RationalPolynomial, rodrigues_poly
-from oracles import functional_value_nested, gauss_rule
+from oracles import eval_float, functional_value_nested, gauss_rule
 
 F = Fraction
 
@@ -178,7 +178,7 @@ def test_soundness_trig_mixture():
     w = np.array([[1.5, -0.3], [-0.3, 0.8]])
     quad = np.einsum("ki,ij,kj->k", vals, w, vals)
     legendre = np.array(
-        [[rodrigues_poly(0, l).eval_float(t) for t in x] for l in range(5)]
+        [[eval_float(rodrigues_poly(0, l), t) for t in x] for l in range(5)]
     )
     phi = (legendre * wq) @ vals
     for m in (0, 1, 2):

@@ -11,7 +11,11 @@ from delaymargin.lmi import (
     assemble_stability_lmis,
     nodv,
 )
-from delaymargin.projection import weighted_moment_map
+from delaymargin.projection import (
+    max_derivative_order,
+    max_weighted_order,
+    weighted_moment_map,
+)
 from delaymargin.sdp import decide_feasibility, verify_certificate
 from oracles import (
     DecisionVariables,
@@ -58,8 +62,9 @@ def test_delay_system_validation():
 def test_hierarchy_params():
     p = HierarchyParams(3, 1)
     assert (p.m1, p.m2) == (1, 2)
-    assert [p.nu1(j) for j in range(2)] == [2, 1]
-    assert [p.nu2(j) for j in range(2)] == [3, 2]
+    # the projection orders of the Qs and the Rs at depths j = 0, 1
+    assert [max_weighted_order(j, p.big_m) for j in range(2)] == [2, 1]
+    assert [max_derivative_order(j, p.big_m) for j in range(2)] == [3, 2]
     with pytest.raises(ValueError):
         HierarchyParams(0, 1)
     with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ from delaymargin.projection import (
     crosscheck_closed_forms,
     derivative_moment_map,
     legendre_derivative_map,
+    max_derivative_order,
+    max_weighted_order,
     weighted_moment_map,
 )
 
@@ -106,6 +108,21 @@ def test_derivative_rows_reconstruct_exactly(m, nu, big_m):
 def test_derivative_map_rejects_bad_params():
     with pytest.raises(ValueError):
         derivative_moment_map(2, 2, 3)  # m + nu = 4 > M = 3
+
+
+def test_largest_orders_agree_with_the_maps():
+    # the largest order builds and one more raises; a depth with no
+    # admissible order (largest < 0) rejects even nu = 0
+    for m in range(5):
+        for big_m in range(7):
+            for largest, moment_map in (
+                (max_weighted_order(m, big_m), weighted_moment_map),
+                (max_derivative_order(m, big_m), derivative_moment_map),
+            ):
+                if largest >= 0:
+                    assert len(moment_map(m, largest, big_m).entries) == largest + 1
+                with pytest.raises(ValueError):
+                    moment_map(m, max(largest, -1) + 1, big_m)
 
 
 def test_legendre_derivative_map_examples():
