@@ -9,8 +9,9 @@ together with two families of certified lower bounds obtained by projecting
 f (or f') onto the first few weighted orthogonal polynomials.  Test functions
 are rational polynomials on rational intervals, so both sides are integrated
 exactly; the module also implements the competing first-order bound.
-Moments are taken over the function's own interval, and the number M of
-moments behind a bound is the number of rows of its moment array.
+Moments are taken over the function's own interval.  All three bounds
+read f only through one (M, n) array of its Legendre moments (as from
+``moments``); M is the number of rows of that array.
 """
 
 from __future__ import annotations
@@ -127,14 +128,10 @@ class PolynomialVectorFunction:
         return f_a, f_b
 
 
-def _check_interval(spec: FunctionalSpec, f: PolynomialVectorFunction) -> None:
-    if (float(f.a), float(f.b)) != (spec.a, spec.b):
-        raise ValueError("function interval does not match the spec interval")
-
-
 def functional_value(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float:
     """J(f), integrated exactly."""
-    _check_interval(spec, f)
+    if (float(f.a), float(f.b)) != (spec.a, spec.b):
+        raise ValueError("function interval does not match the spec interval")
     return f.exact_functional(spec.weight, spec.m)
 
 
@@ -146,12 +143,18 @@ def moments(f: PolynomialVectorFunction, big_m: int) -> np.ndarray:
     return np.vstack([f.exact_moment(l) for l in range(big_m)])
 
 
-def lower_bound_values(spec: FunctionalSpec, phi: np.ndarray, nu: int) -> float:
-    """Projection lower bound for J(f) from its first M Legendre moments
-    phi (as from ``moments``); M is the number of rows of phi."""
+def _moment_array(spec: FunctionalSpec, phi: np.ndarray) -> np.ndarray:
+    """phi as a float (M, n) array, n the weight dimension."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[1] != spec.dim:
         raise ValueError(f"moment array must have shape (M, {spec.dim})")
+    return phi
+
+
+def lower_bound_values(spec: FunctionalSpec, phi: np.ndarray, nu: int) -> float:
+    """Projection lower bound for J(f) from its first M Legendre moments
+    phi (as from ``moments``); M is the number of rows of phi."""
+    phi = _moment_array(spec, phi)
     big_m = phi.shape[0]
     xi = weighted_moment_map(spec.m, nu, big_m).as_array()
     stacked = phi.reshape(-1)  # already (M, n) row-major = kron layout
@@ -178,9 +181,7 @@ def lower_bound_derivative(
         big_m = 0
         stacked = np.concatenate([f_b, f_a])
     else:
-        phi = np.asarray(phi, dtype=float)
-        if phi.ndim != 2 or phi.shape[1] != spec.dim:
-            raise ValueError(f"moment array must have shape (M, {spec.dim})")
+        phi = _moment_array(spec, phi)
         big_m = phi.shape[0]
         stacked = np.concatenate([f_b, f_a, phi.reshape(-1) / spec.width])
     z = derivative_moment_map(spec.m, nu, big_m).as_array()
@@ -190,19 +191,20 @@ def lower_bound_derivative(
 
 
 def competitor_statistics(
-    spec: FunctionalSpec, f: PolynomialVectorFunction
+    spec: FunctionalSpec, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The competing bound's statistics, recovered from weighted moments.
+    """The competing bound's statistics, recovered from the weighted moments
+    of order 0 and 1 of f.
 
-    With l = spec.m, the identities are
+    phi holds the first M Legendre moments of f (as from ``moments``); M is
+    the number of rows of phi, and the weighted map needs M >= l + 2.  With
+    l = spec.m, the identities are
         w_{l,0} =  l!       / (b-a)**l * g_l
         w_{l,1} = -(l+1)! / (b-a)**l * Upsilon_l.
     """
-    _check_interval(spec, f)
+    phi = _moment_array(spec, phi)
     l = spec.m
-    big_m = l + 2  # enough span for the two weighted moments
-    phi = moments(f, big_m)
-    xi = weighted_moment_map(l, 1, big_m).as_array()
+    xi = weighted_moment_map(l, 1, phi.shape[0]).as_array()
     w_moms = xi @ phi  # rows: w_{l,0}, w_{l,1}
     width = spec.width
     g_l = width**l / math.factorial(l) * w_moms[0]

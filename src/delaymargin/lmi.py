@@ -102,8 +102,8 @@ class DelaySystem:
 class HierarchyParams:
     """Moment order M >= 1 and weight depth m >= 0 of the condition family.
 
-    Derived counts: m1 = m weighted history terms (Q_0..Q_m1), m2 = m + 1
-    derivative terms (R_1..R_m2).  Their projection orders are the
+    Derived count: m2 = m + 1 derivative terms (R_1..R_m2), beside the
+    m + 1 weighted history terms Q_0..Q_m.  Their projection orders are the
     ``projection`` module's (see ``_CompiledLmis``).
     """
 
@@ -117,22 +117,18 @@ class HierarchyParams:
             raise ValueError("m must be >= 0")
 
     @property
-    def m1(self) -> int:
-        return self.m
-
-    @property
     def m2(self) -> int:
         return self.m + 1
 
 
 class VariableLayout:
-    """Flat svec packing of (P, Q_0..Q_m1, R_1..R_m2)."""
+    """Flat svec packing of (P, Q_0..Q_m, R_1..R_m2)."""
 
     def __init__(self, n_x: int, params: HierarchyParams):
         self.n_x = n_x
         self.params = params
         self.p_size = n_x * (params.big_m + 1)
-        self.sizes = [self.p_size] + [n_x] * (params.m1 + 1) + [n_x] * params.m2
+        self.sizes = [self.p_size] + [n_x] * (params.m + 1) + [n_x] * params.m2
         self.offsets = []
         off = 0
         for s in self.sizes:
@@ -212,8 +208,8 @@ class _CompiledLmis:
         dim = layout.dim
         p_basis = _svec_basis(layout.p_size)
         basis = _svec_basis(n)
-        q_offsets = layout.offsets[1 : params.m1 + 2]
-        r_offsets = layout.offsets[params.m1 + 2 :]
+        q_offsets = layout.offsets[1 : params.m + 2]
+        r_offsets = layout.offsets[params.m + 2 :]
         rate = n * (big_m + 2)  # derivative block size
 
         def congruences(moment_map, largest_order, depth: int):
@@ -252,7 +248,7 @@ class _CompiledLmis:
         history = []
         weighted = [
             congruences(weighted_moment_map, max_weighted_order, j)
-            for j in range(params.m1 + 1)
+            for j in range(params.m + 1)
         ]
         for j, off in enumerate(q_offsets):
             if weighted[j] is not None:
@@ -303,7 +299,7 @@ def assemble_stability_lmis(
     tau: float,
 ) -> sdp.ConeProgram:
     """Single-delay stability LMIs at delay tau, in block order positivity,
-    -derivative, Q_0..Q_m1, R_1..R_m2."""
+    -derivative, Q_0..Q_m, R_1..R_m2."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     compiled = _compiled(sys, params)
@@ -319,7 +315,7 @@ def assemble_delay_range_lmis(
 ) -> sdp.ConeProgram:
     """Delay-range stability LMIs for tau in [tau_low, tau_up], in block
     order positivity at tau_up, -range derivative at tau_low and at tau_up,
-    Q_0..Q_m1, R_1..R_m2.
+    Q_0..Q_m, R_1..R_m2.
 
     Endpoint checks certify the range because every block is affine in tau
     when A_d2 = 0; with A_d2 != 0 the endpoint reduction is heuristic (tau**2

@@ -26,7 +26,6 @@ __all__ = [
     "rodrigues_poly",
     "inner_product",
     "monomial_to_basis_matrix",
-    "shifted_legendre",
 ]
 
 _ZERO = Fraction(0)
@@ -170,11 +169,6 @@ def rodrigues_poly(m: int, n: int) -> RationalPolynomial:
     return work.scale(Fraction(1, fact))
 
 
-def shifted_legendre(n: int) -> RationalPolynomial:
-    """Shifted Legendre polynomial on [0, 1] (the m = 0 Rodrigues family)."""
-    return rodrigues_poly(0, n)
-
-
 def inner_product(
     m: int, p: RationalPolynomial, q: RationalPolynomial
 ) -> Fraction:
@@ -221,7 +215,7 @@ def expand_in_shifted_legendre(
         )
     if num_terms == 0:
         return ()
-    basis = [shifted_legendre(l) for l in range(num_terms)]
+    basis = [rodrigues_poly(0, l) for l in range(num_terms)]
     coords = [_ZERO] * num_terms
     residual = p
     for l in range(num_terms - 1, -1, -1):

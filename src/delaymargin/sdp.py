@@ -75,7 +75,7 @@ class ConeProgram:
     """max t  s.t.  sum_i y_i F_k[i] - t I >= 0 for all k, |y| <= B.
 
     ``blocks`` holds one (num_y, d, d) stack F_k per constraint block, one
-    symmetric coefficient matrix per y variable; there is no constant
+    finite symmetric coefficient matrix per y variable; there is no constant
     term, and the margin variable is implicit.  The number of variables
     ``num_y`` is read off the stacks, which must all share it.  The box
     bound B is the solver's policy, BOX_BOUND unless given by keyword.
@@ -93,7 +93,11 @@ class ConeProgram:
             d = stack.shape[-1]
             if stack.shape != (self.num_y, d, d):
                 raise ValueError("each block must be a (num_y, d, d) coefficient stack")
-            if not np.allclose(stack, np.transpose(stack, (0, 2, 1)), atol=1e-12):
+            largest = float(np.abs(stack).max(initial=0.0))  # nan or inf if not finite
+            if not np.isfinite(largest):
+                raise ValueError("coefficient matrices must be finite")
+            # no relative slack: asymmetry at most 1e-12 of the largest entry
+            if np.abs(stack - _t(stack)).max(initial=0.0) > 1e-12 * max(1.0, largest):
                 raise ValueError("coefficient matrices must be symmetric")
 
     @property
@@ -376,21 +380,27 @@ def solve(
             return factor_inv.T @ (factor_inv @ rhs)
 
         def newton(rcs, rc_lp):
-            rhs = rp.copy()
-            for g, w, flat, rc, rd in zip(gs, ws, flats, rcs, rds):
-                term = g @ rc @ _t(g) - w @ rd @ w
-                rhs -= flat @ term.reshape(-1)
-            rhs -= a_lp.T @ (w_lp * rc_lp - w_lp**2 * rd_lp)
-            dz = schur_solve(rhs)
-            # one refinement pass keeps the Schur solve honest near the boundary
-            dz += schur_solve(rhs - schur @ dz)
-            d_ss = [rd - (dz @ flat).reshape(rd.shape) for rd, flat in zip(rds, flats)]
-            d_xs = [
-                _sym(g @ rc @ _t(g) - w @ dsm @ w)
-                for g, w, rc, dsm in zip(gs, ws, rcs, d_ss)
-            ]
-            ds_lp = rd_lp - a_lp @ dz
-            dx_lp = w_lp * rc_lp - w_lp**2 * ds_lp
+            """Newton direction; FloatingPointError if it is not finite."""
+            with np.errstate(over="raise", invalid="raise"):
+                rhs = rp.copy()
+                for g, w, flat, rc, rd in zip(gs, ws, flats, rcs, rds):
+                    term = g @ rc @ _t(g) - w @ rd @ w
+                    rhs -= flat @ term.reshape(-1)
+                rhs -= a_lp.T @ (w_lp * rc_lp - w_lp**2 * rd_lp)
+                dz = schur_solve(rhs)
+                # one refinement pass keeps the Schur solve honest near the boundary
+                dz += schur_solve(rhs - schur @ dz)
+                if not np.isfinite(dz).all():
+                    raise FloatingPointError("non-finite Newton direction")
+                d_ss = [
+                    rd - (dz @ flat).reshape(rd.shape) for rd, flat in zip(rds, flats)
+                ]
+                d_xs = [
+                    _sym(g @ rc @ _t(g) - w @ dsm @ w)
+                    for g, w, rc, dsm in zip(gs, ws, rcs, d_ss)
+                ]
+                ds_lp = rd_lp - a_lp @ dz
+                dx_lp = w_lp * rc_lp - w_lp**2 * ds_lp
             return dz, d_xs, d_ss, dx_lp, ds_lp
 
         def step_lengths(d_xs, d_ss, dx_lp, ds_lp):
@@ -408,12 +418,8 @@ def solve(
         rc_aff = [-lam[..., None] * e for lam, e in zip(lams, eyes)]
         rc_lp_aff = -lam_lp
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                dz_a, dxs_a, dss_a, dxlp_a, dslp_a = newton(rc_aff, rc_lp_aff)
+            dz_a, dxs_a, dss_a, dxlp_a, dslp_a = newton(rc_aff, rc_lp_aff)
         except (FloatingPointError, np.linalg.LinAlgError):
-            stop_reason = "newton-failed"
-            break
-        if not np.isfinite(dz_a).all():
             stop_reason = "newton-failed"
             break
 
@@ -435,12 +441,8 @@ def solve(
             rcs.append(2.0 * resid / denom)
         rc_lp = (sigma * mu - lam_lp**2 - dxlp_a * dslp_a) / lam_lp
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                dz, dxs, dss, dx_lp, ds_lp = newton(rcs, rc_lp)
+            dz, dxs, dss, dx_lp, ds_lp = newton(rcs, rc_lp)
         except (FloatingPointError, np.linalg.LinAlgError):
-            stop_reason = "newton-failed"
-            break
-        if not np.isfinite(dz).all():
             stop_reason = "newton-failed"
             break
 

@@ -5,25 +5,29 @@ body (`_search`): geometric probing from a fixed starting delay (doubling
 for the upper bound, halving for the lower), then one safeguarded search
 (`_refine`) in the style of Brent's method.  `max_delay` and `min_delay`
 differ only in what a missing crossing means: an error for the upper
-bound, an interval open at zero for the lower.  The margin of a feasible probe falls to zero at the bound, so the
-next probe is estimated by inverse interpolation of tau(margin) at margin 0
-through the last feasible probes, and falls back to bisection whenever the
-estimate is unusable or neither the bracket nor the step shrinks fast
-enough.  Infeasible margins sit at ~0 and carry no slope, so they only
-move the bracket.  A feasible verdict counts only once `verify_certificate`
-has re-checked its certificate, so every reported bound is backed by a
-logged, verified feasible probe and a logged infeasible probe within the
-tolerance.  Solver runs that end numerically inconclusive are treated as
-infeasible (the conservative choice for a stability claim) and flagged in
-the report.  The solver's thresholds are the fixed `sdp` constants; the
-search exposes only its tolerance.
+bound, an interval open at zero for the lower.  The margin of a feasible
+probe falls to zero at the bound, so the next probe is estimated by
+inverse interpolation of tau(margin) at margin 0 through the last verified
+probes, and falls back to bisection whenever the estimate is unusable or
+neither the bracket nor the step shrinks fast enough.  Infeasible margins
+sit at ~0 and carry no slope, so they only move the bracket.  A feasible
+verdict counts only once `verify_certificate` has re-checked its
+certificate, so every reported bound is backed by a logged, verified
+feasible probe and a logged infeasible probe within the tolerance.  That
+probe log is also the search's only state: the memo of verdicts by delay
+and the source of the model's points.  Solver runs that end numerically
+inconclusive are treated as infeasible (the conservative choice for a
+stability claim) and counted in the report.  The solver's thresholds are
+the fixed `sdp` constants; the search exposes only its tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .lmi import (
 from .sdp import (
     FEASIBLE,
     INCONCLUSIVE,
+    FeasibilityResult,
     decide_feasibility,
     verify_certificate,
 )
@@ -99,9 +104,14 @@ class ProbeRecord:
     dual: float | None = None  # final normalized dual residual
 
 
+# a probe logs every solver-outcome field but the certificate vector
+_OUTCOME_FIELDS = {f.name for f in fields(FeasibilityResult)} - {"certificate"}
+
+
 @dataclass
 class DelayBoundsReport:
-    """One bound computation: the result plus its complete probe log."""
+    """One bound computation: the result plus its complete probe log, the
+    search's only record of its probes."""
 
     system: str
     big_m: int
@@ -112,12 +122,17 @@ class DelayBoundsReport:
     nodv: int = 0
     probes: list[ProbeRecord] = field(default_factory=list)
     wall_time_s: float = 0.0
-    inconclusive_probes: int = 0
     range_certified: bool | None = None
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def inconclusive_probes(self) -> int:
+        """Number of logged probes the solver left numerically inconclusive."""
+        return sum(p.status == INCONCLUSIVE for p in self.probes)
+
     def to_dict(self) -> dict:
         out = asdict(self)
+        out["inconclusive_probes"] = self.inconclusive_probes
         out["schema_version"] = SCHEMA_VERSION
         return out
 
@@ -145,67 +160,41 @@ class SweepResult:
         }
 
 
-class _Prober:
-    """Feasibility oracle with memoized, logged probes; every feasible
-    probe's certificate is re-checked before it counts."""
-
-    def __init__(
-        self, sys: DelaySystem, params: HierarchyParams, report: DelayBoundsReport
-    ):
-        self.sys = sys
-        self.params = params
-        self.report = report
-        self.cache: dict[float, bool] = {}
-        # margin of every probe that came out feasible, in probe order
-        self.margins: dict[float, float] = {}
-
-    def feasible(self, tau: float, step: str) -> bool:
-        if tau in self.cache:
-            return self.cache[tau]
-        t0 = time.perf_counter()
-        program = assemble_stability_lmis(self.sys, self.params, tau)
-        t1 = time.perf_counter()
-        result = decide_feasibility(program)
-        t2 = time.perf_counter()
-        verified = None
-        verify_s = 0.0
-        if result.feasible:
-            verified = verify_certificate(program, result)
-            verify_s = time.perf_counter() - t2
-        ok = verified is True
-        if result.status == INCONCLUSIVE:
-            self.report.inconclusive_probes += 1
-        self.report.probes.append(
-            ProbeRecord(
-                tau=tau,
-                status=result.status,
-                margin=result.margin,
-                verified=verified,
-                iterations=result.iterations,
-                margin_error=result.margin_error,
-                stop_reason=result.stop_reason,
-                assemble_s=t1 - t0,
-                solve_s=t2 - t1,
-                verify_s=verify_s,
-                step=step,
-                gap=result.gap,
-                primal=result.primal,
-                dual=result.dual,
-            )
-        )
-        self.cache[tau] = ok
-        if ok:
-            self.margins[tau] = result.margin
-        return ok
+def _probe(
+    sys: DelaySystem,
+    params: HierarchyParams,
+    report: DelayBoundsReport,
+    tau: float,
+    step: str,
+) -> bool:
+    """Whether tau is a verified feasible delay.  A delay already in the
+    report's log returns its logged verdict; otherwise the LMIs at tau are
+    decided, a feasible certificate re-checked, and the probe logged."""
+    for logged in report.probes:
+        if logged.tau == tau:
+            return logged.verified is True
+    t0 = time.perf_counter()
+    program = assemble_stability_lmis(sys, params, tau)
+    t1 = time.perf_counter()
+    result = decide_feasibility(program)
+    t2 = time.perf_counter()
+    verified = verify_certificate(program, result) if result.feasible else None
+    verify_s = time.perf_counter() - t2 if result.feasible else 0.0
+    outcome = {name: getattr(result, name) for name in _OUTCOME_FIELDS}
+    times = {"assemble_s": t1 - t0, "solve_s": t2 - t1, "verify_s": verify_s}
+    report.probes.append(
+        ProbeRecord(tau=tau, verified=verified, step=step, **times, **outcome)
+    )
+    return verified is True
 
 
-def _find_feasible(prober: _Prober, hint: float) -> float:
+def _find_feasible(probe: Callable[[float, str], bool], hint: float) -> float:
     """Probe hint * 2**(+-k) outward until a feasible delay appears."""
-    if prober.feasible(hint, "bracket"):
+    if probe(hint, "bracket"):
         return hint
     for k in range(1, _MAX_PROBE_DOUBLINGS + 1):
         for tau in (hint / 2.0**k, hint * 2.0**k):
-            if prober.feasible(tau, "bracket"):
+            if probe(tau, "bracket"):
                 return tau
     raise NoFeasiblePointError(
         f"no feasible delay found near hint {hint} "
@@ -232,12 +221,17 @@ def _margin_root(points: list[tuple[float, float]]) -> float:
 
 
 def _refine(
-    prober: _Prober, tau_feas: float, tau_infeas: float, tol: float
+    probe: Callable[[float, str], bool],
+    log: list[ProbeRecord],
+    tau_feas: float,
+    tau_infeas: float,
+    tol: float,
 ) -> tuple[float, float]:
     """Shrink a (feasible, infeasible) bracket to at most tol and return it.
 
     Works in either direction.  Each step estimates the crossing with
-    `_margin_root` through the last three feasible probes and proposes:
+    `_margin_root` through the last three verified probes of the log and
+    proposes:
     - the estimate itself (model);
     - when the estimate is within tol of the feasible end, the delay tol
       from the feasible end (close), which ends the search if infeasible;
@@ -255,7 +249,8 @@ def _refine(
     while abs(tau_infeas - tau_feas) > tol:
         width = abs(tau_infeas - tau_feas)
         lo, hi = sorted((tau_feas, tau_infeas))
-        previous, estimate = estimate, _margin_root(list(prober.margins.items())[-3:])
+        verified = [(p.tau, p.margin) for p in log if p.verified]
+        previous, estimate = estimate, _margin_root(verified[-3:])
         rule, tau = "bisect", 0.5 * (tau_feas + tau_infeas)
         if lo < estimate < hi:
             proposal, candidate = "model", estimate
@@ -272,7 +267,7 @@ def _refine(
             break  # float resolution reached
         widths.append(width)
         steps.append(abs(tau - tau_feas))
-        if prober.feasible(tau, rule):
+        if probe(tau, rule):
             tau_feas = tau
         else:
             tau_infeas = tau
@@ -300,14 +295,14 @@ def _search(
     report = DelayBoundsReport(
         sys.name, params.big_m, params.m, direction, nodv=nodv(params, sys.n_x)
     )
-    prober = _Prober(sys, params, report)
-    tau_feas = _find_feasible(prober, _UPPER_HINT if upper else _LOWER_HINT)
+    probe = partial(_probe, sys, params, report)
+    tau_feas = _find_feasible(probe, _UPPER_HINT if upper else _LOWER_HINT)
     factor = 2.0 if upper else 0.5
     for _ in range(_MAX_PROBE_DOUBLINGS):
-        probe = tau_feas * factor
-        if not prober.feasible(probe, "bracket"):
-            return (*_refine(prober, tau_feas, probe, tol), report)
-        tau_feas = probe
+        tau = tau_feas * factor
+        if not probe(tau, "bracket"):
+            return (*_refine(probe, report.probes, tau_feas, tau, tol), report)
+        tau_feas = tau
     return tau_feas, None, report
 
 
@@ -358,22 +353,16 @@ def stability_interval(
     t0 = time.perf_counter()
     lower, low_report = min_delay(sys, params, tol)
     upper, up_report = max_delay(sys, params, tol)
-    report = DelayBoundsReport(
-        sys.name,
-        params.big_m,
-        params.m,
-        "interval",
+    report = replace(
+        up_report,
+        direction="interval",
         tau_lower=lower,
-        tau_upper=upper,
-        nodv=nodv(params, sys.n_x),
         probes=low_report.probes + up_report.probes,
-        inconclusive_probes=low_report.inconclusive_probes
-        + up_report.inconclusive_probes,
         notes=low_report.notes + up_report.notes,
     )
-    # open at zero: the smallest feasible probe (min_delay raises if none)
+    # open at zero: the smallest verified probe (min_delay raises if none)
     range_low = lower if lower is not None else min(
-        p.tau for p in low_report.probes if p.status == FEASIBLE
+        p.tau for p in low_report.probes if p.verified
     )
     program = assemble_delay_range_lmis(sys, params, range_low, upper)
     result = decide_feasibility(program)

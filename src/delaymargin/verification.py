@@ -227,10 +227,9 @@ def check_competitor_dominance(
         f, weight, _, _, a, b = _random_case(rng)
         l = int(rng.integers(1, 4))
         spec = FunctionalSpec(weight, l, a, b)
-        big_m = l + 2
-        phi = moments(f, big_m)
+        phi = moments(f, l + 2)
         ours = lower_bound_values(spec, phi, 1)
-        g_l, ups_l = competitor_statistics(spec, f)
+        g_l, ups_l = competitor_statistics(spec, phi)
         theirs = competitor_bound(spec, g_l, ups_l)
         value = functional_value(spec, f)
         report.checks_run += 1

@@ -91,7 +91,7 @@ def functional_value_nested(spec: FunctionalSpec, f: PolynomialVectorFunction) -
 class DecisionVariables:
     """Symmetric decision matrices: augmented P, history Qs, derivative Rs.
 
-    ``qs[j]`` is Q_j for j = 0..m1; ``rs[j-1]`` is R_j for j = 1..m2.
+    ``qs[j]`` is Q_j for j = 0..m; ``rs[j-1]`` is R_j for j = 1..m2.
     """
 
     p: np.ndarray
@@ -103,13 +103,13 @@ def zero_vars(layout: VariableLayout) -> DecisionVariables:
     n = layout.n_x
     return DecisionVariables(
         np.zeros((layout.p_size, layout.p_size)),
-        [np.zeros((n, n)) for _ in range(layout.params.m1 + 1)],
+        [np.zeros((n, n)) for _ in range(layout.params.m + 1)],
         [np.zeros((n, n)) for _ in range(layout.params.m2)],
     )
 
 
 def pack(layout: VariableLayout, dv: DecisionVariables) -> np.ndarray:
-    """Flat svec vector of (P, Q_0..Q_m1, R_1..R_m2): each upper triangle
+    """Flat svec vector of (P, Q_0..Q_m, R_1..R_m2): each upper triangle
     row by row, off-diagonal entries scaled by sqrt(2)."""
     y = np.empty(layout.dim)
     pos = 0
@@ -163,7 +163,7 @@ def positivity_block(
     n = sys.n_x
     big_m = params.big_m
     out = tau * np.asarray(p, dtype=float).copy()
-    for j in range(params.m1 + 1):
+    for j in range(params.m + 1):
         nu = max_weighted_order(j, big_m)
         if nu < 0:
             continue  # no valid projection order; trivial bound suffices
@@ -202,7 +202,7 @@ def _history_rate(
     out = np.zeros((size, size))
     out[:n, :n] = sum(np.asarray(q, dtype=float) for q in qs)
     out[n : 2 * n, n : 2 * n] = -np.asarray(qs[0], dtype=float)
-    for j in range(1, params.m1 + 1):
+    for j in range(1, params.m + 1):
         nu = max_weighted_order(j - 1, big_m)
         if nu < 0:
             continue

@@ -190,7 +190,6 @@ def test_inconclusive_dominated_run_exits_3(capsys, monkeypatch):
             ProbeRecord(1.5, "numerically-inconclusive", 0.0),
             ProbeRecord(2.0, "numerically-inconclusive", 0.0),
         ]
-        report.inconclusive_probes = 2
         return 1.0, report
 
     monkeypatch.setattr(cli_mod, "max_delay", fake_max_delay)

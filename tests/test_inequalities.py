@@ -227,7 +227,7 @@ def test_competitor_coincides_at_order_zero():
     spec = FunctionalSpec(w, 0, 0.0, 2.0)
     phi = moments(f, 2)
     ours = lower_bound_values(spec, phi, nu=1)
-    g0, ups0 = competitor_statistics(spec, f)
+    g0, ups0 = competitor_statistics(spec, phi)
     theirs = competitor_bound(spec, g0, ups0)
     assert theirs == pytest.approx(ours, rel=1e-10)
 
@@ -244,7 +244,7 @@ def test_projection_bound_dominates_competitor(seed):
         spec = FunctionalSpec(w, l, float(a), float(b))
         phi = moments(f, l + 2)
         ours = lower_bound_values(spec, phi, nu=1)
-        g_l, ups_l = competitor_statistics(spec, f)
+        g_l, ups_l = competitor_statistics(spec, phi)
         theirs = competitor_bound(spec, g_l, ups_l)
         value = functional_value(spec, f)
         assert ours >= theirs - 1e-10 * max(1.0, abs(ours))
@@ -258,7 +258,7 @@ def test_competitor_strict_gap_at_order_two():
     spec = FunctionalSpec(np.eye(1), 2, 0.0, 1.0)
     phi = moments(f, 4)
     ours = lower_bound_values(spec, phi, nu=1)
-    g2, ups2 = competitor_statistics(spec, f)
+    g2, ups2 = competitor_statistics(spec, phi)
     theirs = competitor_bound(spec, g2, ups2)
     # second statistic is nonzero here, so the factor 9-vs-1 gap is strict
     assert float(ups2 @ ups2) > 1e-12
@@ -298,5 +298,16 @@ def test_spec_and_function_intervals_must_agree():
     spec = FunctionalSpec(np.eye(1), 1, 0.0, 2.0)
     with pytest.raises(ValueError, match="interval"):
         functional_value(spec, f)
-    with pytest.raises(ValueError, match="interval"):
-        competitor_statistics(spec, f)
+
+
+def test_competitor_statistics_reject_short_or_misshaped_moments():
+    # at l = 1 the two weighted moments need M >= l + 2 = 3 Legendre moments
+    f = PolynomialVectorFunction([RationalPolynomial.one()] * 2, 0, 1)
+    spec = FunctionalSpec(np.eye(2), 1, 0.0, 1.0)
+    competitor_statistics(spec, moments(f, 3))
+    with pytest.raises(ValueError, match="nu <="):
+        competitor_statistics(spec, moments(f, 2))
+    with pytest.raises(ValueError, match="shape"):
+        competitor_statistics(spec, moments(f, 3)[:, :1])
+    with pytest.raises(ValueError, match="shape"):
+        competitor_statistics(spec, moments(f, 3).reshape(-1))

@@ -61,7 +61,7 @@ def test_delay_system_validation():
 
 def test_hierarchy_params():
     p = HierarchyParams(3, 1)
-    assert (p.m1, p.m2) == (1, 2)
+    assert p.m2 == 2
     # the projection orders of the Qs and the Rs at depths j = 0, 1
     assert [max_weighted_order(j, p.big_m) for j in range(2)] == [2, 1]
     assert [max_derivative_order(j, p.big_m) for j in range(2)] == [3, 2]
@@ -162,7 +162,7 @@ def test_evaluate_matches_direct_assembly(systems, name, big_m, m, tau):
     assert len(got) == 2 + len(dv.qs) + len(dv.rs)
     _assert_rel_close(got[0], positivity_block(sys, params, tau, dv.p, dv.qs))
     _assert_rel_close(got[1], -derivative_block(sys, params, tau, dv.p, dv.qs, dv.rs))
-    for blk, var in zip(got[2:], dv.qs + dv.rs):  # Q0..Qm1, R1..Rm2
+    for blk, var in zip(got[2:], dv.qs + dv.rs):  # Q0..Qm, R1..Rm2
         _assert_rel_close(blk, var)
 
     low, up = 0.5 * tau, tau
@@ -245,7 +245,7 @@ def test_distributed_term_column():
 def test_high_weight_depth_drops_invalid_projections():
     # m >= M: projection orders would go negative; those terms are omitted
     sys = example1()
-    params = HierarchyParams(1, 2)  # m1=2 > M-1=0
+    params = HierarchyParams(1, 2)  # m=2 > M-1=0
     program = assemble_stability_lmis(sys, params, 1.0)
     assert len(program.blocks) == 2 + 3 + 3  # Q0..Q2 and R1..R3 are kept
     layout = VariableLayout(sys.n_x, params)
@@ -313,7 +313,7 @@ def test_plain_certificate_maps_to_range_certificate(systems, name, taus, big_m,
         result = decide_feasibility(plain)
         assert result.feasible and verify_certificate(plain, result), tau
         y = result.certificate.copy()
-        y[: layout.offsets[params.m1 + 2]] *= tau  # P and Q_0..Q_m1
+        y[: layout.offsets[params.m + 2]] *= tau  # P and Q_0..Q_m
         program = assemble_delay_range_lmis(sys, params, tau, tau)
         for k in range(len(program.blocks)):
             assert np.linalg.eigvalsh(value(program, k, y))[0] > 0, (tau, k)

@@ -263,6 +263,16 @@ def test_rejects_invalid_programs():
     asym[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
         ConeProgram([asym], box_bound=1.0)
+    # no relative slack: an asymmetry of 5e-6 on unit entries is rejected
+    with pytest.raises(ValueError, match="symmetric"):
+        ConeProgram([np.array([[[1.0, 1.0], [1.000005, 1.0]]])])
+    # non-finite entries are rejected up front, without a RuntimeWarning
+    with pytest.raises(ValueError, match="finite"):
+        ConeProgram([np.array([[[1.0, np.inf], [np.inf, 1.0]]])])
+    with pytest.raises(ValueError, match="finite"):
+        ConeProgram([np.array([[[np.nan, 0.0], [0.0, 1.0]]])])
+    # the tolerance scales with the largest entry: 1e-13 relative passes
+    ConeProgram([np.array([[[1e6, 1e6], [1e6 + 1e-7, 1e6]]])])
 
 
 def test_iteration_log_stream():

@@ -1,13 +1,14 @@
 """Search and sweep tests, including an analytic delay-margin oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import delaymargin.search as search
 from delaymargin.lmi import DelaySystem, HierarchyParams
-from delaymargin.sdp import FEASIBLE, INFEASIBLE, FeasibilityResult
+from delaymargin.sdp import FEASIBLE, INCONCLUSIVE, INFEASIBLE, FeasibilityResult
 from delaymargin.search import (
     STEPS,
     BracketError,
@@ -174,6 +175,67 @@ def test_refinement_labels_its_steps(monkeypatch):
     # the constant-margin profile gives the model no slope: pure bisection
     _, report = _fake_search(monkeypatch, "constant", 1.2345678, "upper", 1e-5)
     assert {p.step for p in report.probes} == {"bracket", "bisect"}
+
+
+def _counting_oracle(monkeypatch, r, unverified=(), inconclusive_above=math.inf):
+    """Fake oracle for an upper crossing at r (and a lower one at 0.1005)
+    that counts its solves; verification fails at the delays in
+    ``unverified``, and infeasible probes above ``inconclusive_above`` end
+    numerically inconclusive."""
+    solved = []
+
+    def decide(tau):
+        if isinstance(tau, tuple):  # a delay-range program
+            return _fake_result(1.0)
+        solved.append(tau)
+        margin = min(r - tau, tau - 0.1005)
+        if margin <= 0 and tau > inconclusive_above:
+            return replace(_fake_result(-1e-10), status=INCONCLUSIVE)
+        return _fake_result(2.0 * margin if margin > 0 else -1e-10)
+
+    monkeypatch.setattr(search, "assemble_stability_lmis", lambda sys, params, tau: tau)
+    monkeypatch.setattr(
+        search, "assemble_delay_range_lmis", lambda sys, params, lo, hi: (lo, hi)
+    )
+    monkeypatch.setattr(search, "decide_feasibility", decide)
+    monkeypatch.setattr(
+        search, "verify_certificate", lambda program, result: program not in unverified
+    )
+    return solved
+
+
+def test_probe_log_is_the_memo(monkeypatch):
+    solved = _counting_oracle(monkeypatch, 1.2345678)
+    _, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+    taus = [p.tau for p in report.probes]
+    assert len(set(taus)) == len(taus)
+    # one solve per logged probe, although the doubling walk from the first
+    # feasible delay 0.625 returns to 1.25, probed while bracketing
+    assert solved == taus
+    assert taus.index(1.25) < taus.index(0.625)
+
+
+def test_unverified_probe_counts_as_infeasible(monkeypatch):
+    # 0.625 is the first feasible delay found; its certificate fails the check
+    _counting_oracle(monkeypatch, 1.2345678, unverified={0.625})
+    bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+    (rejected,) = [p for p in report.probes if p.tau == 0.625]
+    assert rejected.status == FEASIBLE and rejected.verified is False
+    assert [p.tau for p in report.probes].count(0.625) == 1
+    # the search treats it as the infeasible end: the bound lies within tol
+    # below it, on a verified probe
+    assert bound != 0.625
+    assert 0 < 0.625 - bound <= 1e-5
+    assert next(p for p in report.probes if p.tau == bound).verified is True
+
+
+def test_interval_counts_inconclusive_probes_from_its_log(monkeypatch):
+    _counting_oracle(monkeypatch, 1.2345678, inconclusive_above=1.2345678)
+    report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+    statuses = [p.status for p in report.probes]
+    assert report.inconclusive_probes == statuses.count(INCONCLUSIVE) > 0
+    assert report.to_dict()["inconclusive_probes"] == report.inconclusive_probes
+    assert report.range_certified is True
 
 
 def test_min_delay_none_when_feasible_to_floor():
