@@ -11,7 +11,10 @@ are rational polynomials on rational intervals, so both sides are integrated
 exactly; the module also implements the competing first-order bound.
 Moments are taken over the function's own interval.  All three bounds
 read f only through one (M, n) array of its Legendre moments (as from
-``moments``); M is the number of rows of that array.
+``moments``); M is the number of rows of that array, and M = 0 (the
+derivative bound from boundary values alone) is an empty (0, n) array.
+Both projection bounds evaluate ``projection.projection_form``, the same
+quadratic form the stability LMIs are built from.
 """
 
 from __future__ import annotations
@@ -24,11 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .polynomials import RationalPolynomial, rodrigues_poly
-from .projection import (
-    derivative_moment_map,
-    rodrigues_weight_block,
-    weighted_moment_map,
-)
+from .projection import derivative_moment_map, projection_form, weighted_moment_map
 
 __all__ = [
     "FunctionalSpec",
@@ -56,7 +55,11 @@ class FunctionalSpec:
         object.__setattr__(self, "weight", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight must be a square matrix")
-        if not np.allclose(w, w.T, atol=1e-12):
+        largest = float(np.abs(w).max(initial=0.0))  # nan or inf if not finite
+        if not np.isfinite(largest):
+            raise ValueError("weight must be finite")
+        # no relative slack: asymmetry at most 1e-12 of the largest entry
+        if np.abs(w - w.T).max(initial=0.0) > 1e-12 * max(1.0, largest):
             raise ValueError("weight must be symmetric")
         eigs = np.linalg.eigvalsh(w)
         if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
@@ -155,39 +158,29 @@ def lower_bound_values(spec: FunctionalSpec, phi: np.ndarray, nu: int) -> float:
     """Projection lower bound for J(f) from its first M Legendre moments
     phi (as from ``moments``); M is the number of rows of phi."""
     phi = _moment_array(spec, phi)
-    big_m = phi.shape[0]
-    xi = weighted_moment_map(spec.m, nu, big_m).as_array()
+    xi = weighted_moment_map(spec.m, nu, phi.shape[0]).as_array()
     stacked = phi.reshape(-1)  # already (M, n) row-major = kron layout
-    proj = np.kron(xi, np.eye(spec.dim)) @ stacked
-    wm = rodrigues_weight_block(spec.m, nu, spec.weight)
-    return float(proj @ wm @ proj) / spec.width
+    return float(stacked @ projection_form(xi, spec.m, spec.weight) @ stacked) / spec.width
 
 
 def lower_bound_derivative(
     spec: FunctionalSpec,
     f_a: np.ndarray,
     f_b: np.ndarray,
-    phi: np.ndarray | None,
+    phi: np.ndarray,
     nu: int,
 ) -> float:
     """Projection lower bound for J(f') from the boundary values f(a), f(b)
     and the first M Legendre moments phi of f; M is the number of rows of
-    phi, and phi=None means M = 0 (boundary values only)."""
+    phi, and an empty (0, n) phi bounds from the boundary values alone."""
     f_a = np.asarray(f_a, dtype=float)
     f_b = np.asarray(f_b, dtype=float)
     if f_a.shape != (spec.dim,) or f_b.shape != (spec.dim,):
         raise ValueError("boundary values must be vectors of the weight dimension")
-    if phi is None:
-        big_m = 0
-        stacked = np.concatenate([f_b, f_a])
-    else:
-        phi = _moment_array(spec, phi)
-        big_m = phi.shape[0]
-        stacked = np.concatenate([f_b, f_a, phi.reshape(-1) / spec.width])
-    z = derivative_moment_map(spec.m, nu, big_m).as_array()
-    proj = np.kron(z, np.eye(spec.dim)) @ stacked
-    wm = rodrigues_weight_block(spec.m, nu, spec.weight)
-    return float(proj @ wm @ proj) / spec.width
+    phi = _moment_array(spec, phi)
+    z = derivative_moment_map(spec.m, nu, phi.shape[0]).as_array()
+    stacked = np.concatenate([f_b, f_a, phi.reshape(-1) / spec.width])
+    return float(stacked @ projection_form(z, spec.m, spec.weight) @ stacked) / spec.width
 
 
 def competitor_statistics(

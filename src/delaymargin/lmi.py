@@ -45,7 +45,7 @@ from .projection import (
     legendre_derivative_map,
     max_derivative_order,
     max_weighted_order,
-    rodrigues_weight_block,
+    projection_form,
     weighted_moment_map,
 )
 
@@ -150,13 +150,6 @@ def _svec_basis(size: int) -> np.ndarray:
     return out
 
 
-def _weighted_congruence(proj: np.ndarray, start: int, mat: np.ndarray) -> np.ndarray:
-    """(proj x I)^T  diag{(start+1)M, (start+3)M, ...}  (proj x I)."""
-    u = np.kron(proj, np.eye(mat.shape[0]))
-    w = rodrigues_weight_block(start, proj.shape[0] - 1, mat)
-    return u.T @ w @ u
-
-
 class _TauPolynomial:
     """Coefficient stack of one constraint block as a Laurent polynomial in
     tau: coeffs(tau) = sum_k tau**k stacks[k], each stack (dim, d, d).
@@ -204,7 +197,7 @@ class _CompiledLmis:
 
     def __init__(self, sys: DelaySystem, params: HierarchyParams):
         n, big_m = sys.n_x, params.big_m
-        self.layout = layout = VariableLayout(n, params)
+        layout = VariableLayout(n, params)
         dim = layout.dim
         p_basis = _svec_basis(layout.p_size)
         basis = _svec_basis(n)
@@ -218,7 +211,7 @@ class _CompiledLmis:
             if order < 0:
                 return None
             proj = moment_map(depth, order, big_m).as_array()
-            return np.array([_weighted_congruence(proj, depth, b) for b in basis])
+            return np.array([projection_form(proj, depth, b) for b in basis])
 
         # tau-coefficients of the factors of the energy rate and the
         # dissipation: state row W = W0 + tau W1 (W1 only when A_d2 != 0),

@@ -14,6 +14,11 @@ Three matrix families are produced here, all with exact rational entries:
   Legendre polynomials; it is the transport part of the augmented-state
   dynamics in the stability conditions.
 
+``projection_form`` turns either map into the quadratic form of its
+projection inequality, (map x I)^T diag{(m+1) W, (m+3) W, ...} (map x I).
+It is the one statement of that form: the LMI builder and the inequality
+bounds both call it.
+
 The source of truth is the exact triangular basis-change solve.  The
 published closed-form constructions are re-derived in
 ``crosscheck_closed_forms`` purely as a diagnostic and never override the
@@ -45,7 +50,7 @@ __all__ = [
     "weighted_moment_map",
     "derivative_moment_map",
     "legendre_derivative_map",
-    "rodrigues_weight_block",
+    "projection_form",
     "crosscheck_closed_forms",
     "CrosscheckReport",
 ]
@@ -110,20 +115,15 @@ def derivative_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
     """Rows j = 0..nu of the derivative projection.
 
     Row j is (q(1), -q(0), -zeta_0, ..., -zeta_{M-1}) for q = x**m R(m, j),
-    where the zeta are the Legendre coordinates of q'.  Boundary values:
-    q(1) = 1 always; q(0) = (-1)**j for m = 0 and 0 for m > 0.
-    Requires nu <= ``max_derivative_order(m, M)``.
+    where the zeta are the Legendre coordinates of q'; the boundary values
+    are read off q itself.  Requires nu <= ``max_derivative_order(m, M)``.
     """
     _check_order(m, nu, max_derivative_order(m, big_m))
     rows = []
     for j in range(nu + 1):
         q = poly_weighted(m, j)
         zeta = expand_in_shifted_legendre(q.derivative(), big_m)
-        if m == 0:
-            at_zero = Fraction((-1) ** (j + 1))
-        else:
-            at_zero = Fraction(0)
-        rows.append((Fraction(1), at_zero) + tuple(-z for z in zeta))
+        rows.append((q.eval(1), -q.eval(0)) + tuple(-z for z in zeta))
     return ProjectionMap(tuple(rows))
 
 
@@ -133,11 +133,14 @@ def legendre_derivative_map(big_m: int) -> ProjectionMap:
     return derivative_moment_map(0, big_m - 1, big_m)
 
 
-def rodrigues_weight_block(m: int, nu: int, weight: np.ndarray) -> np.ndarray:
-    """diag{(m+1) W, (m+3) W, ..., (m+2 nu+1) W}: the weight W scaled by the
-    inverse squared norms of the weighted Rodrigues polynomials j = 0..nu."""
-    factors = np.arange(m + 1, m + 2 * nu + 2, 2, dtype=float)
-    return np.kron(np.diag(factors), weight)
+def projection_form(proj: np.ndarray, m: int, weight: np.ndarray) -> np.ndarray:
+    """(proj x I)^T diag{(m+1) W, (m+3) W, ..., (m+2 nu+1) W} (proj x I),
+    nu + 1 the rows of proj: the weight W scaled by the inverse squared
+    norms of the weighted Rodrigues polynomials j = 0..nu, pulled back
+    through a moment map of depth m."""
+    u = np.kron(proj, np.eye(weight.shape[0]))
+    factors = np.arange(m + 1, m + 2 * proj.shape[0], 2, dtype=float)
+    return u.T @ np.kron(np.diag(factors), weight) @ u
 
 
 # ---------------------------------------------------------------------------

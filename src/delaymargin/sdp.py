@@ -18,8 +18,10 @@ iteration budget and an iteration log can be passed to ``solve``.  A
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
-here stay well below ~10^2 per block).  The box rows are handled as a
-nonnegative-orthant block with diagonal scaling.  Everything is
+here stay well below ~10^2 per block).  The box rows are a
+nonnegative-orthant block with diagonal scaling, interleaved as
+(B - y_i, B + y_i); their coefficient map and its adjoint are slices, so
+they add only a diagonal to the Schur matrix.  Everything is
 deterministic: fixed iteration schedule, no randomized pivoting.
 
 Blocks are stacked by size once per solve: the k blocks of size d share
@@ -255,39 +257,30 @@ def solve(
     flats = [a.reshape(q, -1) for a in groups]
     eyes = [np.eye(shape[-1]) for shape in shapes]
 
-    # Box rows: B -+ y_i >= 0 as a nonnegative block.
-    n_lp = 2 * p
-    c_lp = np.full(n_lp, bound)
-    a_lp = np.zeros((n_lp, q))
-    for i in range(p):
-        a_lp[2 * i, i] = 1.0
-        a_lp[2 * i + 1, i] = -1.0
+    # Box rows: B -+ y_i >= 0 as a nonnegative block, slack B - box(z).
+    def box(v: np.ndarray) -> np.ndarray:
+        """(v_0, -v_0, v_1, -v_1, ...) over the y entries of v."""
+        return np.stack((v[:p], -v[:p]), axis=1).reshape(-1)
+
+    def box_adjoint(u: np.ndarray) -> np.ndarray:
+        """Adjoint of ``box``: pairwise differences, zero for the margin."""
+        return np.append(u[0::2] - u[1::2], 0.0)
 
     b_obj = np.zeros(q)
     b_obj[p] = 1.0
 
-    n_total = sum(shape[0] * shape[1] for shape in shapes) + n_lp
+    n_total = sum(shape[0] * shape[1] for shape in shapes) + 2 * p
     data_norm = max([1.0] + [float(np.abs(a).max()) for a in groups])
 
     # Start exactly dual feasible: a deeply negative margin makes every
     # slack block eta*I strictly positive definite.
     eta = 10.0 * max(1.0, data_norm)
     xs = [np.broadcast_to(e, shape).copy() for shape, e in zip(shapes, eyes)]
-    x_lp = np.ones(n_lp)
+    x_box = np.ones(2 * p)
     z = np.zeros(q)
     z[p] = -eta
     ss = [np.broadcast_to(eta * e, shape).copy() for shape, e in zip(shapes, eyes)]
-    s_lp = c_lp - a_lp @ z
-
-    def aop(xmats, xvec) -> np.ndarray:
-        out = a_lp.T @ xvec
-        for flat, xm in zip(flats, xmats):
-            out += flat @ xm.reshape(-1)
-        return out
-
-    def log(msg: str) -> None:
-        if log_stream is not None:
-            log_stream.write(msg + "\n")
+    s_box = bound - box(z)
 
     stop_reason = "max-iter"
     gap = pinf = dinf = np.inf
@@ -297,17 +290,22 @@ def solve(
     jitters = (0.0, 1e-13, 1e-10, 1e-7)  # Schur regularization levels
     jitter_floor = 0
     for it in range(1, max_iter + 1):
-        rp = b_obj - aop(xs, x_lp)
+        ax = box_adjoint(x_box)
+        for flat, x in zip(flats, xs):
+            ax += flat @ x.reshape(-1)
+        rp = b_obj - ax
         rds = [-(z @ flat).reshape(s.shape) - s for flat, s in zip(flats, ss)]
-        rd_lp = c_lp - a_lp @ z - s_lp
-        gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss)) + float(x_lp @ s_lp)
+        rd_box = bound - box(z) - s_box
+        gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss)) + float(x_box @ s_box)
         mu = gap / n_total
 
         pinf = float(np.abs(rp).max()) / (1.0 + bound)
         dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
-        dinf_lp = float(np.abs(rd_lp).max(initial=0.0))
-        dinf = max(dinf_blocks, dinf_lp) / (1.0 + bound)
-        log(f"iter {it:3d}  t={z[p]: .9e}  gap={gap:.3e}  pinf={pinf:.3e}  dinf={dinf:.3e}")
+        dinf_box = float(np.abs(rd_box).max(initial=0.0))
+        dinf = max(dinf_blocks, dinf_box) / (1.0 + bound)
+        if log_stream is not None:
+            log_stream.write(f"iter {it:3d}  t={z[p]: .9e}  gap={gap:.3e}  "
+                             f"pinf={pinf:.3e}  dinf={dinf:.3e}\n")
 
         if gap <= GAP_TOL and pinf <= RES_TOL and dinf <= RES_TOL:
             stop_reason = "converged"
@@ -348,8 +346,8 @@ def solve(
             stop_reason = "nt-scaling-failed"
             break
         gs, g_invs, lams, lx_invs, ls_invs = zip(*scalings)
-        w_lp = np.sqrt(x_lp / s_lp)
-        lam_lp = np.sqrt(x_lp * s_lp)
+        w_box = np.sqrt(x_box / s_box)
+        lam_box = np.sqrt(x_box * s_box)
 
         ws = [g @ _t(g) for g in gs]
 
@@ -358,7 +356,7 @@ def solve(
         for g, a in zip(gs, groups):
             flat = (_t(g) @ a @ g).reshape(q, -1)
             schur += flat @ flat.T
-        w2 = w_lp**2
+        w2 = w_box**2
         schur[np.diag_indices(p)] += w2[0::2] + w2[1::2]
         schur = 0.5 * (schur + schur.T)
 
@@ -379,14 +377,14 @@ def solve(
         def schur_solve(rhs):
             return factor_inv.T @ (factor_inv @ rhs)
 
-        def newton(rcs, rc_lp):
+        def newton(rcs, rc_box):
             """Newton direction; FloatingPointError if it is not finite."""
             with np.errstate(over="raise", invalid="raise"):
                 rhs = rp.copy()
                 for g, w, flat, rc, rd in zip(gs, ws, flats, rcs, rds):
                     term = g @ rc @ _t(g) - w @ rd @ w
                     rhs -= flat @ term.reshape(-1)
-                rhs -= a_lp.T @ (w_lp * rc_lp - w_lp**2 * rd_lp)
+                rhs -= box_adjoint(w_box * rc_box - w_box**2 * rd_box)
                 dz = schur_solve(rhs)
                 # one refinement pass keeps the Schur solve honest near the boundary
                 dz += schur_solve(rhs - schur @ dz)
@@ -399,37 +397,37 @@ def solve(
                     _sym(g @ rc @ _t(g) - w @ dsm @ w)
                     for g, w, rc, dsm in zip(gs, ws, rcs, d_ss)
                 ]
-                ds_lp = rd_lp - a_lp @ dz
-                dx_lp = w_lp * rc_lp - w_lp**2 * ds_lp
-            return dz, d_xs, d_ss, dx_lp, ds_lp
+                ds_box = rd_box - box(dz)
+                dx_box = w_box * rc_box - w_box**2 * ds_box
+            return dz, d_xs, d_ss, dx_box, ds_box
 
-        def step_lengths(d_xs, d_ss, dx_lp, ds_lp):
+        def step_lengths(d_xs, d_ss, dx_box, ds_box):
             ap = min(
                 [_max_step(lx, dx) for lx, dx in zip(lx_invs, d_xs)]
-                + [_max_step_vec(x_lp, dx_lp)]
+                + [_max_step_vec(x_box, dx_box)]
             )
             ad = min(
                 [_max_step(ls, ds) for ls, ds in zip(ls_invs, d_ss)]
-                + [_max_step_vec(s_lp, ds_lp)]
+                + [_max_step_vec(s_box, ds_box)]
             )
             return ap, ad
 
         # Predictor: target 0, i.e. L_V^{-1}(-V^2) = -diag(lam)
         rc_aff = [-lam[..., None] * e for lam, e in zip(lams, eyes)]
-        rc_lp_aff = -lam_lp
+        rc_box_aff = -lam_box
         try:
-            dz_a, dxs_a, dss_a, dxlp_a, dslp_a = newton(rc_aff, rc_lp_aff)
+            dz_a, dxs_a, dss_a, dxbox_a, dsbox_a = newton(rc_aff, rc_box_aff)
         except (FloatingPointError, np.linalg.LinAlgError):
             stop_reason = "newton-failed"
             break
 
-        ap, ad = step_lengths(dxs_a, dss_a, dxlp_a, dslp_a)
+        ap, ad = step_lengths(dxs_a, dss_a, dxbox_a, dsbox_a)
         ap_aff = min(1.0, ap)
         ad_aff = min(1.0, ad)
         gap_aff = sum(
             float(np.sum((x + ap_aff * dx) * (s + ad_aff * ds)))
             for x, dx, s, ds in zip(xs, dxs_a, ss, dss_a)
-        ) + float((x_lp + ap_aff * dxlp_a) @ (s_lp + ad_aff * dslp_a))
+        ) + float((x_box + ap_aff * dxbox_a) @ (s_box + ad_aff * dsbox_a))
         sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
         # Corrector with Mehrotra second-order term
@@ -439,14 +437,14 @@ def solve(
             resid = (sigma * mu - lam**2)[..., None] * e - _sym(cross)
             denom = lam[..., :, None] + lam[..., None, :]
             rcs.append(2.0 * resid / denom)
-        rc_lp = (sigma * mu - lam_lp**2 - dxlp_a * dslp_a) / lam_lp
+        rc_box = (sigma * mu - lam_box**2 - dxbox_a * dsbox_a) / lam_box
         try:
-            dz, dxs, dss, dx_lp, ds_lp = newton(rcs, rc_lp)
+            dz, dxs, dss, dx_box, ds_box = newton(rcs, rc_box)
         except (FloatingPointError, np.linalg.LinAlgError):
             stop_reason = "newton-failed"
             break
 
-        ap, ad = step_lengths(dxs, dss, dx_lp, ds_lp)
+        ap, ad = step_lengths(dxs, dss, dx_box, ds_box)
         # equal primal/dual steps: keeps the duality gap monotone on the
         # degenerate geometries the margin program produces
         gamma = 0.9 + 0.09 * min(1.0, ap, ad)
@@ -462,8 +460,8 @@ def solve(
 
         xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
         ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
-        x_lp = x_lp + ap * dx_lp
-        s_lp = s_lp + ad * ds_lp
+        x_box = x_box + ap * dx_box
+        s_box = s_box + ad * ds_box
         z = z + ad * dz
 
     t_star = float(z[p])

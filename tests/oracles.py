@@ -18,7 +18,6 @@ from delaymargin.projection import (
     legendre_derivative_map,
     max_derivative_order,
     max_weighted_order,
-    rodrigues_weight_block,
     weighted_moment_map,
 )
 
@@ -137,9 +136,16 @@ def unpack(layout: VariableLayout, y: np.ndarray) -> DecisionVariables:
 
 
 def _weighted_congruence(proj: np.ndarray, start: int, mat: np.ndarray) -> np.ndarray:
-    """(proj x I)^T  diag{(start+1)M, (start+3)M, ...}  (proj x I)."""
-    u = np.kron(proj, np.eye(mat.shape[0]))
-    return u.T @ rodrigues_weight_block(start, proj.shape[0] - 1, mat) @ u
+    """(proj x I)^T  diag{(start+1)M, (start+3)M, ...}  (proj x I), with the
+    block diagonal filled block by block (the 1/norm**2 of R(start, j) is
+    1/(start + 2j + 1))."""
+    n = mat.shape[0]
+    rows = proj.shape[0]
+    weight = np.zeros((rows * n, rows * n))
+    for j in range(rows):
+        weight[j * n : (j + 1) * n, j * n : (j + 1) * n] = (start + 2 * j + 1) * mat
+    u = np.kron(proj, np.eye(n))
+    return u.T @ weight @ u
 
 
 def _state_row(sys: DelaySystem, tau: float, big_m: int) -> np.ndarray:

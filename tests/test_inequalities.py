@@ -103,8 +103,11 @@ def test_derivative_jensen_special_case():
     f = random_poly_function(rng, dim=1, degree=4, a=a, b=b)
     spec = FunctionalSpec(np.eye(1), 0, -1.0, 2.0)
     f_a, f_b = f.endpoint_values()
-    bound = lower_bound_derivative(spec, f_a, f_b, None, nu=0)
+    # M = 0: the boundary values alone, as an empty moment array
+    bound = lower_bound_derivative(spec, f_a, f_b, np.empty((0, 1)), nu=0)
     assert bound == pytest.approx(float((f_b[0] - f_a[0]) ** 2) / 3.0, rel=1e-12)
+    with pytest.raises(ValueError, match="shape"):
+        lower_bound_derivative(spec, f_a, f_b, None, nu=0)
 
 
 def test_equality_on_span():
@@ -291,6 +294,14 @@ def test_functional_spec_validation():
         FunctionalSpec(np.eye(2), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         FunctionalSpec(np.eye(2), -1, 0.0, 1.0)
+    # symmetry is absolute up to 1e-12 of the largest entry, not np.allclose's rtol
+    with pytest.raises(ValueError, match="symmetric"):
+        FunctionalSpec(np.array([[1.0, 0.5], [0.500004, 1.0]]), 0, 0.0, 1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            FunctionalSpec(np.array([[bad]]), 0, 0.0, 1.0)
+    big = 1e6 * np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+    FunctionalSpec(big, 0, 0.0, 1.0)
 
 
 def test_spec_and_function_intervals_must_agree():

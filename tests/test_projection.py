@@ -16,8 +16,10 @@ from delaymargin.projection import (
     legendre_derivative_map,
     max_derivative_order,
     max_weighted_order,
+    projection_form,
     weighted_moment_map,
 )
+from oracles import _weighted_congruence
 
 F = Fraction
 
@@ -123,6 +125,30 @@ def test_largest_orders_agree_with_the_maps():
                     assert len(moment_map(m, largest, big_m).entries) == largest + 1
                 with pytest.raises(ValueError):
                     moment_map(m, max(largest, -1) + 1, big_m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projection_form_matches_the_oracle_congruence(n):
+    # every admissible (m, nu, M <= 6) of both maps, random PD weights
+    rng = np.random.default_rng(20 + n)
+    checked = 0
+    for big_m in range(7):
+        for m in range(7):
+            for largest, moment_map in (
+                (max_weighted_order(m, big_m), weighted_moment_map),
+                (max_derivative_order(m, big_m), derivative_moment_map),
+            ):
+                for nu in range(largest + 1):
+                    g = rng.normal(size=(n, n))
+                    weight = g @ g.T + n * np.eye(n)
+                    proj = moment_map(m, nu, big_m).as_array()
+                    got = projection_form(proj, m, weight)
+                    want = _weighted_congruence(proj, m, weight)
+                    assert got.shape == want.shape
+                    scale = max(1.0, float(np.abs(want).max()))
+                    assert np.abs(got - want).max() <= 1e-12 * scale
+                    checked += 1
+    assert checked == 140
 
 
 def test_legendre_derivative_map_examples():
