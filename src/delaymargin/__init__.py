@@ -3,8 +3,9 @@
 The toolkit builds a two-parameter family of LMI stability conditions from
 exact projection inequalities over weighted orthogonal polynomials, decides
 their strict feasibility with an embedded dense SDP margin solver, and
-searches delay bounds over that feasibility oracle, steering each probe
-by the margins of the feasible ones (with a bisection fallback).
+searches delay bounds over that feasibility oracle, in the delay windows
+between the system's exact characteristic-root crossings, steering each
+probe by the margins of the feasible ones (with a bisection fallback).
 """
 
 from .inequalities import (

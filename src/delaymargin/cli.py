@@ -75,6 +75,9 @@ def _bounds_text(report: DelayBoundsReport) -> str:
         lines.append(f"tau_lower       {_fmt(report.tau_lower)}")
     if report.direction in ("upper", "interval"):
         lines.append(f"tau_upper       {_fmt(report.tau_upper)}")
+    if report.crossings is not None:
+        lower, upper = report.crossings
+        lines.append(f"crossings       {_fmt(lower)} {_fmt(upper)}")
     if report.range_certified is not None:
         lines.append(f"range certified {report.range_certified}")
     lines.append(

@@ -1,24 +1,39 @@
-"""Delay-bound discovery: a margin-guided search on the feasibility oracle.
+"""Delay-bound discovery: a margin-guided search on the feasibility oracle,
+anchored on the system's characteristic-root crossings.
 
-Both ends of the stable delay range are found by one bracket-and-refine
-body (`_search`): geometric probing from a fixed starting delay (doubling
-for the upper bound, halving for the lower), then one safeguarded search
-(`_refine`) in the style of Brent's method.  `max_delay` and `min_delay`
-differ only in what a missing crossing means: an error for the upper
-bound, an interval open at zero for the lower.  The margin of a feasible
-probe falls to zero at the bound, so the next probe is estimated by
-inverse interpolation of tau(margin) at margin 0 through the last verified
-probes, and falls back to bisection whenever the estimate is unusable or
-neither the bracket nor the step shrinks fast enough.  Infeasible margins
-sit at ~0 and carry no slope, so they only move the bracket.  A feasible
-verdict counts only once `verify_certificate` has re-checked its
-certificate, so every reported bound is backed by a logged, verified
-feasible probe and a logged infeasible probe within the tolerance.  That
-probe log is also the search's only state: the memo of verdicts by delay
-and the source of the model's points.  Solver runs that end numerically
-inconclusive are treated as infeasible (the conservative choice for a
-stability claim) and counted in the report.  The solver's thresholds are
-the fixed `sdp` constants; the search exposes only its tolerance.
+No LMI of the hierarchy is feasible at a delay where the system has an
+unstable root, and `crossings.stability_windows` finds those delays
+exactly: the windows between crossings, each with its count of unstable
+roots.  Both ends of the stable delay range are found by one body
+(`_search`): it goes through the windows from left to right, skips those
+certainly holding unstable roots, and probes the others at their midpoint.
+In a window certainly free of unstable roots it halves the distance toward
+the window's lower end while the probe is infeasible; a window whose count
+is uncertain gets the midpoint probe only.  From the first feasible probe one safeguarded search
+(`_refine`) in the style of Brent's method closes in on the window's
+crossing, the upper one for `max_delay` and the lower one for
+`min_delay`.  The crossing is only a hint until it is probed, so a bracket
+that still ends at it probes it once; a feasible verdict there is noted
+and the search walks on past it.  A window end that is open (0 or
+infinity) is walked geometrically instead (doubling for the upper bound,
+halving for the lower), and the two entry points differ only in what a
+walk without an infeasible probe means: an error for the upper bound, an
+interval open at zero for the lower.
+
+The margin of a feasible probe falls to zero at the bound, so the next
+probe is estimated by inverse interpolation of tau(margin) at margin 0
+through the last verified probes, and falls back to bisection whenever the
+estimate is unusable or neither the bracket nor the step shrinks fast
+enough.  Infeasible margins sit at ~0 and carry no slope, so they only move
+the bracket.  A feasible verdict counts only once `verify_certificate` has
+re-checked its certificate, so every reported bound is backed by a logged,
+verified feasible probe and a logged infeasible probe within the
+tolerance.  That probe log is also the search's only state: the memo of
+verdicts by delay and the source of the model's points.  Solver runs that
+end numerically inconclusive are treated as infeasible (the conservative
+choice for a stability claim) and counted in the report.  The solver's
+thresholds are the fixed `sdp` constants; the search exposes only its
+tolerance.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+from .crossings import Window, stability_windows
 from .lmi import (
     DelaySystem,
     HierarchyParams,
@@ -63,27 +79,27 @@ __all__ = [
 
 DEFAULT_TOL = 1e-5
 # version of the JSON report layout (DelayBoundsReport / SweepResult.to_dict)
-SCHEMA_VERSION = 5
-# first delay of the bracketing walk: max_delay starts at 10, min_delay at
-# the midpoint of [1e-3, 10]
-_UPPER_HINT = 10.0
-_LOWER_HINT = 0.5 * (1e-3 + 10.0)
+SCHEMA_VERSION = 6
 # largest decrease between neighbouring sweep cells that is not a
 # hierarchy violation
 _COMPARISON_TOL = 5e-3
+# steps of the geometric walk from an open window end
 _MAX_PROBE_DOUBLINGS = 30
-# the rules that choose a probe delay (ProbeRecord.step): geometric
-# bracketing, the bisection fallback, the margin model's estimate, and the
-# closing probes within tol of the estimate
+# the rules that choose a probe delay (ProbeRecord.step): the window probes
+# and the geometric walk (bracket), the bisection fallback, the margin
+# model's estimate, and the closing probes within tol of the estimate or at
+# the window's crossing
 STEPS = ("bracket", "bisect", "model", "close")
 
 
 class NoFeasiblePointError(RuntimeError):
-    """Geometric probing found no feasible delay (instability or solver trouble)."""
+    """No window that may be stable had a feasible probe (instability or
+    solver trouble)."""
 
 
 class BracketError(RuntimeError):
-    """No sign change found in the probing direction (bound may not exist)."""
+    """The geometric walk from an open window end found no infeasible delay
+    (the bound may not exist)."""
 
 
 @dataclass
@@ -123,6 +139,9 @@ class DelayBoundsReport:
     probes: list[ProbeRecord] = field(default_factory=list)
     wall_time_s: float = 0.0
     range_certified: bool | None = None
+    # [lower, upper] ends of the delay window (between characteristic-root
+    # crossings) the bound was found in; None at an open end (0 or infinity)
+    crossings: list[float | None] | None = None
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -188,18 +207,29 @@ def _probe(
     return verified is True
 
 
-def _find_feasible(probe: Callable[[float, str], bool], hint: float) -> float:
-    """Probe hint * 2**(+-k) outward until a feasible delay appears."""
-    if probe(hint, "bracket"):
-        return hint
-    for k in range(1, _MAX_PROBE_DOUBLINGS + 1):
-        for tau in (hint / 2.0**k, hint * 2.0**k):
-            if probe(tau, "bracket"):
-                return tau
-    raise NoFeasiblePointError(
-        f"no feasible delay found near hint {hint} "
-        f"within 2**{_MAX_PROBE_DOUBLINGS} in either direction"
-    )
+def _first_feasible(
+    probe: Callable[[float, str], bool], window: Window, tol: float
+) -> float | None:
+    """The first verified feasible probe in a window, or None.
+
+    The first probe is the window's midpoint (twice its lower end when it
+    is open above, 1 when it is (0, inf)).  In a window certainly free of
+    unstable roots each infeasible probe halves the distance toward the
+    window's lower end, down to tol; a window whose count is not certain
+    gets that one probe only.
+    """
+    lower = window.lower
+    if math.isfinite(window.upper):
+        tau = 0.5 * (lower + window.upper)
+    else:
+        tau = 2.0 * lower if lower > 0 else 1.0
+    while tau - lower > tol:
+        if probe(tau, "bracket"):
+            return tau
+        if window.unstable is None:
+            return None
+        tau = lower + 0.5 * (tau - lower)
+    return None
 
 
 def _margin_root(points: list[tuple[float, float]]) -> float:
@@ -284,11 +314,18 @@ def _search(
 ) -> tuple[float, float | None, DelayBoundsReport]:
     """Bracket and refine one end of the stable delay range.
 
-    Walks from a feasible start by x2 (upper) or x0.5 (lower), both exact,
-    until a probe is infeasible, then refines that bracket to tol.  Returns
-    the refined (feasible, infeasible) ends and the report, whose bound is
-    left for the caller to set; the infeasible end is None when the walk
-    found no crossing.
+    Goes through the windows between characteristic-root crossings from
+    left to right, skipping those certainly holding unstable roots, until
+    `_first_feasible` finds a feasible probe.  The bracket then ends at the
+    nearest infeasible probe beyond it in the window, or else at the
+    window's crossing in the search direction (upper or lower), and is
+    refined to tol.  A crossing left as the refined infeasible end is only
+    a hint, so it is probed once; should it be feasible, a note says so,
+    the report's crossings become None, and the search walks past it.  An
+    open window end (0 or infinity) is walked by x2 (upper) or x0.5
+    (lower), both exact, until a probe is infeasible.  Returns the refined (feasible, infeasible) ends and the
+    report, whose bound is left for the caller to set; the infeasible end
+    is None when the walk found no infeasible delay.
     """
     _check_tol(tol)
     upper = direction == "upper"
@@ -296,14 +333,43 @@ def _search(
         sys.name, params.big_m, params.m, direction, nodv=nodv(params, sys.n_x)
     )
     probe = partial(_probe, sys, params, report)
-    tau_feas = _find_feasible(probe, _UPPER_HINT if upper else _LOWER_HINT)
-    factor = 2.0 if upper else 0.5
-    for _ in range(_MAX_PROBE_DOUBLINGS):
-        tau = tau_feas * factor
-        if not probe(tau, "bracket"):
-            return (*_refine(probe, report.probes, tau_feas, tau, tol), report)
-        tau_feas = tau
-    return tau_feas, None, report
+    for window in stability_windows(sys):
+        if window.unstable:  # certainly unstable; a count of None is probed
+            continue
+        tau_feas = _first_feasible(probe, window, tol)
+        if tau_feas is None:
+            continue
+        report.crossings = [
+            window.lower or None, window.upper if math.isfinite(window.upper) else None
+        ]
+        crossing = report.crossings[upper]
+        beyond = [
+            p.tau for p in report.probes
+            if not p.verified and (p.tau > tau_feas) == upper
+            and window.lower < p.tau < window.upper
+        ]
+        tau_infeas = min(beyond, key=lambda t: abs(t - tau_feas), default=crossing)
+        if tau_infeas is not None:
+            tau_feas, tau_infeas = _refine(probe, report.probes, tau_feas, tau_infeas, tol)
+            if tau_infeas != crossing or not probe(crossing, "close"):
+                return tau_feas, tau_infeas, report
+            report.notes.append(
+                f"characteristic-root crossing tau={crossing!r} probed feasible; "
+                "searching past it"
+            )
+            report.crossings = None  # the bound lies outside this window
+            tau_feas = crossing
+        factor = 2.0 if upper else 0.5
+        for _ in range(_MAX_PROBE_DOUBLINGS):
+            tau = tau_feas * factor
+            if not probe(tau, "bracket"):
+                return (*_refine(probe, report.probes, tau_feas, tau, tol), report)
+            tau_feas = tau
+        return tau_feas, None, report
+    raise NoFeasiblePointError(
+        "no feasible delay found in any delay window that is not certainly "
+        "unstable"
+    )
 
 
 def max_delay(
@@ -353,11 +419,14 @@ def stability_interval(
     t0 = time.perf_counter()
     lower, low_report = min_delay(sys, params, tol)
     upper, up_report = max_delay(sys, params, tol)
+    ends = (low_report.crossings, up_report.crossings)
     report = replace(
         up_report,
         direction="interval",
         tau_lower=lower,
         probes=low_report.probes + up_report.probes,
+        # the lower bound's window's lower end, the upper bound's upper end
+        crossings=None if None in ends else [ends[0][0], ends[1][1]],
         notes=low_report.notes + up_report.notes,
     )
     # open at zero: the smallest verified probe (min_delay raises if none)

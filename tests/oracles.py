@@ -1,8 +1,9 @@
 """Test-only oracles, evaluated independently of the code paths in
 ``delaymargin`` they are checked against: float point evaluation of the
 exact polynomials, literal repeated-integral forms of the weighted
-functionals, and the stability LMI blocks stated directly at one delay in
-terms of the decision matrices."""
+functionals, the stability LMI blocks stated directly at one delay in
+terms of the decision matrices, and a frequency sweep of the
+characteristic determinant."""
 
 import math
 from dataclasses import dataclass
@@ -296,3 +297,39 @@ def range_derivative_block(
     out[n * (big_m + 2) :, : n * (big_m + 2)] = off.T
     out[n * (big_m + 2) :, n * (big_m + 2) :] = -rsum
     return out
+
+
+# ---------------------------------------------------------------------------
+# Frequency-domain oracle: the characteristic determinant on the imaginary
+# axis, independent of the LMI machinery and of the crossing computation.
+# ---------------------------------------------------------------------------
+
+
+def characteristic_minimum(a, d1, tau, w_hi=3.0, d2=None):
+    """min over w in [0, w_hi] of |det H(jw, tau)|, where H(s, tau) = sI - A
+    - A_d1 e^{-s tau} - A_d2 (1 - e^{-s tau}) / s (= tau A_d2 at s = 0), by
+    a grid sweep refined three times around each of its local minima."""
+    d2 = np.zeros_like(a) if d2 is None else d2
+    eye = np.eye(a.shape[0])
+
+    def sweep(grid):
+        s = 1j * grid[:, None, None]
+        e = np.exp(-s * tau)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = np.where(s == 0, tau, (1 - e) / s)
+        return np.abs(np.linalg.det(s * eye - a - d1 * e - d2 * dist))
+
+    def refine(grid, vals):
+        for _ in range(3):  # local refinement around the best frequency
+            k = int(np.argmin(vals))
+            lo = grid[max(k - 1, 0)]
+            hi = grid[min(k + 1, len(grid) - 1)]
+            grid = np.linspace(lo, hi, 2001)
+            vals = sweep(grid)
+        return float(vals.min())
+
+    grid = np.linspace(0.0, w_hi, 3001)
+    vals = sweep(grid)
+    padded = np.concatenate(([np.inf], vals, [np.inf]))
+    minima = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]))
+    return min(refine(grid[max(k - 1, 0):k + 2], vals[max(k - 1, 0):k + 2]) for k in minima)

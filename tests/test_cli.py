@@ -102,6 +102,7 @@ def test_bounds_text_output(capsys):
     )
     assert code == EXIT_OK
     assert "tau_upper       6.059" in out
+    assert "crossings       - 6.17258" in out
 
 
 def test_bounds_json_schema(capsys):
@@ -111,10 +112,14 @@ def test_bounds_json_schema(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     assert doc["direction"] == "upper"
     assert doc["tau_upper"] == pytest.approx(6.05932, abs=1e-2)
     assert doc["nodv"] == 22
+    # the window the bound was found in: open at zero, up to the crossing
+    lower, upper = doc["crossings"]
+    assert lower is None and upper == pytest.approx(6.172581, abs=1e-6)
+    assert doc["tau_upper"] < upper
     assert all({"tau", "status", "margin"} <= set(p) for p in doc["probes"])
     assert all(p["iterations"] >= 1 and p["margin_error"] >= 0 for p in doc["probes"])
     assert all(p["stop_reason"] in STOP_REASONS for p in doc["probes"])
@@ -148,6 +153,8 @@ def test_bounds_interval_direction(capsys):
     assert doc["tau_lower"] == pytest.approx(0.10055, abs=1e-2)
     assert doc["tau_upper"] == pytest.approx(1.5405, abs=1e-2)
     assert doc["range_certified"] is not None
+    lower, upper = doc["crossings"]
+    assert lower < doc["tau_lower"] < doc["tau_upper"] < upper
 
 
 def test_bounds_input_errors(capsys, tmp_path):
@@ -219,7 +226,7 @@ def test_sweep_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 5
+    assert doc["schema_version"] == 6
     taus = {(c["M"], c["m"]): c["tau_upper"] for c in doc["cells"]}
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import delaymargin.search as search
+from delaymargin.crossings import Window
 from delaymargin.lmi import DelaySystem, HierarchyParams
 from delaymargin.sdp import FEASIBLE, INCONCLUSIVE, INFEASIBLE, FeasibilityResult
 from delaymargin.search import (
@@ -18,6 +19,7 @@ from delaymargin.search import (
     min_delay,
     stability_interval,
 )
+from oracles import characteristic_minimum
 
 
 def pure_delay_scalar() -> DelaySystem:
@@ -51,17 +53,14 @@ def test_bracketing_soundness_from_probe_log():
 def test_bisection_probe_count_bound():
     tol = 1e-4
     _, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
-    feas = [p.tau for p in report.probes if p.status == FEASIBLE]
-    infeas = [p.tau for p in report.probes if p.status != FEASIBLE]
-    # width of the geometric bracket that bisection started from
-    lo = max(t for t in feas if t <= min(t2 for t2 in infeas if t2 > t))
-    bracket_probes = [p for p in report.probes]
-    # conservative audit: total probes <= geometric phase + ceil(log2(W/tol)) + 2
-    first_infeas = min(t for t in infeas if t > lo / 2)
-    width = first_infeas
-    budget = math.ceil(math.log2(width / tol)) + 2
-    geometric = sum(1 for p in bracket_probes if p.tau in {10.0 * 2.0**k for k in range(-31, 31)})
-    assert len(report.probes) <= geometric + budget
+    # the one window (0, pi/2) is probed at its midpoint, which is feasible,
+    # and refined toward its crossing; conservative audit: total probes <=
+    # the window probe + ceil(log2(W/tol)) + 2 for the bracket (pi/4, pi/2)
+    assert report.crossings == [None, pytest.approx(math.pi / 2, rel=1e-12)]
+    assert report.probes[0].tau == 0.5 * report.crossings[1]
+    assert [p.step for p in report.probes].count("bracket") == 1
+    budget = math.ceil(math.log2(0.5 * report.crossings[1] / tol)) + 2
+    assert len(report.probes) <= 1 + budget
 
 
 def test_bisection_determinism():
@@ -72,10 +71,16 @@ def test_bisection_determinism():
     assert [p.margin for p in r1.probes] == [p.margin for p in r2.probes]
 
 
-def test_no_feasible_point_for_unstable_system():
+def test_no_feasible_point_for_unstable_system(monkeypatch):
+    # x' = x has one unstable root at every delay: no window is probed
+    monkeypatch.setattr(search, "decide_feasibility", _no_solve)
     unstable = DelaySystem([[1.0]], [[0.0]], name="unstable")
     with pytest.raises(NoFeasiblePointError):
         max_delay(unstable, HierarchyParams(1, 1))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a window certainly holding unstable roots was probed")
 
 
 def test_bracket_error_when_no_upper_crossing(monkeypatch):
@@ -117,17 +122,29 @@ _PROFILES = {
     "constant": lambda d, rng: 1.0,
     "scaled": lambda d, rng: d * rng.uniform(0.5, 1.0),
 }
-# crossings per direction; the bracket starts from the default hint
+# crossings per direction; the search starts from the window ending there
 _CROSSINGS = {"upper": (1.2345678, 6.0593), "lower": (0.1005, 0.0123456)}
 
 
+def _windows(monkeypatch, *windows):
+    """Replace the system's stability windows (the real ones of
+    pure_delay_scalar meet at pi/2) by the fake oracle's."""
+    monkeypatch.setattr(search, "stability_windows", lambda sys: list(windows))
+
+
 def _fake_search(monkeypatch, profile, r, direction, tol):
+    """Search against a fake oracle whose crossing r is the end of the
+    stable window: (0, r) for the upper bound, (r, inf) for the lower."""
     rng = np.random.default_rng(5)
 
     def decide(tau):
         d = r - tau if direction == "upper" else tau - r
         return _fake_result(_PROFILES[profile](d, rng) if d > 0 else -1e-10)
 
+    if direction == "upper":
+        _windows(monkeypatch, Window(0.0, r, 0), Window(r, math.inf, 2))
+    else:
+        _windows(monkeypatch, Window(0.0, r, 1), Window(r, math.inf, 0))
     monkeypatch.setattr(search, "assemble_stability_lmis", lambda sys, params, tau: tau)
     monkeypatch.setattr(search, "decide_feasibility", decide)
     monkeypatch.setattr(search, "verify_certificate", lambda *a, **k: True)
@@ -151,14 +168,12 @@ def test_refinement_against_known_crossing(monkeypatch, profile, direction):
         gaps = [beyond * (t - bound) for t in infeas if beyond * (t - bound) > 0]
         assert gaps and min(gaps) <= tol
         assert 0 < beyond * (r - bound) <= tol
-        # probe budget, counted from the bracket the refinement starts from
+        # probe budget, counted from the bracket the refinement starts
+        # from: the window probe and the window's crossing r, which is
+        # probed once when no refinement probe lands beyond it
         bracket = [p for p in report.probes if p.step == "bracket"]
-        start_feas = min((p.tau for p in bracket if p.status == FEASIBLE), key=lambda t: abs(t - r))
-        start_infeas = min(
-            (p.tau for p in bracket if p.status != FEASIBLE and beyond * (p.tau - r) >= 0),
-            key=lambda t: abs(t - r),
-        )
-        width = abs(start_infeas - start_feas)
+        assert len(bracket) == 1 and bracket[0].status == FEASIBLE
+        width = abs(r - bracket[0].tau)
         refinement = len(report.probes) - len(bracket)
         assert refinement <= 2 * math.ceil(math.log2(width / tol)) + 4
         if profile in ("linear", "concave"):
@@ -172,23 +187,39 @@ def test_refinement_labels_its_steps(monkeypatch):
     assert set(steps[:first]) == {"bracket"}
     assert "bracket" not in steps[first:]
     assert "model" in steps and steps[-1] == "close"
-    # the constant-margin profile gives the model no slope: pure bisection
+    # the constant-margin profile gives the model no slope: pure bisection,
+    # every probe feasible, and the crossing itself closes the bracket
     _, report = _fake_search(monkeypatch, "constant", 1.2345678, "upper", 1e-5)
-    assert {p.step for p in report.probes} == {"bracket", "bisect"}
+    assert {p.step for p in report.probes[:-1]} == {"bracket", "bisect"}
+    assert report.probes[-1].step == "close"
+    assert report.probes[-1].tau == 1.2345678
 
 
-def _counting_oracle(monkeypatch, r, unverified=(), inconclusive_above=math.inf):
+_LOWER_CROSSING = 0.1005
+
+
+def _counting_oracle(
+    monkeypatch, r, unverified=(), inconclusive_above=math.inf, windows=None
+):
     """Fake oracle for an upper crossing at r (and a lower one at 0.1005)
     that counts its solves; verification fails at the delays in
     ``unverified``, and infeasible probes above ``inconclusive_above`` end
-    numerically inconclusive."""
+    numerically inconclusive.  The stability windows are ``windows``, by
+    default the stable (0.1005, r) between two unstable ones."""
     solved = []
+    if windows is None:
+        windows = (
+            Window(0.0, _LOWER_CROSSING, 2),
+            Window(_LOWER_CROSSING, r, 0),
+            Window(r, math.inf, 2),
+        )
+    _windows(monkeypatch, *windows)
 
     def decide(tau):
         if isinstance(tau, tuple):  # a delay-range program
             return _fake_result(1.0)
         solved.append(tau)
-        margin = min(r - tau, tau - 0.1005)
+        margin = min(r - tau, tau - _LOWER_CROSSING)
         if margin <= 0 and tau > inconclusive_above:
             return replace(_fake_result(-1e-10), status=INCONCLUSIVE)
         return _fake_result(2.0 * margin if margin > 0 else -1e-10)
@@ -205,32 +236,93 @@ def _counting_oracle(monkeypatch, r, unverified=(), inconclusive_above=math.inf)
 
 
 def test_probe_log_is_the_memo(monkeypatch):
-    solved = _counting_oracle(monkeypatch, 1.2345678)
-    _, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+    # windows that misplace the lower crossing at 0.15: the uncertain
+    # window (0, 0.15) gets one probe, at 0.075, infeasible; the lower
+    # search in (0.15, r) then finds its crossing feasible and walks past
+    # it by x0.5, back to 0.075, the probe of the window below
+    solved = _counting_oracle(
+        monkeypatch, 1.2345678,
+        windows=(Window(0.0, 0.15, None), Window(0.15, 1.2345678, 0)),
+    )
+    bound, report = min_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
     taus = [p.tau for p in report.probes]
     assert len(set(taus)) == len(taus)
-    # one solve per logged probe, although the doubling walk from the first
-    # feasible delay 0.625 returns to 1.25, probed while bracketing
+    # one solve per logged probe, although the walk returned to 0.075
     assert solved == taus
-    assert taus.index(1.25) < taus.index(0.625)
+    assert taus.index(0.075) < taus.index(0.15)
+    assert any("probed feasible" in note for note in report.notes)
+    assert 0 < bound - _LOWER_CROSSING <= 1e-5
 
 
 def test_unverified_probe_counts_as_infeasible(monkeypatch):
-    # 0.625 is the first feasible delay found; its certificate fails the check
-    _counting_oracle(monkeypatch, 1.2345678, unverified={0.625})
+    # the window's midpoint is the first feasible delay found; its
+    # certificate fails the check
+    first = 0.5 * (_LOWER_CROSSING + 1.2345678)
+    _counting_oracle(monkeypatch, 1.2345678, unverified={first})
     bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
-    (rejected,) = [p for p in report.probes if p.tau == 0.625]
+    (rejected,) = [p for p in report.probes if p.tau == first]
     assert rejected.status == FEASIBLE and rejected.verified is False
-    assert [p.tau for p in report.probes].count(0.625) == 1
+    assert [p.tau for p in report.probes].count(first) == 1
     # the search treats it as the infeasible end: the bound lies within tol
     # below it, on a verified probe
-    assert bound != 0.625
-    assert 0 < 0.625 - bound <= 1e-5
+    assert bound != first
+    assert 0 < first - bound <= 1e-5
     assert next(p for p in report.probes if p.tau == bound).verified is True
 
 
+def test_unstable_windows_cost_no_solve(monkeypatch):
+    solved = _counting_oracle(monkeypatch, 1.2345678)
+    for run in (max_delay, min_delay):
+        solved.clear()
+        bound, report = run(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+        assert report.crossings == [_LOWER_CROSSING, 1.2345678]
+        assert all(_LOWER_CROSSING <= tau <= 1.2345678 for tau in solved)
+    # the lower crossing closes the lower bound's bracket, probed once
+    assert [p.step for p in report.probes if p.tau == _LOWER_CROSSING] == ["close"]
+    assert 0 < bound - _LOWER_CROSSING <= 1e-5
+
+
+def test_feasible_crossing_probe_leads_to_a_note_not_a_bound(monkeypatch):
+    # the windows put the crossing at 1.0, below the oracle's crossing r
+    r = 1.2345678
+    _counting_oracle(
+        monkeypatch, r, windows=(Window(0.0, 1.0, 0), Window(1.0, math.inf, 2))
+    )
+    bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+    (crossing,) = [p for p in report.probes if p.tau == 1.0]
+    assert crossing.step == "close" and crossing.verified is True
+    assert any("crossing tau=1.0 probed feasible" in note for note in report.notes)
+    # the walk past it finds the oracle's crossing; the bound is a verified
+    # probe with an infeasible probe within tol beyond it
+    assert 0 < r - bound <= 1e-5
+    assert next(p for p in report.probes if p.tau == bound).verified is True
+    assert min(p.tau for p in report.probes if not p.verified) - bound <= 1e-5
+    # the bound lies outside the window of the crossing it walked past
+    assert report.crossings is None
+
+
+def test_uncertain_windows_cost_one_solve_each(monkeypatch):
+    # x' = -x + x(t - tau) - int x: a zero root leaves s = 0 at tau = 0+ in
+    # no certain direction, so every window's count is uncertain
+    sys = DelaySystem([[-1.0]], [[1.0]], [[-1.0]], name="zero-root")
+    windows = search.stability_windows(sys)
+    assert len(windows) > 60 and all(w.unstable is None for w in windows)
+    # an oracle infeasible everywhere: each window gets its midpoint probe
+    solved = _counting_oracle(monkeypatch, 0.0, windows=windows)
+    with pytest.raises(NoFeasiblePointError):
+        max_delay(sys, HierarchyParams(1, 1), tol=1e-5)
+    assert len(solved) == len(windows)
+
+
+def test_interval_crossings_come_from_both_bounds_windows(monkeypatch):
+    _counting_oracle(monkeypatch, 1.2345678)
+    report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+    assert report.crossings == [_LOWER_CROSSING, 1.2345678]
+    assert report.crossings[0] <= report.tau_lower <= report.tau_upper <= report.crossings[1]
+
+
 def test_interval_counts_inconclusive_probes_from_its_log(monkeypatch):
-    _counting_oracle(monkeypatch, 1.2345678, inconclusive_above=1.2345678)
+    _counting_oracle(monkeypatch, 1.2345678, inconclusive_above=1.0)
     report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
     statuses = [p.status for p in report.probes]
     assert report.inconclusive_probes == statuses.count(INCONCLUSIVE) > 0
@@ -285,10 +377,20 @@ def test_interval_notes_any_nonzero_distributed_kernel():
 
 
 def test_interval_open_at_zero():
-    indep = DelaySystem([[-1.0]], [[-0.5]], name="delay-independent")
-    report = stability_interval(indep, HierarchyParams(1, 1), tol=1e-3)
+    # the stable window (0, pi/2) is open at zero: the lower walk reaches
+    # the probe floor, the upper bound refines toward pi/2
+    report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-3)
     assert report.tau_lower is None
-    assert report.tau_upper is not None
+    assert 0 < math.pi / 2 - report.tau_upper <= 5e-3
+    assert report.crossings == [None, pytest.approx(math.pi / 2, rel=1e-12)]
+
+
+def test_delay_independent_stability_has_no_upper_bound():
+    # no characteristic root ever crosses: the window (0, inf) is walked by
+    # x2 from 1 and stays feasible
+    indep = DelaySystem([[-1.0]], [[-0.5]], name="delay-independent")
+    with pytest.raises(BracketError, match="no upper crossing"):
+        max_delay(indep, HierarchyParams(1, 1), tol=1e-3)
 
 
 def test_hierarchy_sweep_monotone_and_deterministic():
@@ -335,34 +437,12 @@ def test_single_cell_sweep_has_no_comparisons():
 # ---------------------------------------------------------------------------
 
 
-def _characteristic_minimum(a, d1, tau, w_hi=3.0):
-    import numpy as np
-
-    def sweep(grid):
-        vals = []
-        eye = np.eye(a.shape[0])
-        for w in grid:
-            mat = 1j * w * eye - a - d1 * np.exp(-1j * w * tau)
-            vals.append(abs(np.linalg.det(mat)))
-        return np.asarray(vals)
-
-    grid = np.linspace(0.0, w_hi, 3001)
-    vals = sweep(grid)
-    for _ in range(3):  # local refinement around the best frequency
-        k = int(np.argmin(vals))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        grid = np.linspace(lo, hi, 2001)
-        vals = sweep(grid)
-    return float(vals.min())
-
-
 def test_computed_bounds_sit_at_characteristic_crossings(bounds, systems):
     ex1 = systems["example1"]
     tau1 = bounds.max_delay("example1", 4, 1)
-    at_bound = _characteristic_minimum(ex1.a, ex1.a_d1, tau1)
-    inside = _characteristic_minimum(ex1.a, ex1.a_d1, 0.95 * tau1)
-    beyond = _characteristic_minimum(ex1.a, ex1.a_d1, 1.05 * tau1)
+    at_bound = characteristic_minimum(ex1.a, ex1.a_d1, tau1)
+    inside = characteristic_minimum(ex1.a, ex1.a_d1, 0.95 * tau1)
+    beyond = characteristic_minimum(ex1.a, ex1.a_d1, 1.05 * tau1)
     assert at_bound < 1e-3
     assert inside > 20 * at_bound
     assert beyond > 20 * at_bound
@@ -370,7 +450,7 @@ def test_computed_bounds_sit_at_characteristic_crossings(bounds, systems):
     ex3 = systems["example3"]
     rep = bounds.interval("example3", 3, 1)
     for tau in (rep.tau_lower, rep.tau_upper):
-        crossing = _characteristic_minimum(ex3.a, ex3.a_d1, tau)
+        crossing = characteristic_minimum(ex3.a, ex3.a_d1, tau)
         assert crossing < 5e-3
-    mid = _characteristic_minimum(ex3.a, ex3.a_d1, 0.8)
+    mid = characteristic_minimum(ex3.a, ex3.a_d1, 0.8)
     assert mid > 0.1
