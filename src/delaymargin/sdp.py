@@ -12,8 +12,8 @@ FEAS_THRESHOLD.  ``solve`` returns that optimum; ``decide_feasibility``,
 the decision interface used by the bound search, stops earlier, at the
 first iterate whose dual point already certifies a margin above the
 threshold within 2x of the optimum.  The thresholds are the module
-constants GAP_TOL, RES_TOL, FEAS_THRESHOLD and BOX_BOUND; only the
-iteration budget and an iteration log can be passed to ``solve``.  A
+constants GAP_TOL, RES_TOL, FEAS_THRESHOLD and BOX_BOUND; ``solve`` takes
+only ``max_iter``, ``log_stream`` and ``stop_when_certified``.  A
 ``ConeProgram`` is its coefficient stacks; the variable count is read off them.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
@@ -24,10 +24,10 @@ nonnegative-orthant block with diagonal scaling, interleaved as
 they add only a diagonal to the Schur matrix.  Everything is
 deterministic: fixed iteration schedule, no randomized pivoting.
 
-Blocks are stacked by size once per solve: the k blocks of size d share
-one (k, d, d) array for each of the iterates X and S, the residuals, the
-NT scalings and the search directions, and their coefficients one
-(q, k, d, d) array.  Each step of an iteration (scaling, Schur
+Each solve stacks the blocks by size once, in its solver form: the k
+blocks of size d share one (q, k, d, d) coefficient array and one
+(k, d, d) array for each of X and S, the residuals, the NT scalings and
+the search directions.  Each step of an iteration (scaling, Schur
 accumulation, Newton right-hand side, step length, update) is then one
 batched numpy call per size group, not one per block; the stability LMIs
 have many equal-size n_x x n_x blocks.
@@ -35,8 +35,9 @@ have many equal-size n_x x n_x blocks.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -148,24 +149,6 @@ def _sym(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + _t(mats))
 
 
-def _stack_by_size(program: ConeProgram) -> list[np.ndarray]:
-    """Solver-form data, one A per block size d, sizes ascending.
-
-    A is (q, k, d, d) for the k blocks of size d, in program order, with
-    S(z) = -sum_i z_i A[i]; the margin t is the last of the q = num_y + 1
-    variables, with A = I.
-    """
-    p = program.num_y
-    groups = []
-    for d in sorted({stack.shape[-1] for stack in program.blocks}):
-        members = [stack for stack in program.blocks if stack.shape[-1] == d]
-        a = np.empty((p + 1, len(members), d, d))
-        a[:p] = -np.stack(members, axis=1)
-        a[p] = np.eye(d)
-        groups.append(a)
-    return groups
-
-
 def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     """NT scaling of a block stack: G with G G^T S G G^T = X per block, the
     scaled point being diag(lam).
@@ -182,32 +165,207 @@ def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     return g, g_inv, lam, lx_inv, ls_inv
 
 
-def _max_step(chol_inv: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with  mat + alpha*delta >= 0 for every block of a
-    stack, given inv(chol(mat)).
+def _max_step(chol_invs, deltas, v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha with mat + alpha*delta >= 0 for every block of the
+    stacks, given inv(chol(mat)) per stack, and v + alpha*dv >= 0.
 
     Returns 0 on numerical breakdown, which makes the caller stall out and
     report the run as inconclusive instead of crashing.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = chol_inv @ delta @ _t(chol_inv)
-    t = _sym(t)
-    if not np.isfinite(t).all():
-        return 0.0
-    try:
-        lam_min = float(np.linalg.eigvalsh(t)[..., 0].min())
-    except np.linalg.LinAlgError:
-        return 0.0
-    if lam_min >= -1e-16:
-        return np.inf
-    return -1.0 / lam_min
-
-
-def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    steps = [float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf]
+    for chol_inv, delta in zip(chol_invs, deltas):
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = chol_inv @ delta @ _t(chol_inv)
+        t = _sym(t)
+        if not np.isfinite(t).all():
+            return 0.0
+        try:
+            lam_min = float(np.linalg.eigvalsh(t)[..., 0].min())
+        except np.linalg.LinAlgError:
+            return 0.0
+        if lam_min < -1e-16:
+            steps.append(-1.0 / lam_min)
+    return min(steps)
+
+
+class _SolverForm:
+    """The solver form: one A per block size, sizes ascending and blocks in
+    program order, with S(z) = -sum_i z_i A[i]; the margin t is the last of
+    the q = num_y + 1 variables, with A = I."""
+
+    def __init__(self, program: ConeProgram):
+        self.p = p = program.num_y
+        self.q = q = p + 1  # margin variable t is last
+        self.bound = program.box_bound
+        self.groups = []
+        for d in sorted({stack.shape[-1] for stack in program.blocks}):
+            members = [stack for stack in program.blocks if stack.shape[-1] == d]
+            a = np.empty((q, len(members), d, d))
+            a[:p] = -np.stack(members, axis=1)
+            a[p] = np.eye(d)
+            self.groups.append(a)
+        self.flats = [a.reshape(q, -1) for a in self.groups]
+        self.eyes = [np.eye(a.shape[-1]) for a in self.groups]
+        self.n_total = sum(a.shape[1] * a.shape[2] for a in self.groups) + 2 * p
+        self.b_obj = np.zeros(q)
+        self.b_obj[p] = 1.0
+
+    # Box rows: B -+ y_i >= 0 as a nonnegative block, slack B - box(z).
+    def box(self, v: np.ndarray) -> np.ndarray:
+        """(v_0, -v_0, v_1, -v_1, ...) over the y entries of v."""
+        return np.stack((v[: self.p], -v[: self.p]), axis=1).reshape(-1)
+
+    def box_adjoint(self, u: np.ndarray) -> np.ndarray:
+        """Adjoint of ``box``: pairwise differences, zero for the margin."""
+        return np.append(u[0::2] - u[1::2], 0.0)
+
+
+class _Iterate(NamedTuple):
+    """An iterate, or a Newton direction: X, S, box multipliers and slacks, z."""
+
+    xs: list[np.ndarray]
+    ss: list[np.ndarray]
+    x_box: np.ndarray
+    s_box: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def start(cls, form: _SolverForm) -> _Iterate:
+        # Start exactly dual feasible: a deeply negative margin makes every
+        # slack block eta*I strictly positive definite.
+        data_norm = max([1.0] + [float(np.abs(a).max()) for a in form.groups])
+        eta = 10.0 * data_norm
+        z = np.zeros(form.q)
+        z[form.p] = -eta
+        xs = [np.broadcast_to(e, a.shape[1:]).copy() for a, e in zip(form.groups, form.eyes)]
+        ss = [eta * x for x in xs]
+        return cls(xs, ss, np.ones(2 * form.p), form.bound - form.box(z), z)
+
+    def update(self, step: _Iterate, alpha: float) -> _Iterate:
+        """The point a step length alpha along the direction ``step``."""
+        return _Iterate(
+            [_sym(x + alpha * dx) for x, dx in zip(self.xs, step.xs)],
+            [_sym(s + alpha * ds) for s, ds in zip(self.ss, step.ss)],
+            self.x_box + alpha * step.x_box,
+            self.s_box + alpha * step.s_box,
+            self.z + alpha * step.z,
+        )
+
+
+class _Breakdown(Exception):
+    """No step can be taken from an iterate; the message is the stop reason."""
+
+
+def _residuals(form: _SolverForm, state: _Iterate):
+    """(rp, rds, rd_box), the gap, and the normalized primal and dual residuals."""
+    xs, ss, x_box, s_box, z = state
+    ax = form.box_adjoint(x_box)
+    for flat, x in zip(form.flats, xs):
+        ax += flat @ x.reshape(-1)
+    rp = form.b_obj - ax
+    rds = [-(z @ flat).reshape(s.shape) - s for flat, s in zip(form.flats, ss)]
+    rd_box = form.bound - form.box(z) - s_box
+    gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss)) + float(x_box @ s_box)
+    pinf = float(np.abs(rp).max()) / (1.0 + form.bound)
+    dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
+    dinf_box = float(np.abs(rd_box).max(initial=0.0))
+    dinf = max(dinf_blocks, dinf_box) / (1.0 + form.bound)
+    return (rp, rds, rd_box), gap, pinf, dinf
+
+
+class _Newton:
+    """An iterate's NT scalings, one stack per size group, and Schur factor."""
+
+    jitters = (0.0, 1e-13, 1e-10, 1e-7)  # Schur regularization levels, tried upward
+
+    def __init__(self, form: _SolverForm, state: _Iterate, residual, jitter_floor: int):
+        self.form, self.state = form, state
+        self.rp, self.rds, self.rd_box = residual
+        try:
+            scalings = [_nt_scaling(x, s) for x, s in zip(state.xs, state.ss)]
+        except np.linalg.LinAlgError:
+            raise _Breakdown("nt-scaling-failed") from None
+        self.gs, self.g_invs, self.lams, self.lx_invs, self.ls_invs = zip(*scalings)
+        self.w_box = np.sqrt(state.x_box / state.s_box)
+        self.lam_box = np.sqrt(state.x_box * state.s_box)
+        self.ws = [g @ _t(g) for g in self.gs]
+
+        # Schur complement (Gram of scaled coefficient matrices) + box diagonal
+        schur = np.zeros((form.q, form.q))
+        for g, a in zip(self.gs, form.groups):
+            flat = (_t(g) @ a @ g).reshape(form.q, -1)
+            schur += flat @ flat.T
+        w2 = self.w_box**2
+        schur[np.diag_indices(form.p)] += w2[0::2] + w2[1::2]
+        self.schur = schur = 0.5 * (schur + schur.T)
+        for jitter in self.jitters[jitter_floor:]:
+            with suppress(np.linalg.LinAlgError):
+                factor = np.linalg.cholesky(
+                    schur + jitter * max(1.0, schur.diagonal().max()) * np.eye(form.q)
+                )
+                self.factor_inv = np.linalg.inv(factor)
+                break
+        else:
+            raise _Breakdown("schur-failed")
+
+    def direction(self, rcs, rc_box) -> tuple[_Iterate, float, float]:
+        """Newton direction for (rcs, rc_box), and its primal and dual step lengths."""
+        form, gs, ws, rds, w_box = self.form, self.gs, self.ws, self.rds, self.w_box
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                grcs = [g @ rc @ _t(g) for g, rc in zip(gs, rcs)]
+                rhs = self.rp.copy()
+                for grc, w, flat, rd in zip(grcs, ws, form.flats, rds):
+                    term = grc - w @ rd @ w
+                    rhs -= flat @ term.reshape(-1)
+                rhs -= form.box_adjoint(w_box * rc_box - w_box**2 * self.rd_box)
+                dz = self.factor_inv.T @ (self.factor_inv @ rhs)
+                # one refinement pass keeps the Schur solve honest near the boundary
+                dz += self.factor_inv.T @ (self.factor_inv @ (rhs - self.schur @ dz))
+                if not np.isfinite(dz).all():
+                    raise FloatingPointError("non-finite Newton direction")
+                d_ss = [rd - (dz @ flat).reshape(rd.shape) for rd, flat in zip(rds, form.flats)]
+                d_xs = [_sym(grc - w @ ds @ w) for grc, w, ds in zip(grcs, ws, d_ss)]
+                ds_box = self.rd_box - form.box(dz)
+                dx_box = w_box * rc_box - w_box**2 * ds_box
+        except (FloatingPointError, np.linalg.LinAlgError):
+            raise _Breakdown("newton-failed") from None
+        ap = _max_step(self.lx_invs, d_xs, self.state.x_box, dx_box)
+        ad = _max_step(self.ls_invs, d_ss, self.state.s_box, ds_box)
+        return _Iterate(d_xs, d_ss, dx_box, ds_box, dz), ap, ad
+
+
+def _predictor_corrector(newton: _Newton, gap: float) -> tuple[_Iterate, float]:
+    """One Mehrotra predictor-corrector step: the direction and its length."""
+    form, state, lam_box = newton.form, newton.state, newton.lam_box
+    mu = gap / form.n_total
+    # Predictor: target 0, i.e. L_V^{-1}(-V^2) = -diag(lam)
+    rc_aff = [-lam[..., None] * e for lam, e in zip(newton.lams, form.eyes)]
+    aff, ap, ad = newton.direction(rc_aff, -lam_box)
+    ap_aff = min(1.0, ap)
+    ad_aff = min(1.0, ad)
+    gap_aff = sum(
+        float(np.sum((x + ap_aff * dx) * (s + ad_aff * ds)))
+        for x, dx, s, ds in zip(state.xs, aff.xs, state.ss, aff.ss)
+    ) + float((state.x_box + ap_aff * aff.x_box) @ (state.s_box + ad_aff * aff.s_box))
+    sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
+
+    # Corrector with Mehrotra second-order term
+    rcs = []
+    for g, g_inv, lam, e, dx, ds in zip(
+        newton.gs, newton.g_invs, newton.lams, form.eyes, aff.xs, aff.ss
+    ):
+        cross = (g_inv @ dx @ _t(g_inv)) @ (_t(g) @ ds @ g)
+        resid = (sigma * mu - lam**2)[..., None] * e - _sym(cross)
+        denom = lam[..., :, None] + lam[..., None, :]
+        rcs.append(2.0 * resid / denom)
+    rc_box = (sigma * mu - lam_box**2 - aff.x_box * aff.s_box) / lam_box
+    step, ap, ad = newton.direction(rcs, rc_box)
+    # equal primal/dual steps: keeps the duality gap monotone on the
+    # degenerate geometries the margin program produces
+    gamma = 0.9 + 0.09 * min(1.0, ap, ad)
+    return step, min(1.0, gamma * ap, gamma * ad)
 
 
 def solve(
@@ -248,65 +406,23 @@ def solve(
     lower bound within 2x of the optimum, not the optimum.  ``log_stream``,
     when given, receives one text line per iteration (t, gap, residuals).
     """
-    p = program.num_y
-    q = p + 1  # margin variable t is last
-    bound = program.box_bound
-
-    groups = _stack_by_size(program)
-    shapes = [a.shape[1:] for a in groups]
-    flats = [a.reshape(q, -1) for a in groups]
-    eyes = [np.eye(shape[-1]) for shape in shapes]
-
-    # Box rows: B -+ y_i >= 0 as a nonnegative block, slack B - box(z).
-    def box(v: np.ndarray) -> np.ndarray:
-        """(v_0, -v_0, v_1, -v_1, ...) over the y entries of v."""
-        return np.stack((v[:p], -v[:p]), axis=1).reshape(-1)
-
-    def box_adjoint(u: np.ndarray) -> np.ndarray:
-        """Adjoint of ``box``: pairwise differences, zero for the margin."""
-        return np.append(u[0::2] - u[1::2], 0.0)
-
-    b_obj = np.zeros(q)
-    b_obj[p] = 1.0
-
-    n_total = sum(shape[0] * shape[1] for shape in shapes) + 2 * p
-    data_norm = max([1.0] + [float(np.abs(a).max()) for a in groups])
-
-    # Start exactly dual feasible: a deeply negative margin makes every
-    # slack block eta*I strictly positive definite.
-    eta = 10.0 * max(1.0, data_norm)
-    xs = [np.broadcast_to(e, shape).copy() for shape, e in zip(shapes, eyes)]
-    x_box = np.ones(2 * p)
-    z = np.zeros(q)
-    z[p] = -eta
-    ss = [np.broadcast_to(eta * e, shape).copy() for shape, e in zip(shapes, eyes)]
-    s_box = bound - box(z)
-
+    form = _SolverForm(program)
+    state = _Iterate.start(form)
+    # rounding floor: box products of size ~bound set a floor on the
+    # attainable absolute gap; once near it, stop when progress dies
+    # (mid-phase plateaus at large gap are left alone)
+    stall_level = max(1e2 * GAP_TOL, 1e-12 * form.bound * form.n_total)
     stop_reason = "max-iter"
     gap = pinf = dinf = np.inf
     it = 0
     best_gap = np.inf
     stall_count = 0
-    jitters = (0.0, 1e-13, 1e-10, 1e-7)  # Schur regularization levels
     jitter_floor = 0
     for it in range(1, max_iter + 1):
-        ax = box_adjoint(x_box)
-        for flat, x in zip(flats, xs):
-            ax += flat @ x.reshape(-1)
-        rp = b_obj - ax
-        rds = [-(z @ flat).reshape(s.shape) - s for flat, s in zip(flats, ss)]
-        rd_box = bound - box(z) - s_box
-        gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss)) + float(x_box @ s_box)
-        mu = gap / n_total
-
-        pinf = float(np.abs(rp).max()) / (1.0 + bound)
-        dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
-        dinf_box = float(np.abs(rd_box).max(initial=0.0))
-        dinf = max(dinf_blocks, dinf_box) / (1.0 + bound)
+        residual, gap, pinf, dinf = _residuals(form, state)
         if log_stream is not None:
-            log_stream.write(f"iter {it:3d}  t={z[p]: .9e}  gap={gap:.3e}  "
+            log_stream.write(f"iter {it:3d}  t={state.z[form.p]: .9e}  gap={gap:.3e}  "
                              f"pinf={pinf:.3e}  dinf={dinf:.3e}\n")
-
         if gap <= GAP_TOL and pinf <= RES_TOL and dinf <= RES_TOL:
             stop_reason = "converged"
             break
@@ -316,157 +432,41 @@ def solve(
         # that margin within 2x of the optimum
         if (
             stop_when_certified
-            and z[p] >= FEAS_THRESHOLD
+            and state.z[form.p] >= FEAS_THRESHOLD
             and dinf <= 100 * RES_TOL
             and pinf <= 100 * RES_TOL
-            and gap <= z[p]
+            and gap <= state.z[form.p]
         ):
             stop_reason = "certified"
             break
-        # rounding floor: box products of size ~bound set a floor on the
-        # attainable absolute gap; once near it, stop when progress dies
-        # (mid-phase plateaus at large gap are left alone)
-        stall_level = max(1e2 * GAP_TOL, 1e-12 * bound * n_total)
-        if gap <= stall_level and gap >= 0.7 * best_gap:
-            stall_count += 1
-            if stall_count >= 4:
-                stop_reason = "stalled"
-                break
-        else:
-            stall_count = 0
+        stalling = gap <= stall_level and gap >= 0.7 * best_gap
+        stall_count = stall_count + 1 if stalling else 0
+        if stall_count >= 4:
+            stop_reason = "stalled"
+            break
         best_gap = min(best_gap, gap)
-
-        if not np.isfinite(gap) or not np.isfinite(z).all():
+        if not np.isfinite(gap) or not np.isfinite(state.z).all():
             stop_reason = "non-finite"
             break
-        # NT scalings, one stack per size group
         try:
-            scalings = [_nt_scaling(x, s) for x, s in zip(xs, ss)]
-        except np.linalg.LinAlgError:
-            stop_reason = "nt-scaling-failed"
+            newton = _Newton(form, state, residual, jitter_floor)
+            step, alpha = _predictor_corrector(newton, gap)
+        except _Breakdown as exc:
+            stop_reason = str(exc)
             break
-        gs, g_invs, lams, lx_invs, ls_invs = zip(*scalings)
-        w_box = np.sqrt(x_box / s_box)
-        lam_box = np.sqrt(x_box * s_box)
-
-        ws = [g @ _t(g) for g in gs]
-
-        # Schur complement (Gram of scaled coefficient matrices) + box diagonal
-        schur = np.zeros((q, q))
-        for g, a in zip(gs, groups):
-            flat = (_t(g) @ a @ g).reshape(q, -1)
-            schur += flat @ flat.T
-        w2 = w_box**2
-        schur[np.diag_indices(p)] += w2[0::2] + w2[1::2]
-        schur = 0.5 * (schur + schur.T)
-
-        factor_inv = None
-        for jitter in jitters[jitter_floor:]:
-            try:
-                factor = np.linalg.cholesky(
-                    schur + jitter * max(1.0, schur.diagonal().max()) * np.eye(q)
-                )
-                factor_inv = np.linalg.inv(factor)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        if factor_inv is None:
-            stop_reason = "schur-failed"
-            break
-
-        def schur_solve(rhs):
-            return factor_inv.T @ (factor_inv @ rhs)
-
-        def newton(rcs, rc_box):
-            """Newton direction; FloatingPointError if it is not finite."""
-            with np.errstate(over="raise", invalid="raise"):
-                rhs = rp.copy()
-                for g, w, flat, rc, rd in zip(gs, ws, flats, rcs, rds):
-                    term = g @ rc @ _t(g) - w @ rd @ w
-                    rhs -= flat @ term.reshape(-1)
-                rhs -= box_adjoint(w_box * rc_box - w_box**2 * rd_box)
-                dz = schur_solve(rhs)
-                # one refinement pass keeps the Schur solve honest near the boundary
-                dz += schur_solve(rhs - schur @ dz)
-                if not np.isfinite(dz).all():
-                    raise FloatingPointError("non-finite Newton direction")
-                d_ss = [
-                    rd - (dz @ flat).reshape(rd.shape) for rd, flat in zip(rds, flats)
-                ]
-                d_xs = [
-                    _sym(g @ rc @ _t(g) - w @ dsm @ w)
-                    for g, w, rc, dsm in zip(gs, ws, rcs, d_ss)
-                ]
-                ds_box = rd_box - box(dz)
-                dx_box = w_box * rc_box - w_box**2 * ds_box
-            return dz, d_xs, d_ss, dx_box, ds_box
-
-        def step_lengths(d_xs, d_ss, dx_box, ds_box):
-            ap = min(
-                [_max_step(lx, dx) for lx, dx in zip(lx_invs, d_xs)]
-                + [_max_step_vec(x_box, dx_box)]
-            )
-            ad = min(
-                [_max_step(ls, ds) for ls, ds in zip(ls_invs, d_ss)]
-                + [_max_step_vec(s_box, ds_box)]
-            )
-            return ap, ad
-
-        # Predictor: target 0, i.e. L_V^{-1}(-V^2) = -diag(lam)
-        rc_aff = [-lam[..., None] * e for lam, e in zip(lams, eyes)]
-        rc_box_aff = -lam_box
-        try:
-            dz_a, dxs_a, dss_a, dxbox_a, dsbox_a = newton(rc_aff, rc_box_aff)
-        except (FloatingPointError, np.linalg.LinAlgError):
-            stop_reason = "newton-failed"
-            break
-
-        ap, ad = step_lengths(dxs_a, dss_a, dxbox_a, dsbox_a)
-        ap_aff = min(1.0, ap)
-        ad_aff = min(1.0, ad)
-        gap_aff = sum(
-            float(np.sum((x + ap_aff * dx) * (s + ad_aff * ds)))
-            for x, dx, s, ds in zip(xs, dxs_a, ss, dss_a)
-        ) + float((x_box + ap_aff * dxbox_a) @ (s_box + ad_aff * dsbox_a))
-        sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
-
-        # Corrector with Mehrotra second-order term
-        rcs = []
-        for g, g_inv, lam, e, dx, ds in zip(gs, g_invs, lams, eyes, dxs_a, dss_a):
-            cross = (g_inv @ dx @ _t(g_inv)) @ (_t(g) @ ds @ g)
-            resid = (sigma * mu - lam**2)[..., None] * e - _sym(cross)
-            denom = lam[..., :, None] + lam[..., None, :]
-            rcs.append(2.0 * resid / denom)
-        rc_box = (sigma * mu - lam_box**2 - dxbox_a * dsbox_a) / lam_box
-        try:
-            dz, dxs, dss, dx_box, ds_box = newton(rcs, rc_box)
-        except (FloatingPointError, np.linalg.LinAlgError):
-            stop_reason = "newton-failed"
-            break
-
-        ap, ad = step_lengths(dxs, dss, dx_box, ds_box)
-        # equal primal/dual steps: keeps the duality gap monotone on the
-        # degenerate geometries the margin program produces
-        gamma = 0.9 + 0.09 * min(1.0, ap, ad)
-        ap = ad = min(1.0, gamma * ap, gamma * ad)
-        if ap < 1e-10:
+        if alpha < 1e-10:
             # an ill-conditioned Schur solve gives a direction that blocks
             # every cone at once: redo the iteration more regularized
-            if jitter_floor < len(jitters) - 1:
+            if jitter_floor < len(_Newton.jitters) - 1:
                 jitter_floor += 1
                 continue
             stop_reason = "step-collapse"
             break  # classify from diagnostics below
+        state = state.update(step, alpha)
 
-        xs = [_sym(x + ap * dx) for x, dx in zip(xs, dxs)]
-        ss = [_sym(s + ad * ds) for s, ds in zip(ss, dss)]
-        x_box = x_box + ap * dx_box
-        s_box = s_box + ad * ds_box
-        z = z + ad * dz
-
-    t_star = float(z[p])
+    t_star = float(state.z[form.p])
     # estimated uncertainty of the reported margin
-    err = gap + (pinf + dinf) * (1.0 + bound)
+    err = gap + (pinf + dinf) * (1.0 + form.bound)
     dual_ok = dinf <= 100 * RES_TOL
     decisive = stop_reason == "converged" or (
         err <= 0.1 * max(abs(t_star), FEAS_THRESHOLD)
@@ -487,7 +487,7 @@ def solve(
     return FeasibilityResult(
         status=status,
         margin=t_star,
-        certificate=z[:p].copy(),
+        certificate=state.z[: form.p].copy(),
         iterations=it,
         stop_reason=stop_reason,
         # the exact optimum is >= 0, so a negative t* is off by at least -t*

@@ -9,16 +9,17 @@ roots.  Both ends of the stable delay range are found by one body
 certainly holding unstable roots, and probes the others at their midpoint.
 In a window certainly free of unstable roots it halves the distance toward
 the window's lower end while the probe is infeasible; a window whose count
-is uncertain gets the midpoint probe only.  From the first feasible probe one safeguarded search
-(`_refine`) in the style of Brent's method closes in on the window's
-crossing, the upper one for `max_delay` and the lower one for
-`min_delay`.  The crossing is only a hint until it is probed, so a bracket
+is uncertain gets the midpoint probe only.  From the first feasible probe
+one safeguarded search (`_refine`) in the style of Brent's method closes in
+on the window's crossing, the upper one for `max_delay` and the lower one
+for `min_delay`.  The crossing is only a hint until it is probed, so a bracket
 that still ends at it probes it once; a feasible verdict there is noted
 and the search walks on past it.  A window end that is open (0 or
 infinity) is walked geometrically instead (doubling for the upper bound,
-halving for the lower), and the two entry points differ only in what a
-walk without an infeasible probe means: an error for the upper bound, an
-interval open at zero for the lower.
+halving for the lower until a feasible probe lies within the tolerance of
+zero), and the two entry points differ only in what a walk without an
+infeasible probe means: an error for the upper bound, an interval open at
+zero for the lower.
 
 The margin of a feasible probe falls to zero at the bound, so the next
 probe is estimated by inverse interpolation of tau(margin) at margin 0
@@ -323,9 +324,11 @@ def _search(
     a hint, so it is probed once; should it be feasible, a note says so,
     the report's crossings become None, and the search walks past it.  An
     open window end (0 or infinity) is walked by x2 (upper) or x0.5
-    (lower), both exact, until a probe is infeasible.  Returns the refined (feasible, infeasible) ends and the
-    report, whose bound is left for the caller to set; the infeasible end
-    is None when the walk found no infeasible delay.
+    (lower), both exact, until a probe is infeasible; the walk toward zero
+    also stops at a feasible probe within tol of it.  Returns the refined
+    (feasible, infeasible) ends and the report, whose bound is left for the
+    caller to set; the infeasible end is None when the walk found no
+    infeasible delay.
     """
     _check_tol(tol)
     upper = direction == "upper"
@@ -361,6 +364,8 @@ def _search(
             tau_feas = crossing
         factor = 2.0 if upper else 0.5
         for _ in range(_MAX_PROBE_DOUBLINGS):
+            if not upper and tau_feas <= tol:
+                break  # feasible within tol of zero: the range is open there
             tau = tau_feas * factor
             if not probe(tau, "bracket"):
                 return (*_refine(probe, report.probes, tau_feas, tau, tol), report)

@@ -318,6 +318,22 @@ def test_decision_stops_at_first_certifying_iterate():
 _BOUNDS_3_1 = {"example1": 6.1725044, "example2": 2.0412350, "example3": 1.7177868}
 
 
+@pytest.mark.parametrize("cell", [(1, 1), (3, 1)])
+@pytest.mark.parametrize("name", sorted(_BOUNDS_3_1))
+def test_decision_is_a_prefix_of_the_full_run(name, cell):
+    # the early exit truncates the same iteration sequence: after k
+    # iterations the decision's iterate is the one a solve with budget k - 1
+    # ends on, bit for bit
+    sys = bundled_system(name)[0]
+    program = assemble_stability_lmis(sys, HierarchyParams(*cell), 0.5 * _BOUNDS_3_1[name])
+    res = decide_feasibility(program)
+    assert res.stop_reason == "certified"
+    prefix = solve(program, max_iter=res.iterations - 1)
+    assert prefix.stop_reason == "max-iter"
+    assert prefix.margin.hex() == res.margin.hex()
+    assert prefix.certificate.tobytes() == res.certificate.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(_BOUNDS_3_1))
 def test_early_exit_keeps_verdicts_near_the_bound(name):
     sys = bundled_system(name)[0]

@@ -336,6 +336,10 @@ def test_min_delay_none_when_feasible_to_floor():
     assert lo is None
     assert report.tau_lower is None
     assert any("probe floor" in note for note in report.notes)
+    # the walk toward zero stops at its first feasible probe within tol of 0
+    assert len(report.probes) <= 18
+    tol = search.DEFAULT_TOL
+    assert tol / 2 < min(p.tau for p in report.probes) <= tol
 
 
 def test_min_delay_finds_lower_crossing():
