@@ -4,44 +4,41 @@ anchored on the system's characteristic-root crossings.
 No LMI of the hierarchy is feasible at a delay where the system has an
 unstable root, and `crossings.stability_windows` finds those delays
 exactly: the windows between crossings, each with its count of unstable
-roots.  Both ends of the stable delay range are found by one body
-(`_search`): it goes through the windows from left to right, skips those
-certainly holding unstable roots, and probes the others at their midpoint.
-In a window certainly free of unstable roots it halves the distance toward
-the window's lower end while the probe is infeasible; a window whose count
-is uncertain gets the midpoint probe only.  From the first feasible probe
-one safeguarded search (`_refine`) in the style of Brent's method closes in
-on the window's crossing, the upper one for `max_delay` and the lower one
-for `min_delay`.  The crossing is only a hint until it is probed, so a bracket
-that still ends at it probes it once; a feasible verdict there is noted
-and the search walks on past it.  A window end that is open (0 or
-infinity) is walked geometrically instead (doubling for the upper bound,
-halving for the lower until a feasible probe lies within the tolerance of
-zero), and the two entry points differ only in what a walk without an
-infeasible probe means: an error for the upper bound, an interval open at
-zero for the lower.
+roots.  Every report comes from one search (`_search`) on one probe log.
+It skips the windows certainly holding unstable roots and probes the
+others from left to right at their midpoint, halving toward the window's
+lower end while the probe is infeasible if the window is certainly free
+of unstable roots.  From the first feasible probe it refines the lower
+end of the stable range, the upper end, or both (`stability_interval`),
+each by a safeguarded search (`_refine`) in the style of Brent's method
+toward the window's crossing on that side.  The crossing is only a hint
+until it is probed, so a bracket that still ends at it probes it once; a
+feasible verdict there is noted and the search walks on past it.  An open
+window end (0 or infinity) is walked geometrically instead; a walk without
+an infeasible probe is an error at the upper end and a range open at zero
+at the lower.
 
 The margin of a feasible probe falls to zero at the bound, so the next
 probe is estimated by inverse interpolation of tau(margin) at margin 0
-through the last verified probes, and falls back to bisection whenever the
-estimate is unusable or neither the bracket nor the step shrinks fast
-enough.  Infeasible margins sit at ~0 and carry no slope, so they only move
-the bracket.  A feasible verdict counts only once `verify_certificate` has
-re-checked its certificate, so every reported bound is backed by a logged,
-verified feasible probe and a logged infeasible probe within the
-tolerance.  That probe log is also the search's only state: the memo of
-verdicts by delay and the source of the model's points.  Solver runs that
-end numerically inconclusive are treated as infeasible (the conservative
-choice for a stability claim) and counted in the report.  The solver's
-thresholds are the fixed `sdp` constants; the search exposes only its
-tolerance.
+through the last verified probes on that end's side, and falls back to
+bisection whenever the estimate is unusable or neither the bracket nor
+the step shrinks fast enough.  Infeasible margins sit at ~0 and carry no
+slope, so they only move the bracket.  A feasible verdict counts only once
+`verify_certificate` has re-checked its certificate, so every reported
+bound is backed by a logged, verified feasible probe and a logged
+infeasible probe within the tolerance.  The probe log is also the search's
+only state: the memo of verdicts by delay and the source of the model's
+points.  Solver runs that end numerically inconclusive are treated as
+infeasible (the conservative choice for a stability claim) and counted in
+the report.  The solver's thresholds are the fixed `sdp` constants; the
+search exposes only its tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -213,24 +210,23 @@ def _first_feasible(
 ) -> float | None:
     """The first verified feasible probe in a window, or None.
 
-    The first probe is the window's midpoint (twice its lower end when it
-    is open above, 1 when it is (0, inf)).  In a window certainly free of
-    unstable roots each infeasible probe halves the distance toward the
-    window's lower end, down to tol; a window whose count is not certain
-    gets that one probe only.
+    The first probe, made whatever tol is, is the window's midpoint (twice
+    its lower end when it is open above, 1 when it is (0, inf)).  In a
+    window certainly free of unstable roots each infeasible probe halves
+    the distance toward the lower end, down to tol and to float resolution;
+    a window whose count is not certain gets that one probe only.
     """
     lower = window.lower
     if math.isfinite(window.upper):
         tau = 0.5 * (lower + window.upper)
     else:
         tau = 2.0 * lower if lower > 0 else 1.0
-    while tau - lower > tol:
-        if probe(tau, "bracket"):
-            return tau
-        if window.unstable is None:
+    while not probe(tau, "bracket"):
+        halved = lower + 0.5 * (tau - lower)
+        if window.unstable is None or not (halved - lower > tol and halved < tau):
             return None
-        tau = lower + 0.5 * (tau - lower)
-    return None
+        tau = halved
+    return tau
 
 
 def _margin_root(points: list[tuple[float, float]]) -> float:
@@ -254,6 +250,7 @@ def _margin_root(points: list[tuple[float, float]]) -> float:
 def _refine(
     probe: Callable[[float, str], bool],
     log: list[ProbeRecord],
+    origin: float,
     tau_feas: float,
     tau_infeas: float,
     tol: float,
@@ -261,8 +258,9 @@ def _refine(
     """Shrink a (feasible, infeasible) bracket to at most tol and return it.
 
     Works in either direction.  Each step estimates the crossing with
-    `_margin_root` through the last three verified probes of the log and
-    proposes:
+    `_margin_root` through the last three verified probes of the log on
+    the bracket's side of origin, the first feasible probe of the search
+    (the other end of the range is refined beyond it), and proposes:
     - the estimate itself (model);
     - when the estimate is within tol of the feasible end, the delay tol
       from the feasible end (close), which ends the search if infeasible;
@@ -280,7 +278,10 @@ def _refine(
     while abs(tau_infeas - tau_feas) > tol:
         width = abs(tau_infeas - tau_feas)
         lo, hi = sorted((tau_feas, tau_infeas))
-        verified = [(p.tau, p.margin) for p in log if p.verified]
+        verified = [
+            (p.tau, p.margin) for p in log
+            if p.verified and toward * (p.tau - origin) >= 0
+        ]
         previous, estimate = estimate, _margin_root(verified[-3:])
         rule, tau = "bisect", 0.5 * (tau_feas + tau_infeas)
         if lo < estimate < hi:
@@ -310,28 +311,71 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _bound(
+    probe: Callable[[float, str], bool],
+    report: DelayBoundsReport,
+    tau_first: float,
+    end: float,
+    tol: float,
+) -> float | None:
+    """One end of the stable delay range, searched on the report's log
+    from the window's first feasible probe toward the window's end on that
+    side: a crossing, or an open end (0 or infinity).
+
+    The bracket ends at the nearest infeasible probe before end, or else
+    at end, and is refined to tol.  A crossing left as the refined
+    infeasible end is only a hint, so it is probed once; should it be
+    feasible, a note says so, the report's crossings become None, and the
+    search walks past it, as from an open end: by x2 (upper) or x0.5
+    (lower), both exact, until a probe is infeasible or, toward zero, a
+    feasible probe lies within tol of it.  A walk without an infeasible
+    probe raises BracketError at the upper end; at the lower end it notes
+    the probe floor and returns None (the range is open at zero).
+    """
+    upper = end > tau_first
+    lo, hi = sorted((tau_first, end))
+    beyond = [p.tau for p in report.probes if not p.verified and lo < p.tau < hi]
+    refine = partial(_refine, probe, report.probes, tau_first, tol=tol)
+    tau_feas = tau_first
+    tau_infeas = min(beyond, key=lambda t: abs(t - tau_first), default=end)
+    if 0 < tau_infeas < math.inf:  # not an open window end
+        tau_feas, tau_infeas = refine(tau_feas, tau_infeas)
+        if tau_infeas != end or not probe(end, "close"):
+            return tau_feas
+        report.notes.append(
+            f"characteristic-root crossing tau={end!r} probed feasible; "
+            "searching past it"
+        )
+        report.crossings = None  # the bound lies outside this window
+        tau_feas = end
+    factor = 2.0 if upper else 0.5
+    for _ in range(_MAX_PROBE_DOUBLINGS):
+        if not upper and tau_feas <= tol:
+            break  # feasible within tol of zero: the range is open there
+        tau = tau_feas * factor
+        if not probe(tau, "bracket"):
+            return refine(tau_feas, tau)[0]
+        tau_feas = tau
+    if upper:
+        raise BracketError(
+            f"feasible up to tau={tau_feas:g}; no upper crossing found "
+            "(delay-independent stability in the probed range)"
+        )
+    report.notes.append(
+        f"feasible down to probe floor tau={tau_feas:g}; no lower crossing"
+    )
+    return None
+
+
 def _search(
     sys: DelaySystem, params: HierarchyParams, tol: float, direction: str
-) -> tuple[float, float | None, DelayBoundsReport]:
-    """Bracket and refine one end of the stable delay range.
-
-    Goes through the windows between characteristic-root crossings from
-    left to right, skipping those certainly holding unstable roots, until
-    `_first_feasible` finds a feasible probe.  The bracket then ends at the
-    nearest infeasible probe beyond it in the window, or else at the
-    window's crossing in the search direction (upper or lower), and is
-    refined to tol.  A crossing left as the refined infeasible end is only
-    a hint, so it is probed once; should it be feasible, a note says so,
-    the report's crossings become None, and the search walks past it.  An
-    open window end (0 or infinity) is walked by x2 (upper) or x0.5
-    (lower), both exact, until a probe is infeasible; the walk toward zero
-    also stops at a feasible probe within tol of it.  Returns the refined
-    (feasible, infeasible) ends and the report, whose bound is left for the
-    caller to set; the infeasible end is None when the walk found no
-    infeasible delay.
-    """
+) -> DelayBoundsReport:
+    """The report of one search for the "upper" or "lower" end of the
+    stable delay range, or both ("interval"): the first window that is not
+    certainly unstable and has a feasible probe, then each end from that
+    probe, the lower first."""
     _check_tol(tol)
-    upper = direction == "upper"
+    t0 = time.perf_counter()
     report = DelayBoundsReport(
         sys.name, params.big_m, params.m, direction, nodv=nodv(params, sys.n_x)
     )
@@ -339,38 +383,18 @@ def _search(
     for window in stability_windows(sys):
         if window.unstable:  # certainly unstable; a count of None is probed
             continue
-        tau_feas = _first_feasible(probe, window, tol)
-        if tau_feas is None:
+        tau_first = _first_feasible(probe, window, tol)
+        if tau_first is None:
             continue
         report.crossings = [
             window.lower or None, window.upper if math.isfinite(window.upper) else None
         ]
-        crossing = report.crossings[upper]
-        beyond = [
-            p.tau for p in report.probes
-            if not p.verified and (p.tau > tau_feas) == upper
-            and window.lower < p.tau < window.upper
-        ]
-        tau_infeas = min(beyond, key=lambda t: abs(t - tau_feas), default=crossing)
-        if tau_infeas is not None:
-            tau_feas, tau_infeas = _refine(probe, report.probes, tau_feas, tau_infeas, tol)
-            if tau_infeas != crossing or not probe(crossing, "close"):
-                return tau_feas, tau_infeas, report
-            report.notes.append(
-                f"characteristic-root crossing tau={crossing!r} probed feasible; "
-                "searching past it"
-            )
-            report.crossings = None  # the bound lies outside this window
-            tau_feas = crossing
-        factor = 2.0 if upper else 0.5
-        for _ in range(_MAX_PROBE_DOUBLINGS):
-            if not upper and tau_feas <= tol:
-                break  # feasible within tol of zero: the range is open there
-            tau = tau_feas * factor
-            if not probe(tau, "bracket"):
-                return (*_refine(probe, report.probes, tau_feas, tau, tol), report)
-            tau_feas = tau
-        return tau_feas, None, report
+        if direction != "upper":
+            report.tau_lower = _bound(probe, report, tau_first, window.lower, tol)
+        if direction != "lower":
+            report.tau_upper = _bound(probe, report, tau_first, window.upper, tol)
+        report.wall_time_s = time.perf_counter() - t0
+        return report
     raise NoFeasiblePointError(
         "no feasible delay found in any delay window that is not certainly "
         "unstable"
@@ -382,16 +406,8 @@ def max_delay(
 ) -> tuple[float, DelayBoundsReport]:
     """Largest certified-stable delay: feasible at the bound, infeasible at
     bound + tol."""
-    t0 = time.perf_counter()
-    tau_feas, tau_infeas, report = _search(sys, params, tol, "upper")
-    if tau_infeas is None:
-        raise BracketError(
-            f"feasible up to tau={tau_feas:g}; no upper crossing found "
-            "(delay-independent stability in the probed range)"
-        )
-    report.tau_upper = tau_feas
-    report.wall_time_s = time.perf_counter() - t0
-    return tau_feas, report
+    report = _search(sys, params, tol, "upper")
+    return report.tau_upper, report
 
 
 def min_delay(
@@ -399,16 +415,8 @@ def min_delay(
 ) -> tuple[float | None, DelayBoundsReport]:
     """Smallest certified-stable delay, or None when feasibility persists
     down to the probe floor (interval open at zero)."""
-    t0 = time.perf_counter()
-    tau_feas, tau_infeas, report = _search(sys, params, tol, "lower")
-    if tau_infeas is None:
-        report.notes.append(
-            f"feasible down to probe floor tau={tau_feas:g}; no lower crossing"
-        )
-        tau_feas = None
-    report.tau_lower = tau_feas
-    report.wall_time_s = time.perf_counter() - t0
-    return tau_feas, report
+    report = _search(sys, params, tol, "lower")
+    return report.tau_lower, report
 
 
 def stability_interval(
@@ -416,28 +424,16 @@ def stability_interval(
 ) -> DelayBoundsReport:
     """Certified stability interval [tau_lower, tau_upper].
 
-    Pointwise bounds come from the min_delay/max_delay searches; the whole
+    Pointwise bounds come from one search for both ends; the whole
     interval is then re-certified with the delay-range LMIs at the found
     endpoints.  A certification failure is reported (range_certified False
     plus a note), never silently shrunk.
     """
     t0 = time.perf_counter()
-    lower, low_report = min_delay(sys, params, tol)
-    upper, up_report = max_delay(sys, params, tol)
-    ends = (low_report.crossings, up_report.crossings)
-    report = replace(
-        up_report,
-        direction="interval",
-        tau_lower=lower,
-        probes=low_report.probes + up_report.probes,
-        # the lower bound's window's lower end, the upper bound's upper end
-        crossings=None if None in ends else [ends[0][0], ends[1][1]],
-        notes=low_report.notes + up_report.notes,
-    )
-    # open at zero: the smallest verified probe (min_delay raises if none)
-    range_low = lower if lower is not None else min(
-        p.tau for p in low_report.probes if p.verified
-    )
+    report = _search(sys, params, tol, "interval")
+    range_low, upper = report.tau_lower, report.tau_upper
+    if range_low is None:  # open at zero: the smallest verified probe (one exists)
+        range_low = min(p.tau for p in report.probes if p.verified)
     program = assemble_delay_range_lmis(sys, params, range_low, upper)
     result = decide_feasibility(program)
     certified = result.status == FEASIBLE and verify_certificate(program, result)
@@ -483,12 +479,10 @@ def hierarchy_sweep(
             except (NoFeasiblePointError, BracketError, ValueError) as exc:
                 errors[(big_m, m)] = str(exc)
     violations = []
-    for (big_m, m), rep in cells.items():
-        if rep.tau_upper is None:
-            continue
+    for (big_m, m), rep in cells.items():  # every cell's max_delay set tau_upper
         for key, label in (((big_m + 1, m), "M"), ((big_m, m + 1), "m")):
             nxt = cells.get(key)
-            if nxt is None or nxt.tau_upper is None:
+            if nxt is None:
                 continue
             if nxt.tau_upper < rep.tau_upper - _COMPARISON_TOL:
                 violations.append(

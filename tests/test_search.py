@@ -314,6 +314,52 @@ def test_uncertain_windows_cost_one_solve_each(monkeypatch):
     assert len(solved) == len(windows)
 
 
+def test_tolerance_wider_than_the_window_still_probes_it(systems):
+    # example1's one stable window is (0, 6.17258): its midpoint is probed
+    # although it lies within tol 4 of the window's lower end, and the
+    # crossing closes the bracket
+    bound, report = max_delay(systems["example1"], HierarchyParams(1, 1), tol=4.0)
+    crossing = report.crossings[1]
+    assert bound == 0.5 * crossing == pytest.approx(3.08629, abs=1e-5)
+    assert [(p.tau, p.verified) for p in report.probes] == [(bound, True), (crossing, None)]
+
+
+def test_halving_stops_at_float_resolution(monkeypatch):
+    # an oracle infeasible everywhere in a window certainly free of unstable
+    # roots: below tol 1e-30 the halving toward 0.3 reaches float resolution
+    # (0.3 + ulp/2 rounds back to a logged delay) and must stop there
+    solved = _counting_oracle(monkeypatch, 0.0, windows=(Window(0.3, 1.0, 0),))
+    calls = []
+    probe = search._probe
+
+    def counted(*args):
+        calls.append(args[-2])
+        if len(calls) > 200:
+            raise AssertionError("the halving did not stop")
+        return probe(*args)
+
+    monkeypatch.setattr(search, "_probe", counted)
+    with pytest.raises(NoFeasiblePointError):
+        max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-30)
+    assert solved == calls and all(0.3 < tau < 1.0 for tau in solved)
+
+
+def test_interval_is_one_search_on_one_log(monkeypatch):
+    _counting_oracle(monkeypatch, 1.2345678)
+    windows = search.stability_windows
+    calls = []
+
+    def counted(sys):
+        calls.append(sys)
+        return windows(sys)
+
+    monkeypatch.setattr(search, "stability_windows", counted)
+    report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
+    assert len(calls) == 1
+    taus = [p.tau for p in report.probes]
+    assert len(set(taus)) == len(taus)
+
+
 def test_interval_crossings_come_from_both_bounds_windows(monkeypatch):
     _counting_oracle(monkeypatch, 1.2345678)
     report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
