@@ -13,26 +13,27 @@ P(s) (x) P(-s) - Q(s) (x) Q(-s) singular, which eliminates the delay:
 the crossing frequencies are the imaginary eigenvalues of that matrix
 polynomial's companion matrix, 2n^2 square when A_d2 = 0 (Louisell,
 IEEE TAC 46(12), 2001) and 4n^2 otherwise (Jarlebring, J. Comput. Appl.
-Math. 224, 2009), where the factor s adds spurious roots at w = 0.  Each
-frequency w with a unit-modulus z, det(P(jw) + z Q(jw)) = 0, crosses at
-the delays tau_0 + 2 pi k / w, where e^{-jw tau_0} = z.  When A_d2 != 0
-a real root also crosses zero wherever det(A + A_d1 + tau A_d2) = 0.
-Every root is refined by Newton's method on the characteristic equation.
+Math. 224, 2009), where the factor s adds spurious roots at w = 0.
+Every crossing is one entry (w, tau_0, change) of one list.  A frequency
+w > 0 with a unit-modulus z, det(P(jw) + z Q(jw)) = 0, crosses at the
+delays tau_0 + 2 pi k / w, where e^{-jw tau_0} = z.  When A_d2 != 0 a
+real root also crosses s = 0 wherever det(A + A_d1 + tau A_d2) = 0: an
+entry with w = 0, which crosses once, at tau_0.  Every root is refined by
+Newton's method on the characteristic equation.
 
 At tau = 0+ the unstable roots are the unstable eigenvalues of A + A_d1.
-The k roots crossing at once (k the dimension of H's null space, more than
-one when, say, two blocks of the system coincide) move by ds/dtau, the
-eigenvalues of -(W^H H_s U)^-1 (W^H H_tau U) with U and W the right and
-left null spaces of H.  Each adds or removes two roots (a conjugate pair)
-or one (a zero root) by the sign of Re ds/dtau.  The signs are the same at
-every delay of one frequency's sequence, so once the count exceeds what
-the sequences could remove it stays positive: the last window, open at
-infinity, is then certainly unstable.  A count that cannot be made
-certain (a root on the axis at tau = 0, a null space not clearly
-separated from H's other singular values, a crossing whose direction is
-ambiguous, a count that would go negative, or no proof within
-`_MAX_CROSSINGS`) is None from there on.  When A_d2 = 0 and A + A_d1 is
-singular, s = 0 is a root at every delay and no window may be stable.
+At a crossing, every root in H's null space (more than one when, say, two
+blocks of the system coincide) adds or removes two roots (a conjugate
+pair) or one (w = 0) by the sign of its Re ds/dtau (`_change`).  The
+signs are the same at every delay of one entry, so once every zero
+crossing is passed and the count exceeds what the others could remove, it
+stays positive: the last window, open at infinity, is then certainly
+unstable.  A count that cannot be made certain (a root on the axis at
+tau = 0, a null space not clearly separated from H's other singular
+values, a crossing whose direction is ambiguous, a count that would go
+negative, or no proof within `_MAX_CROSSINGS`) is None from there on.
+When A_d2 = 0 and A + A_d1 is singular, s = 0 is a root at every delay
+and no window may be stable.
 """
 
 from __future__ import annotations
@@ -64,7 +65,10 @@ class Window:
     """Delays strictly between two neighbouring crossings.  ``lower`` is
     0.0 and ``upper`` math.inf at an open end; ``unstable`` counts the
     characteristic roots with Re s > 0 inside the window (None when it is
-    not certain)."""
+    not certain).  In the last window, open above, it is the count just
+    above ``lower``; a positive count there stays positive at every larger
+    delay but may grow (x' = -x - 2 x(t - tau) has the windows
+    (0, 1.2092, 0) and (1.2092, inf, 2), and 4 unstable roots at tau = 5)."""
 
     lower: float
     upper: float
@@ -120,23 +124,6 @@ def _newton(sys: DelaySystem, omega: float, tau: float, scale: float):
     return float(omega), float(tau)
 
 
-def _rates(sys: DelaySystem, s: complex, tau: float, scale: float):
-    """ds/dtau of each of the roots at s for this tau: the eigenvalues of
-    -(W^H H_s U)^-1 (W^H H_tau U), U and W the right and left null spaces
-    of H.  None when the null space is not clearly separated."""
-    h, h_s, h_tau = _characteristic(sys, s, tau)
-    left, sigma, right = np.linalg.svd(h)
-    sigma = sigma / scale
-    null = sigma <= _ROOT_TOL
-    if not np.any(null) or np.any((sigma > _ROOT_TOL) & (sigma <= _AXIS_TOL)):
-        return None
-    u, w_h = right[null].conj().T, left[:, null].conj().T
-    try:
-        return np.linalg.eigvals(-np.linalg.solve(w_h @ h_s @ u, w_h @ h_tau @ u))
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _pq(sys: DelaySystem, distributed: bool) -> tuple[list, list]:
     """Coefficients (ascending powers of s) of P and Q in
     s^k H(s, tau) = P(s) + e^{-s tau} Q(s)."""
@@ -158,14 +145,17 @@ def _kron_poly(f: list, g: list) -> list:
 def _frequencies(p: list, q: list, distributed: bool, scale: float) -> list[float]:
     """Candidate crossing frequencies w > 0: the near-imaginary eigenvalues
     of the companion matrix of det(P(s) (x) P(-s) - Q(s) (x) Q(-s))."""
-    f = _kron_poly(p, p)
-    for k, term in enumerate(_kron_poly(q, q)):
-        f[k] = f[k] - term
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        f = _kron_poly(p, p)
+        for k, term in enumerate(_kron_poly(q, q)):
+            f[k] = f[k] - term
     lead = f[-1][0, 0]  # (-1)**deg(P) times the identity
     size, degree = f[0].shape[0], len(f) - 1
     companion = np.zeros((degree * size, degree * size))
     companion[:-size, size:] = np.eye((degree - 1) * size)
     companion[-size:] = -np.hstack(f[:-1]) / lead
+    if not np.all(np.isfinite(companion)):
+        raise ValueError("the crossing polynomial overflows: system entries too large")
     roots = np.linalg.eigvals(companion)
     floor = _AXIS_TOL * scale if distributed else 0.0  # the factor s's roots
     return sorted(
@@ -174,10 +164,35 @@ def _frequencies(p: list, q: list, distributed: bool, scale: float) -> list[floa
     )
 
 
-def _sequences(sys: DelaySystem, distributed: bool, scale: float):
-    """Refined (w, tau_0, ds/dtau of each root) of every crossing sequence:
-    the roots jw at tau_0 + 2 pi k / w, k = 0, 1, ..."""
-    found: list[tuple[float, float, np.ndarray | None]] = []
+def _change(sys: DelaySystem, omega: float, tau: float, scale: float) -> int | None:
+    """Unstable roots gained where the roots at s = jw cross at this tau:
+    2 for each conjugate pair (1 for each real root at w = 0) with
+    Re ds/dtau > 0, minus as many for each with Re ds/dtau < 0.  The rates
+    ds/dtau are the eigenvalues of -(W^H H_s U)^-1 (W^H H_tau U), U and W
+    the right and left null spaces of H.  None when the null space is not
+    clearly separated or a direction is not certain."""
+    h, h_s, h_tau = _characteristic(sys, 1j * omega, tau)
+    left, sigma, right = np.linalg.svd(h)
+    sigma = sigma / scale
+    null = sigma <= _ROOT_TOL
+    if not np.any(null) or np.any((sigma > _ROOT_TOL) & (sigma <= _AXIS_TOL)):
+        return None
+    u, w_h = right[null].conj().T, left[:, null].conj().T
+    try:
+        rates = np.linalg.eigvals(-np.linalg.solve(w_h @ h_s @ u, w_h @ h_tau @ u))
+    except np.linalg.LinAlgError:
+        return None
+    if not all(np.isfinite(r) and abs(r.real) > _DIRECTION_TOL * abs(r) for r in rates):
+        return None
+    return (2 if omega else 1) * sum(1 if r.real > 0 else -1 for r in rates)
+
+
+def _crossings(sys: DelaySystem, distributed: bool, scale: float):
+    """Every crossing (w, tau_0, change), refined and listed once: the roots
+    jw at the delays tau_0 + 2 pi k / w, k = 0, 1, ..., or a real root
+    through s = 0 (w = 0) at tau_0 alone, and the unstable roots each
+    passage adds (`_change`)."""
+    starts = []
     p, q = _pq(sys, distributed)
     for omega in _frequencies(p, q, distributed, scale):
         pm, qm = (sum(c * (1j * omega) ** k for k, c in enumerate(poly)) for poly in (p, q))
@@ -190,45 +205,30 @@ def _sequences(sys: DelaySystem, distributed: bool, scale: float):
             tau0 = (np.angle(w) % (2 * math.pi)) / omega  # e^{-jw tau} = z = 1/w
             if tau0 <= 0.0:
                 tau0 += 2 * math.pi / omega
-            root = _newton(sys, omega, tau0, scale)
-            if root is None:
-                continue
-            om, t0 = root
+            starts.append((omega, tau0))
+    if distributed:  # s = 0 is a root where det(A + A_d1 + tau A_d2) = 0
+        try:
+            inv_tau = np.linalg.eigvals(-np.linalg.solve(sys.a + sys.a_d1, sys.a_d2))
+        except np.linalg.LinAlgError:  # a zero root at tau = 0: counts uncertain anyway
+            inv_tau = []
+        starts += [(0.0, 1.0 / mu.real) for mu in inv_tau
+                   if mu.real > 0 and abs(mu.imag) <= _AXIS_TOL * abs(mu)]
+    found: list[tuple[float, float, int | None]] = []
+    for start in starts:
+        root = _newton(sys, *start, scale)
+        if root is None:
+            continue
+        om, t0 = root
+        if om > 0:
             period = 2 * math.pi / om
             t0 = t0 % period or period
-            if not any(abs(om - o) <= 1e-8 * om and abs(t0 - t) <= 1e-8 * period
-                       for o, t, _ in found):
-                found.append((om, t0, _rates(sys, 1j * om, t0, scale)))
+            seen = any(abs(om - o) <= 1e-8 * om and abs(t0 - t) <= 1e-8 * period
+                       for o, t, _ in found)
+        else:
+            seen = any(o == 0 and abs(t0 - t) <= 1e-12 * t for o, t, _ in found)
+        if not seen:
+            found.append((om, t0, _change(sys, om, t0, scale)))
     return found
-
-
-def _zero_crossings(sys: DelaySystem, scale: float):
-    """Refined (tau, ds/dtau of each root) of the delays where
-    det(A + A_d1 + tau A_d2) = 0, i.e. where real roots pass through s = 0."""
-    base = sys.a + sys.a_d1
-    try:
-        inv_tau = np.linalg.eigvals(-np.linalg.solve(base, sys.a_d2))
-    except np.linalg.LinAlgError:  # a zero root at tau = 0: counts uncertain anyway
-        return []
-    out = []
-    for mu in inv_tau:
-        if mu.real <= 0 or abs(mu.imag) > _AXIS_TOL * abs(mu):
-            continue
-        root = _newton(sys, 0.0, 1.0 / mu.real, scale)
-        if root is not None and not any(abs(root[1] - t) <= 1e-12 * t for t, _ in out):
-            out.append((root[1], _rates(sys, 0.0, root[1], scale)))
-    return out
-
-
-def _change(rates: np.ndarray | None, per_root: int) -> int | None:
-    """Unstable roots gained at a crossing whose roots move at ds/dtau =
-    rates, each standing for ``per_root`` roots (2 for a conjugate pair);
-    None when the roots or a direction are not certain."""
-    if rates is None or not all(
-        np.isfinite(r) and abs(r.real) > _DIRECTION_TOL * abs(r) for r in rates
-    ):
-        return None
-    return per_root * sum(1 if r.real > 0 else -1 for r in rates)
 
 
 def stability_windows(sys: DelaySystem) -> list[Window]:
@@ -245,37 +245,32 @@ def stability_windows(sys: DelaySystem) -> list[Window]:
         return []
     count = (None if np.any(np.abs(start.real) <= _ROOT_TOL * scale)
              else int(np.sum(start.real > 0)))
-    sequences = [(om, t0, _change(rate, 2)) for om, t0, rate in
-                 _sequences(sys, distributed, scale)]
-    zeros = sorted((t, _change(rate, 1)) for t, rate in
-                   (_zero_crossings(sys, scale) if distributed else []))
+    crossings = _crossings(sys, distributed, scale)
     # once past the zero crossings, a count of at least sum |change| stays
-    # positive if the sequences' mean drift (sum of w * change) is positive,
-    # and any positive count does if no sequence removes roots
-    certain = all(ch is not None for _, _, ch in sequences)
-    removing = any(ch is not None and ch < 0 for _, _, ch in sequences)
-    drift = sum(om * ch for om, _, ch in sequences) if certain else 0.0
-    reach = sum(abs(ch) for _, _, ch in sequences) if certain else 0
-    events = [(t, ch) for t, ch in zeros]
-    events += [(t0, ch) for _, t0, ch in sequences]
-    counters = [0] * len(sequences)
+    # positive if the recurring crossings' mean drift (sum of w * change) is
+    # positive, and any positive count does if none of them removes roots
+    recurring = [(om, ch) for om, _, ch in crossings if om > 0]
+    certain = all(ch is not None for _, ch in recurring)
+    removing = any(ch is not None and ch < 0 for _, ch in recurring)
+    drift = sum(om * ch for om, ch in recurring) if certain else 0.0
+    reach = sum(abs(ch) for _, ch in recurring) if certain else 0
+    counters = [0] * len(crossings)  # the delays of each crossing passed
+    upcoming = [t0 for _, t0, _ in crossings]  # the next one (none after a zero root's)
     windows: list[Window] = []
     lower = 0.0
     while True:
         done = (certain and count is not None and count > 0
-                and not any(t > lower for t, _ in zeros)
+                and all(om > 0 or k for (om, _, _), k in zip(crossings, counters))
                 and (not removing or (drift > 0 and count >= reach)))
-        if done or not events:
+        tau = min(upcoming, default=math.inf)
+        if done or tau == math.inf:
             return windows + [Window(lower, math.inf, count)]
         if len(windows) == _MAX_CROSSINGS:
             return windows + [Window(lower, math.inf, None)]
-        tau = min(t for t, _ in events)
         windows.append(Window(lower, tau, count))
-        for t, ch in [e for e in events if e[0] <= tau * (1 + 1e-12)]:
-            count = None if count is None or ch is None or count + ch < 0 else count + ch
-        lower = tau
-        events = [(t, ch) for t, ch in zeros if t > tau * (1 + 1e-12)]
-        for i, (om, t0, ch) in enumerate(sequences):
-            while t0 + 2 * math.pi * counters[i] / om <= tau * (1 + 1e-12):
+        for i, (om, t0, ch) in enumerate(crossings):
+            if upcoming[i] <= tau * (1 + 1e-12):
+                count = None if count is None or ch is None or count + ch < 0 else count + ch
                 counters[i] += 1
-            events.append((t0 + 2 * math.pi * counters[i] / om, ch))
+                upcoming[i] = t0 + 2 * math.pi * counters[i] / om if om > 0 else math.inf
+        lower = tau

@@ -517,13 +517,15 @@ def decide_feasibility(program: ConeProgram) -> FeasibilityResult:
 def verify_certificate(program: ConeProgram, result: FeasibilityResult) -> bool:
     """Independently re-check a feasible certificate via eigenvalues.
 
-    Returns True iff every block sum_i y_i F_k[i], at the solver's own
-    vector y, is strictly positive definite.
+    Returns True iff the solver's own vector y is finite and every block
+    sum_i y_i F_k[i] at it is strictly positive definite.
     """
     if not result.feasible:
         raise ValueError("certificate verification requires a feasible result")
+    if not np.all(np.isfinite(result.certificate)):
+        return False
     for stack in program.blocks:
         mat = np.tensordot(result.certificate, stack, axes=1)
-        if np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] <= 0:
+        if not np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] > 0:  # NaN fails too
             return False
     return True

@@ -59,10 +59,9 @@ def load_system(path: str | Path) -> tuple[DelaySystem, dict]:
         ) from exc
     if not isinstance(doc, dict):
         raise SystemFileError(f"{path}: top-level JSON value must be an object")
-    try:
-        n_x = int(doc["n_x"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemFileError(f"{path}: missing or invalid 'n_x'") from exc
+    n_x = doc.get("n_x")
+    if not isinstance(n_x, int) or isinstance(n_x, bool):
+        raise SystemFileError(f"{path}: missing or invalid 'n_x' (a JSON integer)")
     if n_x < 1:
         raise SystemFileError(f"{path}: n_x must be >= 1")
     if "A" not in doc or "A_d1" not in doc:

@@ -333,3 +333,40 @@ def characteristic_minimum(a, d1, tau, w_hi=3.0, d2=None):
     padded = np.concatenate(([np.inf], vals, [np.inf]))
     minima = np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:]))
     return min(refine(grid[max(k - 1, 0):k + 2], vals[max(k - 1, 0):k + 2]) for k in minima)
+
+
+# ---------------------------------------------------------------------------
+# Spectral oracle: the unstable characteristic roots at one delay, from a
+# collocation of the system's infinitesimal generator, independent of the
+# crossing computation.
+# ---------------------------------------------------------------------------
+
+
+def unstable_root_count(a, a_d1, a_d2, tau, degree=50):
+    """Characteristic roots with Re s > 1e-7 at the delay tau, counted
+    among the eigenvalues of a Chebyshev collocation of the infinitesimal
+    generator on [-tau, 0] (Breda, Maset & Vermiglio, SIAM J. Sci. Comput.
+    27, 2005).  The state is sampled at the Chebyshev points theta_0 = 0 >
+    ... > theta_N = -tau (N = degree); rows 1..N differentiate, and row 0
+    is x'(0) = A x(0) + A_d1 x(-tau) + A_d2 int_{-tau}^0 x with the integral
+    by Clenshaw-Curtis weights.  Only eigenvalues with |s| < N^2 / (2 tau)
+    count: the larger ones belong to the discretization."""
+    n, big_n = a.shape[0], degree
+    a_d2 = np.zeros_like(a) if a_d2 is None else a_d2
+    k = np.arange(big_n + 1)
+    angle = np.pi * k / big_n
+    x = np.cos(angle)  # theta = tau (x - 1) / 2
+    c = np.where((k == 0) | (k == big_n), 2.0, 1.0) * (-1.0) ** k
+    diff = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(big_n + 1))
+    diff -= np.diag(diff.sum(axis=1))  # d/dx at the points (Trefethen, cheb)
+    j = np.arange(1, big_n // 2 + 1)
+    b = np.where(2 * j == big_n, 1.0, 2.0)
+    weights = (1.0 - (b / (4.0 * j**2 - 1.0)) @ np.cos(2.0 * np.outer(j, angle))) / big_n
+    weights[1:-1] *= 2.0  # int_{-1}^1 f dx ~ weights @ f(x)
+    gen = np.kron(2.0 / tau * diff, np.eye(n))
+    gen[:n] = np.kron(0.5 * tau * weights, a_d2)
+    gen[:n, :n] += a
+    gen[:n, -n:] += a_d1
+    lam = np.linalg.eigvals(gen)
+    lam = lam[np.abs(lam) < big_n**2 / (2.0 * tau)]
+    return int(np.sum(lam.real > 1e-7))

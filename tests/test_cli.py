@@ -73,6 +73,8 @@ def test_missing_distributed_matrix_defaults_to_zero(tmp_path):
         {"n_x": 2, "A": [[1, 0]], "A_d1": [[1, 0], [0, 1]]},  # bad shape
         {"n_x": 0, "A": [], "A_d1": []},
         {"n_x": 2, "A": [[1, "x"], [0, 1]], "A_d1": [[1, 0], [0, 1]]},
+        {"n_x": 2.5, "A": [[1, 0], [0, 1]], "A_d1": [[1, 0], [0, 1]]},  # not an integer
+        {"n_x": True, "A": [[-1.0]], "A_d1": [[0.5]]},  # a bool, not 1
     ],
 )
 def test_malformed_documents_rejected(tmp_path, doc):

@@ -2,17 +2,19 @@
 bundled systems' analytical margins, closed forms and the independent
 frequency sweep of tests/oracles.py."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import delaymargin.search as search
+from delaymargin.cli import EXIT_INPUT, main
 from delaymargin.crossings import Window, stability_windows
 from delaymargin.lmi import DelaySystem, HierarchyParams
 from delaymargin.search import NoFeasiblePointError, max_delay
 from delaymargin.systems import BUNDLED_SYSTEMS, bundled_system
-from oracles import characteristic_minimum
+from oracles import characteristic_minimum, unstable_root_count
 
 # the crossings below the first certainly unstable window, to six decimals
 _BUNDLED_CROSSINGS = {
@@ -78,6 +80,42 @@ def test_random_crossings_are_characteristic_roots():
             sys = DelaySystem(g1 - shift * np.eye(n_x), g2, name=f"random-{n_x}-{k}")
             found += _assert_roots_at_crossings(sys)
     assert found >= 15
+
+
+def _random_system(rng, n_x: int, distributed: bool, name: str) -> DelaySystem:
+    """The recipe above, with a standard-normal A_d2 when ``distributed``."""
+    g1 = rng.standard_normal((n_x, n_x))
+    g2 = rng.standard_normal((n_x, n_x))
+    shift = np.linalg.eigvals(g1 + g2).real.max() + rng.uniform(-1.0, 1.0)
+    a_d2 = rng.standard_normal((n_x, n_x)) if distributed else None
+    return DelaySystem(g1 - shift * np.eye(n_x), g2, a_d2, name=name)
+
+
+def test_random_window_counts_match_the_generator_spectrum():
+    # every certain count against the unstable eigenvalues of a collocated
+    # generator: a bounded window's at its midpoint, and the last window's
+    # (the count just above its lower end) at least in sign one past it
+    rng = np.random.default_rng(19)
+    checked = odd_steps = 0
+    for k in range(60):
+        sys = _random_system(rng, 1 + k % 3, k % 2 == 1, f"random-{k}")
+        windows = stability_windows(sys)
+        for w in windows:
+            tau = 0.5 * (w.lower + w.upper) if math.isfinite(w.upper) else w.lower + 1.0
+            if w.unstable is None or tau > 15.0:
+                continue
+            oracle = unstable_root_count(sys.a, sys.a_d1, sys.a_d2, tau)
+            if math.isfinite(w.upper) or w.unstable == 0:
+                assert oracle == w.unstable, (sys.name, w, oracle)
+            else:
+                assert oracle > 0, (sys.name, w, oracle)
+            checked += 1
+        # only a real root crossing s = 0 changes the count by an odd number
+        odd_steps += any(
+            None not in (u.unstable, v.unstable) and (u.unstable - v.unstable) % 2
+            for u, v in zip(windows, windows[1:])
+        )
+    assert checked >= 100 and odd_steps >= 5, (checked, odd_steps)
 
 
 def _scalar_blocks(blocks) -> DelaySystem:
@@ -213,3 +251,17 @@ def test_max_delay_finds_the_doubled_example3_window():
     # the block-diagonal system's bound is example3's own
     single, _ = max_delay(bundled_system("example3")[0], HierarchyParams(1, 1), tol=1e-3)
     assert bound == pytest.approx(single, abs=2e-3)
+
+
+def test_an_overflowing_crossing_polynomial_is_an_input_error(capsys, tmp_path):
+    # entries of 1e160 overflow the Kronecker products of the crossing
+    # polynomial (1e320); at 1e150 they still fit and the margin scales
+    with pytest.raises(ValueError, match="overflows") as info:
+        stability_windows(DelaySystem([[-1e160]], [[-2e160]]))
+    assert not isinstance(info.value, np.linalg.LinAlgError)  # not a solver breakdown
+    (first, last) = stability_windows(DelaySystem([[-1e150]], [[-2e150]]))
+    assert first.upper == pytest.approx(_scalar_margin(1.0, 2.0) * 1e-150, rel=1e-12)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_x": 1, "A": [[-1e160]], "A_d1": [[-2e160]]}))
+    assert main(["bounds", "--system", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: the crossing polynomial overflows")

@@ -394,6 +394,18 @@ def test_verify_requires_feasible_result():
         verify_certificate(program, res)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_verify_rejects_a_non_finite_certificate(value):
+    # NaN eigenvalues compare False with 0, so only an explicit finiteness
+    # check keeps [nan] and [inf] from passing as certificates
+    program = ConeProgram([np.eye(2)[None]])
+    res = solve(program)
+    assert res.status == FEASIBLE
+    assert verify_certificate(program, res)
+    res.certificate = np.array([value])
+    assert not verify_certificate(program, res)
+
+
 def test_verify_checks_any_cone_program():
     # rotated balance: eigenvalues y_1 and 2 y_0 - y_1, optimum y = (1, 1)
     program = oracle_cases()[6][1]
