@@ -237,10 +237,15 @@ def stability_windows(sys: DelaySystem) -> list[Window]:
     count of unstable roots.  Crossings are listed until the count is
     certainly positive at every larger delay (or for `_MAX_CROSSINGS`
     crossings, after which the last window's count is None).  Empty when
-    a root stays at s = 0 for every delay."""
-    scale = 1.0 + max(np.linalg.norm(m, 2) for m in (sys.a, sys.a_d1, sys.a_d2))
+    a root stays at s = 0 for every delay.  Raises ValueError when A + A_d1
+    or a matrix norm overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scale = 1.0 + max(np.linalg.norm(m, 2) for m in (sys.a, sys.a_d1, sys.a_d2))
+        total = sys.a + sys.a_d1
+    if not (math.isfinite(scale) and np.all(np.isfinite(total))):
+        raise ValueError("the system overflows: A + A_d1 or a matrix norm is not finite")
     distributed = bool(np.any(sys.a_d2))
-    start = np.linalg.eigvals(sys.a + sys.a_d1)
+    start = np.linalg.eigvals(total)
     if not distributed and np.any(np.abs(start) <= _ROOT_TOL * scale):
         return []
     count = (None if np.any(np.abs(start.real) <= _ROOT_TOL * scale)

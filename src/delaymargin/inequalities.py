@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import RationalPolynomial, rodrigues_poly
+from .polynomials import RationalPolynomial, inner_product, rodrigues_poly
 from .projection import derivative_moment_map, projection_form, weighted_moment_map
 
 __all__ = [
@@ -111,7 +111,7 @@ class PolynomialVectorFunction:
         width = self.b - self.a
         basis = rodrigues_poly(0, l)
         return np.array(
-            [float(width * (basis * g).integral()) for g in self._unit]
+            [float(width * inner_product(0, basis, g)) for g in self._unit]
         )
 
     def exact_functional(self, weight: np.ndarray, m: int) -> float:
@@ -121,7 +121,7 @@ class PolynomialVectorFunction:
         gram = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                val = (self._unit[i] * self._unit[j]).shift_exponents(m).integral()
+                val = inner_product(m, self._unit[i], self._unit[j])
                 gram[i, j] = gram[j, i] = float(val)
         return float(width * np.sum(np.asarray(weight) * gram))
 

@@ -1,9 +1,14 @@
 """Exact orthogonal polynomials on [0, 1] under the weight x**m.
 
-Everything in this module is carried out in rational arithmetic
-(`fractions.Fraction`), so orthogonality relations and change-of-basis
-identities hold bit-exactly.  Floats enter the toolkit only later, when
-matrices are handed to the semidefinite solver.
+Everything in this module is exact rational arithmetic, so orthogonality
+relations and change-of-basis identities hold bit-exactly.  Coefficients
+are stored as `fractions.Fraction`; the kernels (products, affine
+composition and the weighted integral) run on the integer numerators over
+a common denominator and form one `Fraction` per result coefficient, so
+they return the same rationals as coefficient-by-coefficient `Fraction`
+arithmetic.  ``inner_product`` is the one kernel for int_0^1 x**m p q dx.
+Floats enter the toolkit only later, when matrices are handed to the
+semidefinite solver.
 
 The central object is the two-parameter Rodrigues family
 
@@ -16,6 +21,7 @@ R(m, .) is orthogonal with respect to  <p, q>_m = int_0^1 x^m p q dx.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,13 +90,9 @@ class RationalPolynomial:
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not self.coeffs or not other.coeffs:
             return RationalPolynomial.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial.from_coeffs(out)
+        a, da = _numerators(self)
+        b, db = _numerators(other)
+        return _over(_convolve(a, b), da * db)
 
     def scale(self, c: int | Fraction) -> "RationalPolynomial":
         c = Fraction(c)
@@ -121,13 +123,25 @@ class RationalPolynomial:
         )
 
     def compose_affine(self, alpha: Fraction, beta: Fraction) -> "RationalPolynomial":
-        """Exact composition p(alpha + beta * x), Horner style."""
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        arg = RationalPolynomial.from_coeffs((alpha, beta))
-        out = RationalPolynomial.zero()
-        for c in reversed(self.coeffs):
-            out = out * arg + RationalPolynomial.from_coeffs((c,))
-        return out
+        """Exact composition p(alpha + beta * x), Horner style.
+
+        With alpha = a/d, beta = b/d and c_k = C_k / D, Horner runs on
+        integers: sum C_k (a + b x)**k d**(n-1-k), n = len(coeffs), is then
+        divided once by D d**(n-1).
+        """
+        if not self.coeffs:
+            return self
+        (a, da), (b, db) = Fraction(alpha).as_integer_ratio(), Fraction(beta).as_integer_ratio()
+        d = math.lcm(da, db)
+        a, b = a * (d // da), b * (d // db)
+        nums, den = _numerators(self)
+        out = [nums[-1]]
+        power = 1  # d**(n-1-k) for the coefficient k added next
+        for c in reversed(nums[:-1]):
+            power *= d
+            out = [a * hi + b * lo for hi, lo in zip(out + [0], [0] + out)]
+            out[0] += c * power
+        return _over(out, den * power)
 
     def eval(self, x: int | Fraction) -> Fraction:
         """Exact Horner evaluation."""
@@ -139,7 +153,32 @@ class RationalPolynomial:
 
     def integral(self) -> Fraction:
         """Exact integral over [0, 1]: sum c_k / (k + 1)."""
-        return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), _ZERO)
+        return inner_product(0, self, RationalPolynomial.one())
+
+
+def _numerators(p: RationalPolynomial) -> tuple[list[int], int]:
+    """p's coefficients as integer numerators over the lcm of their
+    denominators."""
+    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    d = math.lcm(*[q for _, q in ratios])
+    return [n * (d // q) for n, q in ratios], d
+
+
+def _over(nums: list[int], den: int) -> RationalPolynomial:
+    """The polynomial with coefficients nums[k] / den (den > 0)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    return RationalPolynomial(tuple(Fraction(c, den) for c in nums))
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two nonempty integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -174,11 +213,21 @@ def inner_product(
 ) -> Fraction:
     """Exact weighted inner product  int_0^1 x**m p(x) q(x) dx.
 
-    For the Rodrigues family this returns delta_ij / (m + 2n + 1).
+    For the Rodrigues family this returns delta_ij / (m + 2n + 1).  With
+    integer numerators a_i / D_p and b_j / D_q, it is
+    sum a_i b_j (L / (i + j + m + 1)) / (L D_p D_q), all in integers, where
+    L = lcm(m + 1, ..., m + deg p + deg q + 1).
     """
     if m < 0:
         raise ValueError("weight exponent m must be >= 0")
-    return (p * q).shift_exponents(m).integral()
+    if not p.coeffs or not q.coeffs:
+        return _ZERO
+    a, da = _numerators(p)
+    b, db = _numerators(q)
+    prod = _convolve(a, b)
+    big_l = math.lcm(*range(m + 1, m + len(prod) + 1))
+    total = sum(c * (big_l // (k + m + 1)) for k, c in enumerate(prod))
+    return Fraction(total, big_l * da * db)
 
 
 def monomial_to_basis_matrix(

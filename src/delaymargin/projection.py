@@ -138,9 +138,16 @@ def projection_form(proj: np.ndarray, m: int, weight: np.ndarray) -> np.ndarray:
     nu + 1 the rows of proj: the weight W scaled by the inverse squared
     norms of the weighted Rodrigues polynomials j = 0..nu, pulled back
     through a moment map of depth m."""
-    u = np.kron(proj, np.eye(weight.shape[0]))
+    u = _kron(proj, np.eye(weight.shape[0]))
     factors = np.arange(m + 1, m + 2 * proj.shape[0], 2, dtype=float)
-    return u.T @ np.kron(np.diag(factors), weight) @ u
+    return u.T @ _kron(np.diag(factors), weight) @ u
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices by one broadcast product: the same entries,
+    without np.kron's general-shape handling."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """Test-only oracles, evaluated independently of the code paths in
 ``delaymargin`` they are checked against: float point evaluation of the
-exact polynomials, literal repeated-integral forms of the weighted
-functionals, the stability LMI blocks stated directly at one delay in
-terms of the decision matrices, and a frequency sweep of the
-characteristic determinant."""
+exact polynomials, the exact polynomial kernels stated coefficient by
+coefficient in `Fraction` arithmetic, literal repeated-integral forms of
+the weighted functionals, the projection form through `np.kron`, the
+stability LMI blocks stated directly at one delay in terms of the
+decision matrices, and a frequency sweep of the characteristic
+determinant."""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from delaymargin.inequalities import FunctionalSpec, PolynomialVectorFunction
 from delaymargin.lmi import DelaySystem, HierarchyParams, VariableLayout
-from delaymargin.polynomials import RationalPolynomial
+from delaymargin.polynomials import RationalPolynomial, rodrigues_poly
 from delaymargin.projection import (
     derivative_moment_map,
     legendre_derivative_map,
@@ -80,6 +83,68 @@ def functional_value_nested(spec: FunctionalSpec, f: PolynomialVectorFunction) -
 
     raw = nested_integral(g, spec.a, spec.b, folds=spec.m)
     return math.factorial(spec.m) / spec.width**spec.m * raw
+
+
+# ---------------------------------------------------------------------------
+# Exact kernels, one Fraction operation at a time.
+# ---------------------------------------------------------------------------
+
+
+def poly_mul(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
+    """p q by coefficient convolution."""
+    if not p.coeffs or not q.coeffs:
+        return RationalPolynomial.zero()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return RationalPolynomial.from_coeffs(out)
+
+
+def poly_integral(p: RationalPolynomial) -> Fraction:
+    """int_0^1 p = sum c_k / (k + 1)."""
+    return sum((c / (k + 1) for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def poly_compose_affine(p: RationalPolynomial, alpha: Fraction, beta: Fraction) -> RationalPolynomial:
+    """p(alpha + beta x) by Horner's rule through the product."""
+    arg = RationalPolynomial.from_coeffs((alpha, beta))
+    out = RationalPolynomial.zero()
+    for c in reversed(p.coeffs):
+        out = poly_mul(out, arg) + RationalPolynomial.from_coeffs((c,))
+    return out
+
+
+def poly_inner_product(m: int, p: RationalPolynomial, q: RationalPolynomial) -> Fraction:
+    """int_0^1 x**m p q as the product's integral."""
+    return poly_integral(poly_mul(p, q).shift_exponents(m))
+
+
+def _unit_components(f: PolynomialVectorFunction) -> list[RationalPolynomial]:
+    return [poly_compose_affine(c, f.a, f.b - f.a) for c in f.components]
+
+
+def moments_naive(f: PolynomialVectorFunction, big_m: int) -> np.ndarray:
+    """The (M, n) Legendre moments of f through the naive kernels."""
+    width = f.b - f.a
+    return np.array([
+        [float(width * poly_inner_product(0, rodrigues_poly(0, l), g)) for g in _unit_components(f)]
+        for l in range(big_m)
+    ])
+
+
+def functional_value_naive(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float:
+    """J(f) through the naive kernels, summed as `functional_value` sums."""
+    unit = _unit_components(f)
+    gram = np.array([[float(poly_inner_product(spec.m, u, v)) for v in unit] for u in unit])
+    return float((f.b - f.a) * np.sum(spec.weight * gram))
+
+
+def kron_projection_form(proj: np.ndarray, m: int, weight: np.ndarray) -> np.ndarray:
+    """`projection.projection_form` with its Kronecker factors from np.kron."""
+    u = np.kron(proj, np.eye(weight.shape[0]))
+    factors = np.arange(m + 1, m + 2 * proj.shape[0], 2, dtype=float)
+    return u.T @ np.kron(np.diag(factors), weight) @ u
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ def test_bounds_input_errors(capsys, tmp_path):
         assert code == EXIT_INPUT and "tolerance must be positive" in err
 
 
+@pytest.mark.parametrize("a,a_d1,message", [
+    (-1e160, -2e160, "error: the crossing polynomial overflows"),
+    (-1.5e308, -1.5e308, "error: the system overflows"),  # A + A_d1 = -inf
+])
+def test_bounds_overflowing_system_is_input_error(capsys, tmp_path, a, a_d1, message):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_x": 1, "A": [[a]], "A_d1": [[a_d1]]}))
+    code, _, err = run_cli(capsys, "bounds", "--system", str(path))
+    assert code == EXIT_INPUT
+    assert err.startswith(message) and "Traceback" not in err
+
+
 def test_bounds_no_feasible_point(capsys, tmp_path):
     path = tmp_path / "unstable.json"
     path.write_text(json.dumps({"n_x": 1, "A": [[1.0]], "A_d1": [[0.0]]}))

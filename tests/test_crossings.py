@@ -265,3 +265,13 @@ def test_an_overflowing_crossing_polynomial_is_an_input_error(capsys, tmp_path):
     path.write_text(json.dumps({"n_x": 1, "A": [[-1e160]], "A_d1": [[-2e160]]}))
     assert main(["bounds", "--system", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: the crossing polynomial overflows")
+
+
+@pytest.mark.parametrize("a,a_d1", [
+    ([[-1.5e308]], [[-1.5e308]]),  # A + A_d1 overflows to -inf
+    ([[1e308, 1e308], [1e308, 1e308]], [[-1e308, -1e308], [-1e308, -1e308]]),  # ||A|| = inf
+])
+def test_an_overflowing_system_is_an_input_error(a, a_d1):
+    with pytest.raises(ValueError, match="overflows") as info:
+        stability_windows(DelaySystem(a, a_d1))
+    assert not isinstance(info.value, np.linalg.LinAlgError)  # not a solver breakdown

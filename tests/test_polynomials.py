@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
+from delaymargin.inequalities import FunctionalSpec, functional_value, moments
 from delaymargin.polynomials import (
     RationalPolynomial,
     expand_in_shifted_legendre,
@@ -12,6 +14,15 @@ from delaymargin.polynomials import (
     monomial_to_basis_matrix,
     poly_weighted,
     rodrigues_poly,
+)
+from delaymargin.verification import _random_case
+from oracles import (
+    functional_value_naive,
+    moments_naive,
+    poly_compose_affine,
+    poly_inner_product,
+    poly_integral,
+    poly_mul,
 )
 
 F = Fraction
@@ -142,3 +153,64 @@ def test_expand_in_shifted_legendre_roundtrip():
     assert recon == p
     with pytest.raises(ValueError):
         expand_in_shifted_legendre(p, 1)
+
+
+# ---------------------------------------------------------------------------
+# The integer-numerator kernels against one-Fraction-at-a-time oracles.
+# ---------------------------------------------------------------------------
+
+_KERNEL_CASES = 600
+
+
+def _random_poly(rng: np.random.Generator) -> RationalPolynomial:
+    """Degree -1 (zero) to 10, some zero coefficients, mixed denominators."""
+    degree = int(rng.integers(-1, 11))
+    return RationalPolynomial.from_coeffs(
+        F(int(rng.integers(-9, 10)) * int(rng.random() < 0.85), int(rng.integers(1, 13)))
+        for _ in range(degree + 1)
+    )
+
+
+def _kernel_polys():
+    """The zero polynomial and two constants, then seeded random ones."""
+    rng = np.random.default_rng(20260)
+    fixed = [RationalPolynomial.zero(), RationalPolynomial.one(), RationalPolynomial.from_coeffs((F(-3, 7),))]
+    return fixed + [_random_poly(rng) for _ in range(_KERNEL_CASES)]
+
+
+def _fraction(rng: np.random.Generator) -> Fraction:
+    return F(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+
+
+def test_product_and_integral_match_the_fraction_oracles():
+    polys = _kernel_polys()
+    for p, q in zip(polys, polys[1:] + polys[:1]):
+        assert p * q == poly_mul(p, q)
+        assert p.integral() == poly_integral(p)
+
+
+def test_compose_affine_matches_the_fraction_oracle():
+    rng = np.random.default_rng(20261)
+    for k, p in enumerate(_kernel_polys()):
+        # negative and fractional alpha, fractional beta; beta = 0 every 50th
+        alpha, beta = _fraction(rng), _fraction(rng) if k % 50 else F(0)
+        assert p.compose_affine(alpha, beta) == poly_compose_affine(p, alpha, beta)
+
+
+def test_inner_product_matches_the_fraction_oracle():
+    polys = _kernel_polys()
+    for k, (p, q) in enumerate(zip(polys, polys[2:] + polys[:2])):
+        m = k % 7
+        assert inner_product(m, p, q) == poly_inner_product(m, p, q)
+
+
+def test_moments_and_functional_value_match_the_naive_kernels():
+    # the battery's own random cases, so the floats are the ones `verify` checks
+    rng = np.random.default_rng(20262)
+    for _ in range(60):
+        f, weight, m, big_m, a, b = _random_case(rng)
+        spec = FunctionalSpec(weight, m, a, b)
+        assert np.array_equal(moments(f, big_m), moments_naive(f, big_m))
+        assert functional_value(spec, f) == functional_value_naive(spec, f)
+        df = f.derivative()
+        assert functional_value(spec, df) == functional_value_naive(spec, df)

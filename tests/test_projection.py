@@ -19,7 +19,8 @@ from delaymargin.projection import (
     projection_form,
     weighted_moment_map,
 )
-from oracles import _weighted_congruence
+from delaymargin.lmi import _svec_basis
+from oracles import _weighted_congruence, kron_projection_form
 
 F = Fraction
 
@@ -149,6 +150,30 @@ def test_projection_form_matches_the_oracle_congruence(n):
                     assert np.abs(got - want).max() <= 1e-12 * scale
                     checked += 1
     assert checked == 140
+
+
+def test_projection_form_is_bitwise_the_kron_form():
+    # random maps (one row, n = 1 included) and random signed weights
+    rng = np.random.default_rng(31)
+    for rows, cols, n in [(1, 1, 1), (1, 4, 2), (3, 1, 1), (2, 5, 3), (4, 6, 4), (5, 3, 2)]:
+        proj = rng.normal(size=(rows, cols))
+        g = rng.normal(size=(n, n))
+        weight = g + g.T
+        for m in range(4):
+            assert np.array_equal(projection_form(proj, m, weight), kron_projection_form(proj, m, weight))
+    # the maps and basis matrices `lmi` compiles, M = 1..4, depths 0..3
+    for n in (1, 2, 3):
+        for big_m in range(1, 5):
+            for m in range(4):
+                for largest, moment_map in (
+                    (max_weighted_order(m, big_m), weighted_moment_map),
+                    (max_derivative_order(m, big_m), derivative_moment_map),
+                ):
+                    if largest < 0:
+                        continue
+                    proj = moment_map(m, largest, big_m).as_array()
+                    for b in _svec_basis(n):
+                        assert np.array_equal(projection_form(proj, m, b), kron_projection_form(proj, m, b))
 
 
 def test_legendre_derivative_map_examples():
