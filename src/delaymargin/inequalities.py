@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import RationalPolynomial, inner_product, rodrigues_poly
+from .polynomials import RationalPolynomial, inner_product_ratio, rodrigues_poly
 from .projection import derivative_moment_map, projection_form, weighted_moment_map
 
 __all__ = [
@@ -53,8 +53,8 @@ class FunctionalSpec:
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
         object.__setattr__(self, "weight", w)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weight must be a square matrix")
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or not w.size:
+            raise ValueError("weight must be a nonempty square matrix")
         largest = float(np.abs(w).max(initial=0.0))  # nan or inf if not finite
         if not np.isfinite(largest):
             raise ValueError("weight must be finite")
@@ -82,7 +82,8 @@ class PolynomialVectorFunction:
     """Vector of exact rational polynomials in s, on an exact interval.
 
     When the interval endpoints are rationals, every moment and functional
-    value reduces to exact polynomial integration on [0, 1].
+    value reduces to exact polynomial integration on [0, 1], and each float
+    this class returns is one integer division of the exact rational.
     """
 
     def __init__(
@@ -98,6 +99,7 @@ class PolynomialVectorFunction:
         if not self.b > self.a:
             raise ValueError("interval must satisfy b > a")
         width = self.b - self.a
+        self._width = width.as_integer_ratio()
         # components composed to live on [0, 1]
         self._unit = [c.compose_affine(self.a, width) for c in self.components]
 
@@ -108,26 +110,25 @@ class PolynomialVectorFunction:
 
     def exact_moment(self, l: int) -> np.ndarray:
         """int_a^b R(0,l)((s-a)/width) f(s) ds, exact, returned as floats."""
-        width = self.b - self.a
-        basis = rodrigues_poly(0, l)
-        return np.array(
-            [float(width * inner_product(0, basis, g)) for g in self._unit]
-        )
+        (wn, wd), basis = self._width, rodrigues_poly(0, l)
+        ratios = [inner_product_ratio(0, basis, g) for g in self._unit]
+        return np.array([wn * n / (wd * d) for n, d in ratios])
 
     def exact_functional(self, weight: np.ndarray, m: int) -> float:
         """Exact weighted quadratic functional against an arbitrary W."""
-        width = self.b - self.a
-        n = self.dim
+        (wn, wd), n = self._width, self.dim
         gram = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                val = inner_product(m, self._unit[i], self._unit[j])
-                gram[i, j] = gram[j, i] = float(val)
-        return float(width * np.sum(np.asarray(weight) * gram))
+                num, den = inner_product_ratio(m, self._unit[i], self._unit[j])
+                gram[i, j] = gram[j, i] = num / den
+        return float(wn / wd * np.sum(np.asarray(weight) * gram))
 
     def endpoint_values(self) -> tuple[np.ndarray, np.ndarray]:
-        f_a = np.array([float(c.eval(self.a)) for c in self.components])
-        f_b = np.array([float(c.eval(self.b)) for c in self.components])
+        """f(a) and f(b): each component on [0, 1] at 0 (its constant
+        numerator, if any) and at 1 (the sum of its numerators)."""
+        f_a = np.array([sum(u.nums[:1]) / u.den for u in self._unit])
+        f_b = np.array([sum(u.nums) / u.den for u in self._unit])
         return f_a, f_b
 
 

@@ -1,12 +1,14 @@
 """Exact orthogonal polynomials on [0, 1] under the weight x**m.
 
 Everything in this module is exact rational arithmetic, so orthogonality
-relations and change-of-basis identities hold bit-exactly.  Coefficients
-are stored as `fractions.Fraction`; the kernels (products, affine
-composition and the weighted integral) run on the integer numerators over
-a common denominator and form one `Fraction` per result coefficient, so
-they return the same rationals as coefficient-by-coefficient `Fraction`
-arithmetic.  ``inner_product`` is the one kernel for int_0^1 x**m p q dx.
+relations and change-of-basis identities hold bit-exactly.  A polynomial
+is stored as integer numerators over one positive denominator, in lowest
+terms; ``coeffs`` is a derived `fractions.Fraction` view.  Every kernel
+(sums, products, scaling, derivative, affine composition, evaluation and
+the weighted integral) runs on those integers, so it returns the same
+rationals as coefficient-by-coefficient `Fraction` arithmetic.
+``inner_product_ratio`` is the one kernel for int_0^1 x**m p q dx; a float
+of it is one correctly rounded integer division, as `float(Fraction)` is.
 Floats enter the toolkit only later, when matrices are handed to the
 semidefinite solver.
 
@@ -25,154 +27,149 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable
 
 __all__ = [
     "RationalPolynomial",
     "rodrigues_poly",
     "inner_product",
+    "inner_product_ratio",
     "monomial_to_basis_matrix",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RationalPolynomial:
     """Univariate polynomial with exact rational coefficients.
 
-    ``coeffs[k]`` is the coefficient of x**k.  The representation is
-    normalized: no trailing zero coefficients (the zero polynomial is the
-    empty tuple).
+    ``nums[k] / den`` is the coefficient of x**k.  The form is canonical:
+    den > 0, gcd(den, *nums) == 1 and no trailing zero (the zero
+    polynomial is nums == (), den == 1), so equal polynomials compare and
+    hash equal.  ``RationalPolynomial(coeffs)`` takes int or `Fraction`
+    coefficients, ``over(nums, den)`` integer numerators.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = math.lcm(*[q for _, q in ratios])
+        self._set([n * (den // q) for n, q in ratios], den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(n // g for n in nums))
+        object.__setattr__(self, "den", den // g)
+
+    @classmethod
+    def over(cls, nums: Iterable[int], den: int) -> "RationalPolynomial":
+        """The polynomial with coefficients nums[k] / den (den != 0)."""
+        p = cls.__new__(cls)
+        p._set(list(nums), den)
+        return p
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int | Fraction]) -> "RationalPolynomial":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return RationalPolynomial(tuple(cs))
+        return RationalPolynomial(coeffs)
 
     @staticmethod
     def zero() -> "RationalPolynomial":
-        return RationalPolynomial(())
+        return RationalPolynomial.over((), 1)
 
     @staticmethod
     def one() -> "RationalPolynomial":
-        return RationalPolynomial((_ONE,))
+        return RationalPolynomial.over((1,), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ``coeffs[k]`` that of x**k."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (zero beyond the stored degree)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return _ZERO
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial.from_coeffs(
-            self.coeff(k) + other.coeff(k) for k in range(n)
-        )
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return RationalPolynomial.over([a * x + b * y for x, y in pairs], den)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial.from_coeffs(
-            self.coeff(k) - other.coeff(k) for k in range(n)
-        )
+        return self + other.scale(-1)
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return RationalPolynomial.zero()
-        a, da = _numerators(self)
-        b, db = _numerators(other)
-        return _over(_convolve(a, b), da * db)
+        return RationalPolynomial.over(_convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c: int | Fraction) -> "RationalPolynomial":
-        c = Fraction(c)
-        return RationalPolynomial.from_coeffs(a * c for a in self.coeffs)
+        n, d = c.as_integer_ratio()
+        return RationalPolynomial.over([a * n for a in self.nums], self.den * d)
 
     def shift_exponents(self, m: int) -> "RationalPolynomial":
         """Multiply by x**m (m >= 0), shifting every exponent up by m."""
         if m < 0:
             raise ValueError("shift_exponents requires m >= 0")
-        if not self.coeffs:
+        if not self.nums:
             return self
-        return RationalPolynomial((_ZERO,) * m + self.coeffs)
+        return RationalPolynomial.over((0,) * m + self.nums, self.den)
 
     def divide_exponents(self, m: int) -> "RationalPolynomial":
-        """Divide by x**m; exact only when the m lowest coefficients vanish."""
-        if m == 0:
-            return self
-        low = self.coeffs[:m]
-        if any(c != 0 for c in low):
+        """Divide by x**m (m >= 0); exact only when the m lowest
+        coefficients vanish."""
+        if m < 0:
+            raise ValueError("divide_exponents requires m >= 0")
+        if any(self.nums[:m]):
             raise ValueError(f"polynomial is not divisible by x**{m}")
-        return RationalPolynomial(self.coeffs[m:])
+        return RationalPolynomial.over(self.nums[m:], self.den)
 
     def derivative(self) -> "RationalPolynomial":
-        if len(self.coeffs) <= 1:
-            return RationalPolynomial.zero()
-        return RationalPolynomial.from_coeffs(
-            k * c for k, c in enumerate(self.coeffs) if k >= 1
-        )
+        return RationalPolynomial.over([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
-    def compose_affine(self, alpha: Fraction, beta: Fraction) -> "RationalPolynomial":
+    def compose_affine(self, alpha: int | Fraction, beta: int | Fraction) -> "RationalPolynomial":
         """Exact composition p(alpha + beta * x), Horner style.
 
         With alpha = a/d, beta = b/d and c_k = C_k / D, Horner runs on
-        integers: sum C_k (a + b x)**k d**(n-1-k), n = len(coeffs), is then
+        integers: sum C_k (a + b x)**k d**(n-1-k), n = len(nums), is then
         divided once by D d**(n-1).
         """
-        if not self.coeffs:
+        if not self.nums:
             return self
-        (a, da), (b, db) = Fraction(alpha).as_integer_ratio(), Fraction(beta).as_integer_ratio()
+        (a, da), (b, db) = alpha.as_integer_ratio(), beta.as_integer_ratio()
         d = math.lcm(da, db)
         a, b = a * (d // da), b * (d // db)
-        nums, den = _numerators(self)
-        out = [nums[-1]]
+        out = [self.nums[-1]]
         power = 1  # d**(n-1-k) for the coefficient k added next
-        for c in reversed(nums[:-1]):
+        for c in reversed(self.nums[:-1]):
             power *= d
             out = [a * hi + b * lo for hi, lo in zip(out + [0], [0] + out)]
             out[0] += c * power
-        return _over(out, den * power)
+        return RationalPolynomial.over(out, self.den * power)
 
     def eval(self, x: int | Fraction) -> Fraction:
-        """Exact Horner evaluation."""
-        x = Fraction(x)
-        out = _ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        """Exact value p(x): the constant p(x + 0 * t)."""
+        return self.compose_affine(x, 0).coeff(0)
 
     def integral(self) -> Fraction:
         """Exact integral over [0, 1]: sum c_k / (k + 1)."""
         return inner_product(0, self, RationalPolynomial.one())
 
 
-def _numerators(p: RationalPolynomial) -> tuple[list[int], int]:
-    """p's coefficients as integer numerators over the lcm of their
-    denominators."""
-    ratios = [c.as_integer_ratio() for c in p.coeffs]
-    d = math.lcm(*[q for _, q in ratios])
-    return [n * (d // q) for n, q in ratios], d
-
-
-def _over(nums: list[int], den: int) -> RationalPolynomial:
-    """The polynomial with coefficients nums[k] / den (den > 0)."""
-    while nums and not nums[-1]:
-        nums.pop()
-    return RationalPolynomial(tuple(Fraction(c, den) for c in nums))
-
-
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of the product of two nonempty integer coefficient lists."""
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Coefficients of the product of two integer coefficient lists (all
+    zero when either is empty)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -213,21 +210,27 @@ def inner_product(
 ) -> Fraction:
     """Exact weighted inner product  int_0^1 x**m p(x) q(x) dx.
 
-    For the Rodrigues family this returns delta_ij / (m + 2n + 1).  With
-    integer numerators a_i / D_p and b_j / D_q, it is
-    sum a_i b_j (L / (i + j + m + 1)) / (L D_p D_q), all in integers, where
+    For the Rodrigues family this returns delta_ij / (m + 2n + 1).
+    """
+    return Fraction(*inner_product_ratio(m, p, q))
+
+
+def inner_product_ratio(
+    m: int, p: RationalPolynomial, q: RationalPolynomial
+) -> tuple[int, int]:
+    """``inner_product(m, p, q)`` as an integer numerator over a positive
+    denominator, not reduced.
+
+    With p = sum a_i x**i / D_p and q = sum b_j x**j / D_q, it is
+    sum a_i b_j (L / (i + j + m + 1)) / (L D_p D_q), where
     L = lcm(m + 1, ..., m + deg p + deg q + 1).
     """
     if m < 0:
         raise ValueError("weight exponent m must be >= 0")
-    if not p.coeffs or not q.coeffs:
-        return _ZERO
-    a, da = _numerators(p)
-    b, db = _numerators(q)
-    prod = _convolve(a, b)
+    prod = _convolve(p.nums, q.nums)
     big_l = math.lcm(*range(m + 1, m + len(prod) + 1))
     total = sum(c * (big_l // (k + m + 1)) for k, c in enumerate(prod))
-    return Fraction(total, big_l * da * db)
+    return total, big_l * p.den * q.den
 
 
 def monomial_to_basis_matrix(
@@ -240,11 +243,8 @@ def monomial_to_basis_matrix(
     """
     if big_k < 0:
         raise ValueError("big_k must be >= 0")
-    rows = []
-    for l in range(big_k + 1):
-        p = rodrigues_poly(m, l)
-        rows.append(tuple(p.coeff(k) for k in range(big_k + 1)))
-    return tuple(rows)
+    polys = [rodrigues_poly(m, l) for l in range(big_k + 1)]
+    return tuple(tuple(p.coeff(k) for k in range(big_k + 1)) for p in polys)
 
 
 def expand_in_shifted_legendre(

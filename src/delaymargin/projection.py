@@ -31,6 +31,7 @@ when none is), and every caller that picks or bounds an order asks them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -58,23 +59,40 @@ __all__ = [
 FractionMatrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProjectionMap:
     """Exact projection map of one (m, nu, M): (nu+1) x M from Legendre
     moments to weight-x**m moments (``weighted_moment_map``), or (nu+1) x
     (M+2) from boundary values and scaled Legendre moments to weight-x**m
-    moments of the derivative (``derivative_moment_map``)."""
+    moments of the derivative (``derivative_moment_map``).
 
-    entries: FractionMatrix
+    Stored as one integer matrix ``nums`` over one positive denominator
+    ``den``, in lowest terms; ``ProjectionMap(entries)`` takes a matrix of
+    int or `Fraction` entries, and ``entries`` is the derived `Fraction`
+    view."""
+
+    nums: tuple[tuple[int, ...], ...]
+    den: int
+
+    def __init__(self, entries: FractionMatrix):
+        ratios = [[c.as_integer_ratio() for c in row] for row in entries]
+        den = math.lcm(*[q for row in ratios for _, q in row])
+        object.__setattr__(self, "nums", tuple(tuple(n * (den // q) for n, q in row) for row in ratios))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def entries(self) -> FractionMatrix:
+        return tuple(tuple(Fraction(n, self.den) for n in row) for row in self.nums)
 
     @cached_property
     def _array(self) -> np.ndarray:
-        arr = np.array([[float(c) for c in row] for row in self.entries], dtype=float)
+        arr = np.array([[n / self.den for n in row] for row in self.nums], dtype=float)
         arr.setflags(write=False)
         return arr
 
     def as_array(self) -> np.ndarray:
-        """The entries as a read-only float array, converted once per map."""
+        """The entries as a read-only float array, made once per map, each
+        entry by one correctly rounded integer division."""
         return self._array
 
 
@@ -190,36 +208,23 @@ def _coefficient_matrix_closed_form(m: int, big_k: int) -> FractionMatrix:
     Entry (l, k) = (-1)**(l+k) * [prod_{j<k} (l-j)/(k-j)] * [prod_{i<=l} (m+k+i)/i],
     zero for k > l.  The product over j is the binomial C(l, k).
     """
-    rows = []
-    for l in range(big_k + 1):
-        row = []
-        for k in range(big_k + 1):
-            if k > l:
-                row.append(Fraction(0))
-                continue
-            val = Fraction((-1) ** (l + k))
-            for j in range(k):
-                val *= Fraction(l - j, k - j)
-            for i in range(1, l + 1):
-                val *= Fraction(m + k + i, i)
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+
+    def entry(l: int, k: int) -> Fraction:
+        val = Fraction((-1) ** (l + k))
+        for j in range(k):
+            val *= Fraction(l - j, k - j)  # the factor j = l makes it zero for k > l
+        for i in range(1, l + 1):
+            val *= Fraction(m + k + i, i)
+        return val
+
+    return tuple(tuple(entry(l, k) for k in range(big_k + 1)) for l in range(big_k + 1))
 
 
 def _fraction_matmul(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        out.append(
-            tuple(
-                sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
-                for j in range(cols)
-            )
-        )
-    return tuple(out)
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols) for row in a
+    )
 
 
 def _fraction_inverse_lower(mat: FractionMatrix) -> FractionMatrix:
@@ -276,11 +281,7 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
     if nu == max_weighted_order(m, big_m):
         gm = _coefficient_matrix_closed_form(m, nu) if nu >= 0 else ()
         shift = tuple(
-            tuple(
-                Fraction(1) if col == m + row else Fraction(0)
-                for col in range(big_m)
-            )
-            for row in range(nu + 1)
+            tuple(Fraction(int(col == m + row)) for col in range(big_m)) for row in range(nu + 1)
         )
         closed_xi = _fraction_matmul(_fraction_matmul(gm, shift), g0_inv)
         derived_xi = weighted_moment_map(m, nu, big_m).entries
@@ -302,10 +303,7 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
             # monomial differentiation: coefficient of x**(m+k) contributes
             # (m+k) at exponent m+k-1
             dshift = tuple(
-                tuple(
-                    Fraction(m + row) if col == m + row - 1 else Fraction(0)
-                    for col in range(span)
-                )
+                tuple(Fraction((m + row) * (col == m + row - 1)) for col in range(span))
                 for row in range(nu + 1)
             )
             g0s_inv = _fraction_inverse_lower(monomial_to_basis_matrix(0, span - 1))

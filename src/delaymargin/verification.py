@@ -93,14 +93,14 @@ def check_projection_reconstruction(
     max_nu: int = 4,
     max_big_m: int = 8,
 ) -> VerificationReport:
-    """Exact row-wise reconstruction of both projection matrix families."""
+    """Exact row-wise reconstruction of both projection matrix families,
+    on the maps' integer numerators."""
     report = VerificationReport(seed=0)
 
-    def reconstruct(coords, big_m):
-        out = RationalPolynomial.zero()
-        for l in range(big_m):
-            out = out + rodrigues_poly(0, l).scale(coords[l])
-        return out
+    def reconstruct(row):
+        """sum_l row[l] R(0, l), for a row of integer numerators."""
+        terms = (rodrigues_poly(0, l).scale(c) for l, c in enumerate(row))
+        return sum(terms, RationalPolynomial.zero())
 
     for m in range(max_m + 1):
         for nu in range(max_nu + 1):
@@ -110,7 +110,7 @@ def check_projection_reconstruction(
                     xi = weighted_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
                         target = rodrigues_poly(m, j).shift_exponents(m)
-                        if reconstruct(xi.entries[j], big_m) != target:
+                        if reconstruct(xi.nums[j]) != target.scale(xi.den):
                             report.failures.append(
                                 f"weighted-map reconstruction broken at "
                                 f"(m={m}, nu={nu}, M={big_m}), row {j}"
@@ -121,12 +121,12 @@ def check_projection_reconstruction(
                     z = derivative_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
                         q = rodrigues_poly(m, j).shift_exponents(m)
-                        row = z.entries[j]
-                        zeta = tuple(-c for c in row[2:])
+                        row = z.nums[j]
+                        zeta = [-c for c in row[2:]]
                         ok = (
-                            row[0] == 1
-                            and row[1] == -q.eval(0)
-                            and reconstruct(zeta, big_m) == q.derivative()
+                            row[0] == z.den  # q(1) = 1
+                            and row[1] * q.den == -q.nums[0] * z.den  # -q(0)
+                            and reconstruct(zeta) == q.derivative().scale(z.den)
                         )
                         if not ok:
                             report.failures.append(
@@ -142,12 +142,10 @@ def _random_case(rng: np.random.Generator):
     b = a + Fraction(int(rng.integers(1, 4)))
     dim = int(rng.integers(1, 4))
     degree = int(rng.integers(0, 7))
+    # coefficients n / d with d in 1..3, as numerators over lcm(1, 2, 3) = 6
     comps = [
-        RationalPolynomial.from_coeffs(
-            [
-                Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
-                for _ in range(degree + 1)
-            ]
+        RationalPolynomial.over(
+            [int(rng.integers(-5, 6)) * 6 // int(rng.integers(1, 4)) for _ in range(degree + 1)], 6
         )
         for _ in range(dim)
     ]

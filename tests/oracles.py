@@ -101,6 +101,28 @@ def poly_mul(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial
     return RationalPolynomial.from_coeffs(out)
 
 
+def poly_add(p: RationalPolynomial, q: RationalPolynomial, sign: int = 1) -> RationalPolynomial:
+    """p + sign * q coefficient by coefficient."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return RationalPolynomial.from_coeffs(p.coeff(k) + sign * q.coeff(k) for k in range(n))
+
+
+def poly_scale(p: RationalPolynomial, c: Fraction) -> RationalPolynomial:
+    return RationalPolynomial.from_coeffs(a * c for a in p.coeffs)
+
+
+def poly_derivative(p: RationalPolynomial) -> RationalPolynomial:
+    return RationalPolynomial.from_coeffs(k * c for k, c in enumerate(p.coeffs) if k)
+
+
+def poly_eval(p: RationalPolynomial, x: Fraction) -> Fraction:
+    """p(x) by Horner's rule in Fraction arithmetic."""
+    out = Fraction(0)
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
 def poly_integral(p: RationalPolynomial) -> Fraction:
     """int_0^1 p = sum c_k / (k + 1)."""
     return sum((c / (k + 1) for k, c in enumerate(p.coeffs)), Fraction(0))
@@ -138,6 +160,11 @@ def functional_value_naive(spec: FunctionalSpec, f: PolynomialVectorFunction) ->
     unit = _unit_components(f)
     gram = np.array([[float(poly_inner_product(spec.m, u, v)) for v in unit] for u in unit])
     return float((f.b - f.a) * np.sum(spec.weight * gram))
+
+
+def endpoint_values_naive(f: PolynomialVectorFunction) -> tuple[np.ndarray, np.ndarray]:
+    """f(a) and f(b) by Fraction Horner evaluation of each component."""
+    return tuple(np.array([float(poly_eval(c, x)) for c in f.components]) for x in (f.a, f.b))
 
 
 def kron_projection_form(proj: np.ndarray, m: int, weight: np.ndarray) -> np.ndarray:

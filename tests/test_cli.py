@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from delaymargin.cli import (
     EXIT_OK,
     main,
 )
-from delaymargin.projection import weighted_moment_map
+from delaymargin.projection import derivative_moment_map, weighted_moment_map
 from delaymargin.sdp import STOP_REASONS
 from delaymargin.search import STEPS
 from delaymargin.systems import (
@@ -283,6 +284,27 @@ def test_verify_reports_corrupted_projection(monkeypatch):
     )
     assert not report.ok
     assert any("(m=1, nu=1, M=3)" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+def test_verify_reports_each_corrupted_derivative_map_column(monkeypatch, column):
+    # columns 0 and 1 are the boundary values q(1) and -q(0), 2.. the
+    # Legendre coordinates of -q'
+    def corrupted(m, nu, big_m):
+        real = derivative_moment_map(m, nu, big_m)
+        if (m, nu, big_m) == (1, 1, 3):
+            rows = [list(r) for r in real.entries]
+            rows[1][column] += Fraction(1, 3)
+            return type(real)(tuple(tuple(r) for r in rows))
+        return real
+
+    monkeypatch.setattr(verification, "derivative_moment_map", corrupted)
+    report = verification.check_projection_reconstruction(
+        max_m=2, max_nu=2, max_big_m=4
+    )
+    assert report.failures == [
+        "derivative-map reconstruction broken at (m=1, nu=1, M=3), row 1"
+    ]
 
 
 def test_verify_exit_nonzero_on_failure(capsys, monkeypatch):

@@ -304,6 +304,11 @@ def test_functional_spec_validation():
     FunctionalSpec(big, 0, 0.0, 1.0)
 
 
+def test_functional_spec_rejects_an_empty_weight():
+    with pytest.raises(ValueError, match="nonempty"):
+        FunctionalSpec(np.zeros((0, 0)), 0, 0.0, 1.0)
+
+
 def test_spec_and_function_intervals_must_agree():
     f = PolynomialVectorFunction([RationalPolynomial.one()], 0, 1)
     spec = FunctionalSpec(np.eye(1), 1, 0.0, 2.0)

@@ -1,28 +1,40 @@
 """Exact-algebra tests for the weighted orthogonal polynomial family."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from delaymargin.inequalities import FunctionalSpec, functional_value, moments
+from delaymargin.inequalities import (
+    FunctionalSpec,
+    PolynomialVectorFunction,
+    functional_value,
+    moments,
+)
 from delaymargin.polynomials import (
     RationalPolynomial,
     expand_in_shifted_legendre,
     inner_product,
+    inner_product_ratio,
     monomial_to_basis_matrix,
     poly_weighted,
     rodrigues_poly,
 )
 from delaymargin.verification import _random_case
 from oracles import (
+    endpoint_values_naive,
     functional_value_naive,
     moments_naive,
+    poly_add,
     poly_compose_affine,
+    poly_derivative,
+    poly_eval,
     poly_inner_product,
     poly_integral,
     poly_mul,
+    poly_scale,
 )
 
 F = Fraction
@@ -142,6 +154,13 @@ def test_divide_exponents_rejects_inexact():
         p.divide_exponents(1)
 
 
+def test_divide_exponents_rejects_a_negative_power():
+    p = RationalPolynomial.from_coeffs([0, 0, 0, 1])
+    with pytest.raises(ValueError, match="m >= 0"):
+        p.divide_exponents(-1)
+    assert p.divide_exponents(3) == RationalPolynomial.one()
+
+
 def test_expand_in_shifted_legendre_roundtrip():
     p = poly_weighted(1, 0)  # x
     coords = expand_in_shifted_legendre(p, 2)
@@ -214,3 +233,70 @@ def test_moments_and_functional_value_match_the_naive_kernels():
         assert functional_value(spec, f) == functional_value_naive(spec, f)
         df = f.derivative()
         assert functional_value(spec, df) == functional_value_naive(spec, df)
+
+
+# ---------------------------------------------------------------------------
+# The canonical stored form, and every kernel against its Fraction oracle.
+# ---------------------------------------------------------------------------
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_stored_form_is_canonical():
+    # a trailing zero, a reducible fraction or a scaled denominator do not
+    # change what is stored, so equal rationals compare and hash equal
+    padded = RationalPolynomial((F(1), F(0)))
+    assert padded == RationalPolynomial.from_coeffs([1]) == RationalPolynomial.one()
+    assert hash(padded) == hash(RationalPolynomial.one())
+    p = RationalPolynomial((F(2, 4), F(-1, 3), 0))
+    assert (p.nums, p.den) == ((3, -2), 6)
+    assert p == RationalPolynomial.over([6, -4, 0], 12) == RationalPolynomial.over([-3, 2], -6)
+    zero = RationalPolynomial((0, F(0, 5)))
+    assert (zero.nums, zero.den) == ((), 1) and zero == RationalPolynomial.over([0], 9)
+    for q in _kernel_polys():
+        assert q.den > 0 and math.gcd(q.den, *q.nums) == 1
+        assert not q.nums or q.nums[-1] != 0
+        assert q.coeffs == tuple(F(n, q.den) for n in q.nums)
+        same = RationalPolynomial.over([7 * n for n in q.nums] + [0, 0], 7 * q.den)
+        assert same == q and hash(same) == hash(q)
+        assert RationalPolynomial(q.coeffs) == q
+
+
+def test_every_kernel_matches_its_fraction_oracle():
+    rng = np.random.default_rng(20263)
+    polys = _kernel_polys()
+    for k, (p, q) in enumerate(zip(polys, polys[3:] + polys[:3])):
+        c, x = _fraction(rng), _fraction(rng)
+        assert p + q == poly_add(p, q)
+        assert p - q == poly_add(p, q, -1)
+        assert p * q == poly_mul(p, q)
+        assert p.scale(c) == poly_scale(p, c)
+        assert p.scale(k % 3 - 1) == poly_scale(p, F(k % 3 - 1))
+        assert p.derivative() == poly_derivative(p)
+        assert p.eval(x) == poly_eval(p, x)
+        assert p.compose_affine(x, c) == poly_compose_affine(p, x, c)
+        m = k % 7
+        num, den = inner_product_ratio(m, p, q)
+        exact = poly_inner_product(m, p, q)
+        assert den > 0 and F(num, den) == inner_product(m, p, q) == exact
+        assert _bits(num / den) == _bits(float(exact))
+
+
+def test_moment_functional_and_endpoint_floats_are_the_oracles_bitwise():
+    # rational endpoints a < b, so each component is composed with a
+    # rational alpha and beta before it is integrated
+    rng = np.random.default_rng(20264)
+    polys = _kernel_polys()
+    for k in range(0, len(polys) - 2, 3):
+        a = _fraction(rng)
+        b = a + abs(_fraction(rng)) + F(1, 5)
+        f = PolynomialVectorFunction(polys[k : k + 3], a, b)
+        g = rng.normal(size=(3, 3))
+        spec = FunctionalSpec(g @ g.T + 3 * np.eye(3), k % 4, float(a), float(b))
+        big_m = k % 5 + 1
+        assert moments(f, big_m).tobytes() == moments_naive(f, big_m).tobytes()
+        assert _bits(functional_value(spec, f)) == _bits(functional_value_naive(spec, f))
+        for got, want in zip(f.endpoint_values(), endpoint_values_naive(f)):
+            assert got.tobytes() == want.tobytes()

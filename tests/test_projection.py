@@ -1,5 +1,6 @@
 """Exactness and reconstruction tests for the moment projection matrices."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from delaymargin.polynomials import (
     rodrigues_poly,
 )
 from delaymargin.projection import (
+    ProjectionMap,
     crosscheck_closed_forms,
     derivative_moment_map,
     legendre_derivative_map,
@@ -282,3 +284,23 @@ def test_crosscheck_reports_skip_outside_tight_case():
     report = crosscheck_closed_forms(1, 1, 5)  # m + nu = 2 != M - 1 = 4
     assert any("skipped" in s for s in report.notes)
     assert report.clean
+
+
+def test_maps_are_stored_canonically_and_convert_bitwise():
+    proj = ProjectionMap(((F(1, 2), F(-1, 3)), (0, F(2, 2))))
+    assert (proj.nums, proj.den) == (((3, -2), (0, 6)), 6)
+    assert proj.entries == ((F(1, 2), F(-1, 3)), (F(0), F(1)))
+    for m in range(5):
+        for big_m in range(1, 9):
+            for make, largest in (
+                (weighted_moment_map, max_weighted_order),
+                (derivative_moment_map, max_derivative_order),
+            ):
+                for nu in range(largest(m, big_m) + 1):
+                    proj = make(m, nu, big_m)
+                    assert proj.den > 0
+                    assert math.gcd(proj.den, *(n for row in proj.nums for n in row)) == 1
+                    same = ProjectionMap(proj.entries)
+                    assert same == proj and hash(same) == hash(proj)
+                    want = np.array([[float(c) for c in row] for row in proj.entries])
+                    assert proj.as_array().tobytes() == want.tobytes()
