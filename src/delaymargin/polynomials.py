@@ -122,8 +122,6 @@ class RationalPolynomial:
         """Multiply by x**m (m >= 0), shifting every exponent up by m."""
         if m < 0:
             raise ValueError("shift_exponents requires m >= 0")
-        if not self.nums:
-            return self
         return RationalPolynomial.over((0,) * m + self.nums, self.den)
 
     def divide_exponents(self, m: int) -> "RationalPolynomial":
@@ -198,11 +196,7 @@ def rodrigues_poly(m: int, n: int) -> RationalPolynomial:
     work = inner.shift_exponents(m)
     for _ in range(n):
         work = work.derivative()
-    work = work.divide_exponents(m)
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return work.scale(Fraction(1, fact))
+    return work.divide_exponents(m).scale(Fraction(1, math.factorial(n)))
 
 
 def inner_product(
@@ -262,8 +256,6 @@ def expand_in_shifted_legendre(
             f"degree {p.degree} polynomial is outside the span of the "
             f"first {num_terms} shifted Legendre polynomials"
         )
-    if num_terms == 0:
-        return ()
     basis = [rodrigues_poly(0, l) for l in range(num_terms)]
     coords = [_ZERO] * num_terms
     residual = p

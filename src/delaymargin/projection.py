@@ -1,6 +1,8 @@
 """Exact change-of-basis matrices between weighted and Legendre moments.
 
-Three matrix families are produced here, all with exact rational entries:
+Three matrix families are produced here, each a ``ProjectionMap``: one
+integer matrix over one positive denominator, exact rationals that become
+floats only in ``as_array``, by one integer division per entry:
 
 * ``weighted_moment_map`` (rows j = 0..nu): coordinates of the weighted
   polynomial x**m R(m, j) in the shifted Legendre basis.  Applied to a
@@ -281,7 +283,11 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
     if nu == max_weighted_order(m, big_m):
         gm = _coefficient_matrix_closed_form(m, nu) if nu >= 0 else ()
         shift = tuple(
-            tuple(Fraction(int(col == m + row)) for col in range(big_m)) for row in range(nu + 1)
+            tuple(
+                Fraction(1) if col == m + row else Fraction(0)
+                for col in range(big_m)
+            )
+            for row in range(nu + 1)
         )
         closed_xi = _fraction_matmul(_fraction_matmul(gm, shift), g0_inv)
         derived_xi = weighted_moment_map(m, nu, big_m).entries
@@ -303,7 +309,10 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
             # monomial differentiation: coefficient of x**(m+k) contributes
             # (m+k) at exponent m+k-1
             dshift = tuple(
-                tuple(Fraction((m + row) * (col == m + row - 1)) for col in range(span))
+                tuple(
+                    Fraction(m + row) if col == m + row - 1 else Fraction(0)
+                    for col in range(span)
+                )
                 for row in range(nu + 1)
             )
             g0s_inv = _fraction_inverse_lower(monomial_to_basis_matrix(0, span - 1))
