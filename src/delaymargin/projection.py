@@ -79,7 +79,8 @@ class ProjectionMap:
     def __init__(self, entries: FractionMatrix):
         ratios = [[c.as_integer_ratio() for c in row] for row in entries]
         den = math.lcm(*[q for row in ratios for _, q in row])
-        object.__setattr__(self, "nums", tuple(tuple(n * (den // q) for n, q in row) for row in ratios))
+        nums = tuple(tuple(n * (den // q) for n, q in row) for row in ratios)
+        object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
     @property
@@ -93,8 +94,7 @@ class ProjectionMap:
         return arr
 
     def as_array(self) -> np.ndarray:
-        """The entries as a read-only float array, made once per map, each
-        entry by one correctly rounded integer division."""
+        """The entries as a read-only float array, made once per map."""
         return self._array
 
 
