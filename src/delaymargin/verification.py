@@ -121,12 +121,11 @@ def check_projection_reconstruction(
                     z = derivative_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
                         q = rodrigues_poly(m, j).shift_exponents(m)
-                        row = z.nums[j]
-                        zeta = [-c for c in row[2:]]
+                        row = z.nums[j]  # (q(1), -q(0), -zeta) * den
                         ok = (
-                            row[0] == z.den  # q(1) = 1
-                            and row[1] * q.den == -q.nums[0] * z.den  # -q(0)
-                            and reconstruct(zeta) == q.derivative().scale(z.den)
+                            row[0] == z.den
+                            and row[1] * q.den == -q.nums[0] * z.den
+                            and reconstruct(row[2:]) == q.derivative().scale(-z.den)
                         )
                         if not ok:
                             report.failures.append(
