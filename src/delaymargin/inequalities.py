@@ -9,16 +9,19 @@ together with two families of certified lower bounds obtained by projecting
 f (or f') onto the first few weighted orthogonal polynomials.  Test functions
 are rational polynomials on rational intervals, so both sides are integrated
 exactly; the module also implements the competing first-order bound.
-Moments are taken over the function's own interval.  All three bounds
-read f only through one (M, n) array of its Legendre moments (as from
-``moments``); M is the number of rows of that array, and M = 0 (the
-derivative bound from boundary values alone) is an empty (0, n) array.
-Both projection bounds evaluate ``projection.projection_form``, the same
-quadratic form the stability LMIs are built from.
+Moments are taken over the function's own interval: per component, the
+monomial integrals int_0^1 x**k u (k < M) of its [0, 1] form u, over one
+denominator, times ``projection.legendre_table(M)``, all in integers.  All
+three bounds read f only through one (M, n) array of its Legendre moments
+(as from ``moments``); M is the number of rows of that array, and M = 0
+(the derivative bound from boundary values alone) is an empty (0, n)
+array.  Both projection bounds evaluate ``projection.projection_form`` on
+the cached map, the same quadratic form the stability LMIs are built from.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import RationalPolynomial, inner_product_ratio, rodrigues_poly
-from .projection import derivative_moment_map, projection_form, weighted_moment_map
+from .polynomials import RationalPolynomial, inner_product_ratio, monomial_integrals
+from .projection import (
+    derivative_moment_map,
+    legendre_table,
+    projection_form,
+    weighted_moment_map,
+)
 
 __all__ = [
     "FunctionalSpec",
@@ -84,6 +92,7 @@ class PolynomialVectorFunction:
     When the interval endpoints are rationals, every moment and functional
     value reduces to exact polynomial integration on [0, 1], and each float
     this class returns is one integer division of the exact rational.
+    There must be at least one component.
     """
 
     def __init__(
@@ -94,6 +103,8 @@ class PolynomialVectorFunction:
     ):
         self.components = list(components)
         self.dim = len(self.components)
+        if not self.dim:
+            raise ValueError("a vector function needs at least one component")
         self.a = Fraction(a)
         self.b = Fraction(b)
         if not self.b > self.a:
@@ -104,15 +115,26 @@ class PolynomialVectorFunction:
         self._unit = [c.compose_affine(self.a, width) for c in self.components]
 
     def derivative(self) -> "PolynomialVectorFunction":
-        return PolynomialVectorFunction(
-            [c.derivative() for c in self.components], self.a, self.b
-        )
+        """f' on the same interval.  Its [0, 1] form is read off f's: u(x)
+        = c(a + width x) gives c'(a + width x) = u'(x) / width."""
+        wn, wd = self._width
+        df = copy.copy(self)
+        df.components = [c.derivative() for c in self.components]
+        df._unit = [u.derivative().scale(Fraction(wd, wn)) for u in self._unit]
+        return df
 
-    def exact_moment(self, l: int) -> np.ndarray:
-        """int_a^b R(0,l)((s-a)/width) f(s) ds, exact, returned as floats."""
-        (wn, wd), basis = self._width, rodrigues_poly(0, l)
-        ratios = [inner_product_ratio(0, basis, g) for g in self._unit]
-        return np.array([wn * n / (wd * d) for n, d in ratios])
+    def exact_moments(self, big_m: int) -> np.ndarray:
+        """int_a^b R(0,l)((s-a)/width) f(s) ds for l < M, exact, returned as
+        an (M, n) float array: per component, its monomial integrals on
+        [0, 1] times the integer Legendre table, one division per entry."""
+        (wn, wd), table = self._width, legendre_table(big_m)
+        out = np.empty((big_m, self.dim))
+        for j, u in enumerate(self._unit):
+            ints, den = monomial_integrals(u, big_m)
+            den *= wd * table.den
+            for l, row in enumerate(table.nums):
+                out[l, j] = wn * sum(t * x for t, x in zip(row, ints)) / den
+        return out
 
     def exact_functional(self, weight: np.ndarray, m: int) -> float:
         """Exact weighted quadratic functional against an arbitrary W."""
@@ -134,6 +156,10 @@ class PolynomialVectorFunction:
 
 def functional_value(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float:
     """J(f), integrated exactly."""
+    if f.dim != spec.dim:
+        raise ValueError(
+            f"function has {f.dim} components, the weight is {spec.dim}x{spec.dim}"
+        )
     if (float(f.a), float(f.b)) != (spec.a, spec.b):
         raise ValueError("function interval does not match the spec interval")
     return f.exact_functional(spec.weight, spec.m)
@@ -144,7 +170,7 @@ def moments(f: PolynomialVectorFunction, big_m: int) -> np.ndarray:
     interval [f.a, f.b], stacked as an (M, n) array."""
     if big_m < 1:
         raise ValueError("at least one moment is required")
-    return np.vstack([f.exact_moment(l) for l in range(big_m)])
+    return f.exact_moments(big_m)
 
 
 def _moment_array(spec: FunctionalSpec, phi: np.ndarray) -> np.ndarray:
@@ -159,7 +185,7 @@ def lower_bound_values(spec: FunctionalSpec, phi: np.ndarray, nu: int) -> float:
     """Projection lower bound for J(f) from its first M Legendre moments
     phi (as from ``moments``); M is the number of rows of phi."""
     phi = _moment_array(spec, phi)
-    xi = weighted_moment_map(spec.m, nu, phi.shape[0]).as_array()
+    xi = weighted_moment_map(spec.m, nu, phi.shape[0])
     stacked = phi.reshape(-1)  # already (M, n) row-major = kron layout
     return float(stacked @ projection_form(xi, spec.m, spec.weight) @ stacked) / spec.width
 
@@ -179,7 +205,7 @@ def lower_bound_derivative(
     if f_a.shape != (spec.dim,) or f_b.shape != (spec.dim,):
         raise ValueError("boundary values must be vectors of the weight dimension")
     phi = _moment_array(spec, phi)
-    z = derivative_moment_map(spec.m, nu, phi.shape[0]).as_array()
+    z = derivative_moment_map(spec.m, nu, phi.shape[0])
     stacked = np.concatenate([f_b, f_a, phi.reshape(-1) / spec.width])
     return float(stacked @ projection_form(z, spec.m, spec.weight) @ stacked) / spec.width
 

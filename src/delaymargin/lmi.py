@@ -210,7 +210,7 @@ class _CompiledLmis:
             order = largest_order(depth, big_m)
             if order < 0:
                 return None
-            proj = moment_map(depth, order, big_m).as_array()
+            proj = moment_map(depth, order, big_m)
             return np.array([projection_form(proj, depth, b) for b in basis])
 
         # tau-coefficients of the factors of the energy rate and the
@@ -222,7 +222,7 @@ class _CompiledLmis:
         if np.any(sys.a_d2):
             ws.append(np.zeros((n, rate)))
             ws[1][:, 2 * n : 3 * n] = sys.a_d2
-        moment_rows = np.kron(legendre_derivative_map(big_m).as_array(), np.eye(n))
+        moment_rows = legendre_derivative_map(big_m).lift(n)
         lams = [np.vstack([ws[0], moment_rows])] + [
             np.vstack([w, np.zeros_like(moment_rows)]) for w in ws[1:]
         ]

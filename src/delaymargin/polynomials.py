@@ -7,8 +7,10 @@ terms; ``coeffs`` is a derived `fractions.Fraction` view.  Every kernel
 (sums, products, scaling, derivative, affine composition, evaluation and
 the weighted integral) runs on those integers, so it returns the same
 rationals as coefficient-by-coefficient `Fraction` arithmetic.
-``inner_product_ratio`` is the one kernel for int_0^1 x**m p q dx; a float
-of it is one correctly rounded integer division, as `float(Fraction)` is.
+``inner_product_ratio`` is the one kernel for int_0^1 x**m p q dx, and
+``monomial_integrals`` gives int_0^1 x**k p dx for k < K over one
+denominator; a float of either is one correctly rounded integer division,
+as `float(Fraction)` is.
 Floats enter the toolkit only later, when matrices are handed to the
 semidefinite solver.
 
@@ -35,6 +37,7 @@ __all__ = [
     "rodrigues_poly",
     "inner_product",
     "inner_product_ratio",
+    "monomial_integrals",
     "monomial_to_basis_matrix",
 ]
 
@@ -225,6 +228,21 @@ def inner_product_ratio(
     big_l = math.lcm(*range(m + 1, m + len(prod) + 1))
     total = sum(c * (big_l // (k + m + 1)) for k, c in enumerate(prod))
     return total, big_l * p.den * q.den
+
+
+def monomial_integrals(p: RationalPolynomial, count: int) -> tuple[list[int], int]:
+    """int_0^1 x**k p(x) dx for k = 0..count-1, as integer numerators over
+    one positive denominator, not reduced.
+
+    With p = sum a_i x**i / D, it is sum a_i (L / (i + k + 1)) / (L D),
+    where L = lcm(1, ..., deg p + count).
+    """
+    big_l = math.lcm(*range(1, len(p.nums) + count))
+    nums = [
+        sum(a * (big_l // (i + k + 1)) for i, a in enumerate(p.nums))
+        for k in range(count)
+    ]
+    return nums, big_l * p.den
 
 
 def monomial_to_basis_matrix(

@@ -1,8 +1,11 @@
 """Exact change-of-basis matrices between weighted and Legendre moments.
 
-Three matrix families are produced here, each a ``ProjectionMap``: one
-integer matrix over one positive denominator, exact rationals that become
-floats only in ``as_array``, by one integer division per entry:
+Every matrix here is a ``ProjectionMap``: one integer matrix over one
+positive denominator, exact rationals that become floats only in
+``as_array``, by one integer division per entry.  ``legendre_table`` is
+the monomial coefficient matrix of the first M shifted Legendre
+polynomials R(0, l); the Legendre moments and the reconstruction checks
+multiply by it in integers.  Three map families are built on it:
 
 * ``weighted_moment_map`` (rows j = 0..nu): coordinates of the weighted
   polynomial x**m R(m, j) in the shifted Legendre basis.  Applied to a
@@ -19,7 +22,8 @@ floats only in ``as_array``, by one integer division per entry:
 ``projection_form`` turns either map into the quadratic form of its
 projection inequality, (map x I)^T diag{(m+1) W, (m+3) W, ...} (map x I).
 It is the one statement of that form: the LMI builder and the inequality
-bounds both call it.
+bounds both call it, with the map itself, whose lift map x I_n is made
+once per n.
 
 The source of truth is the exact triangular basis-change solve.  The
 published closed-form constructions are re-derived in
@@ -48,6 +52,7 @@ from .polynomials import (
 
 __all__ = [
     "ProjectionMap",
+    "legendre_table",
     "max_weighted_order",
     "max_derivative_order",
     "weighted_moment_map",
@@ -66,12 +71,14 @@ class ProjectionMap:
     """Exact projection map of one (m, nu, M): (nu+1) x M from Legendre
     moments to weight-x**m moments (``weighted_moment_map``), or (nu+1) x
     (M+2) from boundary values and scaled Legendre moments to weight-x**m
-    moments of the derivative (``derivative_moment_map``).
+    moments of the derivative (``derivative_moment_map``); or the M x M
+    ``legendre_table``.
 
     Stored as one integer matrix ``nums`` over one positive denominator
     ``den``, in lowest terms; ``ProjectionMap(entries)`` takes a matrix of
-    int or `Fraction` entries, and ``entries`` is the derived `Fraction`
-    view."""
+    int, `Fraction` or float entries (a float is taken exactly), and
+    ``entries`` is the derived `Fraction` view.  ``as_array`` and ``lift``
+    are read-only floats, made once per map (and per n)."""
 
     nums: tuple[tuple[int, ...], ...]
     den: int
@@ -96,6 +103,27 @@ class ProjectionMap:
     def as_array(self) -> np.ndarray:
         """The entries as a read-only float array, made once per map."""
         return self._array
+
+    @cached_property
+    def _lifts(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def lift(self, n: int) -> np.ndarray:
+        """``as_array()`` x I_n as a read-only array, made once per n."""
+        lift = self._lifts.get(n)
+        if lift is None:
+            lift = self._lifts[n] = _kron(self.as_array(), np.eye(n))
+            lift.setflags(write=False)
+        return lift
+
+
+@lru_cache(maxsize=None)
+def legendre_table(big_m: int) -> ProjectionMap:
+    """Row l: the monomial coefficients of R(0, l), l = 0..M-1 (M >= 1).
+
+    The Legendre moment int_0^1 R(0, l) u of a polynomial u is row l
+    times the monomial integrals (int_0^1 x**k u)_{k<M}."""
+    return ProjectionMap(monomial_to_basis_matrix(0, big_m - 1))
 
 
 def max_weighted_order(m: int, big_m: int) -> int:
@@ -153,14 +181,21 @@ def legendre_derivative_map(big_m: int) -> ProjectionMap:
     return derivative_moment_map(0, big_m - 1, big_m)
 
 
-def projection_form(proj: np.ndarray, m: int, weight: np.ndarray) -> np.ndarray:
+def projection_form(proj: ProjectionMap, m: int, weight: np.ndarray) -> np.ndarray:
     """(proj x I)^T diag{(m+1) W, (m+3) W, ..., (m+2 nu+1) W} (proj x I),
     nu + 1 the rows of proj: the weight W scaled by the inverse squared
     norms of the weighted Rodrigues polynomials j = 0..nu, pulled back
     through a moment map of depth m."""
-    u = _kron(proj, np.eye(weight.shape[0]))
-    factors = np.arange(m + 1, m + 2 * proj.shape[0], 2, dtype=float)
-    return u.T @ _kron(np.diag(factors), weight) @ u
+    u = proj.lift(weight.shape[0])
+    return u.T @ _kron(_inverse_norms(m, len(proj.nums)), weight) @ u
+
+
+@lru_cache(maxsize=None)
+def _inverse_norms(m: int, count: int) -> np.ndarray:
+    """diag{m + 1, m + 3, ..., m + 2 count - 1}, read-only."""
+    diag = np.diag(np.arange(m + 1, m + 2 * count, 2, dtype=float))
+    diag.setflags(write=False)
+    return diag
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .inequalities import (
 from .polynomials import RationalPolynomial, inner_product, rodrigues_poly
 from .projection import (
     derivative_moment_map,
+    legendre_table,
     max_derivative_order,
     max_weighted_order,
     weighted_moment_map,
@@ -94,14 +95,9 @@ def check_projection_reconstruction(
     max_big_m: int = 8,
 ) -> VerificationReport:
     """Exact row-wise reconstruction of both projection matrix families,
-    on the maps' integer numerators."""
+    on the maps' integer numerators: a row times the integer Legendre
+    table is the row's polynomial sum_l row[l] R(0, l)."""
     report = VerificationReport(seed=0)
-
-    def reconstruct(row):
-        """sum_l row[l] R(0, l), for a row of integer numerators."""
-        terms = (rodrigues_poly(0, l).scale(c) for l, c in enumerate(row))
-        return sum(terms, RationalPolynomial.zero())
-
     for m in range(max_m + 1):
         for nu in range(max_nu + 1):
             for big_m in range(1, max_big_m + 1):
@@ -110,7 +106,7 @@ def check_projection_reconstruction(
                     xi = weighted_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
                         target = rodrigues_poly(m, j).shift_exponents(m)
-                        if reconstruct(xi.nums[j]) != target.scale(xi.den):
+                        if _reconstruct(xi.nums[j]) != target.scale(xi.den):
                             report.failures.append(
                                 f"weighted-map reconstruction broken at "
                                 f"(m={m}, nu={nu}, M={big_m}), row {j}"
@@ -125,7 +121,7 @@ def check_projection_reconstruction(
                         ok = (
                             row[0] == z.den
                             and row[1] * q.den == -q.nums[0] * z.den
-                            and reconstruct(row[2:]) == q.derivative().scale(-z.den)
+                            and _reconstruct(row[2:]) == q.derivative().scale(-z.den)
                         )
                         if not ok:
                             report.failures.append(
@@ -134,6 +130,14 @@ def check_projection_reconstruction(
                             )
                             break
     return report
+
+
+def _reconstruct(row: tuple[int, ...]) -> RationalPolynomial:
+    """sum_l row[l] R(0, l) for a row of M integer numerators: the row
+    times the integer Legendre table of M."""
+    table = legendre_table(len(row))
+    nums = [sum(c * t for c, t in zip(row, col)) for col in zip(*table.nums)]
+    return RationalPolynomial.over(nums, table.den)
 
 
 def _random_case(rng: np.random.Generator):

@@ -327,3 +327,19 @@ def test_competitor_statistics_reject_short_or_misshaped_moments():
         competitor_statistics(spec, moments(f, 3)[:, :1])
     with pytest.raises(ValueError, match="shape"):
         competitor_statistics(spec, moments(f, 3).reshape(-1))
+
+
+def test_function_and_weight_dimensions_must_agree():
+    # one component against a 3x3 weight used to return sum(W) * int f^2
+    one = PolynomialVectorFunction([RationalPolynomial.from_coeffs([1, 2])], 0, 1)
+    two = PolynomialVectorFunction([RationalPolynomial.one()] * 2, 0, 1)
+    spec = FunctionalSpec(np.eye(3), 0, 0.0, 1.0)
+    for f in (one, two):
+        with pytest.raises(ValueError, match=f"{f.dim} components.*3x3"):
+            functional_value(spec, f)
+    assert functional_value(FunctionalSpec(np.eye(1), 0, 0.0, 1.0), one) == 13 / 3
+
+
+def test_vector_function_needs_a_component():
+    with pytest.raises(ValueError, match="at least one component"):
+        PolynomialVectorFunction([], 0, 1)

@@ -40,3 +40,25 @@ def test_sdp_imports_nothing_from_lmi():
             imported += [alias.name for alias in node.names]
     assert imported
     assert not [name for name in imported if "lmi" in name.split(".")]
+
+
+def test_benchmark_wrap_points_resolve():
+    # the span tracer wraps each (module, name) of WRAP_POINTS by name; read
+    # the list without importing the benchmark, so a rename fails here
+    tree = ast.parse((Path(__file__).parents[1] / "benchmarks" / "spans.py").read_text())
+    modules = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "delaymargin"
+        for alias in node.names
+    }
+    points = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAP_POINTS"]
+    )
+    assert points.elts
+    for point in points.elts:
+        module, name, _ = point.elts
+        target = importlib.import_module(modules[module.id])
+        assert hasattr(target, name.value), f"{modules[module.id]}.{name.value}"

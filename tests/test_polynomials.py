@@ -18,6 +18,7 @@ from delaymargin.polynomials import (
     expand_in_shifted_legendre,
     inner_product,
     inner_product_ratio,
+    monomial_integrals,
     monomial_to_basis_matrix,
     poly_weighted,
     rodrigues_poly,
@@ -221,6 +222,28 @@ def test_inner_product_matches_the_fraction_oracle():
     for k, (p, q) in enumerate(zip(polys, polys[2:] + polys[:2])):
         m = k % 7
         assert inner_product(m, p, q) == poly_inner_product(m, p, q)
+
+
+def test_monomial_integrals_match_the_fraction_oracle():
+    one = RationalPolynomial.one()
+    for k, p in enumerate(_kernel_polys()):
+        count = k % 7 + 1
+        nums, den = monomial_integrals(p, count)
+        assert den > 0 and len(nums) == count
+        assert [F(n, den) for n in nums] == [poly_inner_product(j, p, one) for j in range(count)]
+
+
+def test_derivative_unit_components_are_the_composed_derivatives():
+    # negative and fractional left ends, fractional widths
+    rng = np.random.default_rng(20265)
+    polys = _kernel_polys()
+    for k in range(0, len(polys), 3):
+        a = _fraction(rng) - F(1, 3)
+        width = abs(_fraction(rng)) + F(2, 7)
+        df = PolynomialVectorFunction(polys[k : k + 3], a, a + width).derivative()
+        for got, c in zip(df._unit, polys[k : k + 3], strict=True):
+            want = c.derivative().compose_affine(a, width)
+            assert (got.nums, got.den) == (want.nums, want.den)
 
 
 def test_moments_and_functional_value_match_the_naive_kernels():

@@ -8,6 +8,7 @@ import pytest
 
 from delaymargin.polynomials import (
     RationalPolynomial,
+    monomial_to_basis_matrix,
     poly_weighted,
     rodrigues_poly,
 )
@@ -16,6 +17,7 @@ from delaymargin.projection import (
     crosscheck_closed_forms,
     derivative_moment_map,
     legendre_derivative_map,
+    legendre_table,
     max_derivative_order,
     max_weighted_order,
     projection_form,
@@ -144,9 +146,9 @@ def test_projection_form_matches_the_oracle_congruence(n):
                 for nu in range(largest + 1):
                     g = rng.normal(size=(n, n))
                     weight = g @ g.T + n * np.eye(n)
-                    proj = moment_map(m, nu, big_m).as_array()
+                    proj = moment_map(m, nu, big_m)
                     got = projection_form(proj, m, weight)
-                    want = _weighted_congruence(proj, m, weight)
+                    want = _weighted_congruence(proj.as_array(), m, weight)
                     assert got.shape == want.shape
                     scale = max(1.0, float(np.abs(want).max()))
                     assert np.abs(got - want).max() <= 1e-12 * scale
@@ -155,14 +157,17 @@ def test_projection_form_matches_the_oracle_congruence(n):
 
 
 def test_projection_form_is_bitwise_the_kron_form():
-    # random maps (one row, n = 1 included) and random signed weights
+    # random maps (one row, n = 1 included) and random signed weights; a
+    # map of float entries holds them exactly
     rng = np.random.default_rng(31)
     for rows, cols, n in [(1, 1, 1), (1, 4, 2), (3, 1, 1), (2, 5, 3), (4, 6, 4), (5, 3, 2)]:
         proj = rng.normal(size=(rows, cols))
+        pmap = ProjectionMap(proj)
+        assert pmap.as_array().tobytes() == proj.tobytes()
         g = rng.normal(size=(n, n))
         weight = g + g.T
         for m in range(4):
-            assert np.array_equal(projection_form(proj, m, weight), kron_projection_form(proj, m, weight))
+            assert np.array_equal(projection_form(pmap, m, weight), kron_projection_form(proj, m, weight))
     # the maps and basis matrices `lmi` compiles, M = 1..4, depths 0..3
     for n in (1, 2, 3):
         for big_m in range(1, 5):
@@ -173,9 +178,30 @@ def test_projection_form_is_bitwise_the_kron_form():
                 ):
                     if largest < 0:
                         continue
-                    proj = moment_map(m, largest, big_m).as_array()
+                    pmap = moment_map(m, largest, big_m)
+                    proj = pmap.as_array()
                     for b in _svec_basis(n):
-                        assert np.array_equal(projection_form(proj, m, b), kron_projection_form(proj, m, b))
+                        assert np.array_equal(projection_form(pmap, m, b), kron_projection_form(proj, m, b))
+
+
+def test_lifts_and_the_legendre_table_are_made_once_and_read_only():
+    for big_m in range(1, 7):
+        table = legendre_table(big_m)
+        assert table is legendre_table(big_m)
+        assert table.entries == monomial_to_basis_matrix(0, big_m - 1)
+        with pytest.raises(AttributeError):
+            table.den = 2
+        with pytest.raises(TypeError):
+            table.nums[0] = (1,) * big_m
+        with pytest.raises(ValueError):
+            table.as_array()[0, 0] = 1.0
+        for pmap in (weighted_moment_map(0, big_m - 1, big_m), legendre_derivative_map(big_m), table):
+            for n in (1, 2, 3):
+                lift = pmap.lift(n)
+                assert lift is pmap.lift(n)
+                assert lift.tobytes() == np.kron(pmap.as_array(), np.eye(n)).tobytes()
+                with pytest.raises(ValueError):
+                    lift[0, 0] = 1.0
 
 
 def test_legendre_derivative_map_examples():
