@@ -10,8 +10,8 @@ f (or f') onto the first few weighted orthogonal polynomials.  Test functions
 are rational polynomials on rational intervals, so both sides are integrated
 exactly; the module also implements the competing first-order bound.
 Moments are taken over the function's own interval: per component, the
-monomial integrals int_0^1 x**k u (k < M) of its [0, 1] form u, over one
-denominator, times ``projection.legendre_table(M)``, all in integers.  All
+integer Legendre moments ``projection.legendre_moments(u, M)`` of its
+[0, 1] form u, the same kernel the projection maps are built from.  All
 three bounds read f only through one (M, n) array of its Legendre moments
 (as from ``moments``); M is the number of rows of that array, and M = 0
 (the derivative bound from boundary values alone) is an empty (0, n)
@@ -29,10 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomials import RationalPolynomial, inner_product_ratio, monomial_integrals
+from .polynomials import RationalPolynomial, inner_product_ratio
 from .projection import (
     derivative_moment_map,
-    legendre_table,
+    legendre_moments,
     projection_form,
     weighted_moment_map,
 )
@@ -123,29 +123,6 @@ class PolynomialVectorFunction:
         df._unit = [u.derivative().scale(Fraction(wd, wn)) for u in self._unit]
         return df
 
-    def exact_moments(self, big_m: int) -> np.ndarray:
-        """int_a^b R(0,l)((s-a)/width) f(s) ds for l < M, exact, returned as
-        an (M, n) float array: per component, its monomial integrals on
-        [0, 1] times the integer Legendre table, one division per entry."""
-        (wn, wd), table = self._width, legendre_table(big_m)
-        out = np.empty((big_m, self.dim))
-        for j, u in enumerate(self._unit):
-            ints, den = monomial_integrals(u, big_m)
-            den *= wd * table.den
-            for l, row in enumerate(table.nums):
-                out[l, j] = wn * sum(t * x for t, x in zip(row, ints)) / den
-        return out
-
-    def exact_functional(self, weight: np.ndarray, m: int) -> float:
-        """Exact weighted quadratic functional against an arbitrary W."""
-        (wn, wd), n = self._width, self.dim
-        gram = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                num, den = inner_product_ratio(m, self._unit[i], self._unit[j])
-                gram[i, j] = gram[j, i] = num / den
-        return float(wn / wd * np.sum(np.asarray(weight) * gram))
-
     def endpoint_values(self) -> tuple[np.ndarray, np.ndarray]:
         """f(a) and f(b): each component on [0, 1] at 0 (its constant
         numerator, if any) and at 1 (the sum of its numerators)."""
@@ -162,15 +139,27 @@ def functional_value(spec: FunctionalSpec, f: PolynomialVectorFunction) -> float
         )
     if (float(f.a), float(f.b)) != (spec.a, spec.b):
         raise ValueError("function interval does not match the spec interval")
-    return f.exact_functional(spec.weight, spec.m)
+    (wn, wd), n = f._width, f.dim
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            num, den = inner_product_ratio(spec.m, f._unit[i], f._unit[j])
+            gram[i, j] = gram[j, i] = num / den
+    return float(wn / wd * np.sum(spec.weight * gram))
 
 
 def moments(f: PolynomialVectorFunction, big_m: int) -> np.ndarray:
-    """Legendre moment vectors phi_l, l = 0..M-1, of f over its own
-    interval [f.a, f.b], stacked as an (M, n) array."""
+    """Legendre moment vectors phi_l = int_a^b R(0,l)((s-a)/width) f(s) ds,
+    l = 0..M-1, of f over its own interval [a, b] = [f.a, f.b], stacked as
+    an (M, n) array; each entry is one division of its exact rational."""
     if big_m < 1:
         raise ValueError("at least one moment is required")
-    return f.exact_moments(big_m)
+    wn, wd = f._width
+    out = np.empty((big_m, f.dim))
+    for j, u in enumerate(f._unit):
+        nums, den = legendre_moments(u, big_m)
+        out[:, j] = [wn * x / (den * wd) for x in nums]
+    return out
 
 
 def _moment_array(spec: FunctionalSpec, phi: np.ndarray) -> np.ndarray:

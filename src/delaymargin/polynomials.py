@@ -10,7 +10,8 @@ rationals as coefficient-by-coefficient `Fraction` arithmetic.
 ``inner_product_ratio`` is the one kernel for int_0^1 x**m p q dx, and
 ``monomial_integrals`` gives int_0^1 x**k p dx for k < K over one
 denominator; a float of either is one correctly rounded integer division,
-as `float(Fraction)` is.
+as `float(Fraction)` is.  ``projection.legendre_moments`` turns the
+monomial integrals into Legendre moments.
 Floats enter the toolkit only later, when matrices are handed to the
 semidefinite solver.
 
@@ -257,34 +258,6 @@ def monomial_to_basis_matrix(
         raise ValueError("big_k must be >= 0")
     polys = [rodrigues_poly(m, l) for l in range(big_k + 1)]
     return tuple(tuple(p.coeff(k) for k in range(big_k + 1)) for p in polys)
-
-
-def expand_in_shifted_legendre(
-    p: RationalPolynomial, num_terms: int
-) -> tuple[Fraction, ...]:
-    """Exact coordinates of p in the shifted Legendre basis {R(0, l)}_{l<num_terms}.
-
-    Solved by back-substitution against the lower-triangular coefficient
-    matrix of the basis.  Raises if deg p >= num_terms (p not in the span).
-    """
-    if num_terms < 0:
-        raise ValueError("num_terms must be >= 0")
-    if p.degree >= num_terms:
-        raise ValueError(
-            f"degree {p.degree} polynomial is outside the span of the "
-            f"first {num_terms} shifted Legendre polynomials"
-        )
-    basis = [rodrigues_poly(0, l) for l in range(num_terms)]
-    coords = [_ZERO] * num_terms
-    residual = p
-    for l in range(num_terms - 1, -1, -1):
-        c = residual.coeff(l) / basis[l].coeff(l)
-        coords[l] = c
-        if c != 0:
-            residual = residual - basis[l].scale(c)
-    if residual.degree >= 0:
-        raise AssertionError("triangular solve left a nonzero residual")
-    return tuple(coords)
 
 
 def poly_weighted(m: int, n: int) -> RationalPolynomial:

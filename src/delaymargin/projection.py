@@ -4,8 +4,13 @@ Every matrix here is a ``ProjectionMap``: one integer matrix over one
 positive denominator, exact rationals that become floats only in
 ``as_array``, by one integer division per entry.  ``legendre_table`` is
 the monomial coefficient matrix of the first M shifted Legendre
-polynomials R(0, l); the Legendre moments and the reconstruction checks
-multiply by it in integers.  Three map families are built on it:
+polynomials R(0, l), and ``legendre_moments`` the one kernel for
+int_0^1 R(0, l) p (l < M): the table times the monomial integrals of p,
+in integers.  The function moments of ``inequalities`` and the maps below
+read it, and the reconstruction checks multiply by the same table.  By
+orthogonality, int_0^1 R(0, l)**2 = 1/(2l+1), so the coordinate l of a
+polynomial of degree below M in the shifted Legendre basis is (2l+1)
+times its moment l.  Three map families are built on it:
 
 * ``weighted_moment_map`` (rows j = 0..nu): coordinates of the weighted
   polynomial x**m R(m, j) in the shifted Legendre basis.  Applied to a
@@ -25,10 +30,10 @@ It is the one statement of that form: the LMI builder and the inequality
 bounds both call it, with the map itself, whose lift map x I_n is made
 once per n.
 
-The source of truth is the exact triangular basis-change solve.  The
-published closed-form constructions are re-derived in
-``crosscheck_closed_forms`` purely as a diagnostic and never override the
-basis-change result.
+The source of truth is those exact Legendre moments.  The published
+closed-form constructions are re-derived in ``crosscheck_closed_forms``,
+with an independent Fraction inverse of the table, purely as a diagnostic
+that never overrides the maps.
 
 The admissible orders are stated once: ``max_weighted_order`` and
 ``max_derivative_order`` give the largest nu each map accepts (negative
@@ -45,7 +50,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .polynomials import (
-    expand_in_shifted_legendre,
+    RationalPolynomial,
+    monomial_integrals,
     monomial_to_basis_matrix,
     poly_weighted,
 )
@@ -53,6 +59,7 @@ from .polynomials import (
 __all__ = [
     "ProjectionMap",
     "legendre_table",
+    "legendre_moments",
     "max_weighted_order",
     "max_derivative_order",
     "weighted_moment_map",
@@ -119,11 +126,26 @@ class ProjectionMap:
 
 @lru_cache(maxsize=None)
 def legendre_table(big_m: int) -> ProjectionMap:
-    """Row l: the monomial coefficients of R(0, l), l = 0..M-1 (M >= 1).
-
-    The Legendre moment int_0^1 R(0, l) u of a polynomial u is row l
-    times the monomial integrals (int_0^1 x**k u)_{k<M}."""
+    """Row l: the monomial coefficients of R(0, l), l = 0..M-1 (M >= 1)."""
     return ProjectionMap(monomial_to_basis_matrix(0, big_m - 1))
+
+
+def legendre_moments(p: RationalPolynomial, big_m: int) -> tuple[list[int], int]:
+    """int_0^1 R(0, l) p for l = 0..M-1, as integer numerators over one
+    positive denominator, not reduced: ``legendre_table(M)`` times the
+    monomial integrals of p.  M = 0 gives no moments and builds no table."""
+    if not big_m:
+        return [], 1
+    table = legendre_table(big_m)
+    ints, den = monomial_integrals(p, big_m)
+    return [sum(t * x for t, x in zip(row, ints)) for row in table.nums], den * table.den
+
+
+def _coordinates(p: RationalPolynomial, big_m: int) -> tuple[Fraction, ...]:
+    """Coordinates of p (degree below M) in the basis R(0, 0..M-1): by
+    orthogonality, coordinate l is (2l+1) int_0^1 R(0, l) p."""
+    nums, den = legendre_moments(p, big_m)
+    return tuple(Fraction((2 * l + 1) * n, den) for l, n in enumerate(nums))
 
 
 def max_weighted_order(m: int, big_m: int) -> int:
@@ -151,10 +173,7 @@ def weighted_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
     index l > m + j vanish (degree count).
     """
     _check_order(m, nu, max_weighted_order(m, big_m))
-    rows = []
-    for j in range(nu + 1):
-        q = poly_weighted(m, j)
-        rows.append(expand_in_shifted_legendre(q, big_m))
+    rows = (_coordinates(poly_weighted(m, j), big_m) for j in range(nu + 1))
     return ProjectionMap(tuple(rows))
 
 
@@ -170,7 +189,7 @@ def derivative_moment_map(m: int, nu: int, big_m: int) -> ProjectionMap:
     rows = []
     for j in range(nu + 1):
         q = poly_weighted(m, j)
-        zeta = expand_in_shifted_legendre(q.derivative(), big_m)
+        zeta = _coordinates(q.derivative(), big_m)
         rows.append((q.eval(1), -q.eval(0)) + tuple(-z for z in zeta))
     return ProjectionMap(tuple(rows))
 

@@ -39,14 +39,18 @@ def _as_square_matrix(obj, n_x: int, key: str) -> np.ndarray:
     return mat
 
 
-def load_system(path: str | Path) -> tuple[DelaySystem, dict]:
+def load_system(path: str | Path | resources.abc.Traversable) -> tuple[DelaySystem, dict]:
     """Parse a system file; returns the system plus its raw metadata.
 
-    The JSON document must carry "n_x", "A" and "A_d1"; "A_d2" defaults to
-    the zero matrix.  Optional keys: "name", "analytical_bounds" (recorded as
-    metadata, never used in computation).
+    ``path`` is a file path, or any object with ``read_text()`` and
+    ``name``, such as a bundled system's package resource.  The JSON
+    document must carry "n_x", "A" and "A_d1"; "A_d2" defaults to the zero
+    matrix.  Optional keys: "name" (else the file name without its
+    extension), "analytical_bounds" (recorded as metadata, never used in
+    computation).
     """
-    path = Path(path)
+    if isinstance(path, str):
+        path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -71,7 +75,7 @@ def load_system(path: str | Path) -> tuple[DelaySystem, dict]:
     a_d2 = None  # DelaySystem reads None as the zero matrix
     if doc.get("A_d2") is not None:
         a_d2 = _as_square_matrix(doc["A_d2"], n_x, "A_d2")
-    name = str(doc.get("name", path.stem))
+    name = str(doc.get("name", Path(path.name).stem))
     meta = {
         key: doc[key]
         for key in ("name", "analytical_bounds", "comment")
@@ -80,14 +84,13 @@ def load_system(path: str | Path) -> tuple[DelaySystem, dict]:
     return DelaySystem(a, a_d1, a_d2, name=name), meta
 
 
-def bundled_system_path(name: str) -> Path:
-    """Filesystem path of a bundled benchmark system description."""
+def bundled_system_path(name: str) -> resources.abc.Traversable:
+    """The package resource of a bundled benchmark system description: a
+    `Path` when the package is a directory, and readable (``read_text()``)
+    wherever the package is imported from, a zip archive included."""
     if name not in BUNDLED_SYSTEMS:
         raise KeyError(f"unknown bundled system {name!r}; have {BUNDLED_SYSTEMS}")
-    with resources.as_file(
-        resources.files("delaymargin").joinpath(f"data/{name}.json")
-    ) as p:
-        return Path(p)
+    return resources.files("delaymargin").joinpath(f"data/{name}.json")
 
 
 def bundled_system(name: str) -> tuple[DelaySystem, dict]:

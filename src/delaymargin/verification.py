@@ -26,7 +26,7 @@ from .inequalities import (
     lower_bound_values,
     moments,
 )
-from .polynomials import RationalPolynomial, inner_product, rodrigues_poly
+from .polynomials import RationalPolynomial, inner_product, poly_weighted, rodrigues_poly
 from .projection import (
     derivative_moment_map,
     legendre_table,
@@ -105,7 +105,7 @@ def check_projection_reconstruction(
                     report.checks_run += 1
                     xi = weighted_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
-                        target = rodrigues_poly(m, j).shift_exponents(m)
+                        target = poly_weighted(m, j)
                         if _reconstruct(xi.nums[j]) != target.scale(xi.den):
                             report.failures.append(
                                 f"weighted-map reconstruction broken at "
@@ -116,7 +116,7 @@ def check_projection_reconstruction(
                     report.checks_run += 1
                     z = derivative_moment_map(m, nu, big_m)
                     for j in range(nu + 1):
-                        q = rodrigues_poly(m, j).shift_exponents(m)
+                        q = poly_weighted(m, j)
                         row = z.nums[j]  # (q(1), -q(0), -zeta) * den
                         ok = (
                             row[0] == z.den

@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
 import delaymargin
@@ -62,3 +66,32 @@ def test_benchmark_wrap_points_resolve():
         module, name, _ = point.elts
         target = importlib.import_module(modules[module.id])
         assert hasattr(target, name.value), f"{modules[module.id]}.{name.value}"
+
+
+def test_bundled_systems_load_from_a_zipped_package(tmp_path):
+    # imported from a zip archive, the package has no data file on disk:
+    # the bundled systems must be read from the archive itself
+    archive = tmp_path / "delaymargin.zip"
+    package = Path(delaymargin.__file__).parent
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent))
+    script = (
+        "import sys, delaymargin\n"
+        "from delaymargin import cli\n"
+        "from delaymargin.systems import bundled_system\n"
+        f"assert delaymargin.__file__.startswith({str(archive)!r}), delaymargin.__file__\n"
+        "assert bundled_system('example1')[0].name == 'example1'\n"
+        "sys.exit(cli.main(['bounds', '--system', 'example1', '--tol', '1e-2']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(archive)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("system          example1")

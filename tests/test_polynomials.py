@@ -15,7 +15,6 @@ from delaymargin.inequalities import (
 )
 from delaymargin.polynomials import (
     RationalPolynomial,
-    expand_in_shifted_legendre,
     inner_product,
     inner_product_ratio,
     monomial_integrals,
@@ -23,6 +22,7 @@ from delaymargin.polynomials import (
     poly_weighted,
     rodrigues_poly,
 )
+from delaymargin.projection import legendre_moments
 from delaymargin.verification import _random_case
 from oracles import (
     endpoint_values_naive,
@@ -162,19 +162,6 @@ def test_divide_exponents_rejects_a_negative_power():
     assert p.divide_exponents(3) == RationalPolynomial.one()
 
 
-def test_expand_in_shifted_legendre_roundtrip():
-    p = poly_weighted(1, 0)  # x
-    coords = expand_in_shifted_legendre(p, 2)
-    assert coords == (F(1, 2), F(1, 2))
-    # reconstruct
-    recon = RationalPolynomial.zero()
-    for l, c in enumerate(coords):
-        recon = recon + rodrigues_poly(0, l).scale(c)
-    assert recon == p
-    with pytest.raises(ValueError):
-        expand_in_shifted_legendre(p, 1)
-
-
 # ---------------------------------------------------------------------------
 # The integer-numerator kernels against one-Fraction-at-a-time oracles.
 # ---------------------------------------------------------------------------
@@ -231,6 +218,28 @@ def test_monomial_integrals_match_the_fraction_oracle():
         nums, den = monomial_integrals(p, count)
         assert den > 0 and len(nums) == count
         assert [F(n, den) for n in nums] == [poly_inner_product(j, p, one) for j in range(count)]
+
+
+def test_legendre_moments_match_the_fraction_oracle():
+    # M = 0 gives no moments: the M = 0 derivative map and bound need that
+    for p in _kernel_polys():
+        want = [poly_inner_product(0, rodrigues_poly(0, l), p) for l in range(8)]
+        for big_m in range(9):
+            nums, den = legendre_moments(p, big_m)
+            assert den > 0
+            assert [F(n, den) for n in nums] == want[:big_m]
+
+
+def test_legendre_coordinates_by_orthogonality():
+    # coordinate l of p in the basis R(0, l) is (2l+1) times its moment l
+    p = poly_weighted(1, 0)  # x
+    nums, den = legendre_moments(p, 2)
+    coords = [(2 * l + 1) * F(n, den) for l, n in enumerate(nums)]
+    assert coords == [F(1, 2), F(1, 2)]
+    recon = RationalPolynomial.zero()
+    for l, c in enumerate(coords):
+        recon = recon + rodrigues_poly(0, l).scale(c)
+    assert recon == p
 
 
 def test_derivative_unit_components_are_the_composed_derivatives():
