@@ -74,6 +74,8 @@ class FunctionalSpec:
             raise ValueError("weight must be positive definite")
         if self.m < 0:
             raise ValueError("weight exponent m must be >= 0")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("interval ends must be finite")
         if not self.b > self.a:
             raise ValueError("interval must satisfy b > a")
 

@@ -206,12 +206,11 @@ class _CompiledLmis:
         rate = n * (big_m + 2)  # derivative block size
 
         def congruences(moment_map, largest_order, depth: int):
-            # each basis matrix through the depth's map; None with no order
+            # the basis stack through the depth's map; None with no order
             order = largest_order(depth, big_m)
             if order < 0:
                 return None
-            proj = moment_map(depth, order, big_m)
-            return np.array([projection_form(proj, depth, b) for b in basis])
+            return projection_form(moment_map(depth, order, big_m), depth, basis)
 
         # tau-coefficients of the factors of the energy rate and the
         # dissipation: state row W = W0 + tau W1 (W1 only when A_d2 != 0),
@@ -222,7 +221,7 @@ class _CompiledLmis:
         if np.any(sys.a_d2):
             ws.append(np.zeros((n, rate)))
             ws[1][:, 2 * n : 3 * n] = sys.a_d2
-        moment_rows = legendre_derivative_map(big_m).lift(n)
+        moment_rows = np.kron(legendre_derivative_map(big_m).as_array(), np.eye(n))
         lams = [np.vstack([ws[0], moment_rows])] + [
             np.vstack([w, np.zeros_like(moment_rows)]) for w in ws[1:]
         ]

@@ -26,9 +26,9 @@ times its moment l.  Three map families are built on it:
 
 ``projection_form`` turns either map into the quadratic form of its
 projection inequality, (map x I)^T diag{(m+1) W, (m+3) W, ...} (map x I).
-It is the one statement of that form: the LMI builder and the inequality
-bounds both call it, with the map itself, whose lift map x I_n is made
-once per n.
+It is (map^T D map) x W, D = diag{m+1, m+3, ...}, by the mixed-product
+rule: the map's exact ``gram`` times W.  It is the one statement of that
+form: the LMI builder and the inequality bounds both call it.
 
 The source of truth is those exact Legendre moments.  The published
 closed-form constructions are re-derived in ``crosscheck_closed_forms``,
@@ -84,8 +84,8 @@ class ProjectionMap:
     Stored as one integer matrix ``nums`` over one positive denominator
     ``den``, in lowest terms; ``ProjectionMap(entries)`` takes a matrix of
     int, `Fraction` or float entries (a float is taken exactly), and
-    ``entries`` is the derived `Fraction` view.  ``as_array`` and ``lift``
-    are read-only floats, made once per map (and per n)."""
+    ``entries`` is the derived `Fraction` view.  ``as_array`` and ``gram``
+    are read-only floats, made once per map (and per m)."""
 
     nums: tuple[tuple[int, ...], ...]
     den: int
@@ -112,16 +112,23 @@ class ProjectionMap:
         return self._array
 
     @cached_property
-    def _lifts(self) -> dict[int, np.ndarray]:
+    def _grams(self) -> dict[int, np.ndarray]:
         return {}
 
-    def lift(self, n: int) -> np.ndarray:
-        """``as_array()`` x I_n as a read-only array, made once per n."""
-        lift = self._lifts.get(n)
-        if lift is None:
-            lift = self._lifts[n] = _kron(self.as_array(), np.eye(n))
-            lift.setflags(write=False)
-        return lift
+    def gram(self, m: int) -> np.ndarray:
+        """P^T diag{m+1, m+3, ..., m+2 nu+1} P for this map P (nu + 1 rows)
+        as a read-only float array, made once per m: integer sums over the
+        rows of ``nums``, one division by den**2 per entry."""
+        gram = self._grams.get(m)
+        if gram is None:
+            cols, den2 = list(zip(*self.nums)), self.den**2
+            norms = range(m + 1, m + 2 * len(self.nums), 2)
+            gram = np.array(
+                [[sum(d * x * y for d, x, y in zip(norms, a, b)) / den2 for b in cols] for a in cols]
+            )
+            gram.setflags(write=False)
+            self._grams[m] = gram
+        return gram
 
 
 @lru_cache(maxsize=None)
@@ -204,24 +211,18 @@ def projection_form(proj: ProjectionMap, m: int, weight: np.ndarray) -> np.ndarr
     """(proj x I)^T diag{(m+1) W, (m+3) W, ..., (m+2 nu+1) W} (proj x I),
     nu + 1 the rows of proj: the weight W scaled by the inverse squared
     norms of the weighted Rodrigues polynomials j = 0..nu, pulled back
-    through a moment map of depth m."""
-    u = proj.lift(weight.shape[0])
-    return u.T @ _kron(_inverse_norms(m, len(proj.nums)), weight) @ u
-
-
-@lru_cache(maxsize=None)
-def _inverse_norms(m: int, count: int) -> np.ndarray:
-    """diag{m + 1, m + 3, ..., m + 2 count - 1}, read-only."""
-    diag = np.diag(np.arange(m + 1, m + 2 * count, 2, dtype=float))
-    diag.setflags(write=False)
-    return diag
+    through a moment map of depth m.  By the mixed-product rule it is
+    ``proj.gram(m)`` x W; a stack of weights (leading axes) gives the stack
+    of their forms."""
+    return _kron(proj.gram(m), weight)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices by one broadcast product: the same entries,
-    without np.kron's general-shape handling."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    """np.kron of a matrix with each matrix of b (its last two axes) by one
+    broadcast product: the same entries, without np.kron's general-shape
+    handling."""
+    (ra, ca), (*lead, rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[..., None, :, None, :]).reshape(*lead, ra * rb, ca * cb)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,8 @@ def check_bound_soundness(
 
     Per case: bound <= value + 1e-8*scale for every admissible projection
     order (both the plain and the derivative functional), plus equality to
-    1e-9*scale when the test function lies in the projected span.
+    1e-9*scale when the test function lies in the projected span.  Each
+    check is stated so that a NaN on either side fails it.
     """
     rng = np.random.default_rng(seed)
     report = VerificationReport(seed=seed)
@@ -180,7 +181,7 @@ def check_bound_soundness(
         for nu in range(max_weighted_order(m, big_m) + 1):
             report.checks_run += 1
             bound = lower_bound_values(spec, phi, nu)
-            if bound > value + 1e-8 * scale:
+            if not bound <= value + 1e-8 * scale:
                 report.failures.append(
                     f"value bound unsound (case {case}, m={m}, nu={nu}, M={big_m}): "
                     f"bound={bound!r} value={value!r}"
@@ -191,7 +192,7 @@ def check_bound_soundness(
         for nu in range(max_derivative_order(m, big_m) + 1):
             report.checks_run += 1
             dbound = lower_bound_derivative(spec, f_a, f_b, phi, nu)
-            if dbound > dvalue + 1e-8 * dscale:
+            if not dbound <= dvalue + 1e-8 * dscale:
                 report.failures.append(
                     f"derivative bound unsound (case {case}, m={m}, nu={nu}, "
                     f"M={big_m}): bound={dbound!r} value={dvalue!r}"
@@ -210,7 +211,7 @@ def check_bound_soundness(
         span_value = functional_value(span_spec, span_f)
         span_bound = lower_bound_values(span_spec, span_phi, j)
         report.checks_run += 1
-        if abs(span_bound - span_value) > 1e-9 * max(1.0, abs(span_value)):
+        if not abs(span_bound - span_value) <= 1e-9 * max(1.0, abs(span_value)):
             report.failures.append(
                 f"span equality broken (case {case}, m={m}, j={j}): "
                 f"bound={span_bound!r} value={span_value!r}"
@@ -234,12 +235,12 @@ def check_competitor_dominance(
         theirs = competitor_bound(spec, g_l, ups_l)
         value = functional_value(spec, f)
         report.checks_run += 1
-        if ours < theirs - 1e-10 * max(1.0, abs(ours)):
+        if not ours >= theirs - 1e-10 * max(1.0, abs(ours)):
             report.failures.append(
                 f"dominance broken (case {case}, l={l}): ours={ours!r} "
                 f"theirs={theirs!r}"
             )
-        if theirs > value + 1e-8 * max(1.0, abs(value)):
+        if not theirs <= value + 1e-8 * max(1.0, abs(value)):
             report.failures.append(
                 f"competitor bound unsound (case {case}, l={l}): "
                 f"bound={theirs!r} value={value!r}"

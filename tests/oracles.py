@@ -167,13 +167,6 @@ def endpoint_values_naive(f: PolynomialVectorFunction) -> tuple[np.ndarray, np.n
     return tuple(np.array([float(poly_eval(c, x)) for c in f.components]) for x in (f.a, f.b))
 
 
-def kron_projection_form(proj: np.ndarray, m: int, weight: np.ndarray) -> np.ndarray:
-    """`projection.projection_form` with its Kronecker factors from np.kron."""
-    u = np.kron(proj, np.eye(weight.shape[0]))
-    factors = np.arange(m + 1, m + 2 * proj.shape[0], 2, dtype=float)
-    return u.T @ np.kron(np.diag(factors), weight) @ u
-
-
 # ---------------------------------------------------------------------------
 # Per-delay reference blocks of the stability LMIs.
 # ---------------------------------------------------------------------------

@@ -307,6 +307,20 @@ def test_verify_reports_each_corrupted_derivative_map_column(monkeypatch, column
     ]
 
 
+def test_verify_fails_nan_bounds(monkeypatch):
+    # a NaN bound fails every check that reads it, at unchanged check counts
+    def nan(*args, **kwargs):
+        return float("nan")
+
+    monkeypatch.setattr(verification, "lower_bound_values", nan)
+    monkeypatch.setattr(verification, "lower_bound_derivative", nan)
+    soundness = verification.check_bound_soundness(cases=20)
+    assert (soundness.checks_run, len(soundness.failures)) == (152, 152)
+    dominance = verification.check_competitor_dominance(cases=20)
+    assert (dominance.checks_run, len(dominance.failures)) == (20, 20)
+    assert all(f.startswith("dominance broken") for f in dominance.failures)
+
+
 def test_verify_exit_nonzero_on_failure(capsys, monkeypatch):
     import delaymargin.cli as cli_mod
     from delaymargin.verification import VerificationReport

@@ -300,6 +300,10 @@ def test_functional_spec_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             FunctionalSpec(np.array([[bad]]), 0, 0.0, 1.0)
+    # an infinite end would make every bound and the competitor vacuous (0.0)
+    for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)):
+        with pytest.raises(ValueError, match="interval ends must be finite"):
+            FunctionalSpec(np.eye(1), 0, a, b)
     big = 1e6 * np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
     FunctionalSpec(big, 0, 0.0, 1.0)
 

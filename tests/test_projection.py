@@ -24,7 +24,7 @@ from delaymargin.projection import (
     weighted_moment_map,
 )
 from delaymargin.lmi import _svec_basis
-from oracles import _weighted_congruence, kron_projection_form
+from oracles import _weighted_congruence
 
 F = Fraction
 
@@ -156,35 +156,70 @@ def test_projection_form_matches_the_oracle_congruence(n):
     assert checked == 140
 
 
-def test_projection_form_is_bitwise_the_kron_form():
-    # random maps (one row, n = 1 included) and random signed weights; a
-    # map of float entries holds them exactly
+def _moment_maps(m, big_m):
+    """Every admissible map of both families at depth m and order M."""
+    for largest, moment_map in (
+        (max_weighted_order(m, big_m), weighted_moment_map),
+        (max_derivative_order(m, big_m), derivative_moment_map),
+    ):
+        for nu in range(largest + 1):
+            yield moment_map(m, nu, big_m)
+
+
+def _bitwise(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _float_maps():
+    # random maps (one row and one column included); a map of float
+    # entries holds them exactly
     rng = np.random.default_rng(31)
-    for rows, cols, n in [(1, 1, 1), (1, 4, 2), (3, 1, 1), (2, 5, 3), (4, 6, 4), (5, 3, 2)]:
-        proj = rng.normal(size=(rows, cols))
-        pmap = ProjectionMap(proj)
-        assert pmap.as_array().tobytes() == proj.tobytes()
-        g = rng.normal(size=(n, n))
-        weight = g + g.T
+    for rows, cols in [(1, 1), (1, 4), (3, 1), (2, 5), (4, 6), (5, 3)]:
+        yield ProjectionMap(rng.normal(size=(rows, cols)))
+
+
+def test_gram_is_the_correctly_rounded_exact_gram():
+    # float(Fraction) of sum_j (m+2j+1) P[j][a] P[j][b], from the entries
+    def exact(pmap, m):
+        entries = pmap.entries
+        cols = range(len(entries[0]))
+        return np.array([
+            [float(sum((m + 2 * j + 1) * row[a] * row[b] for j, row in enumerate(entries)))
+             for b in cols]
+            for a in cols
+        ])
+
+    checked = 0
+    for m in range(7):
+        for big_m in range(11):
+            for pmap in _moment_maps(m, big_m):
+                assert _bitwise(pmap.gram(m), exact(pmap, m))
+                checked += 1
+    assert checked == 476
+    for pmap in _float_maps():
         for m in range(4):
-            assert np.array_equal(projection_form(pmap, m, weight), kron_projection_form(proj, m, weight))
-    # the maps and basis matrices `lmi` compiles, M = 1..4, depths 0..3
-    for n in (1, 2, 3):
-        for big_m in range(1, 5):
-            for m in range(4):
-                for largest, moment_map in (
-                    (max_weighted_order(m, big_m), weighted_moment_map),
-                    (max_derivative_order(m, big_m), derivative_moment_map),
-                ):
-                    if largest < 0:
-                        continue
-                    pmap = moment_map(m, largest, big_m)
-                    proj = pmap.as_array()
-                    for b in _svec_basis(n):
-                        assert np.array_equal(projection_form(pmap, m, b), kron_projection_form(proj, m, b))
+            assert _bitwise(pmap.gram(m), exact(pmap, m))
 
 
-def test_lifts_and_the_legendre_table_are_made_once_and_read_only():
+def test_projection_form_is_bitwise_the_kron_form():
+    # np.kron of the Gram and a random signed weight; a stack of weights
+    # (the svec basis `lmi` compiles) gives bitwise the per-matrix forms
+    rng = np.random.default_rng(32)
+    maps = [(pmap, m) for pmap in _float_maps() for m in range(4)]
+    maps += [(pmap, m) for big_m in range(1, 5) for m in range(4) for pmap in _moment_maps(m, big_m)]
+    for pmap, m in maps:
+        for n in (1, 2, 3):
+            g = rng.normal(size=(n, n))
+            weight = g + g.T
+            assert _bitwise(projection_form(pmap, m, weight), np.kron(pmap.gram(m), weight))
+            basis = _svec_basis(n)
+            stack = projection_form(pmap, m, basis)
+            assert len(stack) == len(basis)
+            for form, b in zip(stack, basis):
+                assert _bitwise(form, projection_form(pmap, m, b))
+
+
+def test_grams_and_the_legendre_table_are_made_once_and_read_only():
     for big_m in range(1, 7):
         table = legendre_table(big_m)
         assert table is legendre_table(big_m)
@@ -196,12 +231,11 @@ def test_lifts_and_the_legendre_table_are_made_once_and_read_only():
         with pytest.raises(ValueError):
             table.as_array()[0, 0] = 1.0
         for pmap in (weighted_moment_map(0, big_m - 1, big_m), legendre_derivative_map(big_m), table):
-            for n in (1, 2, 3):
-                lift = pmap.lift(n)
-                assert lift is pmap.lift(n)
-                assert lift.tobytes() == np.kron(pmap.as_array(), np.eye(n)).tobytes()
+            for m in range(3):
+                gram = pmap.gram(m)
+                assert gram is pmap.gram(m)
                 with pytest.raises(ValueError):
-                    lift[0, 0] = 1.0
+                    gram[0, 0] = 1.0
 
 
 def test_legendre_derivative_map_examples():
