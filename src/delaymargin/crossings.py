@@ -32,8 +32,10 @@ unstable.  A count that cannot be made certain (a root on the axis at
 tau = 0, a null space not clearly separated from H's other singular
 values, a crossing whose direction is ambiguous, a count that would go
 negative, or no proof within `_MAX_CROSSINGS`) is None from there on.
-When A_d2 = 0 and A + A_d1 is singular, s = 0 is a root at every delay
-and no window may be stable.
+When A + A_d1 + tau A_d2 is singular at the n_x + 1 delays tau = 0, 1,
+..., n_x, it is singular at every delay (its determinant has degree at
+most n_x in tau): s = 0 is then a root throughout, and no window may be
+stable.  When A_d2 = 0 that is A + A_d1 singular.
 """
 
 from __future__ import annotations
@@ -231,6 +233,12 @@ def _crossings(sys: DelaySystem, distributed: bool, scale: float):
     return found
 
 
+def _singular(mat: np.ndarray, scale: float) -> bool:
+    """Whether mat has an eigenvalue within _ROOT_TOL * scale of zero; the
+    callers pass (A + A_d1 + tau A_d2) / (1 + tau), which cannot overflow."""
+    return bool(np.any(np.abs(np.linalg.eigvals(mat)) <= _ROOT_TOL * scale))
+
+
 def stability_windows(sys: DelaySystem) -> list[Window]:
     """The delay windows (0, tau_1), (tau_1, tau_2), ..., (tau_K, inf) cut
     by the characteristic-root crossings tau_1 < ... < tau_K, each with its
@@ -246,7 +254,10 @@ def stability_windows(sys: DelaySystem) -> list[Window]:
         raise ValueError("the system overflows: A + A_d1 or a matrix norm is not finite")
     distributed = bool(np.any(sys.a_d2))
     start = np.linalg.eigvals(total)
-    if not distributed and np.any(np.abs(start) <= _ROOT_TOL * scale):
+    if np.any(np.abs(start) <= _ROOT_TOL * scale) and all(
+        _singular(total / (1 + tau) + sys.a_d2 * (tau / (1 + tau)), scale)
+        for tau in range(1, sys.n_x + 1)
+    ):
         return []
     count = (None if np.any(np.abs(start.real) <= _ROOT_TOL * scale)
              else int(np.sum(start.real > 0)))

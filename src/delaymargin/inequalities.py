@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -72,8 +73,8 @@ class FunctionalSpec:
         eigs = np.linalg.eigvalsh(w)
         if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
             raise ValueError("weight must be positive definite")
-        if self.m < 0:
-            raise ValueError("weight exponent m must be >= 0")
+        if not isinstance(self.m, numbers.Integral) or self.m < 0:
+            raise ValueError(f"weight exponent m must be an integer >= 0, got {self.m!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("interval ends must be finite")
         if not self.b > self.a:

@@ -32,8 +32,8 @@ form: the LMI builder and the inequality bounds both call it.
 
 The source of truth is those exact Legendre moments.  The published
 closed-form constructions are re-derived in ``crosscheck_closed_forms``,
-with an independent Fraction inverse of the table, purely as a diagnostic
-that never overrides the maps.
+purely as a diagnostic that never overrides the maps: each map times the
+table must equal the recipe's exact coefficient product.
 
 The admissible orders are stated once: ``max_weighted_order`` and
 ``max_derivative_order`` give the largest nu each map accepts (negative
@@ -277,28 +277,15 @@ def _coefficient_matrix_closed_form(m: int, big_k: int) -> FractionMatrix:
     return tuple(tuple(entry(l, k) for k in range(big_k + 1)) for l in range(big_k + 1))
 
 
-def _fraction_matmul(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols) for row in a
-    )
-
-
-def _fraction_inverse_lower(mat: FractionMatrix) -> FractionMatrix:
-    """Exact inverse of a lower-triangular rational matrix."""
-    n = len(mat)
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        inv[j][j] = 1 / mat[j][j]
-        for i in range(j + 1, n):
-            acc = sum((mat[i][k] * inv[k][j] for k in range(j, i)), Fraction(0))
-            inv[i][j] = -acc / mat[i][i]
-    return tuple(tuple(row) for row in inv)
+def _matmul(a: FractionMatrix, b: FractionMatrix) -> FractionMatrix:
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def _diff_matrices(
-    label: str, got: FractionMatrix, want: FractionMatrix, report: CrosscheckReport
+    label: str, got: FractionMatrix, want: FractionMatrix, report: CrosscheckReport,
+    times: str = "",
 ) -> None:
+    """Diff two exact matrices; ``times`` names a table both were multiplied by."""
     if got == want:
         report.agreements.append(f"{label} matches basis-change result")
         return
@@ -306,7 +293,7 @@ def _diff_matrices(
         for j, (g, w) in enumerate(zip(rg, rw)):
             if g != w:
                 report.discrepancies.append(
-                    f"{label}[{i},{j}]: closed form {g} vs basis change {w}"
+                    f"{label}{times}[{i},{j}]: closed form {g} vs basis change {w}"
                 )
 
 
@@ -317,7 +304,9 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
     weighted map, off-by-ones in the derivative map's diagonal factor); this
     diagnostic applies the minimal corrections recorded in ``notes``, diffs
     every entry against the basis-change construction, and reports rather
-    than overrides.
+    than overrides.  The recipes print each map as C G0^-1, G0 the Legendre
+    table; since G0 is triangular with a nonzero diagonal, that holds
+    exactly when map x G0 = C, and those products are what is diffed.
     """
     report = CrosscheckReport(m=m, nu=nu, big_m=big_m)
 
@@ -334,9 +323,9 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
     # 2. Weighted moment map: printed size "G(m, -nu)" read as G(m, +nu);
     #    valid only in the tight case m + nu = M - 1, where the shift block
     #    [0 I] needs no right padding.
-    g0_inv = _fraction_inverse_lower(monomial_to_basis_matrix(0, big_m - 1))
+    g0 = monomial_to_basis_matrix(0, big_m - 1)
     if nu == max_weighted_order(m, big_m):
-        gm = _coefficient_matrix_closed_form(m, nu) if nu >= 0 else ()
+        gm = _coefficient_matrix_closed_form(m, nu)
         shift = tuple(
             tuple(
                 Fraction(1) if col == m + row else Fraction(0)
@@ -344,10 +333,9 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
             )
             for row in range(nu + 1)
         )
-        closed_xi = _fraction_matmul(_fraction_matmul(gm, shift), g0_inv)
-        derived_xi = weighted_moment_map(m, nu, big_m).entries
+        derived_xi = _matmul(weighted_moment_map(m, nu, big_m).entries, g0)
         report.notes.append("weighted map size read as G(m, +nu), not G(m, -nu)")
-        _diff_matrices("weighted moment map", closed_xi, derived_xi, report)
+        _diff_matrices("weighted moment map", _matmul(gm, shift), derived_xi, report, " x G0")
     else:
         report.notes.append(
             "weighted-map closed form skipped: printed shift block assumes "
@@ -370,11 +358,10 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
                 )
                 for row in range(nu + 1)
             )
-            g0s_inv = _fraction_inverse_lower(monomial_to_basis_matrix(0, span - 1))
-            zeta = _fraction_matmul(_fraction_matmul(gm, dshift), g0s_inv)
             derived = derivative_moment_map(m, nu, big_m).entries
-            derived_zeta = tuple(
-                tuple(-c for c in row[2 : 2 + span]) for row in derived
+            derived_zeta = _matmul(
+                tuple(tuple(-c for c in row[2 : 2 + span]) for row in derived),
+                monomial_to_basis_matrix(0, span - 1),
             )
             pad_ok = all(
                 all(c == 0 for c in row[2 + span :]) for row in derived
@@ -387,7 +374,9 @@ def crosscheck_closed_forms(m: int, nu: int, big_m: int) -> CrosscheckReport:
                 report.agreements.append("derivative map zero padding beyond span")
             else:  # pragma: no cover - would indicate a real defect
                 report.discrepancies.append("derivative map has entries beyond span")
-            _diff_matrices("derivative map coordinates", zeta, derived_zeta, report)
+            _diff_matrices(
+                "derivative map coordinates", _matmul(gm, dshift), derived_zeta, report, " x G0s"
+            )
         else:
             report.notes.append("derivative map trivial (constant rows only)")
 

@@ -463,12 +463,14 @@ def hierarchy_sweep(
     The expected hierarchy is nondecreasing bounds in both M and m; any
     decrease beyond _COMPARISON_TOL is recorded as a violation.  Per-cell
     failures are captured, not raised, so one bad cell cannot abort a sweep.
-    Raises ValueError, before any cell runs, when either maximum is below 1
-    or the tolerance is not positive and finite.
+    Raises ValueError, before any cell runs, when either maximum is below 1,
+    the tolerance is not positive and finite, or the system is rejected by
+    `stability_windows` (an overflow).
     """
     if max_big_m < 1 or max_m < 1:
         raise ValueError(f"sweep needs M, m >= 1, got M={max_big_m}, m={max_m}")
     _check_tol(tol)  # before the loop, which records ValueError per cell
+    stability_windows(sys)
     cells: dict[tuple[int, int], DelayBoundsReport] = {}
     errors: dict[tuple[int, int], str] = {}
     for big_m in range(1, max_big_m + 1):

@@ -186,6 +186,15 @@ def test_bounds_overflowing_system_is_input_error(capsys, tmp_path, a, a_d1, mes
     assert err.startswith(message) and "Traceback" not in err
 
 
+def test_sweep_overflowing_system_is_input_error(capsys, tmp_path):
+    # one input error before any cell, not the same error in every cell
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_x": 1, "A": [[-1e160]], "A_d1": [[-2e160]]}))
+    code, out, err = run_cli(capsys, "sweep", "--system", str(path), "--M", "2", "--m", "1")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: the crossing polynomial overflows") and "Traceback" not in err
+
+
 def test_bounds_no_feasible_point(capsys, tmp_path):
     path = tmp_path / "unstable.json"
     path.write_text(json.dumps({"n_x": 1, "A": [[1.0]], "A_d1": [[0.0]]}))

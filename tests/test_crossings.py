@@ -119,9 +119,11 @@ def test_random_window_counts_match_the_generator_spectrum():
 
 
 def _scalar_blocks(blocks) -> DelaySystem:
-    """Block-diagonal x_i' = -alpha_i x_i - beta_i x_i(t - tau)."""
-    alpha, beta = np.array(blocks, dtype=float).T
-    return DelaySystem(np.diag(-alpha), np.diag(-beta), name="scalar-blocks")
+    """Block-diagonal x_i' = -alpha_i x_i - beta_i x_i(t - tau), minus
+    gamma_i int_{t-tau}^t x_i(s) ds when the blocks are (alpha, beta, gamma)."""
+    alpha, beta, *gamma = np.array(blocks, dtype=float).T
+    return DelaySystem(np.diag(-alpha), np.diag(-beta), *(np.diag(-g) for g in gamma),
+                       name="scalar-blocks")
 
 
 def _scalar_margin(alpha: float, beta: float) -> float:
@@ -188,10 +190,11 @@ def test_a_root_on_the_axis_at_zero_delay_leaves_the_counts_uncertain():
 
 
 @pytest.mark.parametrize(
-    "blocks", [[(1.0, -1.0)], [(1.0, -1.0), (0.0, 1.0)]]
+    "blocks", [[(1.0, -1.0)], [(1.0, -1.0), (0.0, 1.0)], [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0)]]
 )
 def test_a_zero_root_at_every_delay_leaves_no_window(monkeypatch, blocks):
-    # A_d2 = 0 and A + A_d1 singular: s = 0 is a root at every delay
+    # s = 0 is a root at every delay: A_d2 = 0 and A + A_d1 singular, or
+    # det(A + A_d1 + tau A_d2) = 0 for every tau (A = A_d2 = diag(0, -1))
     sys = _scalar_blocks(blocks)
     assert stability_windows(sys) == []
 

@@ -294,6 +294,11 @@ def test_functional_spec_validation():
         FunctionalSpec(np.eye(2), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         FunctionalSpec(np.eye(2), -1, 0.0, 1.0)
+    # the exponent must be an integer (numpy integers count as one)
+    for bad in (0.5, 2.0):
+        with pytest.raises(ValueError, match="integer"):
+            FunctionalSpec(np.eye(1), bad, 0.0, 1.0)
+    assert FunctionalSpec(np.eye(1), np.int64(2), 0.0, 1.0).m == 2
     # symmetry is absolute up to 1e-12 of the largest entry, not np.allclose's rtol
     with pytest.raises(ValueError, match="symmetric"):
         FunctionalSpec(np.array([[1.0, 0.5], [0.500004, 1.0]]), 0, 0.0, 1.0)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from delaymargin import projection
 from delaymargin.polynomials import (
     RationalPolynomial,
     monomial_to_basis_matrix,
@@ -344,6 +345,29 @@ def test_crosscheck_reports_skip_outside_tight_case():
     report = crosscheck_closed_forms(1, 1, 5)  # m + nu = 2 != M - 1 = 4
     assert any("skipped" in s for s in report.notes)
     assert report.clean
+
+
+@pytest.mark.parametrize(
+    "name, row, col, label",
+    [
+        ("weighted_moment_map", 0, 0, "weighted moment map x G0[0,0]"),
+        ("derivative_moment_map", 1, 2, "derivative map coordinates x G0s[1,0]"),
+    ],
+)
+def test_crosscheck_reports_a_corrupted_map(monkeypatch, name, row, col, label):
+    build = getattr(projection, name)
+
+    def corrupted(m, nu, big_m):
+        entries = [list(r) for r in build(m, nu, big_m).entries]
+        entries[row][col] += F(1, 7)
+        return ProjectionMap(entries)
+
+    monkeypatch.setattr(projection, name, corrupted)
+    report = crosscheck_closed_forms(1, 1, 3)
+    assert not report.clean
+    mismatches = [s for s in report.lines() if s.startswith("  MISMATCH: ")]
+    assert any(s.startswith(f"  MISMATCH: {label}: closed form ") for s in mismatches), mismatches
+    assert all(" vs basis change " in s for s in mismatches)
 
 
 def test_maps_are_stored_canonically_and_convert_bitwise():
