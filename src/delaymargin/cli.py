@@ -94,14 +94,16 @@ def _bounds_csv(report: DelayBoundsReport) -> str:
     writer = csv.writer(buf)
     writer.writerow(
         ["system", "M", "m", "direction", "tau_lower", "tau_upper", "nodv",
-         "probes", "inconclusive", "wall_time_s"]
+         "probes", "inconclusive", "wall_time_s", "range_certified"]
     )
+    certified = report.range_certified  # None unless the direction is interval
     writer.writerow(
         [report.system, report.big_m, report.m, report.direction,
          "" if report.tau_lower is None else repr(report.tau_lower),
          "" if report.tau_upper is None else repr(report.tau_upper),
          report.nodv, len(report.probes), report.inconclusive_probes,
-         f"{report.wall_time_s:.3f}"]
+         f"{report.wall_time_s:.3f}",
+         "" if certified is None else str(certified).lower()]
     )
     return buf.getvalue().rstrip("\n")
 
@@ -129,14 +131,18 @@ def _sweep_text(result: SweepResult) -> str:
 
 
 def _sweep_csv(result: SweepResult) -> str:
+    """One row per cell in (M, m) order; a failed cell has only its error."""
+    rows = {
+        key: ["" if rep.tau_upper is None else repr(rep.tau_upper), rep.nodv,
+              len(rep.probes), f"{rep.wall_time_s:.3f}", ""]
+        for key, rep in result.cells.items()
+    }
+    rows.update((key, ["", "", "", "", msg]) for key, msg in result.errors.items())
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["M", "m", "tau_upper", "nodv", "probes", "wall_time_s"])
-    for (big_m, m), rep in sorted(result.cells.items()):
-        writer.writerow(
-            [big_m, m, "" if rep.tau_upper is None else repr(rep.tau_upper),
-             rep.nodv, len(rep.probes), f"{rep.wall_time_s:.3f}"]
-        )
+    writer.writerow(["M", "m", "tau_upper", "nodv", "probes", "wall_time_s", "error"])
+    for (big_m, m), row in sorted(rows.items()):
+        writer.writerow([big_m, m, *row])
     return buf.getvalue().rstrip("\n")
 
 

@@ -13,9 +13,11 @@ state history:
 * a derivative block (the time derivative of the functional, upper-bounded
   through the projection inequalities, must be negative definite),
 
-together with positivity of the individual Q and R variables.  A delay-range
-variant replaces the single-delay derivative block by its Schur-complement
-form, affine in tau, checked at both interval endpoints.  The assembled
+together with positivity of the individual Q and R variables.  The
+delay-range conditions are the same blocks read in the range variables
+(tau P, tau Q, R) and checked at both interval endpoints: there the
+positivity block is affine and the negated derivative block concave in tau
+(when A_d2 = 0), so each is smallest at an endpoint.  The assembled
 conditions are an ``sdp.ConeProgram``, one coefficient stack per block
 and no constant term (the conditions are homogeneous in the decision
 variables), every block positive definite (the derivative blocks
@@ -185,13 +187,11 @@ class _CompiledLmis:
     * positivity: tau P plus the weighted projections of the Qs;
     * derivative: the energy rate He(Gam^T P Lam), the history rate of the
       Qs, the dissipation tau W^T (sum R_j) W, and minus 1/tau times the
-      derivative projections of the Rs;
-    * range derivative: its Schur form, with the projections not divided
-      by tau and an extra corner row [tau W^T sum R_j; -sum R_j].
+      derivative projections of the Rs.
     A projection term of depth j has order ``max_weighted_order(j, M)``
     (Qs) or ``max_derivative_order(j, M)`` (Rs), and is left out when that
     is negative (its trivial nonnegativity bound keeps the condition sound
-    for every m >= 0).  Both derivative blocks are stored negated (an exact
+    for every m >= 0).  The derivative block is stored negated (an exact
     sign flip), so every block must be positive definite.
     """
 
@@ -250,28 +250,22 @@ class _CompiledLmis:
                 history.append((0, off, n, n, -basis))
             elif weighted[j - 1] is not None:
                 history.append((0, off, 2 * n, 2 * n, -j * weighted[j - 1]))
-        dissipation, projection, schur = [], [], []
+        dissipation, projection = [], []
         for j, off in enumerate(r_offsets, start=1):
             for a, wa in enumerate(ws):
-                schur.append((1 + a, off, 0, rate, wa.T @ basis))
-                schur.append((1 + a, off, rate, 0, basis @ wa))
                 for b, wb in enumerate(ws):
                     dissipation.append((1 + a + b, off, 0, 0, wa.T @ basis @ wb))
-            schur.append((0, off, rate, rate, -basis))
             z = congruences(derivative_moment_map, max_derivative_order, j - 1)
-            if z is not None:
-                projection.append((0, off, 0, 0, -j * z))
+            if z is not None:  # the projection term is divided by tau
+                projection.append((-1, off, 0, 0, -j * z))
 
         self.definite = [
             _TauPolynomial(dim, n, [(0, off, 0, 0, basis)]) for off in layout.offsets[1:]
         ]
         self.positivity = _TauPolynomial(dim, n * (big_m + 1), positivity)
-        # the single-delay block divides the projection term by tau
-        derivative = energy + history + dissipation + [(-1, *t[1:]) for t in projection]
+        derivative = energy + history + dissipation + projection
         self.derivative = _TauPolynomial(dim, rate, _negated(derivative))
-        self.range_derivative = _TauPolynomial(
-            dim, rate + n, _negated(energy + history + projection + schur)
-        )
+        self.r_offset = layout.offsets[params.m + 2]  # first svec row of R_1
 
 
 def _negated(terms):
@@ -306,23 +300,28 @@ def assemble_delay_range_lmis(
     tau_up: float,
 ) -> sdp.ConeProgram:
     """Delay-range stability LMIs for tau in [tau_low, tau_up], in block
-    order positivity at tau_up, -range derivative at tau_low and at tau_up,
+    order positivity and -derivative at tau_low, the same at tau_up, then
     Q_0..Q_m, R_1..R_m2.
 
-    Endpoint checks certify the range because every block is affine in tau
-    when A_d2 = 0; with A_d2 != 0 the endpoint reduction is heuristic (tau**2
-    terms enter the energy-rate block) and callers should treat the result
-    as a pointwise check only.
+    Each block at an end tau is tau times the single-delay block at tau
+    read in the range variables (tau P, tau Q, R): positivity unchanged,
+    the derivative stack with its R rows scaled by tau.  With A_d2 = 0 the
+    positivity block is affine and the negated derivative block, C0 + tau
+    C1 - tau**2 W^T (sum R_j) W with the R blocks definite, concave in tau,
+    so the smallest eigenvalue of each is smallest at an end and the
+    endpoint checks certify the range; with A_d2 != 0 (tau**2 and tau**3 terms in the energy rate) the
+    reduction is heuristic and callers should treat the result as a
+    pointwise check only.
     """
     if not 0 < tau_low <= tau_up:
         raise ValueError("need 0 < tau_low <= tau_up")
     compiled = _compiled(sys, params)
-    blocks = [
-        (compiled.positivity, tau_up),
-        (compiled.range_derivative, tau_low),
-        (compiled.range_derivative, tau_up),
-    ] + [(poly, tau_up) for poly in compiled.definite]
-    return sdp.ConeProgram([poly.at(tau) for poly, tau in blocks])
+    blocks = []
+    for end in (tau_low, tau_up):
+        derivative = compiled.derivative.at(end)
+        derivative[compiled.r_offset :] *= end
+        blocks += [compiled.positivity.at(end), derivative]
+    return sdp.ConeProgram(blocks + [poly.at(tau_up) for poly in compiled.definite])
 
 
 def nodv(params: HierarchyParams, n_x: int) -> int:

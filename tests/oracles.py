@@ -350,40 +350,6 @@ def derivative_block(
     )
 
 
-def range_derivative_block(
-    sys: DelaySystem,
-    params: HierarchyParams,
-    tau: float,
-    p: np.ndarray,
-    qs: Sequence[np.ndarray],
-    rs: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Schur form of the derivative condition used for delay ranges.
-
-    Affine in tau when A_d2 = 0, so checking both interval endpoints
-    certifies the whole range.  The derivative functional here carries a
-    tau**2 multiplier, which removes the 1/tau from the projection term and
-    produces the extra negative corner block.
-    """
-    n = sys.n_x
-    big_m = params.big_m
-    core = (
-        _energy_rate(sys, params, tau, p)
-        + _history_rate(n, params, qs)
-        - _derivative_projection(n, params, rs)
-    )
-    rsum = sum(np.asarray(r, dtype=float) for r in rs)
-    row = _state_row(sys, tau, big_m)
-    off = tau * row.T @ rsum
-    size = n * (big_m + 3)
-    out = np.zeros((size, size))
-    out[: n * (big_m + 2), : n * (big_m + 2)] = core
-    out[: n * (big_m + 2), n * (big_m + 2) :] = off
-    out[n * (big_m + 2) :, : n * (big_m + 2)] = off.T
-    out[n * (big_m + 2) :, n * (big_m + 2) :] = -rsum
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Frequency-domain oracle: the characteristic determinant on the imaginary
 # axis, independent of the LMI machinery and of the crossing computation.

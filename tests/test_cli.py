@@ -146,6 +146,17 @@ def test_bounds_csv_output(capsys):
     assert float(rows[0]["tau_upper"]) == pytest.approx(6.05932, abs=1e-2)
 
 
+@pytest.mark.parametrize("direction,certified", [("upper", ""), ("interval", "true")])
+def test_bounds_csv_reports_range_certification(capsys, direction, certified):
+    code, out, _ = run_cli(
+        capsys, "bounds", "--system", "example1", "--M", "1", "--m", "1",
+        "--tol", "1e-3", "--direction", direction, "--format", "csv",
+    )
+    assert code == EXIT_OK
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["range_certified"] == certified
+
+
 def test_bounds_interval_direction(capsys):
     code, out, _ = run_cli(
         capsys, "bounds", "--system", "example3", "--M", "1", "--m", "1",
@@ -255,6 +266,29 @@ def test_sweep_json(capsys):
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)
     assert doc["violations"] == []
+
+
+def test_sweep_csv_reports_failed_cells(capsys, monkeypatch):
+    import delaymargin.search as search_mod
+
+    real_max_delay = search_mod.max_delay
+
+    def failing_at_2_1(sys, params, tol):
+        if (params.big_m, params.m) == (2, 1):
+            raise search_mod.NoFeasiblePointError("no feasible delay (test)")
+        return real_max_delay(sys, params, tol)
+
+    monkeypatch.setattr(search_mod, "max_delay", failing_at_2_1)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--system", "example1", "--M", "2", "--m", "1",
+        "--tol", "1e-3", "--format", "csv",
+    )
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["M"], r["m"]) for r in rows] == [("1", "1"), ("2", "1")]
+    assert rows[0]["error"] == "" and float(rows[0]["tau_upper"]) > 6.0
+    assert rows[1]["error"] == "no feasible delay (test)"
+    assert all(rows[1][key] == "" for key in ("tau_upper", "nodv", "probes", "wall_time_s"))
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])

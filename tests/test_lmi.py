@@ -22,7 +22,6 @@ from oracles import (
     derivative_block,
     pack,
     positivity_block,
-    range_derivative_block,
     unpack,
     zero_vars,
 )
@@ -165,16 +164,17 @@ def test_evaluate_matches_direct_assembly(systems, name, big_m, m, tau):
     for blk, var in zip(got[2:], dv.qs + dv.rs):  # Q0..Qm, R1..Rm2
         _assert_rel_close(blk, var)
 
+    # y read as the range variables (tau P, tau Q, R): at each end the
+    # blocks are tau times the single-delay blocks at (P/tau, Q/tau, R)
     low, up = 0.5 * tau, tau
     range_program = assemble_delay_range_lmis(sys, params, low, up)
     got = [value(range_program, k, y) for k in range(len(range_program.blocks))]
-    assert len(got) == 3 + len(dv.qs) + len(dv.rs)
-    _assert_rel_close(got[0], positivity_block(sys, params, up, dv.p, dv.qs))
-    for blk, end in zip(got[1:3], (low, up)):
-        _assert_rel_close(
-            blk, -range_derivative_block(sys, params, end, dv.p, dv.qs, dv.rs)
-        )
-    for blk, var in zip(got[3:], dv.qs + dv.rs):
+    assert len(got) == 4 + len(dv.qs) + len(dv.rs)
+    for k, end in ((0, low), (2, up)):
+        _assert_rel_close(got[k], positivity_block(sys, params, end, dv.p, dv.qs))
+        p, qs = dv.p / end, [q / end for q in dv.qs]
+        _assert_rel_close(got[k + 1], -end * derivative_block(sys, params, end, p, qs, dv.rs))
+    for blk, var in zip(got[4:], dv.qs + dv.rs):
         _assert_rel_close(blk, var)
 
 
@@ -262,25 +262,35 @@ def test_nodv_counts():
     assert nodv(HierarchyParams(4, 1), 2) == 55 + 6 + 6
 
 
-def test_delay_range_matches_affine_structure():
-    # range block is affine in tau when the distributed matrix vanishes
+@pytest.mark.parametrize("big_m,m", [(1, 0), (2, 1), (3, 2)])
+def test_delay_range_derivative_is_concave_in_tau(big_m, m):
+    # with A_d2 = 0 the negated range derivative block is C0 + tau C1 -
+    # tau**2 W^T (sum R_j) W, so its value at the midpoint exceeds the mean
+    # of its end values by ((b - a)**2 / 4) W^T (sum R_j) W, positive
+    # semidefinite for positive semidefinite Rs
     sys = example1()
-    params = HierarchyParams(2, 1)
+    n = sys.n_x
+    params = HierarchyParams(big_m, m)
     rng = np.random.default_rng(4)
     lo, hi = 0.4, 1.9
     mid = 0.5 * (lo + hi)
+    layout = VariableLayout(n, params)
+    dv = random_vars(layout, rng)
+    dv.rs = [g @ g.T for g in (rng.normal(size=r.shape) for r in dv.rs)]
+    y = pack(layout, dv)
     program = assemble_delay_range_lmis(sys, params, lo, hi)
-    layout = VariableLayout(sys.n_x, params)
-    y = pack(layout, random_vars(layout, rng))
-    b_lo = value(program, 1, y)  # derivative at the lower endpoint
-    b_hi = value(program, 2, y)  # derivative at the upper endpoint
-    mid_program = assemble_delay_range_lmis(sys, params, mid, hi)
-    b_mid = value(mid_program, 1, y)
-    assert np.allclose(b_mid, 0.5 * (b_lo + b_hi), atol=1e-11)
+    b_lo = value(program, 1, y)  # -derivative at the lower end
+    b_hi = value(program, 3, y)  # -derivative at the upper end
+    b_mid = value(assemble_delay_range_lmis(sys, params, mid, mid), 1, y)
+    w = np.zeros((n, n * (big_m + 2)))
+    w[:, :n], w[:, n : 2 * n] = sys.a, sys.a_d1
+    want = 0.25 * (hi - lo) ** 2 * w.T @ sum(dv.rs) @ w
+    assert np.allclose(b_mid - 0.5 * (b_lo + b_hi), want, atol=1e-11)
+    assert np.linalg.eigvalsh(want)[0] >= -1e-12
 
 
 def test_delay_range_single_point_equivalence():
-    # Schur form at a single tau decides exactly like the plain condition
+    # the range form at a single tau decides like the plain condition
     rng = np.random.default_rng(5)
     agreements = 0
     for _ in range(20):
@@ -302,9 +312,10 @@ def test_delay_range_single_point_equivalence():
     "name,taus", [("example1", (1.0, 6.0)), ("example2", (0.5, 1.9)), ("example3", (0.5, 1.2))]
 )
 def test_plain_certificate_maps_to_range_certificate(systems, name, taus, big_m, m):
-    # The Schur complement of the range derivative block at [tau, tau] is
-    # tau times the plain derivative block, so a plain certificate
-    # (P, Q, R) at tau becomes a range certificate as (tau P, tau Q, R).
+    # A plain certificate (P, Q, R) at tau becomes a range certificate at
+    # [tau, tau] as (tau P, tau Q, R): both ends' positivity and derivative
+    # blocks and the Q blocks are tau times the plain blocks, the R blocks
+    # the plain ones.
     sys = systems[name]
     params = HierarchyParams(big_m, m)
     layout = VariableLayout(sys.n_x, params)
@@ -312,11 +323,48 @@ def test_plain_certificate_maps_to_range_certificate(systems, name, taus, big_m,
         plain = assemble_stability_lmis(sys, params, tau)
         result = decide_feasibility(plain)
         assert result.feasible and verify_certificate(plain, result), tau
-        y = result.certificate.copy()
+        x = result.certificate
+        pos, der, *definite = [value(plain, k, x) for k in range(len(plain.blocks))]
+        qs, rs = definite[: params.m + 1], definite[params.m + 1 :]
+        want = [tau * blk for blk in (pos, der, pos, der, *qs)] + rs
+        y = x.copy()
         y[: layout.offsets[params.m + 2]] *= tau  # P and Q_0..Q_m
         program = assemble_delay_range_lmis(sys, params, tau, tau)
-        for k in range(len(program.blocks)):
-            assert np.linalg.eigvalsh(value(program, k, y))[0] > 0, (tau, k)
+        assert len(program.blocks) == len(want)
+        for k, blk in enumerate(want):
+            got = value(program, k, y)
+            _assert_rel_close(got, blk)
+            assert np.linalg.eigvalsh(got)[0] > 0, (tau, k)
+
+
+def test_delay_range_verdicts_on_example3(systems):
+    # the sub-window [0.12, 1.6] at M = 2 certifies; the near-maximal
+    # window of the pointwise bounds does not
+    sys, params = systems["example3"], HierarchyParams(2, 1)
+    program = assemble_delay_range_lmis(sys, params, 0.12, 1.6)
+    result = decide_feasibility(program)
+    assert result.feasible and verify_certificate(program, result)
+    wide = decide_feasibility(assemble_delay_range_lmis(sys, params, 0.1002, 1.7177))
+    assert not wide.feasible
+
+
+@pytest.mark.parametrize(
+    "name,big_m,m,ends",
+    [("example1", 1, 1, (1e-3, 6.0)), ("example1", 2, 1, (0.1, 6.1)),
+     ("example3", 2, 1, (0.12, 1.6)), ("example3", 3, 1, (0.2, 1.6))],
+)
+def test_range_certificate_holds_inside_its_interval(systems, name, big_m, m, ends):
+    # the endpoint checks certify the whole interval (A_d2 = 0): a verified
+    # range certificate keeps every block positive definite at each delay
+    # in between
+    sys, params = systems[name], HierarchyParams(big_m, m)
+    program = assemble_delay_range_lmis(sys, params, *ends)
+    result = decide_feasibility(program)
+    assert result.feasible and verify_certificate(program, result)
+    for t in np.linspace(*ends, 41):
+        inner = assemble_delay_range_lmis(sys, params, t, t)
+        for k in range(len(inner.blocks)):
+            assert np.linalg.eigvalsh(value(inner, k, result.certificate))[0] > 0, (t, k)
 
 
 def test_delay_range_validation():

@@ -410,10 +410,10 @@ def test_stability_interval_reports_certification_outcome():
     assert report.direction == "interval"
     assert report.tau_lower == pytest.approx(0.10055, abs=1e-2)
     assert report.tau_upper == pytest.approx(1.5405, abs=1e-2)
-    # whole-range single-certificate check ran and its outcome is reported
-    assert report.range_certified is not None
-    if not report.range_certified:
-        assert any("range certification failed" in n for n in report.notes)
+    # one certificate cannot cover this near-maximal window: the check
+    # fails, is noted, and the pointwise bounds stand
+    assert report.range_certified is False
+    assert any("range certification failed" in n for n in report.notes)
 
 
 def test_interval_notes_any_nonzero_distributed_kernel():
