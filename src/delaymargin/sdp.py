@@ -154,39 +154,60 @@ def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
     scaled point being diag(lam).
 
     Also returns the explicit Cholesky inverses of X and S (cheap at these
-    block sizes) for step-length computations.
+    block sizes), stacked as (2, k, d, d), for the step lengths.
     """
     lx, ls = np.linalg.cholesky(np.stack((x_mat, s_mat)))
     _, lam, vt = np.linalg.svd(_t(ls) @ lx)
     root = np.sqrt(lam)
     g = lx @ _t(vt) / root[..., None, :]
-    lx_inv, ls_inv = np.linalg.inv(np.stack((lx, ls)))
-    g_inv = (vt * root[..., :, None]) @ lx_inv
-    return g, g_inv, lam, lx_inv, ls_inv
+    chol_inv = np.linalg.inv(np.stack((lx, ls)))
+    g_inv = (vt * root[..., :, None]) @ chol_inv[0]
+    return g, g_inv, lam, chol_inv
 
 
-def _max_step(chol_invs, deltas, v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with mat + alpha*delta >= 0 for every block of the
-    stacks, given inv(chol(mat)) per stack, and v + alpha*dv >= 0.
-
-    Returns 0 on numerical breakdown, which makes the caller stall out and
-    report the run as inconclusive instead of crashing.
-    """
+def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest alpha with v + alpha*dv >= 0."""
     neg = dv < 0
-    steps = [float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf]
-    for chol_inv, delta in zip(chol_invs, deltas):
+    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
+
+
+def _side_minimum(t: np.ndarray) -> float | None:
+    """Smallest eigenvalue of a stack of symmetric matrices, None when the
+    stack is not finite or the eigensolve fails."""
+    if not np.isfinite(t).all():
+        return None
+    try:
+        return float(np.linalg.eigvalsh(t)[..., 0].min())
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _step_lengths(chol_invs, d_xs, d_ss, boxes, d_boxes) -> tuple[float, float]:
+    """Largest primal and dual step lengths: the largest alpha with
+    X + alpha*dX >= 0 (primal), S + alpha*dS >= 0 (dual) for every block,
+    given each size group's stacked (inv(chol(X)), inv(chol(S))), and with
+    box + alpha*d_box >= 0 for the box multipliers (primal) and slacks
+    (dual).  Both sides of a size group share one eigensolve.
+
+    A side returns 0 on numerical breakdown, which makes the caller stall
+    out and report the run as inconclusive instead of crashing.
+    """
+    steps = [[_ratio_step(v, dv)] for v, dv in zip(boxes, d_boxes)]
+    for chol_inv, dx, ds in zip(chol_invs, d_xs, d_ss):
         with np.errstate(over="ignore", invalid="ignore"):
-            t = chol_inv @ delta @ _t(chol_inv)
-        t = _sym(t)
-        if not np.isfinite(t).all():
-            return 0.0
+            t = _sym(chol_inv @ np.stack((dx, ds)) @ _t(chol_inv))
         try:
-            lam_min = float(np.linalg.eigvalsh(t)[..., 0].min())
-        except np.linalg.LinAlgError:
-            return 0.0
-        if lam_min < -1e-16:
-            steps.append(-1.0 / lam_min)
-    return min(steps)
+            if not np.isfinite(t).all():
+                raise np.linalg.LinAlgError
+            lam_mins = np.linalg.eigvalsh(t)[..., 0].min(axis=1)
+        except np.linalg.LinAlgError:  # find the side that broke down
+            lam_mins = [_side_minimum(side) for side in t]
+        for side, lam_min in zip(steps, lam_mins):
+            if lam_min is None:
+                side.append(0.0)
+            elif lam_min < -1e-16:
+                side.append(-1.0 / lam_min)
+    return min(steps[0]), min(steps[1])
 
 
 class _SolverForm:
@@ -286,7 +307,7 @@ class _Newton:
             scalings = [_nt_scaling(x, s) for x, s in zip(state.xs, state.ss)]
         except np.linalg.LinAlgError:
             raise _Breakdown("nt-scaling-failed") from None
-        self.gs, self.g_invs, self.lams, self.lx_invs, self.ls_invs = zip(*scalings)
+        self.gs, self.g_invs, self.lams, self.chol_invs = zip(*scalings)
         self.w_box = np.sqrt(state.x_box / state.s_box)
         self.lam_box = np.sqrt(state.x_box * state.s_box)
         self.ws = [g @ _t(g) for g in self.gs]
@@ -331,8 +352,8 @@ class _Newton:
                 dx_box = w_box * rc_box - w_box**2 * ds_box
         except (FloatingPointError, np.linalg.LinAlgError):
             raise _Breakdown("newton-failed") from None
-        ap = _max_step(self.lx_invs, d_xs, self.state.x_box, dx_box)
-        ad = _max_step(self.ls_invs, d_ss, self.state.s_box, ds_box)
+        boxes = (self.state.x_box, self.state.s_box)
+        ap, ad = _step_lengths(self.chol_invs, d_xs, d_ss, boxes, (dx_box, ds_box))
         return _Iterate(d_xs, d_ss, dx_box, ds_box, dz), ap, ad
 
 

@@ -22,6 +22,7 @@ from delaymargin.sdp import (
     ConeProgram,
     decide_feasibility,
     solve,
+    _step_lengths,
     verify_certificate,
 )
 from oracles import derivative_block, pack, unpack
@@ -210,6 +211,39 @@ def test_step_collapse_retries_with_regularized_schur_solve():
     program = assemble_stability_lmis(sys, HierarchyParams(3, 3), 1.7181396484375)
     res = decide_feasibility(program)
     assert res.status == INFEASIBLE
+
+
+def test_step_lengths_break_down_per_side(monkeypatch):
+    # X = S = I in two 3x3 blocks, so both Cholesky inverses are I; the
+    # primal side may step to 0.5, the dual side to 0.25, the box rows to 10
+    chol_inv = np.broadcast_to(np.eye(3), (2, 2, 3, 3))
+    dx = -np.stack([np.eye(3), 2.0 * np.eye(3)])
+    ds = -4.0 * np.stack([np.eye(3), np.eye(3)])
+    box, d_box = np.ones(2), np.array([-0.1, 0.1])
+
+    def steps(dx, ds):
+        return _step_lengths([chol_inv], [dx], [ds], (box, box), (d_box, d_box))
+
+    assert steps(dx, ds) == (0.5, 0.25)
+    # a non-finite side steps 0, the other side is unaffected
+    broken = ds.copy()
+    broken[1, 0, 0] = np.inf
+    assert steps(dx, broken) == (0.5, 0.0)
+    broken = dx.copy()
+    broken[0, 2, 2] = np.nan
+    assert steps(broken, ds) == (0.0, 0.25)
+    # so does a side whose eigensolve fails
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def failing(t):
+        if (t == 7.0).any():
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return real_eigvalsh(t)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    broken = ds.copy()
+    broken[0, 1, 1] = 7.0
+    assert steps(dx, broken) == (0.5, 0.0)
 
 
 def test_margin_error_covers_negative_homogeneous_margin():
