@@ -8,8 +8,9 @@ Verbs:
               exact basis-change construction
 
 All results go to stdout; diagnostics to stderr.  Exit codes: 0 success,
-1 input error, 2 no feasible delay found, 3 run dominated by inconclusive
-solver probes, 4 hierarchy monotonicity violation.
+1 input error, 2 no feasible delay found (for a sweep: any cell failed),
+3 run dominated by inconclusive solver probes, 4 hierarchy monotonicity
+violation (a sweep with failed cells exits 2 instead).
 
 The library functions check their own inputs and raise ValueError, as
 does ``cmd_crosscheck`` for the one range no library function takes;
@@ -181,8 +182,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(_sweep_csv(result))
     else:
         print(_sweep_text(result))
-    if not result.cells:
-        print("error: every sweep cell failed", file=sys.stderr)
+    if result.errors:
+        total = len(result.cells) + len(result.errors)
+        print(f"error: {len(result.errors)} of {total} sweep cells failed", file=sys.stderr)
         return EXIT_NO_FEASIBLE
     if result.violations:
         print("warning: hierarchy monotonicity violated", file=sys.stderr)

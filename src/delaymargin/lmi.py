@@ -31,7 +31,7 @@ coefficient stack per power of tau, with one coefficient matrix per scalar
 decision variable (symmetric matrices are vectorized with sqrt(2) scaling on
 off-diagonal entries so flat inner products match trace inner products).
 Assembling the LMIs at a probe delay is then the sum of tau**k times those
-stacks.
+stacks, and their exact tau-derivative the sum of k tau**(k - 1) times them.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
     "VariableLayout",
     "assemble_stability_lmis",
     "assemble_delay_range_lmis",
+    "stability_tau_derivatives",
     "nodv",
 ]
 
@@ -177,6 +178,10 @@ class _TauPolynomial:
     def at(self, tau: float) -> np.ndarray:
         return np.tensordot(tau**self.powers, self.stacks, axes=1)
 
+    def derivative_at(self, tau: float) -> np.ndarray:
+        """The exact tau-derivative: sum_k k tau**(k - 1) stacks[k]."""
+        return np.tensordot(self.powers * tau ** (self.powers - 1), self.stacks, axes=1)
+
 
 class _CompiledLmis:
     """The constraint blocks of one (system, M, m) as polynomials in tau,
@@ -279,6 +284,13 @@ def _compiled(sys: DelaySystem, params: HierarchyParams) -> _CompiledLmis:
     return compiled
 
 
+def _single_delay_polys(sys: DelaySystem, params: HierarchyParams, tau: float):
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    compiled = _compiled(sys, params)
+    return [compiled.positivity, compiled.derivative] + compiled.definite
+
+
 def assemble_stability_lmis(
     sys: DelaySystem,
     params: HierarchyParams,
@@ -286,11 +298,17 @@ def assemble_stability_lmis(
 ) -> sdp.ConeProgram:
     """Single-delay stability LMIs at delay tau, in block order positivity,
     -derivative, Q_0..Q_m, R_1..R_m2."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    compiled = _compiled(sys, params)
-    polys = [compiled.positivity, compiled.derivative] + compiled.definite
-    return sdp.ConeProgram([poly.at(tau) for poly in polys])
+    return sdp.ConeProgram([poly.at(tau) for poly in _single_delay_polys(sys, params, tau)])
+
+
+def stability_tau_derivatives(
+    sys: DelaySystem,
+    params: HierarchyParams,
+    tau: float,
+) -> list[np.ndarray]:
+    """The exact tau-derivative of each coefficient stack of
+    ``assemble_stability_lmis(sys, params, tau)``, in its block order."""
+    return [poly.derivative_at(tau) for poly in _single_delay_polys(sys, params, tau)]
 
 
 def assemble_delay_range_lmis(

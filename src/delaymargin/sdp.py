@@ -114,7 +114,10 @@ class FeasibilityResult:
     """Outcome of a margin solve.
 
     ``certificate`` is the flat decision vector ``y``; block k of the
-    program evaluates to sum_i y_i F_k[i] at it.  ``stop_reason`` is one of
+    program evaluates to sum_i y_i F_k[i] at it.  ``primal_blocks`` holds
+    the last iterate's primal matrix X_k of each program block, in program
+    order: the multipliers of F_k(y) - t I >= 0, whose traces sum to 1 at
+    the optimum.  ``stop_reason`` is one of
     STOP_REASONS, ``margin_error`` the estimated uncertainty of ``margin``,
     and ``gap``, ``primal`` and ``dual`` the duality gap and the normalized
     primal and dual residuals of the last iterate.
@@ -129,6 +132,7 @@ class FeasibilityResult:
     gap: float
     primal: float
     dual: float
+    primal_blocks: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -220,10 +224,13 @@ class _SolverForm:
         self.q = q = p + 1  # margin variable t is last
         self.bound = program.box_bound
         self.groups = []
+        self.slots = [None] * len(program.blocks)  # (size group, index in it) per block
         for d in sorted({stack.shape[-1] for stack in program.blocks}):
-            members = [stack for stack in program.blocks if stack.shape[-1] == d]
+            members = [k for k, stack in enumerate(program.blocks) if stack.shape[-1] == d]
+            for index, k in enumerate(members):
+                self.slots[k] = (len(self.groups), index)
             a = np.empty((q, len(members), d, d))
-            a[:p] = -np.stack(members, axis=1)
+            a[:p] = -np.stack([program.blocks[k] for k in members], axis=1)
             a[p] = np.eye(d)
             self.groups.append(a)
         self.flats = [a.reshape(q, -1) for a in self.groups]
@@ -516,6 +523,7 @@ def solve(
         gap=gap,
         primal=pinf,
         dual=dinf,
+        primal_blocks=[state.xs[group][index].copy() for group, index in form.slots],
     )
 
 

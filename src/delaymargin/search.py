@@ -18,12 +18,17 @@ window end (0 or infinity) is walked geometrically instead; a walk without
 an infeasible probe is an error at the upper end and a range open at zero
 at the lower.
 
-The margin of a feasible probe falls to zero at the bound, so the next
-probe is estimated by inverse interpolation of tau(margin) at margin 0
-through the last verified probes on that end's side, and falls back to
-bisection whenever the estimate is unusable or neither the bracket nor
-the step shrinks fast enough.  Infeasible margins sit at ~0 and carry no
-slope, so they only move the bracket.  A feasible verdict counts only once
+The margin of a feasible probe falls to zero at the bound.  Each verified
+feasible probe also logs the margin's slope dt*/dtau, which the solve
+already holds (envelope theorem): the solver's last primal blocks against
+the exact tau-derivative of the LMI stacks.  The next probe is estimated
+by the tangent root tau - t/t' through the last verified probe on that
+end's side when its slope falls toward the bracket's infeasible end and
+the root lies inside the bracket, else by inverse interpolation of
+tau(margin) at margin 0 through the last verified probes, and falls back
+to bisection whenever neither estimate is usable or neither the bracket
+nor the step shrinks fast enough.  Infeasible margins sit at ~0 and carry
+no slope, so they only move the bracket.  A feasible verdict counts only once
 `verify_certificate` has re-checked its certificate, so every reported
 bound is backed by a logged, verified feasible probe and a logged
 infeasible probe within the tolerance.  The probe log is also the search's
@@ -51,6 +56,7 @@ from .lmi import (
     assemble_delay_range_lmis,
     assemble_stability_lmis,
     nodv,
+    stability_tau_derivatives,
 )
 from .sdp import (
     FEASIBLE,
@@ -62,6 +68,7 @@ from .sdp import (
 
 __all__ = [
     "ProbeRecord",
+    "RangeProbe",
     "DelayBoundsReport",
     "SweepResult",
     "NoFeasiblePointError",
@@ -77,7 +84,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-5
 # version of the JSON report layout (DelayBoundsReport / SweepResult.to_dict)
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 # largest decrease between neighbouring sweep cells that is not a
 # hierarchy violation
 _COMPARISON_TOL = 5e-3
@@ -116,10 +123,22 @@ class ProbeRecord:
     gap: float | None = None  # final duality gap of the solve
     primal: float | None = None  # final normalized primal residual
     dual: float | None = None  # final normalized dual residual
+    slope: float | None = None  # margin slope dt*/dtau of a verified feasible probe
 
 
-# a probe logs every solver-outcome field but the certificate vector
-_OUTCOME_FIELDS = {f.name for f in fields(FeasibilityResult)} - {"certificate"}
+# a probe logs every solver-outcome field but the certificate and the X blocks
+_OUTCOME_FIELDS = {f.name for f in fields(FeasibilityResult)} - {"certificate", "primal_blocks"}
+
+
+@dataclass
+class RangeProbe:
+    """The solve of the delay-range program of `stability_interval`."""
+
+    status: str
+    iterations: int
+    margin: float
+    stop_reason: str
+    solve_s: float  # wall time of the feasibility decision
 
 
 @dataclass
@@ -141,6 +160,9 @@ class DelayBoundsReport:
     # crossings) the bound was found in; None at an open end (0 or infinity)
     crossings: list[float | None] | None = None
     notes: list[str] = field(default_factory=list)
+    # the delay-range solve of an interval; kept apart from ``probes``,
+    # which is the memo of verdicts by delay
+    range_probe: RangeProbe | None = None
 
     @property
     def inconclusive_probes(self) -> int:
@@ -197,12 +219,27 @@ def _probe(
     t2 = time.perf_counter()
     verified = verify_certificate(program, result) if result.feasible else None
     verify_s = time.perf_counter() - t2 if result.feasible else 0.0
+    slope = None
+    if verified:
+        slope = _margin_slope(stability_tau_derivatives(sys, params, tau), result)
     outcome = {name: getattr(result, name) for name in _OUTCOME_FIELDS}
     times = {"assemble_s": t1 - t0, "solve_s": t2 - t1, "verify_s": verify_s}
     report.probes.append(
-        ProbeRecord(tau=tau, verified=verified, step=step, **times, **outcome)
+        ProbeRecord(tau=tau, verified=verified, step=step, slope=slope, **times, **outcome)
     )
     return verified is True
+
+
+def _margin_slope(derivatives: list[np.ndarray], result: FeasibilityResult) -> float | None:
+    """The margin's slope dt*/dtau from a solve's last iterate, by the
+    envelope theorem: sum_k <X_k, dF_k(y)/dtau> over the primal blocks X_k,
+    given the tau-derivative stacks dF_k of the program's blocks, divided by
+    sum_k tr X_k (1 at the optimum).  None when it is not finite."""
+    y, xs = result.certificate, result.primal_blocks
+    rate = sum(float(np.vdot(x, np.tensordot(y, d, axes=1))) for x, d in zip(xs, derivatives))
+    mass = sum(float(np.trace(x)) for x in xs)
+    slope = rate / mass if mass > 0 else math.nan
+    return slope if math.isfinite(slope) else None
 
 
 def _first_feasible(
@@ -247,6 +284,22 @@ def _margin_root(points: list[tuple[float, float]]) -> float:
     return estimate
 
 
+def _crossing_estimate(
+    verified: list[ProbeRecord], toward: float, lo: float, hi: float
+) -> float:
+    """Where the margin reaches 0, from verified feasible probes on one
+    side: the tangent root tau - t/t' through the last one when its slope
+    falls toward the infeasible end (toward * slope < 0) and the root lies
+    inside the open bracket (lo, hi), else `_margin_root` through the last
+    three."""
+    last = verified[-1]
+    if last.slope is not None and toward * last.slope < 0:
+        tangent = last.tau - last.margin / last.slope
+        if lo < tangent < hi:
+            return tangent
+    return _margin_root([(p.tau, p.margin) for p in verified[-3:]])
+
+
 def _refine(
     probe: Callable[[float, str], bool],
     log: list[ProbeRecord],
@@ -258,9 +311,9 @@ def _refine(
     """Shrink a (feasible, infeasible) bracket to at most tol and return it.
 
     Works in either direction.  Each step estimates the crossing with
-    `_margin_root` through the last three verified probes of the log on
-    the bracket's side of origin, the first feasible probe of the search
-    (the other end of the range is refined beyond it), and proposes:
+    `_crossing_estimate` from the verified probes of the log on the
+    bracket's side of origin, the first feasible probe of the search (the
+    other end of the range is refined beyond it), and proposes:
     - the estimate itself (model);
     - when the estimate is within tol of the feasible end, the delay tol
       from the feasible end (close), which ends the search if infeasible;
@@ -278,11 +331,8 @@ def _refine(
     while abs(tau_infeas - tau_feas) > tol:
         width = abs(tau_infeas - tau_feas)
         lo, hi = sorted((tau_feas, tau_infeas))
-        verified = [
-            (p.tau, p.margin) for p in log
-            if p.verified and toward * (p.tau - origin) >= 0
-        ]
-        previous, estimate = estimate, _margin_root(verified[-3:])
+        verified = [p for p in log if p.verified and toward * (p.tau - origin) >= 0]
+        previous, estimate = estimate, _crossing_estimate(verified, toward, lo, hi)
         rule, tau = "bisect", 0.5 * (tau_feas + tau_infeas)
         if lo < estimate < hi:
             proposal, candidate = "model", estimate
@@ -426,7 +476,7 @@ def stability_interval(
 
     Pointwise bounds come from one search for both ends; the whole
     interval is then re-certified with the delay-range LMIs at the found
-    endpoints.  A certification failure is reported (range_certified False
+    endpoints, a solve recorded in ``range_probe``.  A certification failure is reported (range_certified False
     plus a note), never silently shrunk.
     """
     t0 = time.perf_counter()
@@ -435,7 +485,12 @@ def stability_interval(
     if range_low is None:  # open at zero: the smallest verified probe (one exists)
         range_low = min(p.tau for p in report.probes if p.verified)
     program = assemble_delay_range_lmis(sys, params, range_low, upper)
+    t1 = time.perf_counter()
     result = decide_feasibility(program)
+    report.range_probe = RangeProbe(
+        result.status, result.iterations, result.margin, result.stop_reason,
+        time.perf_counter() - t1,
+    )
     certified = result.status == FEASIBLE and verify_certificate(program, result)
     report.range_certified = certified
     if not certified:

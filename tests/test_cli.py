@@ -115,7 +115,7 @@ def test_bounds_json_schema(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
     assert doc["direction"] == "upper"
     assert doc["tau_upper"] == pytest.approx(6.05932, abs=1e-2)
     assert doc["nodv"] == 22
@@ -133,6 +133,12 @@ def test_bounds_json_schema(capsys):
         assert p["step"] in STEPS
         for key in ("gap", "primal", "dual"):
             assert math.isfinite(p[key]) and p[key] >= 0.0
+        # a margin slope on exactly the verified feasible probes
+        assert (p["slope"] is not None) == (p["verified"] is True)
+    # the margin falls to zero at the bound
+    (bound,) = [p for p in doc["probes"] if p["tau"] == doc["tau_upper"]]
+    assert math.isfinite(bound["slope"]) and bound["slope"] < 0
+    assert doc["range_probe"] is None
 
 
 def test_bounds_csv_output(capsys):
@@ -169,6 +175,13 @@ def test_bounds_interval_direction(capsys):
     assert doc["range_certified"] is not None
     lower, upper = doc["crossings"]
     assert lower < doc["tau_lower"] < doc["tau_upper"] < upper
+    # the delay-range solve has its own record, not a probe of the memo
+    range_probe = doc["range_probe"]
+    assert set(range_probe) == {"status", "iterations", "margin", "stop_reason", "solve_s"}
+    assert range_probe["iterations"] >= 1 and range_probe["solve_s"] > 0
+    assert range_probe["stop_reason"] in STOP_REASONS
+    if doc["range_certified"]:
+        assert range_probe["status"] == "feasible"
 
 
 def test_bounds_input_errors(capsys, tmp_path):
@@ -261,7 +274,7 @@ def test_sweep_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 6
+    assert doc["schema_version"] == 7
     taus = {(c["M"], c["m"]): c["tau_upper"] for c in doc["cells"]}
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)
@@ -279,16 +292,36 @@ def test_sweep_csv_reports_failed_cells(capsys, monkeypatch):
         return real_max_delay(sys, params, tol)
 
     monkeypatch.setattr(search_mod, "max_delay", failing_at_2_1)
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "sweep", "--system", "example1", "--M", "2", "--m", "1",
         "--tol", "1e-3", "--format", "csv",
     )
-    assert code == EXIT_OK
+    # the report still lists every cell, but the run failed
+    assert code == EXIT_NO_FEASIBLE
+    assert "error: 1 of 2 sweep cells failed" in err
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [(r["M"], r["m"]) for r in rows] == [("1", "1"), ("2", "1")]
     assert rows[0]["error"] == "" and float(rows[0]["tau_upper"]) > 6.0
     assert rows[1]["error"] == "no feasible delay (test)"
     assert all(rows[1][key] == "" for key in ("tau_upper", "nodv", "probes", "wall_time_s"))
+
+
+def test_sweep_failed_cells_take_precedence_over_violations(capsys, monkeypatch):
+    import delaymargin.search as search_mod
+
+    def fake_max_delay(sys, params, tol):
+        if (params.big_m, params.m) == (2, 1):
+            raise search_mod.BracketError("no upper crossing (test)")
+        report = search_mod.DelayBoundsReport("fake", params.big_m, params.m, "upper")
+        report.tau_upper = 2.0 / params.m  # falls with m: a violation
+        return report.tau_upper, report
+
+    monkeypatch.setattr(search_mod, "max_delay", fake_max_delay)
+    code, out, err = run_cli(capsys, "sweep", "--system", "example1", "--M", "2", "--m", "2")
+    assert code == EXIT_NO_FEASIBLE
+    assert "error: 1 of 4 sweep cells failed" in err
+    assert "(M=2, m=1) failed: no upper crossing (test)" in out
+    assert "m: (M=1, m=1) tau=2.00000 -> (M=1, m=2) tau=1.00000" in out
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])

@@ -10,6 +10,7 @@ from delaymargin.lmi import (
     assemble_delay_range_lmis,
     assemble_stability_lmis,
     nodv,
+    stability_tau_derivatives,
 )
 from delaymargin.projection import (
     max_derivative_order,
@@ -176,6 +177,20 @@ def test_evaluate_matches_direct_assembly(systems, name, big_m, m, tau):
         _assert_rel_close(got[k + 1], -end * derivative_block(sys, params, end, p, qs, dv.rs))
     for blk, var in zip(got[4:], dv.qs + dv.rs):
         _assert_rel_close(blk, var)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])  # example2: A_d2 != 0
+def test_tau_derivatives_match_central_differences(systems, name):
+    sys, params, tau, h = systems[name], HierarchyParams(3, 2), 1.3, 1e-5
+    derivatives = stability_tau_derivatives(sys, params, tau)
+    plus = assemble_stability_lmis(sys, params, tau + h).blocks
+    minus = assemble_stability_lmis(sys, params, tau - h).blocks
+    assert len(derivatives) == len(plus)
+    for d, p, m in zip(derivatives, plus, minus):
+        scale = max(1.0, float(np.abs(p).max()))
+        np.testing.assert_allclose(d, (p - m) / (2 * h), rtol=0, atol=1e-8 * scale)
+    # the Q and R definiteness blocks do not depend on tau
+    assert all(not d.any() for d in derivatives[2:])
 
 
 def test_zero_variables_give_zero_blocks():

@@ -135,6 +135,24 @@ def test_blocks_of_mixed_sizes_are_stacked_consistently():
     assert other.margin == pytest.approx(result.margin, abs=1e-9)
 
 
+def test_primal_blocks_come_in_program_order():
+    # the solver groups the blocks by size; the result lists the last
+    # iterate's X per program block, the multipliers of F_k(y) - t I >= 0
+    program = mixed_size_program()
+    result = solve(program)
+    sizes = [block.shape[-1] for block in program.blocks]
+    assert [x.shape for x in result.primal_blocks] == [(d, d) for d in sizes]
+    # stationarity in t: the traces sum to 1; complementary slackness per block
+    assert sum(np.trace(x) for x in result.primal_blocks) == pytest.approx(1.0, abs=1e-8)
+    for x, block in zip(result.primal_blocks, program.blocks):
+        slack = np.tensordot(result.certificate, block, axes=1) - result.margin * np.eye(len(x))
+        assert abs(np.sum(x * slack)) <= 1e-8
+    order = (4, 1, 3, 0, 2)
+    permuted = solve(ConeProgram([program.blocks[k] for k in order], box_bound=1.0))
+    for x, k in zip(permuted.primal_blocks, order):
+        np.testing.assert_allclose(x, result.primal_blocks[k], atol=1e-7)
+
+
 def test_stop_reason():
     program = oracle_cases()[0][1]
     assert solve(program).stop_reason == "converged"

@@ -8,17 +8,25 @@ import pytest
 
 import delaymargin.search as search
 from delaymargin.crossings import Window
-from delaymargin.lmi import DelaySystem, HierarchyParams
-from delaymargin.sdp import FEASIBLE, INCONCLUSIVE, INFEASIBLE, FeasibilityResult
+from delaymargin.lmi import (
+    DelaySystem,
+    HierarchyParams,
+    assemble_stability_lmis,
+    stability_tau_derivatives,
+)
+from delaymargin.sdp import FEASIBLE, INCONCLUSIVE, INFEASIBLE, FeasibilityResult, solve
 from delaymargin.search import (
     STEPS,
     BracketError,
     NoFeasiblePointError,
+    ProbeRecord,
+    RangeProbe,
     hierarchy_sweep,
     max_delay,
     min_delay,
     stability_interval,
 )
+from delaymargin.systems import bundled_system
 from oracles import characteristic_minimum
 
 
@@ -93,34 +101,50 @@ def test_bracket_error_when_no_upper_crossing(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Margin-guided refinement against a fake oracle with a known crossing r:
-# the margin is profile(distance to r) on the feasible side and ~0 beyond.
+# the margin is profile(distance to r) on the feasible side and ~0 beyond,
+# and its slope is the profile's derivative.
 # ---------------------------------------------------------------------------
 
 
-def _fake_result(margin: float) -> FeasibilityResult:
+def _fake_result(margin: float, slope: float | None = None) -> FeasibilityResult:
+    """A solver outcome with the given margin.  With a slope, the one-block
+    fake program has y = (slope,), X = I and a tau-derivative stack of ones
+    (`_fake_derivatives`), so the envelope-theorem slope is exactly it;
+    without one, there are no X blocks and no slope."""
     return FeasibilityResult(
         status=FEASIBLE if margin > 0 else INFEASIBLE,
         margin=margin,
-        certificate=np.zeros(0),
+        certificate=np.zeros(0) if slope is None else np.array([slope]),
         iterations=1,
         stop_reason="converged",
         margin_error=0.0,
         gap=0.0,
         primal=0.0,
         dual=0.0,
+        primal_blocks=[] if slope is None else [np.eye(1)],
     )
 
 
+def _fake_derivatives(sys, params, tau):
+    return [np.ones((1, 1, 1))]
+
+
+# (margin, its derivative) as functions of the distance d to the crossing
+# and of a draw s from U(0.5, 1), made once per probe
 _PROFILES = {
-    "linear": lambda d, rng: 2.0 * d,
-    "convex": lambda d, rng: d**1.5,
-    "concave": lambda d, rng: math.sqrt(d),
-    "kink": lambda d, rng: d if d < 0.05 else 0.05 + 8.0 * (d - 0.05),
+    "linear": (lambda d, s: 2.0 * d, lambda d, s: 2.0),
+    "convex": (lambda d, s: d**1.5, lambda d, s: 1.5 * math.sqrt(d)),
+    "concave": (lambda d, s: math.sqrt(d), lambda d, s: 0.5 / math.sqrt(d)),
+    "kink": (
+        lambda d, s: d if d < 0.05 else 0.05 + 8.0 * (d - 0.05),
+        lambda d, s: 1.0 if d < 0.05 else 8.0,
+    ),
     # a flat crossing: the model alone creeps up on it at ~0.8x per probe,
     # so this profile needs the progress guard to stay within the budget
-    "flat": lambda d, rng: d**4,
-    "constant": lambda d, rng: 1.0,
-    "scaled": lambda d, rng: d * rng.uniform(0.5, 1.0),
+    "flat": (lambda d, s: d**4, lambda d, s: 4.0 * d**3),
+    # slope 0: neither the tangent nor the interpolation has a root
+    "constant": (lambda d, s: 1.0, lambda d, s: 0.0),
+    "scaled": (lambda d, s: d * s, lambda d, s: s),
 }
 # crossings per direction; the search starts from the window ending there
 _CROSSINGS = {"upper": (1.2345678, 6.0593), "lower": (0.1005, 0.0123456)}
@@ -136,16 +160,22 @@ def _fake_search(monkeypatch, profile, r, direction, tol):
     """Search against a fake oracle whose crossing r is the end of the
     stable window: (0, r) for the upper bound, (r, inf) for the lower."""
     rng = np.random.default_rng(5)
+    margin, rate = _PROFILES[profile]
+    beyond = 1.0 if direction == "upper" else -1.0  # d falls as tau moves this way
 
     def decide(tau):
-        d = r - tau if direction == "upper" else tau - r
-        return _fake_result(_PROFILES[profile](d, rng) if d > 0 else -1e-10)
+        d = beyond * (r - tau)
+        if d <= 0:
+            return _fake_result(-1e-10)
+        s = rng.uniform(0.5, 1.0)
+        return _fake_result(margin(d, s), -beyond * rate(d, s))
 
     if direction == "upper":
         _windows(monkeypatch, Window(0.0, r, 0), Window(r, math.inf, 2))
     else:
         _windows(monkeypatch, Window(0.0, r, 1), Window(r, math.inf, 0))
     monkeypatch.setattr(search, "assemble_stability_lmis", lambda sys, params, tau: tau)
+    monkeypatch.setattr(search, "stability_tau_derivatives", _fake_derivatives)
     monkeypatch.setattr(search, "decide_feasibility", decide)
     monkeypatch.setattr(search, "verify_certificate", lambda *a, **k: True)
     run = max_delay if direction == "upper" else min_delay
@@ -195,6 +225,58 @@ def test_refinement_labels_its_steps(monkeypatch):
     assert report.probes[-1].tau == 1.2345678
 
 
+def test_model_step_is_the_tangent_root_of_the_last_verified_probe(monkeypatch):
+    # a convex margin: the tangent through the window probe undershoots
+    # the crossing, so the first refinement probe is that root, feasible
+    _, report = _fake_search(monkeypatch, "convex", 1.2345678, "upper", 1e-5)
+    first, second = report.probes[:2]
+    assert first.slope == -1.5 * math.sqrt(1.2345678 - first.tau)
+    assert second.step == "model" and second.verified
+    assert second.tau == first.tau - first.margin / first.slope
+
+
+def test_crossing_estimate_falls_back_to_interpolation():
+    # tangent through the last probe: 1.2 + 0.4 / 2 = 1.4; secant through
+    # both: 1.2 + 0.4 * 2 = 2.0
+    def probes(slope):
+        return [
+            ProbeRecord(1.0, FEASIBLE, 0.5, True, slope=-1.0),
+            ProbeRecord(1.2, FEASIBLE, 0.4, True, slope=slope),
+        ]
+
+    estimate = search._crossing_estimate
+    assert estimate(probes(-2.0), 1.0, 1.2, 3.0) == pytest.approx(1.4, rel=1e-15)
+    secant = pytest.approx(2.0, rel=1e-15)
+    assert estimate(probes(None), 1.0, 1.2, 3.0) == secant  # no slope
+    assert estimate(probes(2.0), 1.0, 1.2, 3.0) == secant  # slope away from the end
+    assert estimate(probes(0.0), 1.0, 1.2, 3.0) == secant  # no root
+    assert estimate(probes(-2.0), 1.0, 1.2, 1.3) == secant  # root beyond the bracket
+    assert estimate(probes(-2.0), -1.0, 0.5, 1.2) == secant  # the lower end's side
+
+
+# the envelope-theorem slope against central differences of the optimal
+# margin, step 1e-3: measured at most 2.9e-5 relative over these 8 points
+_SLOPE_BOUNDS = {"example1": 6.1725, "example2": 2.0412, "example3": 1.7178}
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9])
+@pytest.mark.parametrize(
+    "name,cell", [("example1", (1, 1)), ("example1", (3, 1)), ("example2", (3, 2)), ("example3", (3, 1))]
+)
+def test_margin_slope_matches_central_differences(name, cell, fraction):
+    sys = bundled_system(name)[0]
+    params = HierarchyParams(*cell)
+    tau, h = fraction * _SLOPE_BOUNDS[name], 1e-3
+
+    def margin(at):
+        return solve(assemble_stability_lmis(sys, params, at)).margin
+
+    result = solve(assemble_stability_lmis(sys, params, tau))
+    slope = search._margin_slope(stability_tau_derivatives(sys, params, tau), result)
+    central = (margin(tau + h) - margin(tau - h)) / (2 * h)
+    assert slope == pytest.approx(central, rel=2e-4)
+
+
 _LOWER_CROSSING = 0.1005
 
 
@@ -222,9 +304,12 @@ def _counting_oracle(
         margin = min(r - tau, tau - _LOWER_CROSSING)
         if margin <= 0 and tau > inconclusive_above:
             return replace(_fake_result(-1e-10), status=INCONCLUSIVE)
-        return _fake_result(2.0 * margin if margin > 0 else -1e-10)
+        if margin <= 0:
+            return _fake_result(-1e-10)
+        return _fake_result(2.0 * margin, -2.0 if margin == r - tau else 2.0)
 
     monkeypatch.setattr(search, "assemble_stability_lmis", lambda sys, params, tau: tau)
+    monkeypatch.setattr(search, "stability_tau_derivatives", _fake_derivatives)
     monkeypatch.setattr(
         search, "assemble_delay_range_lmis", lambda sys, params, lo, hi: (lo, hi)
     )
@@ -358,6 +443,12 @@ def test_interval_is_one_search_on_one_log(monkeypatch):
     assert len(calls) == 1
     taus = [p.tau for p in report.probes]
     assert len(set(taus)) == len(taus)
+    # the delay-range solve is recorded apart from the per-delay memo
+    assert report.range_probe == RangeProbe(
+        FEASIBLE, 1, 1.0, "converged", report.range_probe.solve_s
+    )
+    assert report.range_probe.solve_s >= 0
+    assert report.to_dict()["range_probe"]["status"] == FEASIBLE
 
 
 def test_interval_crossings_come_from_both_bounds_windows(monkeypatch):
