@@ -139,8 +139,8 @@ _PROFILES = {
         lambda d, s: d if d < 0.05 else 0.05 + 8.0 * (d - 0.05),
         lambda d, s: 1.0 if d < 0.05 else 8.0,
     ),
-    # a flat crossing: the model alone creeps up on it at ~0.8x per probe,
-    # so this profile needs the progress guard to stay within the budget
+    # a flat crossing: the tangent alone creeps up on it at 0.75x per
+    # probe, so this profile needs the progress guard to stay within the budget
     "flat": (lambda d, s: d**4, lambda d, s: 4.0 * d**3),
     # slope 0: neither the tangent nor the interpolation has a root
     "constant": (lambda d, s: 1.0, lambda d, s: 0.0),
