@@ -178,12 +178,19 @@ def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
 def _side_minimum(t: np.ndarray) -> float | None:
     """Smallest eigenvalue of a stack of symmetric matrices, None when the
     stack is not finite or the eigensolve fails."""
-    if not np.isfinite(t).all():
-        return None
-    try:
-        return float(np.linalg.eigvalsh(t)[..., 0].min())
-    except np.linalg.LinAlgError:
-        return None
+    if np.isfinite(t).all():
+        with suppress(np.linalg.LinAlgError):
+            return float(np.linalg.eigvalsh(t)[..., 0].min())
+    return None
+
+
+def _side_minima(t: np.ndarray) -> list[float | None]:
+    """`_side_minimum` of each side t[0], t[1] of a stack, from one
+    eigensolve unless a side breaks down."""
+    if np.isfinite(t).all():
+        with suppress(np.linalg.LinAlgError):
+            return list(np.linalg.eigvalsh(t)[..., 0].min(axis=1))
+    return [_side_minimum(side) for side in t]
 
 
 def _step_lengths(chol_invs, d_xs, d_ss, boxes, d_boxes) -> tuple[float, float]:
@@ -200,13 +207,7 @@ def _step_lengths(chol_invs, d_xs, d_ss, boxes, d_boxes) -> tuple[float, float]:
     for chol_inv, dx, ds in zip(chol_invs, d_xs, d_ss):
         with np.errstate(over="ignore", invalid="ignore"):
             t = _sym(chol_inv @ np.stack((dx, ds)) @ _t(chol_inv))
-        try:
-            if not np.isfinite(t).all():
-                raise np.linalg.LinAlgError
-            lam_mins = np.linalg.eigvalsh(t)[..., 0].min(axis=1)
-        except np.linalg.LinAlgError:  # find the side that broke down
-            lam_mins = [_side_minimum(side) for side in t]
-        for side, lam_min in zip(steps, lam_mins):
+        for side, lam_min in zip(steps, _side_minima(t)):
             if lam_min is None:
                 side.append(0.0)
             elif lam_min < -1e-16:
