@@ -306,9 +306,11 @@ def stability_tau_derivatives(
     params: HierarchyParams,
     tau: float,
 ) -> list[np.ndarray]:
-    """The exact tau-derivative of each coefficient stack of
-    ``assemble_stability_lmis(sys, params, tau)``, in its block order."""
-    return [poly.derivative_at(tau) for poly in _single_delay_polys(sys, params, tau)]
+    """The exact tau-derivative of the coefficient stacks of
+    ``assemble_stability_lmis(sys, params, tau)`` that depend on tau: its
+    first two blocks, positivity and -derivative.  The Q and R definiteness
+    blocks after them do not depend on tau."""
+    return [poly.derivative_at(tau) for poly in _single_delay_polys(sys, params, tau)[:2]]
 
 
 def assemble_delay_range_lmis(

@@ -26,11 +26,15 @@ deterministic: fixed iteration schedule, no randomized pivoting.
 
 Each solve stacks the blocks by size once, in its solver form: the k
 blocks of size d share one (q, k, d, d) coefficient array and one
-(k, d, d) array for each of X and S, the residuals, the NT scalings and
-the search directions.  Each step of an iteration (scaling, Schur
+(2, k, d, d) array of (X, S), and likewise the residuals, NT scalings and
+search directions.  Each step of an iteration (scaling, Schur
 accumulation, Newton right-hand side, step length, update) is then one
 batched numpy call per size group, not one per block; the stability LMIs
-have many equal-size n_x x n_x blocks.
+have many equal-size n_x x n_x blocks.  Directions are taken in the
+NT-scaled frame, where X and S are both diag(lam): the right-hand side,
+both step lengths and the Mehrotra cross term come from the scaled
+coefficients G^T A_i G the Schur matrix is built from, no inverse of X,
+S or G is formed, and only dX is mapped back, by one congruence.
 """
 
 from __future__ import annotations
@@ -153,20 +157,12 @@ def _sym(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + _t(mats))
 
 
-def _nt_scaling(x_mat: np.ndarray, s_mat: np.ndarray):
-    """NT scaling of a block stack: G with G G^T S G G^T = X per block, the
-    scaled point being diag(lam).
-
-    Also returns the explicit Cholesky inverses of X and S (cheap at these
-    block sizes), stacked as (2, k, d, d), for the step lengths.
-    """
-    lx, ls = np.linalg.cholesky(np.stack((x_mat, s_mat)))
+def _nt_scaling(pair: np.ndarray):
+    """NT scaling of a size group's stacked (X, S): G with G G^T S G G^T = X
+    per block, and the scaled point lam, G^{-1} X G^{-T} = G^T S G = diag(lam)."""
+    lx, ls = np.linalg.cholesky(pair)
     _, lam, vt = np.linalg.svd(_t(ls) @ lx)
-    root = np.sqrt(lam)
-    g = lx @ _t(vt) / root[..., None, :]
-    chol_inv = np.linalg.inv(np.stack((lx, ls)))
-    g_inv = (vt * root[..., :, None]) @ chol_inv[0]
-    return g, g_inv, lam, chol_inv
+    return lx @ _t(vt) / np.sqrt(lam)[..., None, :], lam
 
 
 def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -175,43 +171,35 @@ def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
 
 
-def _side_minimum(t: np.ndarray) -> float | None:
-    """Smallest eigenvalue of a stack of symmetric matrices, None when the
-    stack is not finite or the eigensolve fails."""
-    if np.isfinite(t).all():
-        with suppress(np.linalg.LinAlgError):
-            return float(np.linalg.eigvalsh(t)[..., 0].min())
-    return None
-
-
 def _side_minima(t: np.ndarray) -> list[float | None]:
-    """`_side_minimum` of each side t[0], t[1] of a stack, from one
-    eigensolve unless a side breaks down."""
+    """Smallest eigenvalue of each side t[0], t[1] of a stack, from one
+    eigensolve; None for a side that is not finite or whose eigensolve
+    fails (the sides are then retried one by one)."""
     if np.isfinite(t).all():
         with suppress(np.linalg.LinAlgError):
             return list(np.linalg.eigvalsh(t)[..., 0].min(axis=1))
-    return [_side_minimum(side) for side in t]
+    return [None] if len(t) == 1 else [_side_minima(t[i : i + 1])[0] for i in range(len(t))]
 
 
-def _step_lengths(chol_invs, d_xs, d_ss, boxes, d_boxes) -> tuple[float, float]:
+def _step_lengths(scales, pairs, boxes, d_boxes) -> tuple[float, float]:
     """Largest primal and dual step lengths: the largest alpha with
     X + alpha*dX >= 0 (primal), S + alpha*dS >= 0 (dual) for every block,
-    given each size group's stacked (inv(chol(X)), inv(chol(S))), and with
-    box + alpha*d_box >= 0 for the box multipliers (primal) and slacks
-    (dual).  Both sides of a size group share one eigensolve.
-
-    A side returns 0 on numerical breakdown, which makes the caller stall
-    out and report the run as inconclusive instead of crashing.
+    and box + alpha*d_box >= 0 for the box multipliers (primal) and slacks
+    (dual).  Given each size group's stacked scaled direction (dX~, dS~)
+    and its scales 1/sqrt(lam_i lam_j): X and S are diag(lam) when scaled,
+    so a side's length is -1/lambda_min of its scaled direction, and both
+    sides of a group share one eigensolve.  A side returns 0 on numerical
+    breakdown, which makes the caller stall out and report the run as
+    inconclusive instead of crashing.
     """
     steps = [[_ratio_step(v, dv)] for v, dv in zip(boxes, d_boxes)]
-    for chol_inv, dx, ds in zip(chol_invs, d_xs, d_ss):
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = _sym(chol_inv @ np.stack((dx, ds)) @ _t(chol_inv))
-        for side, lam_min in zip(steps, _side_minima(t)):
-            if lam_min is None:
-                side.append(0.0)
-            elif lam_min < -1e-16:
-                side.append(-1.0 / lam_min)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale, pair in zip(scales, pairs):
+            for side, lam_min in zip(steps, _side_minima(pair * scale)):
+                if lam_min is None:
+                    side.append(0.0)
+                elif lam_min < -1e-16:
+                    side.append(-1.0 / lam_min)
     return min(steps[0]), min(steps[1])
 
 
@@ -243,18 +231,24 @@ class _SolverForm:
     # Box rows: B -+ y_i >= 0 as a nonnegative block, slack B - box(z).
     def box(self, v: np.ndarray) -> np.ndarray:
         """(v_0, -v_0, v_1, -v_1, ...) over the y entries of v."""
-        return np.stack((v[: self.p], -v[: self.p]), axis=1).reshape(-1)
+        out = np.empty(2 * self.p)
+        out[0::2] = v[: self.p]
+        out[1::2] = -v[: self.p]
+        return out
 
     def box_adjoint(self, u: np.ndarray) -> np.ndarray:
         """Adjoint of ``box``: pairwise differences, zero for the margin."""
-        return np.append(u[0::2] - u[1::2], 0.0)
+        out = np.empty(self.q)
+        out[: self.p] = u[0::2] - u[1::2]
+        out[self.p] = 0.0
+        return out
 
 
 class _Iterate(NamedTuple):
-    """An iterate, or a Newton direction: X, S, box multipliers and slacks, z."""
+    """An iterate, or a Newton direction: (X, S) stacked as one (2, k, d, d)
+    array per size group, box multipliers and slacks, z."""
 
-    xs: list[np.ndarray]
-    ss: list[np.ndarray]
+    pairs: list[np.ndarray]
     x_box: np.ndarray
     s_box: np.ndarray
     z: np.ndarray
@@ -267,19 +261,14 @@ class _Iterate(NamedTuple):
         eta = 10.0 * data_norm
         z = np.zeros(form.q)
         z[form.p] = -eta
-        xs = [np.broadcast_to(e, a.shape[1:]).copy() for a, e in zip(form.groups, form.eyes)]
-        ss = [eta * x for x in xs]
-        return cls(xs, ss, np.ones(2 * form.p), form.bound - form.box(z), z)
+        pairs = [np.multiply.outer((1.0, eta), np.broadcast_to(e, a.shape[1:])) for a, e in
+                 zip(form.groups, form.eyes)]
+        return cls(pairs, np.ones(2 * form.p), form.bound - form.box(z), z)
 
     def update(self, step: _Iterate, alpha: float) -> _Iterate:
         """The point a step length alpha along the direction ``step``."""
-        return _Iterate(
-            [_sym(x + alpha * dx) for x, dx in zip(self.xs, step.xs)],
-            [_sym(s + alpha * ds) for s, ds in zip(self.ss, step.ss)],
-            self.x_box + alpha * step.x_box,
-            self.s_box + alpha * step.s_box,
-            self.z + alpha * step.z,
-        )
+        pairs = [_sym(pair + alpha * d) for pair, d in zip(self.pairs, step.pairs)]
+        return _Iterate(pairs, *(v + alpha * dv for v, dv in zip(self[1:], step[1:])))
 
 
 class _Breakdown(Exception):
@@ -288,14 +277,14 @@ class _Breakdown(Exception):
 
 def _residuals(form: _SolverForm, state: _Iterate):
     """(rp, rds, rd_box), the gap, and the normalized primal and dual residuals."""
-    xs, ss, x_box, s_box, z = state
+    pairs, x_box, s_box, z = state
     ax = form.box_adjoint(x_box)
-    for flat, x in zip(form.flats, xs):
-        ax += flat @ x.reshape(-1)
+    for flat, pair in zip(form.flats, pairs):
+        ax += flat @ pair[0].reshape(-1)
     rp = form.b_obj - ax
-    rds = [-(z @ flat).reshape(s.shape) - s for flat, s in zip(form.flats, ss)]
+    rds = [-(z @ flat).reshape(pair.shape[1:]) - pair[1] for flat, pair in zip(form.flats, pairs)]
     rd_box = form.bound - form.box(z) - s_box
-    gap = sum(float(np.sum(x * s)) for x, s in zip(xs, ss)) + float(x_box @ s_box)
+    gap = sum(float(np.vdot(pair[0], pair[1])) for pair in pairs) + float(x_box @ s_box)
     pinf = float(np.abs(rp).max()) / (1.0 + form.bound)
     dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
     dinf_box = float(np.abs(rd_box).max(initial=0.0))
@@ -304,7 +293,10 @@ def _residuals(form: _SolverForm, state: _Iterate):
 
 
 class _Newton:
-    """An iterate's NT scalings, one stack per size group, and Schur factor."""
+    """An iterate's NT scalings (G, lam), one stack per size group, its
+    scaled coefficients A~_i = G^T A_i G and dual residuals rd~ = G^T rd G,
+    and its Schur factor.  A direction is formed scaled, where X and S are
+    both diag(lam): dS~ = rd~ - sum_i dz_i A~_i and dX~ = rc - dS~."""
 
     jitters = (0.0, 1e-13, 1e-10, 1e-7)  # Schur regularization levels, tried upward
 
@@ -312,19 +304,19 @@ class _Newton:
         self.form, self.state = form, state
         self.rp, self.rds, self.rd_box = residual
         try:
-            scalings = [_nt_scaling(x, s) for x, s in zip(state.xs, state.ss)]
+            self.gs, self.lams = zip(*[_nt_scaling(pair) for pair in state.pairs])
         except np.linalg.LinAlgError:
             raise _Breakdown("nt-scaling-failed") from None
-        self.gs, self.g_invs, self.lams, self.chol_invs = zip(*scalings)
+        roots = [1.0 / np.sqrt(lam) for lam in self.lams]  # diag(lam)^(-1/2) congruence
+        self.scales = [r[..., :, None] * r[..., None, :] for r in roots]
         self.w_box = np.sqrt(state.x_box / state.s_box)
         self.lam_box = np.sqrt(state.x_box * state.s_box)
-        self.ws = [g @ _t(g) for g in self.gs]
 
-        # Schur complement (Gram of scaled coefficient matrices) + box diagonal
-        schur = np.zeros((form.q, form.q))
-        for g, a in zip(self.gs, form.groups):
-            flat = (_t(g) @ a @ g).reshape(form.q, -1)
-            schur += flat @ flat.T
+        # Schur complement (Gram of the scaled coefficients, symmetrized, as the
+        # infeasible endgame is sensitive to rounding asymmetry) + box diagonal
+        self.flats = [_sym(_t(g) @ a @ g).reshape(form.q, -1) for g, a in zip(self.gs, form.groups)]
+        schur = sum(flat @ flat.T for flat in self.flats)
+        self.rds_scaled = [_t(g) @ rd @ g for g, rd in zip(self.gs, self.rds)]
         w2 = self.w_box**2
         schur[np.diag_indices(form.p)] += w2[0::2] + w2[1::2]
         self.schur = schur = 0.5 * (schur + schur.T)
@@ -339,30 +331,39 @@ class _Newton:
             raise _Breakdown("schur-failed")
 
     def direction(self, rcs, rc_box) -> tuple[_Iterate, float, float]:
-        """Newton direction for (rcs, rc_box), and its primal and dual step lengths."""
-        form, gs, ws, rds, w_box = self.form, self.gs, self.ws, self.rds, self.w_box
+        """Scaled Newton direction for (rcs, rc_box), each size group's
+        (dX~, dS~) stacked, and its primal and dual step lengths."""
+        form, w_box = self.form, self.w_box
         try:
             with np.errstate(over="raise", invalid="raise"):
-                grcs = [g @ rc @ _t(g) for g, rc in zip(gs, rcs)]
-                rhs = self.rp.copy()
-                for grc, w, flat, rd in zip(grcs, ws, form.flats, rds):
-                    term = grc - w @ rd @ w
-                    rhs -= flat @ term.reshape(-1)
-                rhs -= form.box_adjoint(w_box * rc_box - w_box**2 * self.rd_box)
+                rhs = self.rp - form.box_adjoint(w_box * rc_box - w_box**2 * self.rd_box)
+                for flat, rc, rd in zip(self.flats, rcs, self.rds_scaled):
+                    rhs -= flat @ (rc - rd).reshape(-1)
                 dz = self.factor_inv.T @ (self.factor_inv @ rhs)
                 # one refinement pass keeps the Schur solve honest near the boundary
                 dz += self.factor_inv.T @ (self.factor_inv @ (rhs - self.schur @ dz))
                 if not np.isfinite(dz).all():
                     raise FloatingPointError("non-finite Newton direction")
-                d_ss = [rd - (dz @ flat).reshape(rd.shape) for rd, flat in zip(rds, form.flats)]
-                d_xs = [_sym(grc - w @ ds @ w) for grc, w, ds in zip(grcs, ws, d_ss)]
+                pairs = [np.empty((2,) + rd.shape) for rd in self.rds_scaled]
+                for pair, flat, rc, rd in zip(pairs, self.flats, rcs, self.rds_scaled):
+                    np.subtract(rd, (dz @ flat).reshape(rd.shape), out=pair[1])
+                    np.subtract(rc, pair[1], out=pair[0])
                 ds_box = self.rd_box - form.box(dz)
                 dx_box = w_box * rc_box - w_box**2 * ds_box
         except (FloatingPointError, np.linalg.LinAlgError):
             raise _Breakdown("newton-failed") from None
         boxes = (self.state.x_box, self.state.s_box)
-        ap, ad = _step_lengths(self.chol_invs, d_xs, d_ss, boxes, (dx_box, ds_box))
-        return _Iterate(d_xs, d_ss, dx_box, ds_box, dz), ap, ad
+        ap, ad = _step_lengths(self.scales, pairs, boxes, (dx_box, ds_box))
+        return _Iterate(pairs, dx_box, ds_box, dz), ap, ad
+
+    def unscale(self, scaled: _Iterate) -> _Iterate:
+        """A scaled direction in the iterate's frame: dX = G dX~ G^T, and
+        dS = rd - sum_i dz_i A_i from the unscaled coefficients."""
+        pairs = [np.empty_like(d) for d in scaled.pairs]
+        for pair, g, flat, rd, d in zip(pairs, self.gs, self.form.flats, self.rds, scaled.pairs):
+            np.matmul(g @ d[0], _t(g), out=pair[0])
+            np.subtract(rd, (scaled.z @ flat).reshape(rd.shape), out=pair[1])
+        return scaled._replace(pairs=pairs)
 
 
 def _predictor_corrector(newton: _Newton, gap: float) -> tuple[_Iterate, float]:
@@ -372,21 +373,18 @@ def _predictor_corrector(newton: _Newton, gap: float) -> tuple[_Iterate, float]:
     # Predictor: target 0, i.e. L_V^{-1}(-V^2) = -diag(lam)
     rc_aff = [-lam[..., None] * e for lam, e in zip(newton.lams, form.eyes)]
     aff, ap, ad = newton.direction(rc_aff, -lam_box)
-    ap_aff = min(1.0, ap)
-    ad_aff = min(1.0, ad)
+    ap_aff, ad_aff = min(1.0, ap), min(1.0, ad)
+    # the gap is frame-invariant: <X, S> = <diag(lam), diag(lam)> when scaled
     gap_aff = sum(
-        float(np.sum((x + ap_aff * dx) * (s + ad_aff * ds)))
-        for x, dx, s, ds in zip(state.xs, aff.xs, state.ss, aff.ss)
+        float(np.vdot(ap_aff * d[0] - rc, ad_aff * d[1] - rc))
+        for rc, d in zip(rc_aff, aff.pairs)
     ) + float((state.x_box + ap_aff * aff.x_box) @ (state.s_box + ad_aff * aff.s_box))
     sigma = min(1.0, max(0.0, (gap_aff / gap)) ** 3)
 
-    # Corrector with Mehrotra second-order term
+    # Corrector with Mehrotra second-order term dX~ dS~
     rcs = []
-    for g, g_inv, lam, e, dx, ds in zip(
-        newton.gs, newton.g_invs, newton.lams, form.eyes, aff.xs, aff.ss
-    ):
-        cross = (g_inv @ dx @ _t(g_inv)) @ (_t(g) @ ds @ g)
-        resid = (sigma * mu - lam**2)[..., None] * e - _sym(cross)
+    for lam, e, d in zip(newton.lams, form.eyes, aff.pairs):
+        resid = (sigma * mu - lam**2)[..., None] * e - _sym(d[0] @ d[1])
         denom = lam[..., :, None] + lam[..., None, :]
         rcs.append(2.0 * resid / denom)
     rc_box = (sigma * mu - lam_box**2 - aff.x_box * aff.s_box) / lam_box
@@ -394,7 +392,7 @@ def _predictor_corrector(newton: _Newton, gap: float) -> tuple[_Iterate, float]:
     # equal primal/dual steps: keeps the duality gap monotone on the
     # degenerate geometries the margin program produces
     gamma = 0.9 + 0.09 * min(1.0, ap, ad)
-    return step, min(1.0, gamma * ap, gamma * ad)
+    return newton.unscale(step), min(1.0, gamma * ap, gamma * ad)
 
 
 def solve(
@@ -524,7 +522,7 @@ def solve(
         gap=gap,
         primal=pinf,
         dual=dinf,
-        primal_blocks=[state.xs[group][index].copy() for group, index in form.slots],
+        primal_blocks=[state.pairs[group][0, index].copy() for group, index in form.slots],
     )
 
 

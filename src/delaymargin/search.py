@@ -233,11 +233,12 @@ def _probe(
 def _margin_slope(derivatives: list[np.ndarray], result: FeasibilityResult) -> float | None:
     """The margin's slope dt*/dtau from a solve's last iterate, by the
     envelope theorem: sum_k <X_k, dF_k(y)/dtau> over the primal blocks X_k,
-    given the tau-derivative stacks dF_k of the program's blocks, divided by
-    sum_k tr X_k (1 at the optimum).  None when it is not finite."""
+    given the tau-derivative stacks dF_k of the program's leading blocks
+    that depend on tau (the others add nothing), divided by sum_k tr X_k
+    over all blocks (1 at the optimum).  None when it is not finite."""
     y, xs = result.certificate, result.primal_blocks
     rate = sum(float(np.vdot(x, np.tensordot(y, d, axes=1))) for x, d in zip(xs, derivatives))
-    mass = sum(float(np.trace(x)) for x in xs)
+    mass = sum(float(x.trace()) for x in xs)
     slope = rate / mass if mass > 0 else math.nan
     return slope if math.isfinite(slope) else None
 

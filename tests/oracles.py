@@ -4,8 +4,8 @@ exact polynomials, the exact polynomial kernels stated coefficient by
 coefficient in `Fraction` arithmetic, literal repeated-integral forms of
 the weighted functionals, the projection form through `np.kron`, the
 stability LMI blocks stated directly at one delay in terms of the
-decision matrices, and a frequency sweep of the characteristic
-determinant."""
+decision matrices, a frequency sweep of the characteristic determinant,
+and interior-point step lengths in the Cholesky frame."""
 
 import math
 from dataclasses import dataclass
@@ -421,3 +421,12 @@ def unstable_root_count(a, a_d1, a_d2, tau, degree=50):
     lam = np.linalg.eigvals(gen)
     lam = lam[np.abs(lam) < big_n**2 / (2.0 * tau)]
     return int(np.sum(lam.real > 1e-7))
+
+
+def cholesky_frame_step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with X + alpha*dX >= 0 for a positive definite X, from
+    the smallest eigenvalue of L^{-1} dX L^{-T} with X = L L^T (inf when dX
+    never leaves the cone)."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(x))
+    lam_min = np.linalg.eigvalsh(l_inv @ dx @ l_inv.T)[0]
+    return -1.0 / lam_min if lam_min < 0 else math.inf

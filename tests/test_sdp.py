@@ -22,10 +22,17 @@ from delaymargin.sdp import (
     ConeProgram,
     decide_feasibility,
     solve,
+    _Iterate,
+    _Newton,
+    _SolverForm,
+    _nt_scaling,
+    _predictor_corrector,
+    _residuals,
     _step_lengths,
+    _sym,
     verify_certificate,
 )
-from oracles import derivative_block, pack, unpack
+from oracles import cholesky_frame_step, derivative_block, pack, unpack
 
 
 def stack(*coefficients):
@@ -232,15 +239,16 @@ def test_step_collapse_retries_with_regularized_schur_solve():
 
 
 def test_step_lengths_break_down_per_side(monkeypatch):
-    # X = S = I in two 3x3 blocks, so both Cholesky inverses are I; the
-    # primal side may step to 0.5, the dual side to 0.25, the box rows to 10
-    chol_inv = np.broadcast_to(np.eye(3), (2, 2, 3, 3))
+    # X = S = I in two 3x3 blocks, so lam = 1 and the scaled directions are
+    # dX and dS themselves; the primal side may step to 0.5, the dual side
+    # to 0.25, the box rows to 10
+    scale = np.ones((2, 3, 3))
     dx = -np.stack([np.eye(3), 2.0 * np.eye(3)])
     ds = -4.0 * np.stack([np.eye(3), np.eye(3)])
     box, d_box = np.ones(2), np.array([-0.1, 0.1])
 
     def steps(dx, ds):
-        return _step_lengths([chol_inv], [dx], [ds], (box, box), (d_box, d_box))
+        return _step_lengths([scale], [np.stack((dx, ds))], (box, box), (d_box, d_box))
 
     assert steps(dx, ds) == (0.5, 0.25)
     # a non-finite side steps 0, the other side is unaffected
@@ -262,6 +270,64 @@ def test_step_lengths_break_down_per_side(monkeypatch):
     broken = ds.copy()
     broken[0, 1, 1] = 7.0
     assert steps(dx, broken) == (0.5, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 8, 10])
+def test_scaled_step_lengths_match_the_cholesky_frame(d):
+    # the NT-scaled frame, where X and S are both diag(lam), gives the step
+    # lengths lambda_min(L^{-1} dX L^{-T}) of X = L L^T, and likewise for S
+    rng = np.random.default_rng(d)
+
+    def draw(k, definite):
+        m = rng.standard_normal((k, d, d))
+        return m @ m.swapaxes(1, 2) + 0.1 * np.eye(d) if definite else m + m.swapaxes(1, 2)
+
+    no_box = (np.ones(1), np.ones(1)), (np.zeros(1), np.zeros(1))
+    for _ in range(5):
+        x, s, dx, ds = draw(3, True), draw(3, True), draw(3, False), draw(3, False)
+        g, lam = _nt_scaling(np.stack((x, s)))
+        g_inv = np.linalg.inv(g)
+        scaled = np.stack((g_inv @ dx @ g_inv.swapaxes(1, 2), g.swapaxes(1, 2) @ ds @ g))
+        scale = 1.0 / np.sqrt(lam[..., :, None] * lam[..., None, :])
+        primal, dual = _step_lengths([scale], [scaled], *no_box)
+        assert primal == pytest.approx(min(map(cholesky_frame_step, x, dx)), rel=1e-9)
+        assert dual == pytest.approx(min(map(cholesky_frame_step, s, ds)), rel=1e-9)
+
+
+def test_scaled_direction_solves_the_newton_system():
+    # at a mid-run iterate of a ladder program, the scaled direction mapped
+    # back solves A(dX) + box^T(dx_box) = rp, dS + sum_i dz_i A_i = rd and
+    # G^{-1} dX G^{-T} + G^T dS G = rc for a symmetric rc; the residuals
+    # are perturbed, as the iterates stay dual feasible from the start
+    program = assemble_stability_lmis(bundled_system("example1")[0], HierarchyParams(3, 1), 3.0)
+    form = _SolverForm(program)
+    state = _Iterate.start(form)
+    for _ in range(6):
+        residual, gap, _, _ = _residuals(form, state)
+        step, alpha = _predictor_corrector(_Newton(form, state, residual, 0), gap)
+        state = state.update(step, alpha)
+    (rp, rds, rd_box), _, _, _ = _residuals(form, state)
+    rng = np.random.default_rng(3)
+    rp = rp + 1e-3 * rng.standard_normal(rp.shape)
+    rds = [rd + 1e-3 * _sym(rng.standard_normal(rd.shape)) for rd in rds]
+    rd_box = rd_box + 1e-3 * rng.standard_normal(rd_box.shape)
+    newton = _Newton(form, state, (rp, rds, rd_box), 0)
+    rcs = [_sym(rng.standard_normal(pair.shape[1:])) for pair in state.pairs]
+    rc_box = rng.standard_normal(2 * form.p)
+    step = newton.unscale(newton.direction(rcs, rc_box)[0])
+
+    def assert_solves(terms, rhs):
+        scale = max(float(np.abs(t).max()) for t in [*terms, rhs])
+        assert np.abs(sum(terms) - rhs).max() <= 1e-10 * scale
+
+    primal = [flat @ pair[0].reshape(-1) for flat, pair in zip(form.flats, step.pairs)]
+    assert_solves([form.box_adjoint(step.x_box), *primal], rp)
+    for flat, pair, rd in zip(form.flats, step.pairs, rds):
+        assert_solves([pair[1], (step.z @ flat).reshape(rd.shape)], rd)
+    for g, pair, rc in zip(newton.gs, step.pairs, rcs):
+        g_inv = np.linalg.inv(g)
+        assert_solves([g_inv @ pair[0] @ g_inv.swapaxes(1, 2), g.swapaxes(1, 2) @ pair[1] @ g], rc)
+    assert_solves([step.s_box, form.box(step.z)], rd_box)
 
 
 def test_margin_error_covers_negative_homogeneous_margin():
