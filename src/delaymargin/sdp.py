@@ -26,15 +26,16 @@ deterministic: fixed iteration schedule, no randomized pivoting.
 
 Each solve stacks the blocks by size once, in its solver form: the k
 blocks of size d share one (q, k, d, d) coefficient array and one
-(2, k, d, d) array of (X, S), and likewise the residuals, NT scalings and
-search directions.  Each step of an iteration (scaling, Schur
-accumulation, Newton right-hand side, step length, update) is then one
-batched numpy call per size group, not one per block; the stability LMIs
-have many equal-size n_x x n_x blocks.  Directions are taken in the
-NT-scaled frame, where X and S are both diag(lam): the right-hand side,
-both step lengths and the Mehrotra cross term come from the scaled
-coefficients G^T A_i G the Schur matrix is built from, no inverse of X,
-S or G is formed, and only dX is mapped back, by one congruence.
+(2, k, d, d) array of (X, S); the residuals, NT scalings and search
+directions are one array per size group too.  Each step of an iteration
+(scaling, Schur accumulation, Newton right-hand side, step length,
+update) is then one batched numpy call per size group, not one per
+block; the stability LMIs have many equal-size n_x x n_x blocks.
+Directions are taken in the NT-scaled frame, where X and S are both
+diag(lam): the right-hand side, both step lengths and the Mehrotra cross
+term come from the scaled coefficients G^T A_i G the Schur matrix is
+built from, no inverse of X, S or G is formed, and only dX is mapped
+back, by one congruence.
 """
 
 from __future__ import annotations
