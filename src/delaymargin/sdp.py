@@ -262,8 +262,8 @@ class _Iterate(NamedTuple):
         eta = 10.0 * data_norm
         z = np.zeros(form.q)
         z[form.p] = -eta
-        pairs = [np.multiply.outer((1.0, eta), np.broadcast_to(e, a.shape[1:])) for a, e in
-                 zip(form.groups, form.eyes)]
+        pairs = [np.multiply.outer((1.0, eta), np.broadcast_to(e, a.shape[1:]))
+                 for a, e in zip(form.groups, form.eyes)]
         return cls(pairs, np.ones(2 * form.p), form.bound - form.box(z), z)
 
     def update(self, step: _Iterate, alpha: float) -> _Iterate:
