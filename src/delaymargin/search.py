@@ -27,7 +27,10 @@ end's side when its slope falls toward the bracket's infeasible end and
 the root lies inside the bracket, else by inverse interpolation of
 tau(margin) at margin 0 through the last verified probes, and falls back
 to bisection whenever neither estimate is usable or neither the bracket
-nor the step shrinks fast enough.  Infeasible margins sit at ~0 and carry
+nor the step shrinks fast enough.  The fallback bisects the log of the
+distance from the bracket's infeasible end (plus tol), since the
+hierarchy's bounds lie from ~10% of the window down to ~tol short of its
+crossing.  Infeasible margins sit at ~0 and carry
 no slope, so they only move the bracket.  A feasible verdict counts only once
 `verify_certificate` has re-checked its certificate, so every reported
 bound is backed by a logged, verified feasible probe and a logged
@@ -323,9 +326,16 @@ def _refine(
       lands at the estimate plus tol/2.
     The step bisects instead when the estimate is not finite or not inside
     the open bracket, or when over the last two steps neither the bracket
-    nor the step (the probe's distance from the feasible end) halved.
+    nor the step (the probe's distance from the feasible end) halved.  It
+    bisects in log(d + tol), d being the distance from the bracket's
+    infeasible end as given (a crossing or an infeasible probe): the probe
+    lies at d = sqrt((d_inf + tol)(d_feas + tol)) - tol between the ends'
+    distances d_inf and d_feas.  Bounds close in on their crossings as M
+    grows, so this halves the log of the gap while it is much wider than
+    tol, and the bracket itself once it is within a few tol.
     """
     toward = 1.0 if tau_infeas > tau_feas else -1.0
+    anchor = tau_infeas
     widths: list[float] = []  # bracket width before each step
     steps: list[float] = []  # distance of each step's probe from the feasible end
     estimate = math.nan
@@ -334,7 +344,9 @@ def _refine(
         lo, hi = sorted((tau_feas, tau_infeas))
         verified = [p for p in log if p.verified and toward * (p.tau - origin) >= 0]
         previous, estimate = estimate, _crossing_estimate(verified, toward, lo, hi)
-        rule, tau = "bisect", 0.5 * (tau_feas + tau_infeas)
+        d_inf, d_feas = abs(tau_infeas - anchor), abs(tau_feas - anchor)
+        middle = math.sqrt(d_inf + tol) * math.sqrt(d_feas + tol) - tol
+        rule, tau = "bisect", anchor - toward * middle
         if lo < estimate < hi:
             proposal, candidate = "model", estimate
             if abs(estimate - tau_feas) <= tol:

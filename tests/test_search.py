@@ -156,9 +156,10 @@ def _windows(monkeypatch, *windows):
     monkeypatch.setattr(search, "stability_windows", lambda sys: list(windows))
 
 
-def _fake_search(monkeypatch, profile, r, direction, tol):
+def _fake_search(monkeypatch, profile, r, direction, tol, crossing=None):
     """Search against a fake oracle whose crossing r is the end of the
-    stable window: (0, r) for the upper bound, (r, inf) for the lower."""
+    stable window: (0, r) for the upper bound, (r, inf) for the lower.
+    With a ``crossing``, the window ends there instead and r lies in it."""
     rng = np.random.default_rng(5)
     margin, rate = _PROFILES[profile]
     beyond = 1.0 if direction == "upper" else -1.0  # d falls as tau moves this way
@@ -170,10 +171,11 @@ def _fake_search(monkeypatch, profile, r, direction, tol):
         s = rng.uniform(0.5, 1.0)
         return _fake_result(margin(d, s), -beyond * rate(d, s))
 
+    c = r if crossing is None else crossing
     if direction == "upper":
-        _windows(monkeypatch, Window(0.0, r, 0), Window(r, math.inf, 2))
+        _windows(monkeypatch, Window(0.0, c, 0), Window(c, math.inf, 2))
     else:
-        _windows(monkeypatch, Window(0.0, r, 1), Window(r, math.inf, 0))
+        _windows(monkeypatch, Window(0.0, c, 1), Window(c, math.inf, 0))
     monkeypatch.setattr(search, "assemble_stability_lmis", lambda sys, params, tau: tau)
     monkeypatch.setattr(search, "stability_tau_derivatives", _fake_derivatives)
     monkeypatch.setattr(search, "decide_feasibility", decide)
@@ -211,7 +213,9 @@ def test_refinement_against_known_crossing(monkeypatch, profile, direction):
 
 
 def test_refinement_labels_its_steps(monkeypatch):
-    _, report = _fake_search(monkeypatch, "linear", 1.2345678, "upper", 1e-5)
+    # the convex profile's tangent roots fall short of the crossing, inside
+    # the bracket, so the model steps
+    _, report = _fake_search(monkeypatch, "convex", 1.2345678, "upper", 1e-5)
     steps = [p.step for p in report.probes]
     first = next(i for i, step in enumerate(steps) if step != "bracket")
     assert set(steps[:first]) == {"bracket"}
@@ -223,6 +227,36 @@ def test_refinement_labels_its_steps(monkeypatch):
     assert {p.step for p in report.probes[:-1]} == {"bracket", "bisect"}
     assert report.probes[-1].step == "close"
     assert report.probes[-1].tau == 1.2345678
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-5])
+def test_fallback_bisects_in_log_distance_from_the_crossing(monkeypatch, gap, direction):
+    # the constant profile gives the model no estimate, so every refinement
+    # probe is the fallback's; the window ends at c, a relative gap beyond
+    # the oracle's crossing r, as bounds do at low M
+    tol, c = 1e-5, 1.2345678
+    beyond = 1.0 if direction == "upper" else -1.0
+    r = c * (1.0 - beyond * gap)
+    bound, report = _fake_search(monkeypatch, "constant", r, direction, tol, crossing=c)
+    assert 0 < beyond * (r - bound) <= tol
+    first, *refinement = report.probes
+    tau_feas, tau_infeas = first.tau, c
+    for p in refinement:
+        lo, hi = sorted((tau_feas, tau_infeas))
+        assert p.step == "bisect" and lo < p.tau < hi
+        if p.verified:
+            tau_feas = p.tau
+        else:
+            tau_infeas = p.tau
+    assert tau_feas == bound and abs(tau_infeas - tau_feas) <= tol
+    # each probe halves the span of log(d + tol), d the distance from c,
+    # which starts at log((|c - first| + tol) / tol); once it is at most
+    # log(1 + tol / (|c - r| + tol)) the pair is within tol: 18, 11 and 5
+    # probes, all taken in both directions
+    span = math.log((abs(c - first.tau) + tol) / tol)
+    budget = math.ceil(math.log2(span / math.log1p(tol / (abs(c - r) + tol))))
+    assert len(refinement) <= budget
 
 
 def test_model_step_is_the_tangent_root_of_the_last_verified_probe(monkeypatch):
