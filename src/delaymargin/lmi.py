@@ -329,9 +329,9 @@ def assemble_delay_range_lmis(
     positivity block is affine and the negated derivative block, C0 + tau
     C1 - tau**2 W^T (sum R_j) W with the R blocks definite, concave in tau,
     so the smallest eigenvalue of each is smallest at an end and the
-    endpoint checks certify the range; with A_d2 != 0 (tau**2 and tau**3 terms in the energy rate) the
-    reduction is heuristic and callers should treat the result as a
-    pointwise check only.
+    endpoint checks certify the range; with A_d2 != 0 (tau**2 and tau**3
+    terms in the energy rate) the reduction is heuristic and callers
+    should treat the result as a pointwise check only.
     """
     if not 0 < tau_low <= tau_up:
         raise ValueError("need 0 < tau_low <= tau_up")

@@ -22,24 +22,23 @@ The margin of a feasible probe falls to zero at the bound.  Each verified
 feasible probe also logs the margin's slope dt*/dtau, which the solve
 already holds (envelope theorem): the solver's last primal blocks against
 the exact tau-derivative of the LMI stacks.  The next probe is estimated
-by the tangent root tau - t/t' through the last verified probe on that
-end's side when its slope falls toward the bracket's infeasible end and
-the root lies inside the bracket, else by inverse interpolation of
-tau(margin) at margin 0 through the last verified probes, and falls back
-to bisection whenever neither estimate is usable or neither the bracket
-nor the step shrinks fast enough.  The fallback bisects the log of the
-distance from the bracket's infeasible end (plus tol), since the
-hierarchy's bounds lie from ~10% of the window down to ~tol short of its
-crossing.  Infeasible margins sit at ~0 and carry
-no slope, so they only move the bracket.  A feasible verdict counts only once
-`verify_certificate` has re-checked its certificate, so every reported
-bound is backed by a logged, verified feasible probe and a logged
-infeasible probe within the tolerance.  The probe log is also the search's
-only state: the memo of verdicts by delay and the source of the model's
-points.  Solver runs that end numerically inconclusive are treated as
-infeasible (the conservative choice for a stability claim) and counted in
-the report.  The solver's thresholds are the fixed `sdp` constants; the
-search exposes only its tolerance.
+by the tangent root tau - t/t' of the verified probe at the bracket's
+feasible end when its slope falls toward the bracket's infeasible end and
+the root lies inside the bracket, and falls back to bisection whenever
+that estimate is not usable or neither the bracket nor the step shrinks
+fast enough.  The fallback bisects the log of the distance from the
+bracket's infeasible end (plus tol), since the hierarchy's bounds lie from
+~10% of the window down to ~tol short of its crossing.  Infeasible
+margins sit at ~0 and carry no slope, so they only move the bracket.  A
+feasible verdict counts only once `verify_certificate` has re-checked its
+certificate, so every reported bound is backed by a logged, verified
+feasible probe and a logged infeasible probe within the tolerance.  The
+probe log is also the search's only state: the memo of verdicts by delay
+and the source of the model's margin and slope.  Solver runs that end
+numerically inconclusive are treated as infeasible (the conservative
+choice for a stability claim) and counted in the report.  The solver's
+thresholds are the fixed `sdp` constants; the search exposes only its
+tolerance.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ _COMPARISON_TOL = 5e-3
 _MAX_PROBE_DOUBLINGS = 30
 # the rules that choose a probe delay (ProbeRecord.step): the window probes
 # and the geometric walk (bracket), the bisection fallback, the margin
-# model's estimate, and the closing probes within tol of the estimate or at
+# model's estimate, and the closing probes tol beyond the feasible end or at
 # the window's crossing
 STEPS = ("bracket", "bisect", "model", "close")
 
@@ -270,44 +269,20 @@ def _first_feasible(
     return tau
 
 
-def _margin_root(points: list[tuple[float, float]]) -> float:
-    """Inverse interpolation of tau(margin) at margin 0 through (tau, margin)
-    points: the secant for two, inverse quadratic for three; NaN when there
-    are fewer than two or two margins coincide."""
-    if len(points) < 2:
+def _crossing_estimate(feasible: ProbeRecord, toward: float, lo: float, hi: float) -> float:
+    """Where the margin reaches 0, from the verified probe at the bracket's
+    feasible end: its tangent root tau - t/t' when its slope falls toward
+    the infeasible end (toward * slope < 0) and the root lies inside the
+    open bracket (lo, hi), else NaN."""
+    if feasible.slope is None or not toward * feasible.slope < 0:
         return math.nan
-    estimate = 0.0
-    for i, (tau_i, margin_i) in enumerate(points):
-        term = tau_i
-        for j, (_, margin_j) in enumerate(points):
-            if j != i:
-                if margin_j == margin_i:
-                    return math.nan
-                term *= margin_j / (margin_j - margin_i)
-        estimate += term
-    return estimate
-
-
-def _crossing_estimate(
-    verified: list[ProbeRecord], toward: float, lo: float, hi: float
-) -> float:
-    """Where the margin reaches 0, from verified feasible probes on one
-    side: the tangent root tau - t/t' through the last one when its slope
-    falls toward the infeasible end (toward * slope < 0) and the root lies
-    inside the open bracket (lo, hi), else `_margin_root` through the last
-    three."""
-    last = verified[-1]
-    if last.slope is not None and toward * last.slope < 0:
-        tangent = last.tau - last.margin / last.slope
-        if lo < tangent < hi:
-            return tangent
-    return _margin_root([(p.tau, p.margin) for p in verified[-3:]])
+    tangent = feasible.tau - feasible.margin / feasible.slope
+    return tangent if lo < tangent < hi else math.nan
 
 
 def _refine(
     probe: Callable[[float, str], bool],
     log: list[ProbeRecord],
-    origin: float,
     tau_feas: float,
     tau_infeas: float,
     tol: float,
@@ -315,21 +290,17 @@ def _refine(
     """Shrink a (feasible, infeasible) bracket to at most tol and return it.
 
     Works in either direction.  Each step estimates the crossing with
-    `_crossing_estimate` from the verified probes of the log on the
-    bracket's side of origin, the first feasible probe of the search (the
-    other end of the range is refined beyond it), and proposes:
+    `_crossing_estimate` from the logged probe at the feasible end, and
+    proposes:
     - the estimate itself (model);
     - when the estimate is within tol of the feasible end, the delay tol
-      from the feasible end (close), which ends the search if infeasible;
-    - when two successive estimates agree within tol/2, the estimate minus
-      tol/2 on the feasible side (close), so that the next close probe
-      lands at the estimate plus tol/2.
-    The step bisects instead when the estimate is not finite or not inside
-    the open bracket, or when over the last two steps neither the bracket
-    nor the step (the probe's distance from the feasible end) halved.  It
-    bisects in log(d + tol), d being the distance from the bracket's
-    infeasible end as given (a crossing or an infeasible probe): the probe
-    lies at d = sqrt((d_inf + tol)(d_feas + tol)) - tol between the ends'
+      from the feasible end (close), which ends the search if infeasible.
+    The step bisects instead when there is no estimate, or when over the
+    last two steps neither the bracket nor the step (the probe's distance
+    from the feasible end) halved.  It bisects in log(d + tol), d being
+    the distance from the bracket's infeasible end as given (a crossing or
+    an infeasible probe): the probe lies at
+    d = sqrt((d_inf + tol)(d_feas + tol)) - tol between the ends'
     distances d_inf and d_feas.  Bounds close in on their crossings as M
     grows, so this halves the log of the gap while it is much wider than
     tol, and the bracket itself once it is within a few tol.
@@ -338,23 +309,20 @@ def _refine(
     anchor = tau_infeas
     widths: list[float] = []  # bracket width before each step
     steps: list[float] = []  # distance of each step's probe from the feasible end
-    estimate = math.nan
     while abs(tau_infeas - tau_feas) > tol:
         width = abs(tau_infeas - tau_feas)
         lo, hi = sorted((tau_feas, tau_infeas))
-        verified = [p for p in log if p.verified and toward * (p.tau - origin) >= 0]
-        previous, estimate = estimate, _crossing_estimate(verified, toward, lo, hi)
+        feasible = next(p for p in log if p.tau == tau_feas)
+        estimate = _crossing_estimate(feasible, toward, lo, hi)
         d_inf, d_feas = abs(tau_infeas - anchor), abs(tau_feas - anchor)
         middle = math.sqrt(d_inf + tol) * math.sqrt(d_feas + tol) - tol
         rule, tau = "bisect", anchor - toward * middle
-        if lo < estimate < hi:
+        if not math.isnan(estimate):
             proposal, candidate = "model", estimate
             if abs(estimate - tau_feas) <= tol:
                 proposal, candidate = "close", tau_feas + toward * tol
                 while abs(candidate - tau_feas) > tol:  # keep the closing pair within tol
                     candidate = math.nextafter(candidate, tau_feas)
-            elif abs(estimate - previous) <= 0.5 * tol:
-                proposal, candidate = "close", estimate - toward * 0.5 * tol
             halved = len(widths) < 2 or width <= 0.5 * widths[-2]
             if halved or abs(candidate - tau_feas) <= 0.5 * steps[-2]:
                 rule, tau = proposal, candidate
@@ -398,7 +366,7 @@ def _bound(
     upper = end > tau_first
     lo, hi = sorted((tau_first, end))
     beyond = [p.tau for p in report.probes if not p.verified and lo < p.tau < hi]
-    refine = partial(_refine, probe, report.probes, tau_first, tol=tol)
+    refine = partial(_refine, probe, report.probes, tol=tol)
     tau_feas = tau_first
     tau_infeas = min(beyond, key=lambda t: abs(t - tau_first), default=end)
     if 0 < tau_infeas < math.inf:  # not an open window end
@@ -489,8 +457,9 @@ def stability_interval(
 
     Pointwise bounds come from one search for both ends; the whole
     interval is then re-certified with the delay-range LMIs at the found
-    endpoints, a solve recorded in ``range_probe``.  A certification failure is reported (range_certified False
-    plus a note), never silently shrunk.
+    endpoints, a solve recorded in ``range_probe``.  A certification
+    failure is reported (range_certified False plus a note), never
+    silently shrunk.
     """
     t0 = time.perf_counter()
     report = _search(sys, params, tol, "interval")

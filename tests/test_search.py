@@ -142,7 +142,7 @@ _PROFILES = {
     # a flat crossing: the tangent alone creeps up on it at 0.75x per
     # probe, so this profile needs the progress guard to stay within the budget
     "flat": (lambda d, s: d**4, lambda d, s: 4.0 * d**3),
-    # slope 0: neither the tangent nor the interpolation has a root
+    # slope 0: the tangent has no root, so every refinement step bisects
     "constant": (lambda d, s: 1.0, lambda d, s: 0.0),
     "scaled": (lambda d, s: d * s, lambda d, s: s),
 }
@@ -210,6 +210,14 @@ def test_refinement_against_known_crossing(monkeypatch, profile, direction):
         assert refinement <= 2 * math.ceil(math.log2(width / tol)) + 4
         if profile in ("linear", "concave"):
             assert refinement <= 8
+        # replay the bracket: a close probe is the window's crossing or lies
+        # at most tol beyond the feasible end it was taken from
+        tau_feas = bracket[0].tau
+        for p in report.probes[1:]:
+            if p.step == "close":
+                assert p.tau == r or 0 < beyond * (p.tau - tau_feas) <= tol
+            if p.verified:
+                tau_feas = p.tau
 
 
 def test_refinement_labels_its_steps(monkeypatch):
@@ -269,23 +277,19 @@ def test_model_step_is_the_tangent_root_of_the_last_verified_probe(monkeypatch):
     assert second.tau == first.tau - first.margin / first.slope
 
 
-def test_crossing_estimate_falls_back_to_interpolation():
-    # tangent through the last probe: 1.2 + 0.4 / 2 = 1.4; secant through
-    # both: 1.2 + 0.4 * 2 = 2.0
-    def probes(slope):
-        return [
-            ProbeRecord(1.0, FEASIBLE, 0.5, True, slope=-1.0),
-            ProbeRecord(1.2, FEASIBLE, 0.4, True, slope=slope),
-        ]
+def test_crossing_estimate_is_the_tangent_root_or_nan():
+    # tangent at the feasible end: 1.2 + 0.4 / 2 = 1.4; NaN whenever that
+    # root is missing or outside the open bracket
+    def feasible_end(slope):
+        return ProbeRecord(1.2, FEASIBLE, 0.4, True, slope=slope)
 
     estimate = search._crossing_estimate
-    assert estimate(probes(-2.0), 1.0, 1.2, 3.0) == pytest.approx(1.4, rel=1e-15)
-    secant = pytest.approx(2.0, rel=1e-15)
-    assert estimate(probes(None), 1.0, 1.2, 3.0) == secant  # no slope
-    assert estimate(probes(2.0), 1.0, 1.2, 3.0) == secant  # slope away from the end
-    assert estimate(probes(0.0), 1.0, 1.2, 3.0) == secant  # no root
-    assert estimate(probes(-2.0), 1.0, 1.2, 1.3) == secant  # root beyond the bracket
-    assert estimate(probes(-2.0), -1.0, 0.5, 1.2) == secant  # the lower end's side
+    assert estimate(feasible_end(-2.0), 1.0, 1.2, 3.0) == pytest.approx(1.4, rel=1e-15)
+    assert math.isnan(estimate(feasible_end(None), 1.0, 1.2, 3.0))  # no slope
+    assert math.isnan(estimate(feasible_end(2.0), 1.0, 1.2, 3.0))  # slope away from the end
+    assert math.isnan(estimate(feasible_end(0.0), 1.0, 1.2, 3.0))  # no root
+    assert math.isnan(estimate(feasible_end(-2.0), 1.0, 1.2, 1.3))  # root beyond the bracket
+    assert math.isnan(estimate(feasible_end(-2.0), -1.0, 0.5, 1.2))  # the lower end's side
 
 
 # the envelope-theorem slope against central differences of the optimal
