@@ -13,10 +13,10 @@ end of the stable range, the upper end, or both (`stability_interval`),
 each by a safeguarded search (`_refine`) in the style of Brent's method
 toward the window's crossing on that side.  The crossing is only a hint
 until it is probed, so a bracket that still ends at it probes it once; a
-feasible verdict there is noted and the search walks on past it.  An open
-window end (0 or infinity) is walked geometrically instead; a walk without
-an infeasible probe is an error at the upper end and a range open at zero
-at the lower.
+feasible verdict there is noted and the search goes on past it.  An open
+upper end is walked by x2 (an error if no probe is infeasible); a lower end
+open at zero gets one probe at tol, which ends the bracket or, feasible,
+leaves the range open at zero.
 
 The margin of a feasible probe falls to zero at the bound.  Each verified
 feasible probe also logs the margin's slope dt*/dtau, which the solve
@@ -90,12 +90,12 @@ SCHEMA_VERSION = 7
 # largest decrease between neighbouring sweep cells that is not a
 # hierarchy violation
 _COMPARISON_TOL = 5e-3
-# steps of the geometric walk from an open window end
+# steps of the x2 walk from an open upper window end
 _MAX_PROBE_DOUBLINGS = 30
-# the rules that choose a probe delay (ProbeRecord.step): the window probes
-# and the geometric walk (bracket), the bisection fallback, the margin
-# model's estimate, and the closing probes tol beyond the feasible end or at
-# the window's crossing
+# the rules that choose a probe delay (ProbeRecord.step): the window probes,
+# the x2 walk and the probe at tol below a lower end open at zero (bracket),
+# the bisection fallback, the margin model's estimate, and the closing
+# probes tol beyond the feasible end or at the window's crossing
 STEPS = ("bracket", "bisect", "model", "close")
 
 
@@ -105,7 +105,7 @@ class NoFeasiblePointError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """The geometric walk from an open window end found no infeasible delay
+    """The x2 walk from an open upper window end found no infeasible delay
     (the bound may not exist)."""
 
 
@@ -357,13 +357,13 @@ def _bound(
     at end, and is refined to tol.  A crossing left as the refined
     infeasible end is only a hint, so it is probed once; should it be
     feasible, a note says so, the report's crossings become None, and the
-    search walks past it, as from an open end: by x2 (upper) or x0.5
-    (lower), both exact, until a probe is infeasible or, toward zero, a
-    feasible probe lies within tol of it.  A walk without an infeasible
-    probe raises BracketError at the upper end; at the lower end it notes
-    the probe floor and returns None (the range is open at zero).
+    search goes on as from an open end.  Upward it walks by x2 until a
+    probe is infeasible (BracketError if none is).  Toward zero it probes
+    tol once, unless the feasible end is at or below tol: infeasible, tol
+    ends the bracket; feasible, the probe floor is noted and the result is
+    None (open at zero).  That probe, like any, proves only its own delay;
+    only `stability_interval`'s range solve proves the range above it.
     """
-    upper = end > tau_first
     lo, hi = sorted((tau_first, end))
     beyond = [p.tau for p in report.probes if not p.verified and lo < p.tau < hi]
     refine = partial(_refine, probe, report.probes, tol=tol)
@@ -379,23 +379,22 @@ def _bound(
         )
         report.crossings = None  # the bound lies outside this window
         tau_feas = end
-    factor = 2.0 if upper else 0.5
+    if end < tau_first:  # open at zero: one probe at tol
+        if tau_feas > tol and not probe(tol, "bracket"):
+            return refine(tau_feas, tol)[0]
+        report.notes.append(
+            f"feasible down to probe floor tau={min(tau_feas, tol):g}; no lower crossing"
+        )
+        return None
     for _ in range(_MAX_PROBE_DOUBLINGS):
-        if not upper and tau_feas <= tol:
-            break  # feasible within tol of zero: the range is open there
-        tau = tau_feas * factor
+        tau = 2.0 * tau_feas
         if not probe(tau, "bracket"):
             return refine(tau_feas, tau)[0]
         tau_feas = tau
-    if upper:
-        raise BracketError(
-            f"feasible up to tau={tau_feas:g}; no upper crossing found "
-            "(delay-independent stability in the probed range)"
-        )
-    report.notes.append(
-        f"feasible down to probe floor tau={tau_feas:g}; no lower crossing"
+    raise BracketError(
+        f"feasible up to tau={tau_feas:g}; no upper crossing found "
+        "(delay-independent stability in the probed range)"
     )
-    return None
 
 
 def _search(
@@ -444,8 +443,8 @@ def max_delay(
 def min_delay(
     sys: DelaySystem, params: HierarchyParams, tol: float = DEFAULT_TOL
 ) -> tuple[float | None, DelayBoundsReport]:
-    """Smallest certified-stable delay, or None when feasibility persists
-    down to the probe floor (interval open at zero)."""
+    """Smallest certified-stable delay, or None when the probe at tol is
+    feasible (open at zero; that probe proves only its own delay, tol)."""
     report = _search(sys, params, tol, "lower")
     return report.tau_lower, report
 

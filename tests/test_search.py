@@ -361,8 +361,9 @@ def _counting_oracle(
 def test_probe_log_is_the_memo(monkeypatch):
     # windows that misplace the lower crossing at 0.15: the uncertain
     # window (0, 0.15) gets one probe, at 0.075, infeasible; the lower
-    # search in (0.15, r) then finds its crossing feasible and walks past
-    # it by x0.5, back to 0.075, the probe of the window below
+    # search in (0.15, r) then finds its crossing feasible and goes on past
+    # it as from zero, probing tol and refining in (tol, 0.15), which holds
+    # the window below's probe
     solved = _counting_oracle(
         monkeypatch, 1.2345678,
         windows=(Window(0.0, 0.15, None), Window(0.15, 1.2345678, 0)),
@@ -370,11 +371,47 @@ def test_probe_log_is_the_memo(monkeypatch):
     bound, report = min_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
     taus = [p.tau for p in report.probes]
     assert len(set(taus)) == len(taus)
-    # one solve per logged probe, although the walk returned to 0.075
+    # one solve per logged probe, across both windows' searches
     assert solved == taus
     assert taus.index(0.075) < taus.index(0.15)
     assert any("probed feasible" in note for note in report.notes)
     assert 0 < bound - _LOWER_CROSSING <= 1e-5
+
+
+def test_probing_a_logged_delay_solves_once(monkeypatch):
+    solved = _counting_oracle(monkeypatch, 1.2345678)
+    report = search.DelayBoundsReport("pure-delay", 1, 1, "upper")
+    args = (pure_delay_scalar(), HierarchyParams(1, 1), report)
+    # a feasible and an infeasible delay, each probed twice: the second
+    # probe returns the logged verdict and logs nothing
+    for tau, verdict in ((0.5, True), (2.0, False)):
+        assert search._probe(*args, tau, "bracket") is verdict
+        assert search._probe(*args, tau, "model") is verdict
+    assert solved == [0.5, 2.0]
+    assert [(p.tau, p.step) for p in report.probes] == [(0.5, "bracket"), (2.0, "bracket")]
+
+
+def test_infeasible_probe_at_tol_ends_the_lower_bracket(monkeypatch):
+    # a window (0, c) certainly free of unstable roots, over an oracle
+    # infeasible below its lower crossing: the lower end is open at zero,
+    # so tol is probed once, infeasible, and the bracket (first, tol) is
+    # refined to the oracle's crossing
+    tol, c = 1e-5, 1.2345678
+    _counting_oracle(monkeypatch, c, windows=(Window(0.0, c, 0), Window(c, math.inf, 2)))
+    bound, report = min_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    first, at_tol, *refinement = report.probes
+    assert [p.tau for p in report.probes if p.step == "bracket"] == [first.tau, tol]
+    assert at_tol.tau == tol and at_tol.status != FEASIBLE
+    assert 0 < bound - _LOWER_CROSSING <= tol
+    assert next(p for p in report.probes if p.tau == bound).verified is True
+    below = [bound - p.tau for p in report.probes if not p.verified and p.tau < bound]
+    assert below and min(below) <= tol
+    # the log-distance bisection budget, as in the fallback test, with the
+    # anchor at tol: d + tol is first.tau at the window probe and the
+    # oracle's crossing at the crossing
+    span = math.log(first.tau / tol)
+    budget = math.ceil(math.log2(span / math.log1p(tol / _LOWER_CROSSING)))
+    assert len(refinement) <= budget
 
 
 def test_unverified_probe_counts_as_infeasible(monkeypatch):
@@ -511,10 +548,9 @@ def test_min_delay_none_when_feasible_to_floor():
     assert lo is None
     assert report.tau_lower is None
     assert any("probe floor" in note for note in report.notes)
-    # the walk toward zero stops at its first feasible probe within tol of 0
-    assert len(report.probes) <= 18
-    tol = search.DEFAULT_TOL
-    assert tol / 2 < min(p.tau for p in report.probes) <= tol
+    # the window's probe, then one probe at tol, feasible: open at zero
+    assert len(report.probes) == 2
+    assert min(p.tau for p in report.probes) == search.DEFAULT_TOL
 
 
 def test_min_delay_finds_lower_crossing():
@@ -556,8 +592,8 @@ def test_interval_notes_any_nonzero_distributed_kernel():
 
 
 def test_interval_open_at_zero():
-    # the stable window (0, pi/2) is open at zero: the lower walk reaches
-    # the probe floor, the upper bound refines toward pi/2
+    # the stable window (0, pi/2) is open at zero: the lower end's one
+    # probe, at tol, is feasible, and the upper bound refines toward pi/2
     report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-3)
     assert report.tau_lower is None
     assert 0 < math.pi / 2 - report.tau_upper <= 5e-3
