@@ -8,15 +8,19 @@ roots.  Every report comes from one search (`_search`) on one probe log.
 It skips the windows certainly holding unstable roots and probes the
 others from left to right at their midpoint, halving toward the window's
 lower end while the probe is infeasible if the window is certainly free
-of unstable roots.  From the first feasible probe it refines the lower
-end of the stable range, the upper end, or both (`stability_interval`),
-each by a safeguarded search (`_refine`) in the style of Brent's method
-toward the window's crossing on that side.  The crossing is only a hint
-until it is probed, so a bracket that still ends at it probes it once; a
-feasible verdict there is noted and the search goes on past it.  An open
-upper end is walked by x2 (an error if no probe is infeasible); a lower end
-open at zero gets one probe at tol, which ends the bracket or, feasible,
-leaves the range open at zero.
+of unstable roots.  A search that refines the upper end first probes such
+a window, when it is closed above, at the log-distance bisection point
+between the midpoint and the upper crossing, where the bounds lie from
+M = 2 on; should that probe fail, it ends the upper bracket and the
+search goes on from the midpoint.  From the first feasible probe it
+refines the lower end of the stable range, the upper end, or both
+(`stability_interval`), each by a safeguarded search (`_refine`) in the
+style of Brent's method toward the window's crossing on that side.  The
+crossing is only a hint until it is probed, so a bracket that still ends
+at it probes it once; a feasible verdict there is noted and the search
+goes on past it.  An open upper end is walked by x2 (an error if no
+probe is infeasible); a lower end open at zero gets one probe at tol,
+which ends the bracket or, feasible, leaves the range open at zero.
 
 The margin of a feasible probe falls to zero at the bound.  Each verified
 feasible probe also logs the margin's slope dt*/dtau, which the solve
@@ -92,8 +96,9 @@ SCHEMA_VERSION = 7
 _COMPARISON_TOL = 5e-3
 # steps of the x2 walk from an open upper window end
 _MAX_PROBE_DOUBLINGS = 30
-# the rules that choose a probe delay (ProbeRecord.step): the window probes,
-# the x2 walk and the probe at tol below a lower end open at zero (bracket),
+# the rules that choose a probe delay (ProbeRecord.step): the window probes
+# (near the upper crossing, then at the midpoint and halving), the x2 walk
+# and the probe at tol below a lower end open at zero (bracket),
 # the bisection fallback, the margin model's estimate, and the closing
 # probes tol beyond the feasible end or at the window's crossing
 STEPS = ("bracket", "bisect", "model", "close")
@@ -246,19 +251,29 @@ def _margin_slope(derivatives: list[np.ndarray], result: FeasibilityResult) -> f
 
 
 def _first_feasible(
-    probe: Callable[[float, str], bool], window: Window, tol: float
+    probe: Callable[[float, str], bool], window: Window, tol: float, upper: bool
 ) -> float | None:
     """The first verified feasible probe in a window, or None.
 
-    The first probe, made whatever tol is, is the window's midpoint (twice
-    its lower end when it is open above, 1 when it is (0, inf)).  In a
-    window certainly free of unstable roots each infeasible probe halves
-    the distance toward the lower end, down to tol and to float resolution;
-    a window whose count is not certain gets that one probe only.
+    A search that refines the upper end (``upper``) first probes, in a
+    window certainly free of unstable roots and closed above, the
+    log-distance bisection point between the midpoint and the window's
+    upper crossing c, at distance sqrt(tol (c - mid + tol)) - tol below c:
+    the bounds lie from ~10% of the window down to ~tol short of c.
+    Otherwise, or when that probe fails, the first probe, made whatever
+    tol is, is the window's midpoint (twice its lower end when it is open
+    above, 1 when it is (0, inf)).  In a window certainly free of unstable
+    roots each infeasible probe halves the distance toward the lower end,
+    down to tol and to float resolution; a window whose count is not
+    certain gets the midpoint probe only.
     """
     lower = window.lower
     if math.isfinite(window.upper):
         tau = 0.5 * (lower + window.upper)
+        near = _log_bisection(window.upper, window.upper, tau, tol)
+        if upper and window.unstable == 0 and tau < near < window.upper:
+            if probe(near, "bracket"):
+                return near
     else:
         tau = 2.0 * lower if lower > 0 else 1.0
     while not probe(tau, "bracket"):
@@ -267,6 +282,15 @@ def _first_feasible(
             return None
         tau = halved
     return tau
+
+
+def _log_bisection(anchor: float, near: float, far: float, tol: float) -> float:
+    """The point between near and far, both on one side of anchor, that
+    bisects log(d + tol), d the distance from anchor: it lies at
+    d = sqrt((d_near + tol)(d_far + tol)) - tol on far's side."""
+    d_near, d_far = abs(near - anchor), abs(far - anchor)
+    middle = math.sqrt(d_near + tol) * math.sqrt(d_far + tol) - tol
+    return anchor + middle if far > anchor else anchor - middle
 
 
 def _crossing_estimate(feasible: ProbeRecord, toward: float, lo: float, hi: float) -> float:
@@ -299,7 +323,7 @@ def _refine(
     last two steps neither the bracket nor the step (the probe's distance
     from the feasible end) halved.  It bisects in log(d + tol), d being
     the distance from the bracket's infeasible end as given (a crossing or
-    an infeasible probe): the probe lies at
+    an infeasible probe): `_log_bisection` puts the probe at
     d = sqrt((d_inf + tol)(d_feas + tol)) - tol between the ends'
     distances d_inf and d_feas.  Bounds close in on their crossings as M
     grows, so this halves the log of the gap while it is much wider than
@@ -314,9 +338,7 @@ def _refine(
         lo, hi = sorted((tau_feas, tau_infeas))
         feasible = next(p for p in log if p.tau == tau_feas)
         estimate = _crossing_estimate(feasible, toward, lo, hi)
-        d_inf, d_feas = abs(tau_infeas - anchor), abs(tau_feas - anchor)
-        middle = math.sqrt(d_inf + tol) * math.sqrt(d_feas + tol) - tol
-        rule, tau = "bisect", anchor - toward * middle
+        rule, tau = "bisect", _log_bisection(anchor, tau_infeas, tau_feas, tol)
         if not math.isnan(estimate):
             proposal, candidate = "model", estimate
             if abs(estimate - tau_feas) <= tol:
@@ -413,7 +435,7 @@ def _search(
     for window in stability_windows(sys):
         if window.unstable:  # certainly unstable; a count of None is probed
             continue
-        tau_first = _first_feasible(probe, window, tol)
+        tau_first = _first_feasible(probe, window, tol, direction != "lower")
         if tau_first is None:
             continue
         report.crossings = [

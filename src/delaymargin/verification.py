@@ -146,12 +146,9 @@ def _random_case(rng: np.random.Generator):
     dim = int(rng.integers(1, 4))
     degree = int(rng.integers(0, 7))
     # coefficients n / d with d in 1..3, as numerators over lcm(1, 2, 3) = 6
-    comps = [
-        RationalPolynomial.over(
-            [int(rng.integers(-5, 6)) * 6 // int(rng.integers(1, 4)) for _ in range(degree + 1)], 6
-        )
-        for _ in range(dim)
-    ]
+    nums = rng.integers(-5, 6, size=(dim, degree + 1))
+    dens = rng.integers(1, 4, size=(dim, degree + 1))
+    comps = [RationalPolynomial.over(row, 6) for row in (nums * 6 // dens).tolist()]
     f = PolynomialVectorFunction(comps, a, b)
     g = rng.normal(size=(dim, dim))
     weight = g @ g.T + dim * np.eye(dim)

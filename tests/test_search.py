@@ -58,16 +58,26 @@ def test_bracketing_soundness_from_probe_log():
     assert report.direction == "upper"
 
 
+def _near_crossing(c: float, mid: float, tol: float) -> float:
+    """The first probe of an upper search in a window of midpoint mid and
+    upper crossing c: the log-distance bisection point between them."""
+    return c - (math.sqrt(tol) * math.sqrt(c - mid + tol) - tol)
+
+
 def test_bisection_probe_count_bound():
     tol = 1e-4
     _, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
-    # the one window (0, pi/2) is probed at its midpoint, which is feasible,
-    # and refined toward its crossing; conservative audit: total probes <=
-    # the window probe + ceil(log2(W/tol)) + 2 for the bracket (pi/4, pi/2)
+    # the one window (0, pi/2) is first probed at the log-distance
+    # bisection point between its midpoint and its crossing c, which is
+    # feasible, and refined toward c; conservative audit: total probes <=
+    # the window probe + ceil(log2(W/tol)) + 2 for the bracket (first, c)
     assert report.crossings == [None, pytest.approx(math.pi / 2, rel=1e-12)]
-    assert report.probes[0].tau == 0.5 * report.crossings[1]
+    c = report.crossings[1]
+    first = report.probes[0].tau
+    assert first == _near_crossing(c, 0.5 * c, tol)
     assert [p.step for p in report.probes].count("bracket") == 1
-    budget = math.ceil(math.log2(0.5 * report.crossings[1] / tol)) + 2
+    assert 0.5 * c not in [p.tau for p in report.probes]
+    budget = math.ceil(math.log2((c - first) / tol)) + 2
     assert len(report.probes) <= 1 + budget
 
 
@@ -248,8 +258,16 @@ def test_fallback_bisects_in_log_distance_from_the_crossing(monkeypatch, gap, di
     r = c * (1.0 - beyond * gap)
     bound, report = _fake_search(monkeypatch, "constant", r, direction, tol, crossing=c)
     assert 0 < beyond * (r - bound) <= tol
-    first, *refinement = report.probes
-    tau_feas, tau_infeas = first.tau, c
+    # the window probes: an upper search first probes near c, and at the
+    # widest gap, where that probe lies beyond r, the midpoint next, with
+    # the rejected probe as the bracket's infeasible end; else that end is c
+    windowed = sum(p.step == "bracket" for p in report.probes)
+    *rejected, first = report.probes[:windowed]
+    refinement = report.probes[windowed:]
+    assert first.verified and not any(p.verified for p in rejected)
+    assert len(rejected) == (direction == "upper" and gap == 1e-1)
+    anchor = rejected[0].tau if rejected else c
+    tau_feas, tau_infeas = first.tau, anchor
     for p in refinement:
         lo, hi = sorted((tau_feas, tau_infeas))
         assert p.step == "bisect" and lo < p.tau < hi
@@ -258,12 +276,12 @@ def test_fallback_bisects_in_log_distance_from_the_crossing(monkeypatch, gap, di
         else:
             tau_infeas = p.tau
     assert tau_feas == bound and abs(tau_infeas - tau_feas) <= tol
-    # each probe halves the span of log(d + tol), d the distance from c,
-    # which starts at log((|c - first| + tol) / tol); once it is at most
-    # log(1 + tol / (|c - r| + tol)) the pair is within tol: 18, 11 and 5
-    # probes, all taken in both directions
-    span = math.log((abs(c - first.tau) + tol) / tol)
-    budget = math.ceil(math.log2(span / math.log1p(tol / (abs(c - r) + tol))))
+    # each probe halves the span of log(d + tol), d the distance from the
+    # anchor, which starts at log((|anchor - first| + tol) / tol); once it
+    # is at most log(1 + tol / (|anchor - r| + tol)) the pair is within
+    # tol: 18, 10 and 4 probes upward, 18, 11 and 5 downward, all taken
+    span = math.log((abs(anchor - first.tau) + tol) / tol)
+    budget = math.ceil(math.log2(span / math.log1p(tol / (abs(anchor - r) + tol))))
     assert len(refinement) <= budget
 
 
@@ -415,19 +433,77 @@ def test_infeasible_probe_at_tol_ends_the_lower_bracket(monkeypatch):
 
 
 def test_unverified_probe_counts_as_infeasible(monkeypatch):
-    # the window's midpoint is the first feasible delay found; its
-    # certificate fails the check
-    first = 0.5 * (_LOWER_CROSSING + 1.2345678)
-    _counting_oracle(monkeypatch, 1.2345678, unverified={first})
-    bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-5)
-    (rejected,) = [p for p in report.probes if p.tau == first]
+    # the window's first probe, near its crossing, is a feasible delay
+    # whose certificate fails the check
+    tol, c = 1e-5, 1.2345678
+    mid = 0.5 * (_LOWER_CROSSING + c)
+    first = _near_crossing(c, mid, tol)
+    _counting_oracle(monkeypatch, c, unverified={first})
+    bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    rejected, midpoint = report.probes[:2]
+    assert rejected.tau == first
     assert rejected.status == FEASIBLE and rejected.verified is False
     assert [p.tau for p in report.probes].count(first) == 1
-    # the search treats it as the infeasible end: the bound lies within tol
-    # below it, on a verified probe
+    # the search treats it as infeasible: the midpoint is probed next, and
+    # the rejected probe is the bracket's infeasible end, so the bound lies
+    # within tol below it, on a verified probe
+    assert (midpoint.tau, midpoint.step, midpoint.verified) == (mid, "bracket", True)
     assert bound != first
-    assert 0 < first - bound <= 1e-5
+    assert 0 < first - bound <= tol
     assert next(p for p in report.probes if p.tau == bound).verified is True
+
+
+@pytest.mark.parametrize("run", [max_delay, stability_interval])
+def test_feasible_near_probe_means_no_midpoint_probe(monkeypatch, run):
+    # an upper search in the stable window (0.1005, c) first probes the
+    # log-distance point between the midpoint and c; it is feasible, so it
+    # is the window's first feasible probe and the midpoint is never solved
+    tol, c = 1e-5, 1.2345678
+    mid = 0.5 * (_LOWER_CROSSING + c)
+    solved = _counting_oracle(monkeypatch, c)
+    out = run(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    report = out if run is stability_interval else out[1]
+    first = report.probes[0]
+    assert first.tau == _near_crossing(c, mid, tol)
+    assert (first.step, first.verified) == ("bracket", True)
+    assert mid < first.tau < c and mid not in solved
+    assert [p.step for p in report.probes].count("bracket") == 1
+    assert 0 < c - report.tau_upper <= tol
+
+
+def test_infeasible_near_probe_is_followed_by_the_midpoint(monkeypatch):
+    # the window ends at c but the oracle's crossing r lies below the near
+    # probe: the midpoint is probed next, and the near probe, not c, is the
+    # refinement's infeasible end, so c is never probed
+    tol, c, r = 1e-5, 1.2345678, 1.0
+    mid = 0.5 * (_LOWER_CROSSING + c)
+    solved = _counting_oracle(
+        monkeypatch, r,
+        windows=(
+            Window(0.0, _LOWER_CROSSING, 2), Window(_LOWER_CROSSING, c, 0), Window(c, math.inf, 2)
+        ),
+    )
+    bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    near, midpoint, *refinement = report.probes
+    assert near.tau == _near_crossing(c, mid, tol) and near.verified is None
+    assert (midpoint.tau, midpoint.step, midpoint.verified) == (mid, "bracket", True)
+    assert refinement and all(mid < p.tau < near.tau for p in refinement)
+    assert c not in solved
+    assert 0 < r - bound <= tol
+
+
+@pytest.mark.parametrize("case", ["min_delay", "uncertain"])
+def test_lower_searches_and_uncertain_windows_probe_the_midpoint_first(monkeypatch, case):
+    # a lower-only search, and any search in a window whose count is not
+    # certain, starts at the window's midpoint
+    tol, c = 1e-5, 1.2345678
+    windows = None
+    if case == "uncertain":
+        windows = (Window(_LOWER_CROSSING, c, None), Window(c, math.inf, 2))
+    solved = _counting_oracle(monkeypatch, c, windows=windows)
+    run = min_delay if case == "min_delay" else max_delay
+    run(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    assert solved[0] == 0.5 * (_LOWER_CROSSING + c)
 
 
 def test_unstable_windows_cost_no_solve(monkeypatch):
@@ -475,12 +551,15 @@ def test_uncertain_windows_cost_one_solve_each(monkeypatch):
 
 
 def test_tolerance_wider_than_the_window_still_probes_it(systems):
-    # example1's one stable window is (0, 6.17258): its midpoint is probed
-    # although it lies within tol 4 of the window's lower end, and the
-    # crossing closes the bracket
-    bound, report = max_delay(systems["example1"], HierarchyParams(1, 1), tol=4.0)
+    # example1's one stable window is (0, 6.17258): its first probe, at
+    # sqrt(tol (c/2 + tol)) - tol = 1.32 below its crossing c, is made
+    # although it lies within tol 4 of c, and the crossing closes the
+    # bracket
+    tol = 4.0
+    bound, report = max_delay(systems["example1"], HierarchyParams(1, 1), tol=tol)
     crossing = report.crossings[1]
-    assert bound == 0.5 * crossing == pytest.approx(3.08629, abs=1e-5)
+    near = _near_crossing(crossing, 0.5 * crossing, tol)
+    assert bound == near == pytest.approx(4.84856, abs=1e-5)
     assert [(p.tau, p.verified) for p in report.probes] == [(bound, True), (crossing, None)]
 
 
@@ -502,6 +581,19 @@ def test_halving_stops_at_float_resolution(monkeypatch):
     with pytest.raises(NoFeasiblePointError):
         max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-30)
     assert solved == calls and all(0.3 < tau < 1.0 for tau in solved)
+
+
+@pytest.mark.parametrize("tol", [3.0, 7.0])
+def test_near_probe_is_skipped_when_it_rounds_out_of_the_window(monkeypatch, tol):
+    # a window two ulps wide: the log-distance point near its crossing
+    # rounds above the crossing at tol 3 and below the window at tol 7, so
+    # the window's one probe is its midpoint
+    lower = 1.0
+    upper = math.nextafter(math.nextafter(lower, 2.0), 2.0)
+    solved = _counting_oracle(monkeypatch, 0.0, windows=(Window(lower, upper, 0),))
+    with pytest.raises(NoFeasiblePointError):
+        max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    assert solved == [0.5 * (lower + upper)]
 
 
 def test_interval_is_one_search_on_one_log(monkeypatch):
