@@ -79,14 +79,6 @@ class RationalPolynomial:
         return p
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[int | Fraction]) -> "RationalPolynomial":
-        return RationalPolynomial(coeffs)
-
-    @staticmethod
-    def zero() -> "RationalPolynomial":
-        return RationalPolynomial.over((), 1)
-
-    @staticmethod
     def one() -> "RationalPolynomial":
         return RationalPolynomial.over((1,), 1)
 
@@ -164,10 +156,6 @@ class RationalPolynomial:
         """Exact value p(x): the constant p(x + 0 * t)."""
         return self.compose_affine(x, 0).coeff(0)
 
-    def integral(self) -> Fraction:
-        """Exact integral over [0, 1]: sum c_k / (k + 1)."""
-        return inner_product(0, self, RationalPolynomial.one())
-
 
 def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of the product of two integer coefficient lists (all
@@ -193,7 +181,7 @@ def rodrigues_poly(m: int, n: int) -> RationalPolynomial:
         raise ValueError("rodrigues_poly requires m >= 0 and n >= 0")
     if n == 0:
         return RationalPolynomial.one()
-    base = RationalPolynomial.from_coeffs((0, -1, 1))  # x^2 - x
+    base = RationalPolynomial((0, -1, 1))  # x^2 - x
     inner = RationalPolynomial.one()
     for _ in range(n):
         inner = inner * base

@@ -7,14 +7,16 @@ infinity-norm box |y_i| <= BOX_BOUND keeps the program bounded, and the
 solver maximizes t.  The programs are homogeneous, as the stability
 conditions are linear in the Lyapunov-Krasovskii matrices with no
 constant term: y = 0 attains t = 0, so the optimal margin t* is never
-negative, and strict feasibility is exactly t* > 0, decided against
-FEAS_THRESHOLD.  ``solve`` returns that optimum; ``decide_feasibility``,
-the decision interface used by the bound search, stops earlier, at the
-first iterate whose dual point already certifies a margin above the
-threshold within 2x of the optimum.  The thresholds are the module
-constants GAP_TOL, RES_TOL, FEAS_THRESHOLD and BOX_BOUND; ``solve`` takes
-only ``max_iter``, ``log_stream`` and ``stop_when_certified``.  A
-``ConeProgram`` is its coefficient stacks; the variable count is read off them.
+negative, strict feasibility is exactly t* > 0, decided against
+FEAS_THRESHOLD, and t* is BOX_BOUND times the optimum in the unit box.
+``solve`` returns that optimum; ``decide_feasibility``, the decision
+interface used by the bound search, stops earlier, at the first iterate
+whose dual point already certifies a margin above the threshold within 2x
+of the optimum.  The thresholds are the module constants GAP_TOL,
+RES_TOL, FEAS_THRESHOLD and BOX_BOUND; ``solve`` takes only ``max_iter``,
+``log_stream`` and ``stop_when_certified``.  A ``ConeProgram`` is only its
+coefficient stacks: the variable count is read off them, and every
+program is solved in the same box.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -70,8 +72,7 @@ STOP_REASONS = (
     "certified",
 )
 
-# Termination and decision thresholds, and the default box bound of a
-# ConeProgram (every program the LMI builder emits uses it).
+# Termination and decision thresholds, and the box bound B of every program.
 GAP_TOL = 1e-8
 RES_TOL = 1e-9
 FEAS_THRESHOLD = 1e-7
@@ -80,23 +81,19 @@ BOX_BOUND = 1e4
 
 @dataclass
 class ConeProgram:
-    """max t  s.t.  sum_i y_i F_k[i] - t I >= 0 for all k, |y| <= B.
+    """max t  s.t.  sum_i y_i F_k[i] - t I >= 0 for all k, |y| <= BOX_BOUND.
 
     ``blocks`` holds one (num_y, d, d) stack F_k per constraint block, one
     finite symmetric coefficient matrix per y variable; there is no constant
     term, and the margin variable is implicit.  The number of variables
-    ``num_y`` is read off the stacks, which must all share it.  The box
-    bound B is the solver's policy, BOX_BOUND unless given by keyword.
+    ``num_y`` is read off the stacks, which must all share it.
     """
 
     blocks: list[np.ndarray]
-    box_bound: float = field(default=BOX_BOUND, kw_only=True)
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("at least one constraint block is required")
-        if not self.box_bound > 0:
-            raise ValueError("box bound must be positive")
         for stack in self.blocks:
             d = stack.shape[-1]
             if stack.shape != (self.num_y, d, d):
@@ -212,7 +209,6 @@ class _SolverForm:
     def __init__(self, program: ConeProgram):
         self.p = p = program.num_y
         self.q = q = p + 1  # margin variable t is last
-        self.bound = program.box_bound
         self.groups = []
         self.slots = [None] * len(program.blocks)  # (size group, index in it) per block
         for d in sorted({stack.shape[-1] for stack in program.blocks}):
@@ -264,7 +260,7 @@ class _Iterate(NamedTuple):
         z[form.p] = -eta
         pairs = [np.multiply.outer((1.0, eta), np.broadcast_to(e, a.shape[1:]))
                  for a, e in zip(form.groups, form.eyes)]
-        return cls(pairs, np.ones(2 * form.p), form.bound - form.box(z), z)
+        return cls(pairs, np.ones(2 * form.p), BOX_BOUND - form.box(z), z)
 
     def update(self, step: _Iterate, alpha: float) -> _Iterate:
         """The point a step length alpha along the direction ``step``."""
@@ -284,12 +280,12 @@ def _residuals(form: _SolverForm, state: _Iterate):
         ax += flat @ pair[0].reshape(-1)
     rp = form.b_obj - ax
     rds = [-(z @ flat).reshape(pair.shape[1:]) - pair[1] for flat, pair in zip(form.flats, pairs)]
-    rd_box = form.bound - form.box(z) - s_box
+    rd_box = BOX_BOUND - form.box(z) - s_box
     gap = sum(float(np.vdot(pair[0], pair[1])) for pair in pairs) + float(x_box @ s_box)
-    pinf = float(np.abs(rp).max()) / (1.0 + form.bound)
+    pinf = float(np.abs(rp).max()) / (1.0 + BOX_BOUND)
     dinf_blocks = max(float(np.linalg.norm(r, axis=(1, 2)).max()) for r in rds)
     dinf_box = float(np.abs(rd_box).max(initial=0.0))
-    dinf = max(dinf_blocks, dinf_box) / (1.0 + form.bound)
+    dinf = max(dinf_blocks, dinf_box) / (1.0 + BOX_BOUND)
     return (rp, rds, rd_box), gap, pinf, dinf
 
 
@@ -436,10 +432,10 @@ def solve(
     """
     form = _SolverForm(program)
     state = _Iterate.start(form)
-    # rounding floor: box products of size ~bound set a floor on the
+    # rounding floor: box products of size ~BOX_BOUND set a floor on the
     # attainable absolute gap; once near it, stop when progress dies
     # (mid-phase plateaus at large gap are left alone)
-    stall_level = max(1e2 * GAP_TOL, 1e-12 * form.bound * form.n_total)
+    stall_level = max(1e2 * GAP_TOL, 1e-12 * BOX_BOUND * form.n_total)
     stop_reason = "max-iter"
     gap = pinf = dinf = np.inf
     it = 0
@@ -494,7 +490,7 @@ def solve(
 
     t_star = float(state.z[form.p])
     # estimated uncertainty of the reported margin
-    err = gap + (pinf + dinf) * (1.0 + form.bound)
+    err = gap + (pinf + dinf) * (1.0 + BOX_BOUND)
     dual_ok = dinf <= 100 * RES_TOL
     decisive = stop_reason == "converged" or (
         err <= 0.1 * max(abs(t_star), FEAS_THRESHOLD)

@@ -93,26 +93,26 @@ def functional_value_nested(spec: FunctionalSpec, f: PolynomialVectorFunction) -
 def poly_mul(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
     """p q by coefficient convolution."""
     if not p.coeffs or not q.coeffs:
-        return RationalPolynomial.zero()
+        return RationalPolynomial()
     out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
     for i, a in enumerate(p.coeffs):
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
-    return RationalPolynomial.from_coeffs(out)
+    return RationalPolynomial(out)
 
 
 def poly_add(p: RationalPolynomial, q: RationalPolynomial, sign: int = 1) -> RationalPolynomial:
     """p + sign * q coefficient by coefficient."""
     n = max(len(p.coeffs), len(q.coeffs))
-    return RationalPolynomial.from_coeffs(p.coeff(k) + sign * q.coeff(k) for k in range(n))
+    return RationalPolynomial(p.coeff(k) + sign * q.coeff(k) for k in range(n))
 
 
 def poly_scale(p: RationalPolynomial, c: Fraction) -> RationalPolynomial:
-    return RationalPolynomial.from_coeffs(a * c for a in p.coeffs)
+    return RationalPolynomial(a * c for a in p.coeffs)
 
 
 def poly_derivative(p: RationalPolynomial) -> RationalPolynomial:
-    return RationalPolynomial.from_coeffs(k * c for k, c in enumerate(p.coeffs) if k)
+    return RationalPolynomial(k * c for k, c in enumerate(p.coeffs) if k)
 
 
 def poly_eval(p: RationalPolynomial, x: Fraction) -> Fraction:
@@ -130,10 +130,10 @@ def poly_integral(p: RationalPolynomial) -> Fraction:
 
 def poly_compose_affine(p: RationalPolynomial, alpha: Fraction, beta: Fraction) -> RationalPolynomial:
     """p(alpha + beta x) by Horner's rule through the product."""
-    arg = RationalPolynomial.from_coeffs((alpha, beta))
-    out = RationalPolynomial.zero()
+    arg = RationalPolynomial((alpha, beta))
+    out = RationalPolynomial()
     for c in reversed(p.coeffs):
-        out = poly_mul(out, arg) + RationalPolynomial.from_coeffs((c,))
+        out = poly_mul(out, arg) + RationalPolynomial((c,))
     return out
 
 

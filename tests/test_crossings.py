@@ -10,7 +10,7 @@ import pytest
 
 import delaymargin.search as search
 from delaymargin.cli import EXIT_INPUT, main
-from delaymargin.crossings import Window, stability_windows
+from delaymargin.crossings import Window, _crossings as _root_crossings, _newton, stability_windows
 from delaymargin.lmi import DelaySystem, HierarchyParams
 from delaymargin.search import NoFeasiblePointError, max_delay
 from delaymargin.systems import BUNDLED_SYSTEMS, bundled_system
@@ -65,6 +65,22 @@ def _assert_roots_at_crossings(sys: DelaySystem) -> int:
 @pytest.mark.parametrize("name", BUNDLED_SYSTEMS)
 def test_bundled_crossings_are_characteristic_roots(name):
     assert _assert_roots_at_crossings(bundled_system(name)[0]) >= 1
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("name", BUNDLED_SYSTEMS)
+def test_newton_returns_each_crossing_from_a_perturbed_start(name, delta):
+    # every listed crossing (w, tau_0) is already a root, so Newton's method
+    # steps only from a perturbed start (w (1 + delta), tau_0 (1 - delta));
+    # example2's real roots through s = 0 (w = 0, tau = 0.1 and 0.2) move
+    # along tau alone
+    sys = bundled_system(name)[0]
+    scale = 1.0 + max(np.linalg.norm(m, 2) for m in (sys.a, sys.a_d1, sys.a_d2))
+    found = _root_crossings(sys, bool(np.any(sys.a_d2)), scale)
+    assert found
+    for omega, tau, _ in found:
+        root = _newton(sys, omega * (1 + delta), tau * (1 - delta), scale)
+        assert root == pytest.approx((omega, tau), rel=1e-12), (omega, tau)
 
 
 def test_random_crossings_are_characteristic_roots():

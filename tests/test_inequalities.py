@@ -34,7 +34,7 @@ def random_pd_matrix(rng, n):
 
 def random_poly_function(rng, dim, degree, a, b):
     comps = [
-        RationalPolynomial.from_coeffs(
+        RationalPolynomial(
             [F(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(degree + 1)]
         )
         for _ in range(dim)
@@ -63,7 +63,7 @@ def test_functional_value_norm_of_second_legendre():
 
 def test_moments_of_constant():
     c = PolynomialVectorFunction(
-        [RationalPolynomial.from_coeffs((3,)), RationalPolynomial.from_coeffs((-2,))],
+        [RationalPolynomial((3,)), RationalPolynomial((-2,))],
         -1,
         4,
     )
@@ -131,7 +131,7 @@ def test_equality_on_span():
 def test_derivative_equality_for_linear_functions():
     a, b = F(0), F(3)
     f = PolynomialVectorFunction(
-        [RationalPolynomial.from_coeffs((1, 2)), RationalPolynomial.from_coeffs((-4, 5))],
+        [RationalPolynomial((1, 2)), RationalPolynomial((-4, 5))],
         a,
         b,
     )
@@ -340,7 +340,7 @@ def test_competitor_statistics_reject_short_or_misshaped_moments():
 
 def test_function_and_weight_dimensions_must_agree():
     # one component against a 3x3 weight used to return sum(W) * int f^2
-    one = PolynomialVectorFunction([RationalPolynomial.from_coeffs([1, 2])], 0, 1)
+    one = PolynomialVectorFunction([RationalPolynomial([1, 2])], 0, 1)
     two = PolynomialVectorFunction([RationalPolynomial.one()] * 2, 0, 1)
     spec = FunctionalSpec(np.eye(3), 0, 0.0, 1.0)
     for f in (one, two):

@@ -33,7 +33,6 @@ from oracles import (
     poly_derivative,
     poly_eval,
     poly_inner_product,
-    poly_integral,
     poly_mul,
     poly_scale,
 )
@@ -141,8 +140,8 @@ def test_basis_matrix_reproduces_rodrigues_rows(m, big_k):
 
 
 def test_polynomial_arithmetic_roundtrip():
-    p = RationalPolynomial.from_coeffs((F(1, 2), F(-3), 0, F(7, 5)))
-    q = RationalPolynomial.from_coeffs((2, 1))
+    p = RationalPolynomial((F(1, 2), F(-3), 0, F(7, 5)))
+    q = RationalPolynomial((2, 1))
     assert (p * q).eval(F(1, 3)) == p.eval(F(1, 3)) * q.eval(F(1, 3))
     assert (p + q).eval(F(-2)) == p.eval(F(-2)) + q.eval(F(-2))
     assert p.derivative().coeffs == (F(-3), F(0), F(21, 5))
@@ -150,13 +149,13 @@ def test_polynomial_arithmetic_roundtrip():
 
 
 def test_divide_exponents_rejects_inexact():
-    p = RationalPolynomial.from_coeffs((1, 2))
+    p = RationalPolynomial((1, 2))
     with pytest.raises(ValueError):
         p.divide_exponents(1)
 
 
 def test_divide_exponents_rejects_a_negative_power():
-    p = RationalPolynomial.from_coeffs([0, 0, 0, 1])
+    p = RationalPolynomial([0, 0, 0, 1])
     with pytest.raises(ValueError, match="m >= 0"):
         p.divide_exponents(-1)
     assert p.divide_exponents(3) == RationalPolynomial.one()
@@ -172,7 +171,7 @@ _KERNEL_CASES = 600
 def _random_poly(rng: np.random.Generator) -> RationalPolynomial:
     """Degree -1 (zero) to 10, some zero coefficients, mixed denominators."""
     degree = int(rng.integers(-1, 11))
-    return RationalPolynomial.from_coeffs(
+    return RationalPolynomial(
         F(int(rng.integers(-9, 10)) * int(rng.random() < 0.85), int(rng.integers(1, 13)))
         for _ in range(degree + 1)
     )
@@ -181,7 +180,7 @@ def _random_poly(rng: np.random.Generator) -> RationalPolynomial:
 def _kernel_polys():
     """The zero polynomial and two constants, then seeded random ones."""
     rng = np.random.default_rng(20260)
-    fixed = [RationalPolynomial.zero(), RationalPolynomial.one(), RationalPolynomial.from_coeffs((F(-3, 7),))]
+    fixed = [RationalPolynomial(), RationalPolynomial.one(), RationalPolynomial((F(-3, 7),))]
     return fixed + [_random_poly(rng) for _ in range(_KERNEL_CASES)]
 
 
@@ -193,7 +192,6 @@ def test_product_and_integral_match_the_fraction_oracles():
     polys = _kernel_polys()
     for p, q in zip(polys, polys[1:] + polys[:1]):
         assert p * q == poly_mul(p, q)
-        assert p.integral() == poly_integral(p)
 
 
 def test_compose_affine_matches_the_fraction_oracle():
@@ -236,7 +234,7 @@ def test_legendre_coordinates_by_orthogonality():
     nums, den = legendre_moments(p, 2)
     coords = [(2 * l + 1) * F(n, den) for l, n in enumerate(nums)]
     assert coords == [F(1, 2), F(1, 2)]
-    recon = RationalPolynomial.zero()
+    recon = RationalPolynomial()
     for l, c in enumerate(coords):
         recon = recon + rodrigues_poly(0, l).scale(c)
     assert recon == p
@@ -280,7 +278,7 @@ def test_stored_form_is_canonical():
     # a trailing zero, a reducible fraction or a scaled denominator do not
     # change what is stored, so equal rationals compare and hash equal
     padded = RationalPolynomial((F(1), F(0)))
-    assert padded == RationalPolynomial.from_coeffs([1]) == RationalPolynomial.one()
+    assert padded == RationalPolynomial([1]) == RationalPolynomial.one()
     assert hash(padded) == hash(RationalPolynomial.one())
     p = RationalPolynomial((F(2, 4), F(-1, 3), 0))
     assert (p.nums, p.den) == ((3, -2), 6)

@@ -25,13 +25,13 @@ from delaymargin.projection import (
     weighted_moment_map,
 )
 from delaymargin.lmi import _svec_basis
-from oracles import _weighted_congruence
+from oracles import _weighted_congruence, poly_integral
 
 F = Fraction
 
 
 def reconstruct(coords, num_terms):
-    out = RationalPolynomial.zero()
+    out = RationalPolynomial()
     for l in range(num_terms):
         out = out + rodrigues_poly(0, l).scale(coords[l])
     return out
@@ -259,7 +259,7 @@ def test_legendre_derivative_map_examples():
 
 def random_poly_vector(rng, dim, degree):
     return [
-        RationalPolynomial.from_coeffs(
+        RationalPolynomial(
             [F(int(rng.integers(-6, 7)), int(rng.integers(1, 4))) for _ in range(degree + 1)]
         )
         for _ in range(dim)
@@ -275,7 +275,7 @@ def legendre_moments(fs, a, b, big_m):
         for i, f in enumerate(fs):
             # substitute s = a + width * x and integrate over [0, 1]
             g = f.compose_affine(a, width)
-            out[l, i] = float(width * (basis * g).integral())
+            out[l, i] = float(width * poly_integral(basis * g))
     return out
 
 
@@ -285,7 +285,7 @@ def weighted_moment(f_vec, m, j, a, b):
     vals = []
     for f in f_vec:
         g = f.compose_affine(a, width)
-        vals.append(float(width * (p * g).shift_exponents(m).integral()))
+        vals.append(float(width * poly_integral((p * g).shift_exponents(m))))
     return np.array(vals)
 
 

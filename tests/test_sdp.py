@@ -1,6 +1,7 @@
 """Solver tests against analytically solvable margin programs."""
 
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -49,50 +50,50 @@ def oracle_cases():
     """Ten homogeneous margin programs with closed-form optima.
 
     Each is small enough to solve by hand: diagonal structure, a single
-    coupling, or a box-active optimum.  A constant term C is stated as
-    y_0 C on an extra variable y_0 with box bound 1, which attains the
-    optimum at y_0 = 1.
+    coupling, or a box-active optimum.  Every program is solved in the box
+    |y_i| <= B = BOX_BOUND, so each optimum is B times its unit-box value.
+    A constant term C is stated as y_0 C on an extra variable y_0, which
+    attains the optimum at the box, y_0 = B.
     """
+    b = BOX_BOUND
     cases = []
 
     # 1. scalar free variable, tight box: t* = B
-    cases.append(("scalar-box", ConeProgram([stack([[1.0]])], box_bound=1.0), 1.0))
+    cases.append(("scalar-box", ConeProgram([stack([[1.0]])]), b))
     # 2. antagonistic pair: only the zero margin is attainable
-    cases.append(("antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]))], box_bound=1e4), 0.0))
-    # 3. a constant block y_0 C: margin is the smallest eigenvalue of C
+    cases.append(("antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]))]), 0.0))
+    # 3. a constant block y_0 C: margin is B times the smallest eigenvalue of C
     c = np.array([[3.5, 1.5], [1.5, 3.5]])  # eigenvalues 2 and 5
-    cases.append(("constant-only", ConeProgram([stack(c)], box_bound=1.0), 2.0))
+    cases.append(("constant-only", ConeProgram([stack(c)]), 2.0 * b))
     # 4. identity direction with box: t* = B
-    cases.append(("identity-box", ConeProgram([stack(np.eye(2))], box_bound=1.0), 1.0))
-    # 5. two scalar blocks y_1 and y_0 - y_1: balance at 1/2
+    cases.append(("identity-box", ConeProgram([stack(np.eye(2))]), b))
+    # 5. two scalar blocks y_1 and y_0 - y_1: balance at B/2
     balance = [stack([[0.0]], [[1.0]]), stack([[1.0]], [[-1.0]])]
-    cases.append(("balance", ConeProgram(balance, box_bound=1.0), 0.5))
+    cases.append(("balance", ConeProgram(balance), 0.5 * b))
     # 6. y_1 diag(1, -1) + y_2 [[0, 1], [1, 0]] has eigenvalues +-|y|:
     # only the zero margin is attainable
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    cases.append(
-        ("rotated-antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]), swap)], box_bound=10.0), 0.0)
-    )
+    cases.append(("rotated-antagonistic", ConeProgram([stack(np.diag([1.0, -1.0]), swap)]), 0.0))
     # 7. rotated coordinates: same optimum as diag(y_1, 2 y_0 - y_1)
     q = rotation(0.6)
     rotated = stack(q @ np.diag([0.0, 2.0]) @ q.T, q @ np.diag([1.0, -1.0]) @ q.T)
-    cases.append(("rotated-balance", ConeProgram([rotated], box_bound=1.0), 1.0))
+    cases.append(("rotated-balance", ConeProgram([rotated]), b))
     # 8. box-active slope: eigenvalues y_1 and 2 y_1 - y_0, maximal at
-    # y_1 = -y_0 = B = 3
+    # y_1 = -y_0 = B
     slope = stack(np.diag([0.0, -1.0]), np.diag([1.0, 2.0]))
-    cases.append(("box-active-slope", ConeProgram([slope], box_bound=3.0), 3.0))
-    # 9. three variables sharing a budget of 4 y_0: symmetric optimum at 1
+    cases.append(("box-active-slope", ConeProgram([slope]), b))
+    # 9. three variables sharing a budget of 4 y_0: symmetric optimum at B
     st = np.zeros((4, 4, 4))
     st[0, 3, 3] = 4.0
     for i in range(1, 4):
         st[i, i - 1, i - 1] = 1.0
         st[i, 3, 3] = -1.0
-    cases.append(("budget-split", ConeProgram([st], box_bound=1.0), 1.0))
-    # 10. fixed off-diagonal coupling: at the box corner eigenvalues are 2 -+ 0.3
+    cases.append(("budget-split", ConeProgram([st]), b))
+    # 10. fixed off-diagonal coupling: at the box corner eigenvalues are (2 -+ 0.3) B
     corner = stack(
         [[1.0, 0.3], [0.3, 1.0]], np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     )
-    cases.append(("coupled-corner", ConeProgram([corner], box_bound=1.0), 1.7))
+    cases.append(("coupled-corner", ConeProgram([corner]), 1.7 * b))
     return cases
 
 
@@ -108,8 +109,8 @@ def test_oracle_margins(name, program, expected):
 
 def mixed_size_program():
     """Three 2x2 blocks, one 3x3 and one 1x1 over (y_0, y) in R^4: at
-    y_0 = 1 the binding eigenvalues are y_1, y_2, y_3 and 2 - y_1 - y_2 - y_3,
-    so t* = 1/2 at y = (1/2, 1/2, 1/2); every other eigenvalue keeps slack
+    y_0 = B the binding eigenvalues are y_1, y_2, y_3 and 2B - y_1 - y_2 - y_3,
+    so t* = B/2 at y = (B/2, B/2, B/2); every other eigenvalue keeps slack
     there.  The equal-size blocks differ in their y_0 term and rotation, so
     a block paired with another's data changes the program."""
     blocks = []
@@ -127,16 +128,16 @@ def mixed_size_program():
     st[2, 2, 2] = st[3, 2, 2] = 1.0
     blocks.append(q3[None] @ st @ q3.T[None])
     blocks.append(stack([[1.0]], [[1.0]], [[-1.0]], [[0.0]]))  # y_0 + y_1 - y_2
-    return ConeProgram(blocks, box_bound=1.0)
+    return ConeProgram(blocks)
 
 
 def test_blocks_of_mixed_sizes_are_stacked_consistently():
     program = mixed_size_program()
     result = solve(program)
     assert result.status == FEASIBLE
-    assert result.margin == pytest.approx(0.5, abs=1e-7)
+    assert result.margin == pytest.approx(0.5 * BOX_BOUND, abs=1e-7)
     order = (4, 1, 3, 0, 2)  # sizes 1, 2, 3, 2, 2
-    permuted = ConeProgram([program.blocks[k] for k in order], box_bound=1.0)
+    permuted = ConeProgram([program.blocks[k] for k in order])
     other = solve(permuted)
     assert other.status == result.status
     assert other.margin == pytest.approx(result.margin, abs=1e-9)
@@ -155,7 +156,7 @@ def test_primal_blocks_come_in_program_order():
         slack = np.tensordot(result.certificate, block, axes=1) - result.margin * np.eye(len(x))
         assert abs(np.sum(x * slack)) <= 1e-8
     order = (4, 1, 3, 0, 2)
-    permuted = solve(ConeProgram([program.blocks[k] for k in order], box_bound=1.0))
+    permuted = solve(ConeProgram([program.blocks[k] for k in order]))
     for x, k in zip(permuted.primal_blocks, order):
         np.testing.assert_allclose(x, result.primal_blocks[k], atol=1e-7)
 
@@ -170,7 +171,7 @@ def test_status_three_way_rule():
     # a decided run is FEASIBLE or INFEASIBLE by the sign of its margin; an
     # undecided one is inconclusive, whatever its margin
     cases = oracle_cases()
-    assert solve(cases[0][1]).status == FEASIBLE  # t* = 1
+    assert solve(cases[0][1]).status == FEASIBLE  # t* = B
     res = solve(cases[1][1])  # t* = 0
     assert res.stop_reason == "converged"
     assert res.status == INFEASIBLE
@@ -193,7 +194,7 @@ def test_determinism_bitwise():
 def test_feasible_is_decided_by_the_dual_iterate():
     # stopped early, the primal residual is far from converged, but the dual
     # iterate already certifies a positive margin at its y
-    program = oracle_cases()[0][1]  # scalar-box, t* = 1
+    program = oracle_cases()[0][1]  # scalar-box, t* = B
     res = solve(program, max_iter=3)
     assert res.primal > 100 * RES_TOL
     assert res.status == FEASIBLE
@@ -201,7 +202,7 @@ def test_feasible_is_decided_by_the_dual_iterate():
         mat = np.tensordot(res.certificate, st, axes=1)
         assert np.linalg.eigvalsh(mat)[0] >= res.margin * (1 - 1e-9)
     # the primal residual still gates the infeasible verdict
-    res = solve(oracle_cases()[5][1], max_iter=3)  # rotated-antagonistic, t* = 0
+    res = solve(oracle_cases()[5][1], max_iter=2)  # rotated-antagonistic, t* = 0
     assert res.primal > 100 * RES_TOL
     assert res.status == INCONCLUSIVE
 
@@ -343,21 +344,18 @@ def test_margin_error_covers_negative_homogeneous_margin():
 
 
 def test_redundant_identity_block_is_inert():
-    # adding y_0 I >= 0 cannot change a margin below y_0 = 1
-    base = oracle_cases()[4][1]  # balance, t* = 0.5 < 1
-    augmented = ConeProgram(
-        base.blocks + [stack(np.eye(3), np.zeros((3, 3)))],
-        box_bound=base.box_bound,
-    )
+    # adding y_0 I >= 0 cannot change a margin below y_0 <= B
+    base = oracle_cases()[4][1]  # balance, t* = B/2 < B
+    augmented = ConeProgram(base.blocks + [stack(np.eye(3), np.zeros((3, 3)))])
     r1 = solve(base)
     r2 = solve(augmented)
     assert r2.margin == pytest.approx(r1.margin, abs=1e-7)
 
 
 def test_scaling_covariance():
-    base = oracle_cases()[6][1]  # rotated balance, t* = 1
+    base = oracle_cases()[6][1]  # rotated balance, t* = B
     alpha = 3.7
-    scaled = ConeProgram([alpha * st for st in base.blocks], box_bound=base.box_bound)
+    scaled = ConeProgram([alpha * st for st in base.blocks])
     r1 = solve(base)
     r2 = solve(scaled)
     assert r2.margin == pytest.approx(alpha * r1.margin, rel=1e-7)
@@ -365,22 +363,24 @@ def test_scaling_covariance():
 
 def test_rejects_invalid_programs():
     with pytest.raises(ValueError):
-        ConeProgram([], box_bound=1.0)
+        ConeProgram([])
     with pytest.raises(ValueError):
-        ConeProgram([np.zeros((1, 2, 3))], box_bound=1.0)  # not square
+        ConeProgram([np.zeros((1, 2, 3))])  # not square
     with pytest.raises(ValueError):
         # the second stack has one matrix more than the first
-        ConeProgram([np.zeros((1, 2, 2)), np.zeros((2, 2, 2))], box_bound=1.0)
+        ConeProgram([np.zeros((1, 2, 2)), np.zeros((2, 2, 2))])
     with pytest.raises(ValueError):
-        ConeProgram([np.zeros((2, 2))], box_bound=1.0)  # not a stack
-    with pytest.raises(ValueError):
-        ConeProgram([np.zeros((1, 2, 2))], box_bound=-1.0)
+        ConeProgram([np.zeros((2, 2))])  # not a stack
+    # a program is only its stacks: there is no box or variable count to set
+    assert [f.name for f in fields(ConeProgram)] == ["blocks"]
     with pytest.raises(TypeError):
-        ConeProgram([np.zeros((1, 2, 2))], 1.0)  # the box is keyword-only
+        ConeProgram([np.zeros((1, 2, 2))], box_bound=1.0)
+    with pytest.raises(TypeError):
+        ConeProgram([np.zeros((1, 2, 2))], 1.0)
     asym = np.zeros((1, 2, 2))
     asym[0, 0, 1] = 1.0
     with pytest.raises(ValueError):
-        ConeProgram([asym], box_bound=1.0)
+        ConeProgram([asym])
     # no relative slack: an asymmetry of 5e-6 on unit entries is rejected
     with pytest.raises(ValueError, match="symmetric"):
         ConeProgram([np.array([[[1.0, 1.0], [1.000005, 1.0]]])])
@@ -466,13 +466,12 @@ def test_early_exit_keeps_verdicts_near_the_bound(name):
 
 
 def test_margin_program_structure():
-    # the LMI builder emits the margin program: homogeneous, box-bounded,
-    # with the negative-definite derivative condition arriving negated
+    # the LMI builder emits the margin program: homogeneous, with the
+    # negative-definite derivative condition arriving negated
     sys = example1()
     params = HierarchyParams(1, 1)
     program = example1_program(1.0)
     assert program.num_y == nodv(params, sys.n_x)
-    assert program.box_bound == BOX_BOUND
     y = np.random.default_rng(3).normal(size=program.num_y)
     dv = unpack(VariableLayout(sys.n_x, params), y)
     want = -derivative_block(sys, params, 1.0, dv.p, dv.qs, dv.rs)
@@ -525,7 +524,7 @@ def test_verify_rejects_a_non_finite_certificate(value):
 
 
 def test_verify_checks_any_cone_program():
-    # rotated balance: eigenvalues y_1 and 2 y_0 - y_1, optimum y = (1, 1)
+    # rotated balance: eigenvalues y_1 and 2 y_0 - y_1, optimum y = (B, B)
     program = oracle_cases()[6][1]
     res = solve(program)
     assert res.status == FEASIBLE
