@@ -14,9 +14,17 @@ interface used by the bound search, stops earlier, at the first iterate
 whose dual point already certifies a margin above the threshold within 2x
 of the optimum.  The thresholds are the module constants GAP_TOL,
 RES_TOL, FEAS_THRESHOLD and BOX_BOUND; ``solve`` takes only ``max_iter``,
-``log_stream`` and ``stop_when_certified``.  A ``ConeProgram`` is only its
-coefficient stacks: the variable count is read off them, and every
-program is solved in the same box.
+``log_stream``, ``stop_when_certified`` and ``start``.  A ``ConeProgram``
+is only its coefficient stacks: the variable count is read off them, and
+every program is solved in the same box.
+
+A run starts cold, from y = 0 and a deeply negative margin, or warm, from
+the ``snapshot`` of another run on a program of the same block shapes:
+its iterate after SNAPSHOT_ITERATION iterations.  The warm start keeps
+the snapshot's X, box multipliers and y, and rebuilds S = F(y) - t I for
+the new program, lowering t until S is no less definite than the
+snapshot's, so it starts exactly dual feasible, as the cold start does,
+and every threshold and stopping rule applies to it unchanged.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -77,6 +85,10 @@ GAP_TOL = 1e-8
 RES_TOL = 1e-9
 FEAS_THRESHOLD = 1e-7
 BOX_BOUND = 1e4
+# a run's snapshot is its iterate after this many iterations (the start is
+# iterate 0), a warm start for nearby programs: late enough to skip the
+# steps every nearby run repeats, early enough to sit well inside the cone
+SNAPSHOT_ITERATION = 5
 
 
 @dataclass
@@ -119,10 +131,12 @@ class FeasibilityResult:
     program evaluates to sum_i y_i F_k[i] at it.  ``primal_blocks`` holds
     the last iterate's primal matrix X_k of each program block, in program
     order: the multipliers of F_k(y) - t I >= 0, whose traces sum to 1 at
-    the optimum.  ``stop_reason`` is one of
-    STOP_REASONS, ``margin_error`` the estimated uncertainty of ``margin``,
-    and ``gap``, ``primal`` and ``dual`` the duality gap and the normalized
-    primal and dual residuals of the last iterate.
+    the optimum.  ``stop_reason`` is one of STOP_REASONS, ``margin_error``
+    the estimated uncertainty of ``margin``, and ``gap``, ``primal`` and
+    ``dual`` the duality gap and the normalized primal and dual residuals
+    of the last iterate.  ``snapshot`` is the iterate after
+    SNAPSHOT_ITERATION iterations, a ``start`` for a solve of a program of
+    the same block shapes, or None when the run stopped before it.
     """
 
     status: str
@@ -135,6 +149,7 @@ class FeasibilityResult:
     primal: float
     dual: float
     primal_blocks: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
+    snapshot: _Iterate | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -251,16 +266,32 @@ class _Iterate(NamedTuple):
     z: np.ndarray
 
     @classmethod
-    def start(cls, form: _SolverForm) -> _Iterate:
-        # Start exactly dual feasible: a deeply negative margin makes every
-        # slack block eta*I strictly positive definite.
-        data_norm = max([1.0] + [float(np.abs(a).max()) for a in form.groups])
-        eta = 10.0 * data_norm
-        z = np.zeros(form.q)
-        z[form.p] = -eta
-        pairs = [np.multiply.outer((1.0, eta), np.broadcast_to(e, a.shape[1:]))
-                 for a, e in zip(form.groups, form.eyes)]
-        return cls(pairs, np.ones(2 * form.p), BOX_BOUND - form.box(z), z)
+    def start(cls, form: _SolverForm, snapshot: _Iterate | None = None) -> _Iterate:
+        # Start exactly dual feasible.  Cold: a deeply negative margin makes
+        # every slack block eta*I strictly positive definite.  From another
+        # program's snapshot: its X, box multipliers and y, with this
+        # program's S = F(y) - t I, t lowered until lambda_min(S) is no
+        # smaller than the snapshot's own.
+        if snapshot is None:
+            data_norm = max([1.0] + [float(np.abs(a).max()) for a in form.groups])
+            eta = 10.0 * data_norm
+            z = np.zeros(form.q)
+            z[form.p] = -eta
+            pairs = [np.multiply.outer((1.0, eta), np.broadcast_to(e, a.shape[1:]))
+                     for a, e in zip(form.groups, form.eyes)]
+            return cls(pairs, np.ones(2 * form.p), BOX_BOUND - form.box(z), z)
+        shapes = [(2,) + a.shape[1:] for a in form.groups]
+        if [pair.shape for pair in snapshot.pairs] != shapes or snapshot.z.shape != (form.q,):
+            raise ValueError("a start snapshot must come from a program of the same block shapes")
+        z = snapshot.z.copy()
+        slacks = [-(z @ flat).reshape(a.shape[1:]) for flat, a in zip(form.flats, form.groups)]
+        lam_snapshot = min(float(np.linalg.eigvalsh(pair[1]).min()) for pair in snapshot.pairs)
+        lam = min(float(np.linalg.eigvalsh(s).min()) for s in slacks)
+        shift = max(0.0, lam_snapshot - lam)
+        z[form.p] -= shift
+        pairs = [np.stack((pair[0], s + shift * e))
+                 for pair, s, e in zip(snapshot.pairs, slacks, form.eyes)]
+        return cls(pairs, snapshot.x_box.copy(), BOX_BOUND - form.box(z), z)
 
     def update(self, step: _Iterate, alpha: float) -> _Iterate:
         """The point a step length alpha along the direction ``step``."""
@@ -398,6 +429,7 @@ def solve(
     stop_when_certified: bool = False,
     max_iter: int = 100,
     log_stream: TextIO | None = None,
+    start: _Iterate | None = None,
 ) -> FeasibilityResult:
     """Maximize the margin t and classify strict feasibility by its sign.
 
@@ -429,9 +461,14 @@ def solve(
     no larger than its margin: the reported margin is then a certified
     lower bound within 2x of the optimum, not the optimum.  ``log_stream``,
     when given, receives one text line per iteration (t, gap, residuals).
+
+    ``start``, when given, is the ``snapshot`` of another run, on a program
+    of the same block shapes (ValueError otherwise); the run starts from it
+    instead of cold, and returns its own snapshot either way.
     """
     form = _SolverForm(program)
-    state = _Iterate.start(form)
+    state = _Iterate.start(form, start)
+    snapshot = None
     # rounding floor: box products of size ~BOX_BOUND set a floor on the
     # attainable absolute gap; once near it, stop when progress dies
     # (mid-phase plateaus at large gap are left alone)
@@ -443,6 +480,8 @@ def solve(
     stall_count = 0
     jitter_floor = 0
     for it in range(1, max_iter + 1):
+        if it == SNAPSHOT_ITERATION + 1:
+            snapshot = state
         residual, gap, pinf, dinf = _residuals(form, state)
         if log_stream is not None:
             log_stream.write(f"iter {it:3d}  t={state.z[form.p]: .9e}  gap={gap:.3e}  "
@@ -520,6 +559,7 @@ def solve(
         primal=pinf,
         dual=dinf,
         primal_blocks=[state.pairs[group][0, index].copy() for group, index in form.slots],
+        snapshot=snapshot,
     )
 
 
@@ -528,15 +568,17 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def decide_feasibility(program: ConeProgram) -> FeasibilityResult:
+def decide_feasibility(program: ConeProgram, start: _Iterate | None = None) -> FeasibilityResult:
     """Decide strict feasibility of a margin program.
 
     Unlike a bare ``solve``, this stops at the first iterate that certifies
     FEASIBLE (stop reason ``certified``), so a feasible margin is a
     certified lower bound within 2x of the optimum; infeasible and
-    inconclusive verdicts still come from the full solve.
+    inconclusive verdicts still come from the full solve.  ``start`` is
+    ``solve``'s: a snapshot of a run on a program of the same block shapes,
+    or None for a cold start.
     """
-    return solve(program, stop_when_certified=True)
+    return solve(program, stop_when_certified=True, start=start)
 
 
 def verify_certificate(program: ConeProgram, result: FeasibilityResult) -> bool:

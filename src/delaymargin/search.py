@@ -11,8 +11,10 @@ lower end while the probe is infeasible if the window is certainly free
 of unstable roots.  A search that refines the upper end first probes such
 a window, when it is closed above, at the log-distance bisection point
 between the midpoint and the upper crossing, where the bounds lie from
-M = 2 on; should that probe fail, it ends the upper bracket and the
-search goes on from the midpoint.  From the first feasible probe it
+M = 2 on; should that probe fail, it probes the log-distance point
+between it and the midpoint, nearer the M = 1 bounds, and should that
+fail too, the nearer failed probe ends the upper bracket and the search
+goes on from the midpoint.  From the first feasible probe it
 refines the lower end of the stable range, the upper end, or both
 (`stability_interval`), each by a safeguarded search (`_refine`) in the
 style of Brent's method toward the window's crossing on that side.  The
@@ -43,6 +45,14 @@ numerically inconclusive are treated as infeasible (the conservative
 choice for a stability claim) and counted in the report.  The solver's
 thresholds are the fixed `sdp` constants; the search exposes only its
 tolerance.
+
+Probes of one search share their block shapes, and nearby delays repeat
+the same early interior-point steps, so every solve after the search's
+first verified feasible probe starts from the solver snapshot (`sdp`) of
+the verified feasible probe nearest in delay, and logs that probe's delay
+as its ``start``.  Infeasible, inconclusive and unverified probes seed
+none; the snapshots live only while the search runs, and the delay-range
+solve of `stability_interval` starts cold.
 """
 
 from __future__ import annotations
@@ -90,7 +100,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-5
 # version of the JSON report layout (DelayBoundsReport / SweepResult.to_dict)
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 # largest decrease between neighbouring sweep cells that is not a
 # hierarchy violation
 _COMPARISON_TOL = 5e-3
@@ -131,10 +141,14 @@ class ProbeRecord:
     primal: float | None = None  # final normalized primal residual
     dual: float | None = None  # final normalized dual residual
     slope: float | None = None  # margin slope dt*/dtau of a verified feasible probe
+    start: float | None = None  # tau of the probe whose snapshot seeded the solve (None: cold)
 
 
-# a probe logs every solver-outcome field but the certificate and the X blocks
-_OUTCOME_FIELDS = {f.name for f in fields(FeasibilityResult)} - {"certificate", "primal_blocks"}
+# a probe logs every solver-outcome field but the certificate, the X blocks
+# and the snapshot
+_OUTCOME_FIELDS = {f.name for f in fields(FeasibilityResult)} - {
+    "certificate", "primal_blocks", "snapshot"
+}
 
 
 @dataclass
@@ -210,29 +224,38 @@ def _probe(
     sys: DelaySystem,
     params: HierarchyParams,
     report: DelayBoundsReport,
+    snapshots: dict,
     tau: float,
     step: str,
 ) -> bool:
     """Whether tau is a verified feasible delay.  A delay already in the
     report's log returns its logged verdict; otherwise the LMIs at tau are
-    decided, a feasible certificate re-checked, and the probe logged."""
+    decided, a feasible certificate re-checked, and the probe logged.
+    ``snapshots`` maps the delay of each verified feasible probe of the
+    search to its solver snapshot: the solve starts from the nearest one
+    (cold while there is none) and adds its own once verified."""
     for logged in report.probes:
         if logged.tau == tau:
             return logged.verified is True
+    start = min(snapshots, key=lambda logged: abs(logged - tau), default=None)
     t0 = time.perf_counter()
     program = assemble_stability_lmis(sys, params, tau)
     t1 = time.perf_counter()
-    result = decide_feasibility(program)
+    result = decide_feasibility(program, snapshots.get(start))
     t2 = time.perf_counter()
     verified = verify_certificate(program, result) if result.feasible else None
     verify_s = time.perf_counter() - t2 if result.feasible else 0.0
     slope = None
     if verified:
         slope = _margin_slope(stability_tau_derivatives(sys, params, tau), result)
+        if result.snapshot is not None:
+            snapshots[tau] = result.snapshot
     outcome = {name: getattr(result, name) for name in _OUTCOME_FIELDS}
     times = {"assemble_s": t1 - t0, "solve_s": t2 - t1, "verify_s": verify_s}
     report.probes.append(
-        ProbeRecord(tau=tau, verified=verified, step=step, slope=slope, **times, **outcome)
+        ProbeRecord(
+            tau=tau, verified=verified, step=step, slope=slope, start=start, **times, **outcome
+        )
     )
     return verified is True
 
@@ -260,12 +283,14 @@ def _first_feasible(
     log-distance bisection point between the midpoint and the window's
     upper crossing c, at distance sqrt(tol (c - mid + tol)) - tol below c:
     the bounds lie from ~10% of the window down to ~tol short of c.
-    Otherwise, or when that probe fails, the first probe, made whatever
-    tol is, is the window's midpoint (twice its lower end when it is open
-    above, 1 when it is (0, inf)).  In a window certainly free of unstable
-    roots each infeasible probe halves the distance toward the lower end,
-    down to tol and to float resolution; a window whose count is not
-    certain gets the midpoint probe only.
+    When that probe fails, the next is the log-distance bisection point
+    between it and the midpoint, nearer the M = 1 bounds, unless it rounds
+    out of that interval.  Otherwise, or when that probe fails too, the
+    next probe, made whatever tol is, is the window's midpoint (twice its
+    lower end when it is open above, 1 when it is (0, inf)).  In a window
+    certainly free of unstable roots each infeasible probe halves the
+    distance toward the lower end, down to tol and to float resolution; a
+    window whose count is not certain gets the midpoint probe only.
     """
     lower = window.lower
     if math.isfinite(window.upper):
@@ -274,6 +299,9 @@ def _first_feasible(
         if upper and window.unstable == 0 and tau < near < window.upper:
             if probe(near, "bracket"):
                 return near
+            between = _log_bisection(window.upper, near, tau, tol)
+            if tau < between < near and probe(between, "bracket"):
+                return between
     else:
         tau = 2.0 * lower if lower > 0 else 1.0
     while not probe(tau, "bracket"):
@@ -431,7 +459,9 @@ def _search(
     report = DelayBoundsReport(
         sys.name, params.big_m, params.m, direction, nodv=nodv(params, sys.n_x)
     )
-    probe = partial(_probe, sys, params, report)
+    # the solver snapshots of the verified feasible probes, kept only
+    # while the search runs
+    probe = partial(_probe, sys, params, report, {})
     for window in stability_windows(sys):
         if window.unstable:  # certainly unstable; a count of None is probed
             continue

@@ -19,6 +19,7 @@ class BoundCache:
     def __init__(self, systems):
         self.systems = systems
         self.upper = {}
+        self.upper_reports = {}
         self.lower = {}
         self.intervals = {}
         self.reports = []
@@ -30,8 +31,14 @@ class BoundCache:
                 self.systems[name], HierarchyParams(big_m, m), tol=tol
             )
             self.upper[key] = value
+            self.upper_reports[key] = report
             self.reports.append(report)
         return self.upper[key]
+
+    def upper_report(self, name, big_m, m, tol=1e-5):
+        """The probe report of ``max_delay``'s bound."""
+        self.max_delay(name, big_m, m, tol)
+        return self.upper_reports[(name, big_m, m, tol)]
 
     def min_delay(self, name, big_m, m, tol=1e-5):
         key = (name, big_m, m, tol)

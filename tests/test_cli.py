@@ -115,7 +115,7 @@ def test_bounds_json_schema(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 7
+    assert doc["schema_version"] == 8
     assert doc["direction"] == "upper"
     assert doc["tau_upper"] == pytest.approx(6.05932, abs=1e-2)
     assert doc["nodv"] == 22
@@ -274,7 +274,7 @@ def test_sweep_json(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 7
+    assert doc["schema_version"] == 8
     taus = {(c["M"], c["m"]): c["tau_upper"] for c in doc["cells"]}
     assert taus[(1, 1)] == pytest.approx(6.05932, abs=1e-2)
     assert taus[(2, 1)] == pytest.approx(6.16893, abs=1e-2)

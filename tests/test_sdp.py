@@ -1,7 +1,7 @@
 """Solver tests against analytically solvable margin programs."""
 
 import io
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from delaymargin.sdp import (
     INFEASIBLE,
     BOX_BOUND,
     RES_TOL,
+    SNAPSHOT_ITERATION,
     ConeProgram,
     decide_feasibility,
     solve,
@@ -31,6 +32,7 @@ from delaymargin.sdp import (
     _residuals,
     _step_lengths,
     _sym,
+    _t,
     verify_certificate,
 )
 from oracles import cholesky_frame_step, derivative_block, pack, unpack
@@ -463,6 +465,84 @@ def test_early_exit_keeps_verdicts_near_the_bound(name):
         if full.status == INCONCLUSIVE:
             continue
         assert decide_feasibility(program).status == full.status, offset
+
+
+# ---------------------------------------------------------------------------
+# Warm starts from another run's snapshot.
+# ---------------------------------------------------------------------------
+
+
+def perturbed(program):
+    """The program with every coefficient moved by symmetric noise of about
+    1% of its block's largest entry (seeded)."""
+    rng = np.random.default_rng(0)
+    blocks = []
+    for st in program.blocks:
+        noise = rng.standard_normal(st.shape)
+        blocks.append(st + 0.005 * max(1.0, np.abs(st).max()) * (noise + _t(noise)))
+    return ConeProgram(blocks)
+
+
+def first_dinf(log: io.StringIO) -> float:
+    """The normalized dual residual the log reports at iteration 1."""
+    first = log.getvalue().splitlines()[0]
+    assert first.startswith("iter   1 ")
+    return float(first.split("dinf=")[1])
+
+
+_WARM_CASES = oracle_cases() + [("mixed-size", mixed_size_program(), 0.5 * BOX_BOUND)]
+
+
+@pytest.mark.parametrize("name,program,expected", _WARM_CASES, ids=[c[0] for c in _WARM_CASES])
+def test_warm_start_reaches_the_oracle_margins(name, program, expected):
+    # started from a perturbed program's snapshot, the run starts exactly
+    # dual feasible, as a cold run does, and ends at the same optimum
+    snapshot = solve(perturbed(program)).snapshot
+    log = io.StringIO()
+    result = solve(program, start=snapshot, log_stream=log)
+    assert first_dinf(log) <= 1e-14
+    assert result.margin == pytest.approx(expected, abs=1e-7)
+    assert result.status == (FEASIBLE if expected > 0 else INFEASIBLE)
+
+
+@pytest.mark.parametrize("tau", [6.0, 6.2])
+def test_warm_start_on_a_nearby_delay_keeps_the_verdict(tau):
+    # a decision on example1 (1, 1) started from the snapshot of the
+    # decision at tau + 0.01: dual feasible at iteration 1, the cold
+    # verdict, a certificate that verifies, and deterministic
+    snapshot = decide_feasibility(example1_program(tau + 0.01)).snapshot
+    program = example1_program(tau)
+    log = io.StringIO()
+    warm = solve(program, stop_when_certified=True, start=snapshot, log_stream=log)
+    assert first_dinf(log) <= 1e-14
+    verdict = FEASIBLE if tau < 6.1 else INFEASIBLE
+    assert warm.status == decide_feasibility(program).status == verdict
+    if warm.feasible:
+        assert verify_certificate(program, warm)
+    again = decide_feasibility(program, snapshot)
+    assert again.margin.hex() == warm.margin.hex() and again.iterations == warm.iterations
+    assert again.certificate.tobytes() == warm.certificate.tobytes()
+
+
+def test_snapshot_is_the_iterate_after_snapshot_iteration_iterations():
+    program = mixed_size_program()
+    result = solve(program)
+    truncated = solve(program, max_iter=SNAPSHOT_ITERATION)
+    assert truncated.snapshot is None
+    assert truncated.certificate.tobytes() == result.snapshot.z[: program.num_y].tobytes()
+    # like the X blocks, the snapshot is neither shown nor compared
+    assert "snapshot" not in repr(result)
+    assert replace(result, snapshot=None) == result
+
+
+def test_snapshot_of_another_shape_is_rejected():
+    snapshot = solve(mixed_size_program()).snapshot
+    with pytest.raises(ValueError, match="same block shapes"):
+        solve(oracle_cases()[0][1], start=snapshot)
+    cell = bundled_system("example1")[0]
+    snapshot = decide_feasibility(example1_program(3.0)).snapshot
+    with pytest.raises(ValueError, match="same block shapes"):
+        decide_feasibility(assemble_stability_lmis(cell, HierarchyParams(3, 1), 3.0), snapshot)
 
 
 def test_margin_program_structure():

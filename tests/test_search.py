@@ -1,5 +1,6 @@
 """Search and sweep tests, including an analytic delay-margin oracle."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -14,7 +15,14 @@ from delaymargin.lmi import (
     assemble_stability_lmis,
     stability_tau_derivatives,
 )
-from delaymargin.sdp import FEASIBLE, INCONCLUSIVE, INFEASIBLE, FeasibilityResult, solve
+from delaymargin.sdp import (
+    FEASIBLE,
+    INCONCLUSIVE,
+    INFEASIBLE,
+    FeasibilityResult,
+    decide_feasibility,
+    solve,
+)
 from delaymargin.search import (
     STEPS,
     BracketError,
@@ -62,6 +70,13 @@ def _near_crossing(c: float, mid: float, tol: float) -> float:
     """The first probe of an upper search in a window of midpoint mid and
     upper crossing c: the log-distance bisection point between them."""
     return c - (math.sqrt(tol) * math.sqrt(c - mid + tol) - tol)
+
+
+def _second_near_crossing(c: float, mid: float, tol: float) -> float:
+    """The probe after an infeasible first one: the log-distance bisection
+    point between the first probe and the midpoint."""
+    d_near = c - _near_crossing(c, mid, tol)
+    return c - (math.sqrt(d_near + tol) * math.sqrt(c - mid + tol) - tol)
 
 
 def test_bisection_probe_count_bound():
@@ -174,7 +189,7 @@ def _fake_search(monkeypatch, profile, r, direction, tol, crossing=None):
     margin, rate = _PROFILES[profile]
     beyond = 1.0 if direction == "upper" else -1.0  # d falls as tau moves this way
 
-    def decide(tau):
+    def decide(tau, start=None):
         d = beyond * (r - tau)
         if d <= 0:
             return _fake_result(-1e-10)
@@ -259,14 +274,15 @@ def test_fallback_bisects_in_log_distance_from_the_crossing(monkeypatch, gap, di
     bound, report = _fake_search(monkeypatch, "constant", r, direction, tol, crossing=c)
     assert 0 < beyond * (r - bound) <= tol
     # the window probes: an upper search first probes near c, and at the
-    # widest gap, where that probe lies beyond r, the midpoint next, with
-    # the rejected probe as the bracket's infeasible end; else that end is c
+    # widest gap, where that probe and the log-distance point between it
+    # and the midpoint both lie beyond r, the midpoint next, with the nearer
+    # rejected probe as the bracket's infeasible end; else that end is c
     windowed = sum(p.step == "bracket" for p in report.probes)
     *rejected, first = report.probes[:windowed]
     refinement = report.probes[windowed:]
     assert first.verified and not any(p.verified for p in rejected)
-    assert len(rejected) == (direction == "upper" and gap == 1e-1)
-    anchor = rejected[0].tau if rejected else c
+    assert len(rejected) == 2 * (direction == "upper" and gap == 1e-1)
+    anchor = rejected[-1].tau if rejected else c
     tau_feas, tau_infeas = first.tau, anchor
     for p in refinement:
         lo, hi = sorted((tau_feas, tau_infeas))
@@ -279,7 +295,7 @@ def test_fallback_bisects_in_log_distance_from_the_crossing(monkeypatch, gap, di
     # each probe halves the span of log(d + tol), d the distance from the
     # anchor, which starts at log((|anchor - first| + tol) / tol); once it
     # is at most log(1 + tol / (|anchor - r| + tol)) the pair is within
-    # tol: 18, 10 and 4 probes upward, 18, 11 and 5 downward, all taken
+    # tol: 17, 10 and 4 probes upward, 18, 11 and 5 downward, all taken
     span = math.log((abs(anchor - first.tau) + tol) / tol)
     budget = math.ceil(math.log2(span / math.log1p(tol / (abs(anchor - r) + tol))))
     assert len(refinement) <= budget
@@ -353,7 +369,7 @@ def _counting_oracle(
         )
     _windows(monkeypatch, *windows)
 
-    def decide(tau):
+    def decide(tau, start=None):
         if isinstance(tau, tuple):  # a delay-range program
             return _fake_result(1.0)
         solved.append(tau)
@@ -399,7 +415,7 @@ def test_probe_log_is_the_memo(monkeypatch):
 def test_probing_a_logged_delay_solves_once(monkeypatch):
     solved = _counting_oracle(monkeypatch, 1.2345678)
     report = search.DelayBoundsReport("pure-delay", 1, 1, "upper")
-    args = (pure_delay_scalar(), HierarchyParams(1, 1), report)
+    args = (pure_delay_scalar(), HierarchyParams(1, 1), report, {})
     # a feasible and an infeasible delay, each probed twice: the second
     # probe returns the logged verdict and logs nothing
     for tau, verdict in ((0.5, True), (2.0, False)):
@@ -432,6 +448,37 @@ def test_infeasible_probe_at_tol_ends_the_lower_bracket(monkeypatch):
     assert len(refinement) <= budget
 
 
+def test_each_probe_starts_from_the_nearest_verified_snapshot(monkeypatch):
+    # a fake solver whose snapshot names its delay: a search's first probe
+    # starts cold, and each later one from the snapshot of the nearest
+    # verified feasible probe logged before it; the rejected first probe,
+    # feasible but unverified, never seeds one
+    tol, c = 1e-5, 1.2345678
+    first = _near_crossing(c, 0.5 * (_LOWER_CROSSING + c), tol)
+    _counting_oracle(monkeypatch, c, unverified={first})
+    counting = search.decide_feasibility
+    received = []
+
+    def decide(tau, start=None):
+        received.append(start)
+        return replace(counting(tau), snapshot=("snapshot", tau))
+
+    monkeypatch.setattr(search, "decide_feasibility", decide)
+    report = stability_interval(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    verified = []
+    for p, start in zip(report.probes, received):
+        nearest = min(verified, key=lambda tau: abs(tau - p.tau), default=None)
+        assert p.start == nearest
+        assert start == (None if nearest is None else ("snapshot", nearest))
+        if p.verified:
+            verified.append(p.tau)
+    assert report.probes[0].start is None and report.probes[1].start is None
+    assert all(p.start is not None for p in report.probes[2:])
+    assert first not in [p.start for p in report.probes]
+    # the delay-range solve starts cold
+    assert received[-1] is None and len(received) == len(report.probes) + 1
+
+
 def test_unverified_probe_counts_as_infeasible(monkeypatch):
     # the window's first probe, near its crossing, is a feasible delay
     # whose certificate fails the check
@@ -440,14 +487,17 @@ def test_unverified_probe_counts_as_infeasible(monkeypatch):
     first = _near_crossing(c, mid, tol)
     _counting_oracle(monkeypatch, c, unverified={first})
     bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
-    rejected, midpoint = report.probes[:2]
+    rejected, second = report.probes[:2]
     assert rejected.tau == first
     assert rejected.status == FEASIBLE and rejected.verified is False
     assert [p.tau for p in report.probes].count(first) == 1
-    # the search treats it as infeasible: the midpoint is probed next, and
-    # the rejected probe is the bracket's infeasible end, so the bound lies
-    # within tol below it, on a verified probe
-    assert (midpoint.tau, midpoint.step, midpoint.verified) == (mid, "bracket", True)
+    # the search treats it as infeasible: the log-distance point between it
+    # and the midpoint is probed next, verified, and the rejected probe is
+    # the bracket's infeasible end, so the bound lies within tol below it,
+    # on a verified probe
+    between = _second_near_crossing(c, mid, tol)
+    assert (second.tau, second.step, second.verified) == (between, "bracket", True)
+    assert mid not in [p.tau for p in report.probes]
     assert bound != first
     assert 0 < first - bound <= tol
     assert next(p for p in report.probes if p.tau == bound).verified is True
@@ -471,24 +521,51 @@ def test_feasible_near_probe_means_no_midpoint_probe(monkeypatch, run):
     assert 0 < c - report.tau_upper <= tol
 
 
-def test_infeasible_near_probe_is_followed_by_the_midpoint(monkeypatch):
-    # the window ends at c but the oracle's crossing r lies below the near
-    # probe: the midpoint is probed next, and the near probe, not c, is the
-    # refinement's infeasible end, so c is never probed
-    tol, c, r = 1e-5, 1.2345678, 1.0
-    mid = 0.5 * (_LOWER_CROSSING + c)
-    solved = _counting_oracle(
+def _window_below_c(monkeypatch, r):
+    """The counting oracle with crossing r in the stable window (0.1005, c),
+    c = 1.2345678; returns its list of solved delays."""
+    c = 1.2345678
+    return _counting_oracle(
         monkeypatch, r,
         windows=(
             Window(0.0, _LOWER_CROSSING, 2), Window(_LOWER_CROSSING, c, 0), Window(c, math.inf, 2)
         ),
     )
+
+
+def test_infeasible_near_probe_is_followed_by_the_midpoint(monkeypatch):
+    # the window ends at c but the oracle's crossing r lies below both near
+    # probes: the first near c, and the log-distance point between it and
+    # the midpoint; the midpoint is probed next, and the second near probe,
+    # not c, is the refinement's infeasible end, so c is never probed
+    tol, c, r = 1e-5, 1.2345678, 1.0
+    mid = 0.5 * (_LOWER_CROSSING + c)
+    solved = _window_below_c(monkeypatch, r)
     bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
-    near, midpoint, *refinement = report.probes
+    near, between, midpoint, *refinement = report.probes
     assert near.tau == _near_crossing(c, mid, tol) and near.verified is None
-    assert (midpoint.tau, midpoint.step, midpoint.verified) == (mid, "bracket", True)
-    assert refinement and all(mid < p.tau < near.tau for p in refinement)
+    assert between.tau == _second_near_crossing(c, mid, tol) and between.verified is None
+    assert (between.step, midpoint.step) == ("bracket", "bracket")
+    assert (midpoint.tau, midpoint.verified) == (mid, True)
+    assert refinement and all(mid < p.tau < between.tau for p in refinement)
     assert c not in solved
+    assert 0 < r - bound <= tol
+
+
+def test_feasible_second_near_probe_means_no_midpoint_probe(monkeypatch):
+    # the oracle's crossing r lies between the two near probes: the second
+    # is the window's first feasible probe, the first ends the bracket, and
+    # neither the midpoint nor c is probed
+    tol, c, r = 1e-5, 1.2345678, 1.22
+    mid = 0.5 * (_LOWER_CROSSING + c)
+    solved = _window_below_c(monkeypatch, r)
+    bound, report = max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
+    near, between, *refinement = report.probes
+    assert near.tau == _near_crossing(c, mid, tol) and near.verified is None
+    assert between.tau == _second_near_crossing(c, mid, tol) and between.verified is True
+    assert [p.step for p in report.probes].count("bracket") == 2
+    assert refinement and all(between.tau < p.tau < near.tau for p in refinement)
+    assert mid not in solved and c not in solved
     assert 0 < r - bound <= tol
 
 
@@ -594,6 +671,19 @@ def test_near_probe_is_skipped_when_it_rounds_out_of_the_window(monkeypatch, tol
     with pytest.raises(NoFeasiblePointError):
         max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=tol)
     assert solved == [0.5 * (lower + upper)]
+
+
+def test_second_near_probe_is_skipped_when_it_rounds_out_of_the_window(monkeypatch):
+    # a window four ulps wide: the first near probe is one ulp below the
+    # crossing, and the point between it and the midpoint, two ulps below,
+    # rounds onto it, so the midpoint follows the first near probe
+    ulps = [1.0]
+    for _ in range(4):
+        ulps.append(math.nextafter(ulps[-1], 2.0))
+    solved = _counting_oracle(monkeypatch, 0.0, windows=(Window(ulps[0], ulps[4], 0),))
+    with pytest.raises(NoFeasiblePointError):
+        max_delay(pure_delay_scalar(), HierarchyParams(1, 1), tol=1e-15)
+    assert solved == [ulps[3], ulps[2]]
 
 
 def test_interval_is_one_search_on_one_log(monkeypatch):
@@ -709,6 +799,16 @@ def test_hierarchy_sweep_monotone_and_deterministic():
     assert taus[1] >= taus[0] - 5e-3
 
 
+def test_reports_hold_no_solver_snapshots():
+    # the snapshots live only while a search runs: a sweep's reports hold
+    # none, and their JSON has each probe's start delay but no snapshot
+    result = hierarchy_sweep(pure_delay_scalar(), 2, 1, tol=1e-4)
+    doc = json.loads(json.dumps(result.to_dict()))
+    probes = [p for cell in doc["cells"] for p in cell["probes"]]
+    assert all("snapshot" not in p for p in probes)
+    assert any(p["start"] is not None for p in probes)
+
+
 def test_hierarchy_sweep_collects_cell_errors():
     unstable = DelaySystem([[1.0]], [[0.0]], name="unstable")
     result = hierarchy_sweep(unstable, 1, 1, tol=1e-3)
@@ -761,3 +861,30 @@ def test_computed_bounds_sit_at_characteristic_crossings(bounds, systems):
         assert crossing < 5e-3
     mid = characteristic_minimum(ex3.a, ex3.a_d1, 0.8)
     assert mid > 0.1
+
+
+# ---------------------------------------------------------------------------
+# Warm starts: each probe after a search's first verified one starts from
+# the snapshot of the nearest verified feasible probe.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_warm_started_verdicts_agree_with_cold_decisions(bounds, systems, name):
+    # re-decided cold, every warm-started probe of these upper searches gets
+    # the same verdict, unless the cold run is the one left inconclusive;
+    # each start names a verified feasible probe of the same report
+    warm = 0
+    for cell in [(1, 1), (3, 1), (3, 2), (4, 1), (3, 3)]:
+        report = bounds.upper_report(name, *cell)
+        verified = {p.tau for p in report.probes if p.verified}
+        for p in report.probes:
+            if p.start is None:
+                continue
+            assert p.start in verified and p.start != p.tau
+            warm += 1
+            program = assemble_stability_lmis(systems[name], HierarchyParams(*cell), p.tau)
+            cold = decide_feasibility(program)
+            if cold.status != INCONCLUSIVE:
+                assert p.status == cold.status, (cell, p.tau)
+    assert warm >= 20
