@@ -12,8 +12,7 @@ All results go to stdout; diagnostics to stderr.  Exit codes: 0 success,
 3 run dominated by inconclusive solver probes, 4 hierarchy monotonicity
 violation (a sweep with failed cells exits 2 instead).
 
-The library functions check their own inputs and raise ValueError, as
-does ``cmd_crosscheck`` for the one range no library function takes;
+The library functions check their own inputs and raise ValueError;
 ``main`` turns that into an ``error:`` line and exit 1.
 """
 
@@ -29,7 +28,7 @@ import sys
 from numpy.linalg import LinAlgError
 
 from .lmi import DelaySystem, HierarchyParams
-from .projection import crosscheck_closed_forms, max_weighted_order
+from .projection import check_depth_range, crosscheck_closed_forms, max_weighted_order
 from .search import (
     DEFAULT_TOL,
     BracketError,
@@ -204,9 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    if args.max_m < 0 or max_weighted_order(args.max_m, args.max_M) < 0:
-        raise ValueError(f"--max-m must be >= 0 and reached by some M <= --max-M, "
-                         f"got --max-m {args.max_m}, --max-M {args.max_M}")
+    check_depth_range(args.max_m, args.max_M)
     clean = True
     for m in range(args.max_m + 1):
         for big_m in range(1, args.max_M + 1):

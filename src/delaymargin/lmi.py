@@ -37,6 +37,7 @@ stacks, and their exact tau-derivative the sum of k tau**(k - 1) times them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +68,9 @@ _SQRT2 = math.sqrt(2.0)
 @dataclass(frozen=True)
 class DelaySystem:
     """Constant-coefficient delay system matrices; ``a_d2`` None means the
-    zero matrix (no distributed delay).
-
-    The matrices are private read-only copies, so the LMI coefficients
+    zero matrix (no distributed delay).  The one check of the matrices:
+    each numeric, 2-D, square, of A's shape and finite, or a ValueError
+    names it.  They are private read-only copies, so the LMI coefficients
     compiled from them can be memoized on the instance (``_compiled``, one
     entry per HierarchyParams) for as long as the instance lives.
     """
@@ -81,20 +82,22 @@ class DelaySystem:
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.atleast_2d(np.array(self.a, dtype=float))
-        d1 = np.atleast_2d(np.array(self.a_d1, dtype=float))
-        d2 = np.zeros_like(a)
-        if self.a_d2 is not None:
-            d2 = np.atleast_2d(np.array(self.a_d2, dtype=float))
-        for label, m in (("A", a), ("A_d1", d1), ("A_d2", d2)):
-            if m.shape != a.shape or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{label} must be square and match A's shape")
-            if not np.all(np.isfinite(m)):
+        for key, label in (("a", "A"), ("a_d1", "A_d1"), ("a_d2", "A_d2")):
+            value = getattr(self, key)
+            if key == "a_d2" and value is None:
+                value = np.zeros_like(self.a)
+            try:
+                mat = np.array(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{label} is not a numeric matrix: {exc}") from exc
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ValueError(f"{label} must be a square matrix, got shape {mat.shape}")
+            if key != "a" and mat.shape != self.a.shape:
+                raise ValueError(f"{label} must match A's shape {self.a.shape}, got {mat.shape}")
+            if not np.all(np.isfinite(mat)):
                 raise ValueError(f"{label} contains non-finite entries")
-            m.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_d1", d1)
-        object.__setattr__(self, "a_d2", d2)
+            mat.setflags(write=False)
+            object.__setattr__(self, key, mat)
 
     @property
     def n_x(self) -> int:
@@ -103,21 +106,22 @@ class DelaySystem:
 
 @dataclass(frozen=True)
 class HierarchyParams:
-    """Moment order M >= 1 and weight depth m >= 0 of the condition family.
-
-    Derived count: m2 = m + 1 derivative terms (R_1..R_m2), beside the
-    m + 1 weighted history terms Q_0..Q_m.  Their projection orders are the
-    ``projection`` module's (see ``_CompiledLmis``).
+    """Integer moment order M >= 1 and weight depth m >= 0 of the condition
+    family, checked only here (``numbers.Integral``, not bool; stored as
+    int).  Derived count: m2 = m + 1 derivative terms (R_1..R_m2), beside
+    the m + 1 weighted history terms Q_0..Q_m.  Their projection orders
+    are the ``projection`` module's (see ``_CompiledLmis``).
     """
 
     big_m: int
     m: int
 
     def __post_init__(self):
-        if self.big_m < 1:
-            raise ValueError("M must be >= 1")
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
+        for key, label, floor in (("big_m", "M", 1), ("m", "m", 0)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+                raise ValueError(f"{label} must be an integer >= {floor}, got {value!r}")
+            object.__setattr__(self, key, int(value))
 
     @property
     def m2(self) -> int:

@@ -37,12 +37,14 @@ table must equal the recipe's exact coefficient product.
 
 The admissible orders are stated once: ``max_weighted_order`` and
 ``max_derivative_order`` give the largest nu each map accepts (negative
-when none is), and every caller that picks or bounds an order asks them.
+when none is), and every caller that picks or bounds an order asks them;
+``check_depth_range`` is the one check of a range of depths.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -62,6 +64,7 @@ __all__ = [
     "legendre_moments",
     "max_weighted_order",
     "max_derivative_order",
+    "check_depth_range",
     "weighted_moment_map",
     "derivative_moment_map",
     "legendre_derivative_map",
@@ -165,6 +168,15 @@ def max_derivative_order(m: int, big_m: int) -> int:
     """Largest nu of ``derivative_moment_map(m, nu, M)``: one more than the
     weighted map's, since the derivative drops one degree."""
     return big_m - m
+
+
+def check_depth_range(max_m: int, max_big_m: int) -> None:
+    """ValueError unless integers max_m >= 0 and max_big_m give every
+    depth m = 0..max_m a ``weighted_moment_map`` at some M <= max_big_m."""
+    integers = all(isinstance(v, numbers.Integral) for v in (max_m, max_big_m))
+    if not integers or max_m < 0 or max_weighted_order(max_m, max_big_m) < 0:
+        raise ValueError(f"max_m must be an integer >= 0 and reached by some M <= "
+                         f"max_big_m, got max_m={max_m!r}, max_big_m={max_big_m!r}")
 
 
 def _check_order(m: int, nu: int, largest: int) -> None:

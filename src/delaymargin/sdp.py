@@ -18,13 +18,13 @@ RES_TOL, FEAS_THRESHOLD and BOX_BOUND; ``solve`` takes only ``max_iter``,
 is only its coefficient stacks: the variable count is read off them, and
 every program is solved in the same box.
 
-A run starts cold, from y = 0 and a deeply negative margin, or warm, from
-the ``snapshot`` of another run on a program of the same block shapes:
-its iterate after SNAPSHOT_ITERATION iterations.  The warm start keeps
-the snapshot's X, box multipliers and y, and rebuilds S = F(y) - t I for
-the new program, lowering t until S is no less definite than the
-snapshot's, so it starts exactly dual feasible, as the cold start does,
-and every threshold and stopping rule applies to it unchanged.
+A run starts warm, from the ``snapshot`` of another run on a program of
+the same block shapes (its iterate after SNAPSHOT_ITERATION iterations),
+or cold, from a unit snapshot (X = I, y = 0, S a multiple of I).  Either
+keeps the snapshot's X, box multipliers and y, and rebuilds S = F(y) - t I
+for the new program, lowering t until S is no less definite than the
+snapshot's, so every run starts exactly dual feasible and every threshold
+and stopping rule applies to it unchanged.
 
 The optimizer is a primal-dual predictor-corrector interior-point method
 with Nesterov-Todd scaling, dense linear algebra throughout (problem sizes
@@ -107,8 +107,8 @@ class ConeProgram:
         if not self.blocks:
             raise ValueError("at least one constraint block is required")
         for stack in self.blocks:
-            d = stack.shape[-1]
-            if stack.shape != (self.num_y, d, d):
+            if not (isinstance(stack, np.ndarray) and stack.ndim == 3
+                    and stack.shape == (self.num_y,) + stack.shape[-1:] * 2):
                 raise ValueError("each block must be a (num_y, d, d) coefficient stack")
             largest = float(np.abs(stack).max(initial=0.0))  # nan or inf if not finite
             if not np.isfinite(largest):
@@ -267,19 +267,13 @@ class _Iterate(NamedTuple):
 
     @classmethod
     def start(cls, form: _SolverForm, snapshot: _Iterate | None = None) -> _Iterate:
-        # Start exactly dual feasible.  Cold: a deeply negative margin makes
-        # every slack block eta*I strictly positive definite.  From another
-        # program's snapshot: its X, box multipliers and y, with this
-        # program's S = F(y) - t I, t lowered until lambda_min(S) is no
-        # smaller than the snapshot's own.
+        # The snapshot's X, box multipliers and y; S = F(y) - t I, t lowered until
+        # lambda_min(S) is no smaller than the snapshot's (cold: X = I, S = eta I).
         if snapshot is None:
-            data_norm = max([1.0] + [float(np.abs(a).max()) for a in form.groups])
-            eta = 10.0 * data_norm
-            z = np.zeros(form.q)
-            z[form.p] = -eta
+            eta = 10.0 * max([1.0] + [float(np.abs(a).max()) for a in form.groups])
             pairs = [np.multiply.outer((1.0, eta), np.broadcast_to(e, a.shape[1:]))
                      for a, e in zip(form.groups, form.eyes)]
-            return cls(pairs, np.ones(2 * form.p), BOX_BOUND - form.box(z), z)
+            snapshot = cls(pairs, np.ones(2 * form.p), None, np.zeros(form.q))
         shapes = [(2,) + a.shape[1:] for a in form.groups]
         if [pair.shape for pair in snapshot.pairs] != shapes or snapshot.z.shape != (form.q,):
             raise ValueError("a start snapshot must come from a program of the same block shapes")
@@ -340,14 +334,14 @@ class _Newton:
         self.w_box = np.sqrt(state.x_box / state.s_box)
         self.lam_box = np.sqrt(state.x_box * state.s_box)
 
-        # Schur complement (Gram of the scaled coefficients, symmetrized, as the
-        # infeasible endgame is sensitive to rounding asymmetry) + box diagonal
+        # Schur complement: Gram of the symmetrized scaled coefficients, exactly
+        # symmetric (the infeasible endgame is sensitive to rounding asymmetry)
         self.flats = [_sym(_t(g) @ a @ g).reshape(form.q, -1) for g, a in zip(self.gs, form.groups)]
         schur = sum(flat @ flat.T for flat in self.flats)
         self.rds_scaled = [_t(g) @ rd @ g for g, rd in zip(self.gs, self.rds)]
         w2 = self.w_box**2
         schur[np.diag_indices(form.p)] += w2[0::2] + w2[1::2]
-        self.schur = schur = 0.5 * (schur + schur.T)
+        self.schur = schur
         for jitter in self.jitters[jitter_floor:]:
             with suppress(np.linalg.LinAlgError):
                 factor = np.linalg.cholesky(

@@ -58,6 +58,7 @@ solve of `stability_interval` starts cold.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -388,7 +389,7 @@ def _refine(
 
 
 def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
@@ -551,12 +552,16 @@ def hierarchy_sweep(
     The expected hierarchy is nondecreasing bounds in both M and m; any
     decrease beyond _COMPARISON_TOL is recorded as a violation.  Per-cell
     failures are captured, not raised, so one bad cell cannot abort a sweep.
-    Raises ValueError, before any cell runs, when either maximum is below 1,
-    the tolerance is not positive and finite, or the system is rejected by
+    Raises ValueError, before any cell runs, when (max_big_m, max_m) are
+    not `HierarchyParams` orders, max_m is below 1, the tolerance is not a
+    positive finite number, or the system is rejected by
     `stability_windows` (an overflow).
     """
-    if max_big_m < 1 or max_m < 1:
-        raise ValueError(f"sweep needs M, m >= 1, got M={max_big_m}, m={max_m}")
+    try:  # the largest cell's orders, and m >= 1 in every cell
+        if HierarchyParams(max_big_m, max_m).m < 1:
+            raise ValueError(f"m must be >= 1, got {max_m!r}")
+    except ValueError as exc:
+        raise ValueError(f"sweep needs M, m >= 1: {exc}") from exc
     _check_tol(tol)  # before the loop, which records ValueError per cell
     stability_windows(sys)
     cells: dict[tuple[int, int], DelayBoundsReport] = {}

@@ -6,8 +6,6 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .lmi import DelaySystem
 
 __all__ = [
@@ -25,29 +23,18 @@ class SystemFileError(ValueError):
     """Malformed system description file."""
 
 
-def _as_square_matrix(obj, n_x: int, key: str) -> np.ndarray:
-    try:
-        mat = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SystemFileError(f"field {key!r} is not a numeric matrix: {exc}") from exc
-    if mat.shape != (n_x, n_x):
-        raise SystemFileError(
-            f"field {key!r} must be a {n_x}x{n_x} matrix, got shape {mat.shape}"
-        )
-    if not np.all(np.isfinite(mat)):
-        raise SystemFileError(f"field {key!r} contains non-finite entries")
-    return mat
-
-
 def load_system(path: str | Path | resources.abc.Traversable) -> tuple[DelaySystem, dict]:
     """Parse a system file; returns the system plus its raw metadata.
 
     ``path`` is a file path, or any object with ``read_text()`` and
     ``name``, such as a bundled system's package resource.  The JSON
-    document must carry "n_x", "A" and "A_d1"; "A_d2" defaults to the zero
-    matrix.  Optional keys: "name" (else the file name without its
-    extension), "analytical_bounds" (recorded as metadata, never used in
-    computation).
+    document must be an object carrying "n_x" (a JSON integer >= 1), "A"
+    and "A_d1"; "A_d2" defaults to the zero matrix.  These, and n_x equal
+    to A's size, are the document's own rules; the matrices are checked by
+    `DelaySystem`, whose ValueError is re-raised here, prefixed with the
+    path.  Every error is a SystemFileError.  Optional keys: "name" (else
+    the file name without its extension), "analytical_bounds" (recorded as
+    metadata, never used in computation).
     """
     if isinstance(path, str):
         path = Path(path)
@@ -64,24 +51,23 @@ def load_system(path: str | Path | resources.abc.Traversable) -> tuple[DelaySyst
     if not isinstance(doc, dict):
         raise SystemFileError(f"{path}: top-level JSON value must be an object")
     n_x = doc.get("n_x")
-    if not isinstance(n_x, int) or isinstance(n_x, bool):
-        raise SystemFileError(f"{path}: missing or invalid 'n_x' (a JSON integer)")
-    if n_x < 1:
-        raise SystemFileError(f"{path}: n_x must be >= 1")
+    if not isinstance(n_x, int) or isinstance(n_x, bool) or n_x < 1:
+        raise SystemFileError(f"{path}: 'n_x' must be a JSON integer >= 1, got {n_x!r}")
     if "A" not in doc or "A_d1" not in doc:
         raise SystemFileError(f"{path}: fields 'A' and 'A_d1' are required")
-    a = _as_square_matrix(doc["A"], n_x, "A")
-    a_d1 = _as_square_matrix(doc["A_d1"], n_x, "A_d1")
-    a_d2 = None  # DelaySystem reads None as the zero matrix
-    if doc.get("A_d2") is not None:
-        a_d2 = _as_square_matrix(doc["A_d2"], n_x, "A_d2")
     name = str(doc.get("name", Path(path.name).stem))
+    try:
+        system = DelaySystem(doc["A"], doc["A_d1"], doc.get("A_d2"), name=name)
+    except ValueError as exc:
+        raise SystemFileError(f"{path}: {exc}") from exc
+    if system.n_x != n_x:
+        raise SystemFileError(f"{path}: n_x is {n_x} but A is {system.n_x}x{system.n_x}")
     meta = {
         key: doc[key]
         for key in ("name", "analytical_bounds", "comment")
         if key in doc
     }
-    return DelaySystem(a, a_d1, a_d2, name=name), meta
+    return system, meta
 
 
 def bundled_system_path(name: str) -> resources.abc.Traversable:

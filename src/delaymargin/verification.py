@@ -11,6 +11,7 @@ reproducible; the seed is part of the report.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .inequalities import (
 )
 from .polynomials import RationalPolynomial, inner_product, poly_weighted, rodrigues_poly
 from .projection import (
+    check_depth_range,
     derivative_moment_map,
     legendre_table,
     max_derivative_order,
@@ -255,14 +257,13 @@ def run_all(
 
     The soundness suite runs ``cases`` random cases and the dominance
     suite half as many, at least 50.  Raises ValueError, before any suite
-    runs, for a range that checks nothing or leaves depths unchecked:
-    seed < 0, cases < 1, max_m < 0, or a max_m no M <= max_big_m reaches.
+    runs, for a seed or case count that is not an integer, seed < 0,
+    cases < 1, or a depth range ``check_depth_range`` rejects.
     """
-    for name, value, floor in (("seed", seed, 0), ("cases", cases, 1), ("max_m", max_m, 0)):
-        if value < floor:
-            raise ValueError(f"{name} must be >= {floor}, got {value}")
-    if max_weighted_order(max_m, max_big_m) < 0:
-        raise ValueError(f"no M <= max_big_m={max_big_m} reaches max_m={max_m}")
+    for name, value, floor in (("seed", seed, 0), ("cases", cases, 1)):
+        if not isinstance(value, numbers.Integral) or value < floor:
+            raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    check_depth_range(max_m, max_big_m)
     report = VerificationReport(seed=seed)
     report.merge(check_polynomial_identities(max_m=max(max_m, 4), max_n=6))
     report.merge(

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,14 @@ from delaymargin.cli import (
     EXIT_OK,
     main,
 )
-from delaymargin.projection import derivative_moment_map, weighted_moment_map
-from delaymargin.sdp import STOP_REASONS
-from delaymargin.search import STEPS
+from delaymargin.lmi import DelaySystem, HierarchyParams
+from delaymargin.projection import (
+    check_depth_range,
+    derivative_moment_map,
+    weighted_moment_map,
+)
+from delaymargin.sdp import STOP_REASONS, ConeProgram
+from delaymargin.search import STEPS, hierarchy_sweep, max_delay
 from delaymargin.systems import (
     SystemFileError,
     bundled_system,
@@ -76,6 +82,8 @@ def test_missing_distributed_matrix_defaults_to_zero(tmp_path):
         {"n_x": 2, "A": [[1, "x"], [0, 1]], "A_d1": [[1, 0], [0, 1]]},
         {"n_x": 2.5, "A": [[1, 0], [0, 1]], "A_d1": [[1, 0], [0, 1]]},  # not an integer
         {"n_x": True, "A": [[-1.0]], "A_d1": [[0.5]]},  # a bool, not 1
+        {"n_x": 1, "A": [[{"a": 1}]], "A_d1": [[0.5]]},  # an object entry
+        {"n_x": 1, "A": -1.0, "A_d1": [[0.5]]},  # a scalar, not a 1x1 matrix
     ],
 )
 def test_malformed_documents_rejected(tmp_path, doc):
@@ -83,6 +91,81 @@ def test_malformed_documents_rejected(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(SystemFileError):
         load_system(path)
+
+
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+_SCALAR = DelaySystem([[0.0]], [[-1.0]])
+
+
+def _case(make, field, name):
+    return pytest.param(make, field, id=name)
+
+
+# One row per malformed input: a call, or a system document to load, and
+# the field its error message names.  Every one raises ValueError, and a
+# document a SystemFileError prefixed with the file's path.
+MALFORMED = [
+    _case(lambda: DelaySystem([[1.0, "x"], [0.0, 1.0]], _EYE), "A is not", "system-text"),
+    _case(lambda: DelaySystem(_EYE, [[{}, 0.0], [0.0, 1.0]]), "A_d1 is not", "system-object"),
+    _case(lambda: DelaySystem(_EYE, _EYE, [[None, 0.0], _EYE[1]]), "A_d2 contains", "system-none"),
+    _case(lambda: DelaySystem([[1.0, 0.0], [1.0]], _EYE), "A is not", "system-ragged"),
+    _case(lambda: DelaySystem(-1.0, [[0.5]]), "A must be a square", "system-scalar"),
+    _case(lambda: DelaySystem([[-1.0]], [0.5]), "A_d1 must be a square", "system-vector"),
+    _case(lambda: DelaySystem([[1.0, 0.0]], [[1.0]]), "A must be a square", "system-wide"),
+    _case(lambda: DelaySystem(_EYE, _EYE, [[1.0]]), "A_d2 must match A's", "system-shape"),
+    _case(lambda: DelaySystem(_EYE, [[np.nan, 0.0], _EYE[1]]), "A_d1 contains", "system-nan"),
+    _case({"n_x": 2, "A": _EYE, "A_d1": [[1, {}], [0, 1]]}, "A_d1 is not", "file-object"),
+    _case({"n_x": 1, "A": 2.0, "A_d1": [[1]]}, "A must be a square", "file-scalar"),
+    _case({"n_x": 3, "A": _EYE, "A_d1": _EYE}, "n_x is 3", "file-size"),
+    _case(lambda: HierarchyParams(2.5, 1), "M must be an integer", "params-float-M"),
+    _case(lambda: HierarchyParams(2, 1.0), "m must be an integer", "params-float-m"),
+    _case(lambda: HierarchyParams(True, 1), "M must be an integer", "params-bool-M"),
+    _case(lambda: HierarchyParams(2, "1"), "m must be an integer", "params-text-m"),
+    _case(lambda: HierarchyParams(0, 1), "M must be an integer >= 1", "params-low-M"),
+    _case(lambda: HierarchyParams(2, -1), "m must be an integer >= 0", "params-low-m"),
+    _case(lambda: check_depth_range(-1, 6), "max_m=-1", "depth-low"),
+    _case(lambda: check_depth_range(5, 2), "max_big_m=2", "depth-unreached"),
+    _case(lambda: check_depth_range(1.5, 6), "max_m=1.5", "depth-float"),
+    _case(lambda: verification.run_all(max_m=5, max_big_m=2), "max_m=5", "run-all-depth"),
+    _case(lambda: verification.run_all(max_big_m="6"), "max_big_m='6'", "run-all-text-M"),
+    _case(lambda: verification.run_all(seed=1.5), "seed must be an integer", "run-all-seed"),
+    _case(lambda: verification.run_all(cases=2.5), "cases must be an integer", "run-all-cases"),
+    _case(lambda: max_delay(_SCALAR, HierarchyParams(1, 1), tol="x"), "tolerance", "tol-text"),
+    _case(lambda: max_delay(_SCALAR, HierarchyParams(1, 1), tol=None), "tolerance", "tol-none"),
+    _case(lambda: hierarchy_sweep(_SCALAR, 1.5, 1), "M must be an integer", "sweep-float-M"),
+    _case(lambda: hierarchy_sweep(_SCALAR, 1, 1.5), "m must be an integer", "sweep-float-m"),
+    _case(lambda: ConeProgram([[[[1.0]]]]), "coefficient stack", "cone-lists"),
+    _case(lambda: ConeProgram([np.ones((1, 1, 1)), [[[1.0]]]]), "coefficient stack", "cone-list"),
+]
+
+
+@pytest.mark.parametrize("make,field", MALFORMED)
+def test_malformed_inputs_raise_value_errors_naming_the_field(tmp_path, make, field):
+    if isinstance(make, dict):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(make))
+        with pytest.raises(SystemFileError, match=f"^{re.escape(str(path))}: {field}"):
+            load_system(path)
+    else:
+        with pytest.raises(ValueError, match=field):
+            make()
+
+
+def test_integer_orders_of_any_integral_type_are_accepted():
+    params = HierarchyParams(np.int64(3), np.int64(1))
+    assert params == HierarchyParams(3, 1)
+    assert (type(params.big_m), type(params.m)) == (int, int)
+
+
+@pytest.mark.parametrize(
+    "entries", ['"A": [[{}]], "A_d1": [[0.5]]', '"A": -1.0, "A_d1": [[0.5]]']
+)
+def test_malformed_system_files_are_one_error_line(tmp_path, capsys, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n_x": 1, {entries}}}')
+    code, out, err = run_cli(capsys, "bounds", "--system", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {path}: A ") and err.count("\n") == 1
 
 
 def test_invalid_json_reports_position(tmp_path):
